@@ -18,6 +18,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Iterator
 
 LSERIES = "L"
@@ -156,6 +157,14 @@ class FormalSum:
     def single(cls, g: Generator, c=1) -> "FormalSum":
         return cls({g: Fraction(c)})
 
+    @classmethod
+    def _accumulate(cls, pairs) -> "FormalSum":
+        """Sum (generator, coefficient) pairs into one dict, then build once."""
+        terms: dict[Generator, Fraction] = {}
+        for g, c in pairs:
+            terms[g] = terms.get(g, 0) + c
+        return cls(terms)
+
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -169,10 +178,7 @@ class FormalSum:
         return self.terms.get(g, Fraction(0))
 
     def __add__(self, other: "FormalSum") -> "FormalSum":
-        out = dict(self.terms)
-        for g, c in other.terms.items():
-            out[g] = out.get(g, Fraction(0)) + c
-        return FormalSum(out)
+        return FormalSum._accumulate(chain(self.terms.items(), other.terms.items()))
 
     def __sub__(self, other: "FormalSum") -> "FormalSum":
         return self + other.scale(-1)
@@ -223,8 +229,7 @@ def parse_formal_sum(text: str) -> FormalSum:
     text = text.strip()
     if text == "0":
         return FormalSum()
-    out = FormalSum()
-    for part in text.split(" + "):
-        coef_s, gen_s = part.split("*", 1)
-        out = out + FormalSum.single(parse_generator(gen_s), parse_rational(coef_s))
-    return out
+    pairs = (part.split("*", 1) for part in text.split(" + "))
+    return FormalSum._accumulate(
+        (parse_generator(gen_s), parse_rational(coef_s)) for coef_s, gen_s in pairs
+    )

@@ -13,7 +13,7 @@ import sys
 from mpmath import mp
 
 from .algebra import LSERIES, TAU_INTEGRAL, parse_generator
-from .config import EngineConfig, configure
+from .config import DEFAULT_DIGITS, DEFAULT_EPS, DEFAULT_NMAX, EngineConfig, configure
 from .eisenstein import precision_selftest
 from .integrals import int_eval, int_exppoly
 from .lseries import l_coeffs_dp, l_eval
@@ -23,9 +23,10 @@ from .verify import SUITES, run_suite
 
 
 def _add_engine_args(p: argparse.ArgumentParser):
-    p.add_argument("--digits", type=int, default=40, help="working precision in decimal digits")
-    p.add_argument("--eps", type=float, default=1e-30, help="certified truncation target")
-    p.add_argument("--nmax", type=int, default=400_000, help="hard cap on truncation indices")
+    p.add_argument("--digits", type=int, default=DEFAULT_DIGITS,
+                   help="working precision in decimal digits")
+    p.add_argument("--eps", type=float, default=DEFAULT_EPS, help="certified truncation target")
+    p.add_argument("--nmax", type=int, default=DEFAULT_NMAX, help="hard cap on truncation indices")
 
 
 def _config(args) -> EngineConfig:

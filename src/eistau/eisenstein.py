@@ -21,6 +21,10 @@ from mpmath import mp, mpc, mpf
 
 from .config import DEFAULT_BUDGET, BudgetError, TruncationBudget
 
+# Factor kinds of an integrand word: the cusp part or the constant term.
+CUSP = "cusp"
+CONST = "const"
+
 _sigma_tables: dict[int, list[int]] = {}
 _sigma_lock = threading.Lock()
 
@@ -91,6 +95,12 @@ def eis_constant(k: int) -> Fraction:
     if k < 2:
         raise ValueError("k must be >= 2")
     return -bernoulli(2 * k) / (4 * k)
+
+
+def _constant_mpf(k: int) -> mpf:
+    """eis_constant(k) as an mpf at the caller's working precision."""
+    c = eis_constant(k)
+    return mpf(c.numerator) / c.denominator
 
 
 def tail_start(power: int, x, eps, n_max: int) -> int:
@@ -165,9 +175,8 @@ def eis_cusp_eval(k: int, tau, budget: TruncationBudget = DEFAULT_BUDGET) -> mpc
 
 def eis_eval(k: int, tau, budget: TruncationBudget = DEFAULT_BUDGET) -> mpc:
     """Full weight-2k series: constant term plus cusp part."""
-    c = eis_constant(k)
     with mp.extradps(10):
-        val = mpf(c.numerator) / c.denominator + eis_cusp_eval(k, tau, budget)
+        val = _constant_mpf(k) + eis_cusp_eval(k, tau, budget)
     return +val
 
 

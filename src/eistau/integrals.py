@@ -46,37 +46,42 @@ def freq_cutoff(index: CompositeIndex, tau: mpc, budget: TruncationBudget) -> in
     return tail_start(power, x, eps_eff, budget.n_max)
 
 
+def _fold(index: CompositeIndex, at: mpc, budget: TruncationBudget) -> ExpPoly:
+    """Innermost-out fold of the cusp series, truncated at the n_cut certified at `at`.
+
+    Works at the caller's precision; callers handle depth 0.
+    """
+    if index.depth > MAX_DEPTH:
+        raise ValueError(f"depth {index.depth} exceeds the supported cap {MAX_DEPTH}")
+    n_cut = freq_cutoff(index, at, budget)
+    g: ExpPoly | None = None
+    for k, alpha in zip(reversed(index.ks), reversed(index.alphas)):
+        series = cusp_exppoly(k, n_cut)
+        g = series if g is None else (series * g).truncated(n_cut)
+        g = g.tail_integral(alpha)
+    return g
+
+
 def int_eval(index: CompositeIndex, tau, budget: TruncationBudget = DEFAULT_BUDGET) -> mpc:
     """Iterated tail integral at tau (see module docstring); depth 0 gives 1."""
     if index.depth == 0:
         return mpc(1)
-    if index.depth > MAX_DEPTH:
-        raise ValueError(f"depth {index.depth} exceeds the supported cap {MAX_DEPTH}")
     tau = mpc(tau)
     if not tau.imag > 0:
         raise ValueError("Im tau must be positive")
     with mp.extradps(15):
-        n_cut = freq_cutoff(index, tau, budget)
-        g: ExpPoly | None = None
-        for j in range(index.depth - 1, -1, -1):
-            series = cusp_exppoly(index.ks[j], n_cut)
-            g = series if g is None else (series * g).truncated(n_cut)
-            g = g.tail_integral(index.alphas[j])
-        val = g(tau)
+        val = _fold(index, tau, budget)(tau)
     return +val
 
 
 def int_exppoly(index: CompositeIndex, y_min, budget: TruncationBudget = DEFAULT_BUDGET) -> ExpPoly:
-    """The ExpPoly representing the iterated integral, certified on Im tau >= y_min."""
+    """The ExpPoly representing the iterated integral, with n_cut sized at tau = i*y_min.
+
+    Off the imaginary axis the sizing understates the (1 + |tau|)^{sum alpha}
+    factor of the frequency majorant, so values at Re tau != 0 are not covered
+    by the truncation certificate.
+    """
     if index.depth == 0:
         return ExpPoly.from_qseries({0: 1})
-    if index.depth > MAX_DEPTH:
-        raise ValueError(f"depth {index.depth} exceeds the supported cap {MAX_DEPTH}")
     with mp.extradps(15):
-        n_cut = freq_cutoff(index, mpc(0, y_min), budget)
-        g: ExpPoly | None = None
-        for j in range(index.depth - 1, -1, -1):
-            series = cusp_exppoly(index.ks[j], n_cut)
-            g = series if g is None else (series * g).truncated(n_cut)
-            g = g.tail_integral(index.alphas[j])
-    return g
+        return _fold(index, mpc(0, y_min), budget)

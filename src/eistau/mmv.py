@@ -61,18 +61,11 @@ from mpmath import mp, mpc, mpf
 
 from .algebra import CompositeIndex
 from .config import DEFAULT_BUDGET, BudgetError, SingularParameterError, TruncationBudget
-from .eisenstein import bernoulli, eis_constant, sigma_table, tail_start
+from .eisenstein import CONST, CUSP, bernoulli, sigma_table, tail_start
+from .eisenstein import _constant_mpf as _einf
 from .integrals import cusp_exppoly, freq_cutoff, int_eval
 
-CUSP = "cusp"
-CONST = "const"
-
 _BASE = mpc(0, 1)  # all integrals in this module are anchored at tau = i
-
-
-def _einf(k: int) -> mpf:
-    c = eis_constant(k)
-    return mpf(c.numerator) / c.denominator
 
 
 def _ipow(n: int) -> mpc:
@@ -337,20 +330,7 @@ def int0_reg(index: CompositeIndex, budget: TruncationBudget = DEFAULT_BUDGET) -
     if w in (2 * k1, 2 * k2):
         raise SingularParameterError(f"alpha_1 + alpha_2 = {w} is singular for weights "
                                      f"({2 * k1}, {2 * k2})")
-    a_zero = -t_cusp_reg(k1, a1, budget) * _r_cusp(k2, a2, budget)
-    a_prime = -(
-        t_mixed_reduce(CUSP_THEN_CONST, k1, k2, a1, a2 - 2 * k2, budget)
-        - t_mixed_reduce(CUSP_THEN_CONST, k1, k2, a1, a2, budget)
-    ) - (
-        t_mixed_reduce(CONST_THEN_CUSP, k2, k1, a2, a1 - 2 * k1, budget)
-        - t_mixed_reduce(CONST_THEN_CUSP, k2, k1, a2, a1, budget)
-    )
-    a_inf = (
-        t_const_const(k1, k2, a1 - 2 * k1, a2 - 2 * k2)
-        - t_const_const(k1, k2, a1 - 2 * k1, a2)
-        - t_const_const(k1, k2, a1, a2 - 2 * k2)
-        + t_const_const(k1, k2, a1, a2)
-    )
+    a_zero, a_prime, a_inf = _a_terms(index, budget)
     return (
         _r_cusp_cusp(k1, k2, a1, a2, budget)
         + (-1) ** w * _r_cusp_cusp(k2, k1, 2 * k2 - a2, 2 * k1 - a1, budget)
@@ -376,10 +356,11 @@ def int0_reg_swapped_assembly(index: CompositeIndex,
     swapped = CompositeIndex((k2, k1), (2 * k2 - a2, 2 * k1 - a1))
     other = int0_reg(swapped, budget)
     # from the two assemblies: Int0(idx) + A(idx) = (-1)^w [Int0(swapped) + A(swapped)]
-    return (-1) ** w * (other + _a_terms(swapped, budget)) - _a_terms(index, budget)
+    return (-1) ** w * (other + sum(_a_terms(swapped, budget))) - sum(_a_terms(index, budget))
 
 
-def _a_terms(index: CompositeIndex, budget: TruncationBudget) -> mpc:
+def _a_terms(index: CompositeIndex, budget: TruncationBudget) -> tuple[mpc, mpc, mpc]:
+    """(A0, A', Ainf) of the depth-2 Int0 assembly (see module docstring)."""
     k1, k2 = index.ks
     a1, a2 = index.alphas
     a_zero = -t_cusp_reg(k1, a1, budget) * _r_cusp(k2, a2, budget)
@@ -396,7 +377,7 @@ def _a_terms(index: CompositeIndex, budget: TruncationBudget) -> mpc:
         - t_const_const(k1, k2, a1, a2 - 2 * k2)
         + t_const_const(k1, k2, a1, a2)
     )
-    return a_zero + a_prime + a_inf
+    return a_zero, a_prime, a_inf
 
 
 # -- rational cocycle polynomial and zeta ----------------------------------------

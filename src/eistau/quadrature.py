@@ -17,10 +17,7 @@ from dataclasses import dataclass
 from mpmath import mp, mpc, mpf
 
 from .config import DEFAULT_BUDGET, TruncationBudget
-from .eisenstein import eis_constant, eis_cusp_eval, eis_eval
-
-CUSP = "cusp"
-CONST = "const"
+from .eisenstein import CONST, CUSP, _constant_mpf, eis_cusp_eval, eis_eval
 
 
 @dataclass(frozen=True)
@@ -141,8 +138,7 @@ def quad_vertical(factors, alphas, path: PathSpec, tol=1e-25,
             kind, k = spec
             if kind == CUSP:
                 return lambda t: eis_cusp_eval(k, t, series_budget)
-            c = eis_constant(k)
-            cv = mpf(c.numerator) / c.denominator
+            cv = _constant_mpf(k)
             return lambda t: cv
 
         pts = path.offsets()
@@ -203,9 +199,7 @@ def eis_cusp_near_zero(k: int, tau, budget: TruncationBudget = DEFAULT_BUDGET) -
     tau = mpc(tau)
     if tau.imag >= 1:
         return eis_cusp_eval(k, tau, budget)
-    c = eis_constant(k)
-    cv = mpf(c.numerator) / c.denominator
-    return tau ** (-2 * k) * eis_eval(k, -1 / tau, budget) - cv
+    return tau ** (-2 * k) * eis_eval(k, -1 / tau, budget) - _constant_mpf(k)
 
 
 def quad_T_cusp(k: int, m: int, tol=1e-25, budget: TruncationBudget = DEFAULT_BUDGET) -> mpc:
@@ -241,10 +235,9 @@ def quad_T_cusp_const(k_cusp: int, a: int, k_const: int, b: int, tol=1e-25,
         raise ValueError("direct quadrature requires a > 2k and a + b > 2k")
     if b == 0:
         raise ValueError("b must be nonzero")
-    cconst = eis_constant(k_const)
     dps = _tolerance_dps(tol)
     with mp.workdps(dps):
-        cv = mpf(cconst.numerator) / cconst.denominator
+        cv = _constant_mpf(k_const)
         series_budget = TruncationBudget(eps=float(mpf(tol) / 100), n_max=budget.n_max)
         ipow = mpc(0, 1) ** b
 

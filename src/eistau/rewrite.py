@@ -74,12 +74,10 @@ def shuffle_product(u, v) -> FormalSum:
     """Formal sum of all (|u|,|v|)-shuffles, multiplicities accumulated."""
     u = tuple((int(k), int(a)) for k, a in u)
     v = tuple((int(k), int(a)) for k, a in v)
-    out = FormalSum()
-    for word in shuffle_words(u, v):
-        ks = [k for k, _ in word]
-        alphas = [a for _, a in word]
-        out = out + FormalSum.single(tau_integral_gen(ks, alphas, 0))
-    return out
+    return FormalSum._accumulate(
+        (tau_integral_gen([k for k, _ in word], [a for _, a in word], 0), 1)
+        for word in shuffle_words(u, v)
+    )
 
 
 @lru_cache(maxsize=None)
@@ -134,11 +132,10 @@ def int_to_l(gen: Generator) -> FormalSum:
         raise ValueError("int_to_l expects a tau-integral generator")
     if gen.depth < 1:
         raise ValueError("depth must be >= 1")
-    terms: dict[Generator, Fraction] = {}
-    for ivec, coeff, t_delta in _int_to_l_skeleton(gen.alphas):
-        target = lseries_gen(gen.ks, ivec, gen.power + t_delta)
-        terms[target] = terms.get(target, Fraction(0)) + coeff
-    return FormalSum(terms)
+    return FormalSum._accumulate(
+        (lseries_gen(gen.ks, ivec, gen.power + t_delta), coeff)
+        for ivec, coeff, t_delta in _int_to_l_skeleton(gen.alphas)
+    )
 
 
 def l_to_int(gen: Generator) -> FormalSum:
@@ -147,11 +144,10 @@ def l_to_int(gen: Generator) -> FormalSum:
         raise ValueError("l_to_int expects an L-series generator")
     if gen.depth < 1:
         raise ValueError("depth must be >= 1")
-    terms: dict[Generator, Fraction] = {}
-    for new_alphas, i1, coeff in _l_to_int_skeleton(gen.alphas):
-        target = tau_integral_gen(gen.ks, new_alphas, gen.power + i1)
-        terms[target] = terms.get(target, Fraction(0)) + coeff
-    return FormalSum(terms)
+    return FormalSum._accumulate(
+        (tau_integral_gen(gen.ks, new_alphas, gen.power + i1), coeff)
+        for new_alphas, i1, coeff in _l_to_int_skeleton(gen.alphas)
+    )
 
 
 def convert_sum(fs: FormalSum, direction: str) -> FormalSum:
@@ -159,10 +155,9 @@ def convert_sum(fs: FormalSum, direction: str) -> FormalSum:
     if direction not in ("int2l", "l2int"):
         raise ValueError("direction must be 'int2l' or 'l2int'")
     conv = int_to_l if direction == "int2l" else l_to_int
-    out = FormalSum()
-    for g, c in fs:
-        out = out + conv(g).scale(c)
-    return out
+    return FormalSum._accumulate(
+        (h, d * c) for g, c in fs.terms.items() for h, d in conv(g).terms.items()
+    )
 
 
 Chain = tuple[Letter, ...]
@@ -202,11 +197,10 @@ def stuffle_product(g1: Generator, g2: Generator) -> FormalSum:
             raise ValueError("depths must be >= 1")
     left = tuple(zip(g1.ks, g1.alphas))
     right = tuple(zip(g2.ks, g2.alphas))
-    terms: dict[Generator, Fraction] = {}
-    for word, mult in _stuffle_chains(left, right).items():
-        gen = lseries_gen([k for k, _ in word], [a for _, a in word], 0)
-        terms[gen] = terms.get(gen, Fraction(0)) + mult
-    return FormalSum(terms)
+    return FormalSum._accumulate(
+        (lseries_gen([k for k, _ in word], [a for _, a in word], 0), mult)
+        for word, mult in _stuffle_chains(left, right).items()
+    )
 
 
 @lru_cache(maxsize=None)

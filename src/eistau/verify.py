@@ -1,15 +1,16 @@
-"""Verification suites: one callable per identity family, producing reports.
+"""Verification suites: one case generator per identity family, run into reports.
 
 Each suite runs a deterministic parameter grid (sizes "small" and "full"),
-records one case per tuple, marks singular tuples as skipped, and compares at
-the tolerance stated in the acceptance criteria.  Suites only combine public
-operations of the other modules; every oracle stays independent of the closed
-form it checks.
+yields one case per tuple, marks singular tuples as skipped, and compares at
+the tolerance stated in the acceptance criteria; `run_suite` records each case
+in the report as it is yielded.  Suites only combine public operations of the
+other modules; every oracle stays independent of the closed form it checks.
 """
 
 from __future__ import annotations
 
 from itertools import product
+from typing import Iterator
 
 from mpmath import mp, mpc, mpf
 
@@ -36,32 +37,8 @@ from .quadrature import default_path, quad_T_cusp, quad_T_cusp_const, quad_verti
 from .report import CaseResult, VerificationReport
 from .rewrite import convert_sum, int_to_l, l_to_int, numeric_value, shuffle_product, stuffle_product
 
-SUITES = (
-    "roundtrip",
-    "shuffle",
-    "stuffle",
-    "deriv",
-    "fund",
-    "haberland",
-    "symmetry",
-    "firstdiff",
-    "oracle-cross",
-)
-
 _TAU_I = mpc(0, 1)
 _TAU_2I = mpc(0, 2)
-
-
-def _report(name: str, config: EngineConfig) -> VerificationReport:
-    return VerificationReport(
-        suite=name,
-        engine={
-            "digits": config.digits,
-            "eps": config.eps,
-            "nmax": config.n_max,
-            "version": __version__,
-        },
-    )
 
 
 def _tau_label(tau) -> str:
@@ -83,8 +60,7 @@ def _roundtrip_cases(grid: str):
                 yield ks_for[r], alphas, t
 
 
-def suite_roundtrip(grid: str, config: EngineConfig) -> VerificationReport:
-    rep = _report("roundtrip", config)
+def suite_roundtrip(grid: str, config: EngineConfig) -> Iterator[CaseResult]:
     for ks, alphas, t in _roundtrip_cases(grid):
         gen_i = tau_integral_gen(ks, alphas, t)
         back_i = convert_sum(int_to_l(gen_i), "l2int")
@@ -93,25 +69,21 @@ def suite_roundtrip(grid: str, config: EngineConfig) -> VerificationReport:
         back_l = convert_sum(l_to_int(gen_l), "int2l")
         ok_l = back_l == FormalSum.single(gen_l)
         label = f"alphas={list(alphas)};t={t};ks={list(ks)}"
-        rep.add(
-            CaseResult.evaluated(
-                f"roundtrip;{label}",
-                {"ks": list(ks), "alphas": list(alphas), "t": t},
-                lhs=0,
-                rhs=0,
-                tol=0,
-                err=0 if (ok_i and ok_l) else 1,
-                notes="exact rational identity both directions",
-            )
+        yield CaseResult.evaluated(
+            f"roundtrip;{label}",
+            {"ks": list(ks), "alphas": list(alphas), "t": t},
+            lhs=0,
+            rhs=0,
+            tol=0,
+            err=0 if (ok_i and ok_l) else 1,
+            notes="exact rational identity both directions",
         )
-    return rep.finalize()
 
 
 # -- shuffle ---------------------------------------------------------------------
 
 
-def suite_shuffle(grid: str, config: EngineConfig) -> VerificationReport:
-    rep = _report("shuffle", config)
+def suite_shuffle(grid: str, config: EngineConfig) -> Iterator[CaseResult]:
     budget = config.budget()
     letters = [(k, a) for k in (2, 3) for a in (1, 2)]
     taus = (_TAU_I, _TAU_2I) if grid != "small" else (_TAU_I,)
@@ -122,16 +94,13 @@ def suite_shuffle(grid: str, config: EngineConfig) -> VerificationReport:
                 make_index([b[0]], [b[1]]), tau, budget
             )
             rhs = numeric_value(fs, tau, budget)
-            rep.add(
-                CaseResult.evaluated(
-                    f"shuffle;a={a};b={b};tau={_tau_label(tau)}",
-                    {"a": list(a), "b": list(b), "tau": _tau_label(tau)},
-                    lhs,
-                    rhs,
-                    tol=1e-15,
-                )
+            yield CaseResult.evaluated(
+                f"shuffle;a={a};b={b};tau={_tau_label(tau)}",
+                {"a": list(a), "b": list(b), "tau": _tau_label(tau)},
+                lhs,
+                rhs,
+                tol=1e-15,
             )
-    return rep.finalize()
 
 
 # -- stuffle ---------------------------------------------------------------------
@@ -151,8 +120,7 @@ def _stuffle_cases(grid: str):
                 yield (ka,), (aa,), (kb, kc), (ab, ac)
 
 
-def suite_stuffle(grid: str, config: EngineConfig) -> VerificationReport:
-    rep = _report("stuffle", config)
+def suite_stuffle(grid: str, config: EngineConfig) -> Iterator[CaseResult]:
     budget = config.budget()
     for ks1, al1, ks2, al2 in _stuffle_cases(grid):
         g1 = lseries_gen(ks1, al1, 0)
@@ -160,16 +128,13 @@ def suite_stuffle(grid: str, config: EngineConfig) -> VerificationReport:
         fs = stuffle_product(g1, g2)
         lhs = l_eval(g1.index(), _TAU_I, budget) * l_eval(g2.index(), _TAU_I, budget)
         rhs = numeric_value(fs, _TAU_I, budget)
-        rep.add(
-            CaseResult.evaluated(
-                f"stuffle;g1={g1};g2={g2}",
-                {"left": str(g1), "right": str(g2), "tau": "0+1i"},
-                lhs,
-                rhs,
-                tol=1e-15,
-            )
+        yield CaseResult.evaluated(
+            f"stuffle;g1={g1};g2={g2}",
+            {"left": str(g1), "right": str(g2), "tau": "0+1i"},
+            lhs,
+            rhs,
+            tol=1e-15,
         )
-    return rep.finalize()
 
 
 # -- derivative contracts --------------------------------------------------------
@@ -196,8 +161,7 @@ def _central_diff(f, tau, h):
     return (f(tau + h) - f(tau - h)) / (2 * h)
 
 
-def suite_deriv(grid: str, config: EngineConfig) -> VerificationReport:
-    rep = _report("deriv", config)
+def suite_deriv(grid: str, config: EngineConfig) -> Iterator[CaseResult]:
     budget = config.budget()
     tau = _TAU_2I
     h = mpf("1e-12")
@@ -212,15 +176,13 @@ def suite_deriv(grid: str, config: EngineConfig) -> VerificationReport:
             * int_eval(rest, tau, budget)
         )
         scale = max(abs(lhs), abs(rhs), mpf(1))
-        rep.add(
-            CaseResult.evaluated(
-                f"deriv-int;ks={list(ks)};alphas={list(alphas)}",
-                {"ks": list(ks), "alphas": list(alphas), "tau": _tau_label(tau)},
-                lhs,
-                rhs,
-                tol=1e-8 * scale,
-                notes="relative 1e-8 via central differences",
-            )
+        yield CaseResult.evaluated(
+            f"deriv-int;ks={list(ks)};alphas={list(alphas)}",
+            {"ks": list(ks), "alphas": list(alphas), "tau": _tau_label(tau)},
+            lhs,
+            rhs,
+            tol=1e-8 * scale,
+            notes="relative 1e-8 via central differences",
         )
     for ks, alphas, t in _DERIV_L_INDICES[:n]:
         idx0 = make_index(ks, alphas, 0)
@@ -234,17 +196,14 @@ def suite_deriv(grid: str, config: EngineConfig) -> VerificationReport:
         lowered = (alphas[0] - 1,) + tuple(alphas[1:])
         rhs += l_eval(make_index(ks, lowered, t), tau, budget)
         scale = max(abs(lhs), abs(rhs), mpf(1))
-        rep.add(
-            CaseResult.evaluated(
-                f"deriv-l;ks={list(ks)};alphas={list(alphas)};t={t}",
-                {"ks": list(ks), "alphas": list(alphas), "t": t, "tau": _tau_label(tau)},
-                lhs,
-                rhs,
-                tol=1e-8 * scale,
-                notes="relative 1e-8; tau^t factor differentiated analytically",
-            )
+        yield CaseResult.evaluated(
+            f"deriv-l;ks={list(ks)};alphas={list(alphas)};t={t}",
+            {"ks": list(ks), "alphas": list(alphas), "t": t, "tau": _tau_label(tau)},
+            lhs,
+            rhs,
+            tol=1e-8 * scale,
+            notes="relative 1e-8; tau^t factor differentiated analytically",
         )
-    return rep.finalize()
 
 
 # -- inversion identities (base point i) ------------------------------------------
@@ -254,20 +213,17 @@ def _fund_weights(grid: str):
     return (2, 3) if grid == "small" else (2, 3, 4)
 
 
-def suite_fund(grid: str, config: EngineConfig) -> VerificationReport:
-    rep = _report("fund", config)
+def suite_fund(grid: str, config: EngineConfig) -> Iterator[CaseResult]:
     budget = _tight_budget(config)
     for k in _fund_weights(grid):
         for alpha in range(1, 2 * k):
             lhs, rhs = fund_first_sides(k, alpha, budget)
-            rep.add(
-                CaseResult.evaluated(
-                    f"fund1;2k={2 * k};alpha={alpha}",
-                    {"2k": 2 * k, "alpha": alpha},
-                    lhs,
-                    rhs,
-                    tol=1e-15,
-                )
+            yield CaseResult.evaluated(
+                f"fund1;2k={2 * k};alpha={alpha}",
+                {"2k": 2 * k, "alpha": alpha},
+                lhs,
+                rhs,
+                tol=1e-15,
             )
     for k1 in _fund_weights(grid):
         for k2 in _fund_weights(grid):
@@ -278,19 +234,17 @@ def suite_fund(grid: str, config: EngineConfig) -> VerificationReport:
                     case_id = f"fund2;2k1={2 * k1};2k2={2 * k2};a1={a1};a2={a2}"
                     params = {"2k1": 2 * k1, "2k2": 2 * k2, "a1": a1, "a2": a2}
                     if a1 + a2 == 2 * k2:
-                        rep.add(CaseResult.singular(case_id, params, "a1 + a2 = 2k2"))
+                        yield CaseResult.singular(case_id, params, "a1 + a2 = 2k2")
                         continue
                     lhs, rhs = fund_second_sides(k1, k2, a1, a2, budget)
-                    rep.add(CaseResult.evaluated(case_id, params, lhs, rhs, tol=1e-15))
-    return rep.finalize()
+                    yield CaseResult.evaluated(case_id, params, lhs, rhs, tol=1e-15)
 
 
 def _tight_budget(config: EngineConfig) -> TruncationBudget:
     return TruncationBudget(min(config.eps, 1e-30), config.n_max)
 
 
-def suite_haberland(grid: str, config: EngineConfig) -> VerificationReport:
-    rep = _report("haberland", config)
+def suite_haberland(grid: str, config: EngineConfig) -> Iterator[CaseResult]:
     budget = _tight_budget(config)
     weights = (2, 3) if grid == "small" else (2, 3, 4)
     for k in weights:
@@ -298,17 +252,14 @@ def suite_haberland(grid: str, config: EngineConfig) -> VerificationReport:
             lhs = s_coeff((k,), (alpha,), budget)
             rhs = haberland_rhs(k, alpha, budget)
             scale = max(abs(rhs), mpf(1))
-            rep.add(
-                CaseResult.evaluated(
-                    f"haberland;2k={2 * k};alpha={alpha}",
-                    {"2k": 2 * k, "alpha": alpha},
-                    lhs,
-                    rhs,
-                    tol=1e-12 * scale,
-                    notes="relative 1e-12 against Bernoulli cocycle + odd zeta",
-                )
+            yield CaseResult.evaluated(
+                f"haberland;2k={2 * k};alpha={alpha}",
+                {"2k": 2 * k, "alpha": alpha},
+                lhs,
+                rhs,
+                tol=1e-12 * scale,
+                notes="relative 1e-12 against Bernoulli cocycle + odd zeta",
             )
-    return rep.finalize()
 
 
 def _pair_grid(grid: str):
@@ -320,22 +271,18 @@ def _pair_grid(grid: str):
                     yield k1, k2, a1, a2
 
 
-def suite_symmetry(grid: str, config: EngineConfig) -> VerificationReport:
-    rep = _report("symmetry", config)
+def suite_symmetry(grid: str, config: EngineConfig) -> Iterator[CaseResult]:
     budget = _tight_budget(config)
     for k1, k2, a1, a2 in _pair_grid(grid):
         lhs, rhs = symmetry_defect(k1, k2, a1, a2, budget)
         tol = mpf("1e-10") * (2 * mp.pi) ** (2 * k1 + 2 * k2 - 2)
-        rep.add(
-            CaseResult.evaluated(
-                f"symmetry;2k1={2 * k1};2k2={2 * k2};a1={a1};a2={a2}",
-                {"2k1": 2 * k1, "2k2": 2 * k2, "a1": a1, "a2": a2},
-                lhs,
-                rhs,
-                tol=tol,
-            )
+        yield CaseResult.evaluated(
+            f"symmetry;2k1={2 * k1};2k2={2 * k2};a1={a1};a2={a2}",
+            {"2k1": 2 * k1, "2k2": 2 * k2, "a1": a1, "a2": a2},
+            lhs,
+            rhs,
+            tol=tol,
         )
-    return rep.finalize()
 
 
 _FIRSTDIFF_NOTE = (
@@ -344,22 +291,20 @@ _FIRSTDIFF_NOTE = (
 )
 
 
-def suite_firstdiff(grid: str, config: EngineConfig) -> VerificationReport:
-    rep = _report("firstdiff", config)
+def suite_firstdiff(grid: str, config: EngineConfig) -> Iterator[CaseResult]:
     budget = _tight_budget(config)
     for k1, k2, a1, a2 in _pair_grid(grid):
         case_id = f"firstdiff;2k1={2 * k1};2k2={2 * k2};a1={a1};a2={a2}"
         params = {"2k1": 2 * k1, "2k2": 2 * k2, "a1": a1, "a2": a2}
         w = a1 + a2
         if w in (2 * k1, 2 * k2):
-            rep.add(CaseResult.singular(case_id, params, f"a1 + a2 = {w} in {{2k1, 2k2}}"))
+            yield CaseResult.singular(case_id, params, f"a1 + a2 = {w} in {{2k1, 2k2}}")
             continue
         diagonal = (k1, a1) == (k2, a2)
         lhs, rhs = first_difference_sides(k1, k2, a1, a2, budget)
         tol = mpf("1e-10") * (2 * mp.pi) ** (2 * k1 + 2 * k2 - 2)
         note = _FIRSTDIFF_NOTE if not diagonal else "diagonal case: 0 = 0 " + _FIRSTDIFF_NOTE
-        rep.add(CaseResult.evaluated(case_id, params, lhs, rhs, tol=tol, notes=note))
-    return rep.finalize()
+        yield CaseResult.evaluated(case_id, params, lhs, rhs, tol=tol, notes=note)
 
 
 # -- oracle cross-checks -----------------------------------------------------------
@@ -381,8 +326,7 @@ _QUAD_CASES_D1 = (((2,), (1,), _TAU_I), ((3,), (2,), _TAU_2I))
 _QUAD_CASES_D2 = (((2, 2), (1, 1), _TAU_2I), ((2, 3), (2, 1), _TAU_I))
 
 
-def suite_oracle_cross(grid: str, config: EngineConfig) -> VerificationReport:
-    rep = _report("oracle-cross", config)
+def suite_oracle_cross(grid: str, config: EngineConfig) -> Iterator[CaseResult]:
     budget = _tight_budget(config)
     n_coeff = 30 if grid == "small" else 50
     for ks, alphas in _DP_INDICES:
@@ -390,16 +334,14 @@ def suite_oracle_cross(grid: str, config: EngineConfig) -> VerificationReport:
         dp = l_coeffs_dp(idx, n_coeff)
         bf = l_coeffs_bruteforce(idx, n_coeff)
         exact = dp.coeffs == bf.coeffs
-        rep.add(
-            CaseResult.evaluated(
-                f"coeffs;ks={list(ks)};alphas={list(alphas)};N={n_coeff}",
-                {"ks": list(ks), "alphas": list(alphas), "N": n_coeff},
-                lhs=0,
-                rhs=0,
-                tol=0,
-                err=0 if exact else 1,
-                notes="exact rational equality of dp and bruteforce coefficients",
-            )
+        yield CaseResult.evaluated(
+            f"coeffs;ks={list(ks)};alphas={list(alphas)};N={n_coeff}",
+            {"ks": list(ks), "alphas": list(alphas), "N": n_coeff},
+            lhs=0,
+            rhs=0,
+            tol=0,
+            err=0 if exact else 1,
+            notes="exact rational equality of dp and bruteforce coefficients",
         )
     quad_cases = _QUAD_CASES_D1 + (_QUAD_CASES_D2 if grid != "small" else _QUAD_CASES_D2[:1])
     for ks, alphas, tau in quad_cases:
@@ -407,14 +349,12 @@ def suite_oracle_cross(grid: str, config: EngineConfig) -> VerificationReport:
         lhs = int_eval(idx, tau, budget)
         path = default_path(tau, 1e-26, sum(alphas))
         rhs = quad_vertical([("cusp", k) for k in ks], alphas, path, tol=1e-22, budget=budget)
-        rep.add(
-            CaseResult.evaluated(
-                f"quad;ks={list(ks)};alphas={list(alphas)};tau={_tau_label(tau)}",
-                {"ks": list(ks), "alphas": list(alphas), "tau": _tau_label(tau)},
-                lhs,
-                rhs,
-                tol=1e-18,
-            )
+        yield CaseResult.evaluated(
+            f"quad;ks={list(ks)};alphas={list(alphas)};tau={_tau_label(tau)}",
+            {"ks": list(ks), "alphas": list(alphas), "tau": _tau_label(tau)},
+            lhs,
+            rhs,
+            tol=1e-18,
         )
     # elementary tail integral against direct quadrature on the truncated ray
     for n, alpha in ((1, 3), (2, 1)):
@@ -425,58 +365,49 @@ def suite_oracle_cross(grid: str, config: EngineConfig) -> VerificationReport:
             [0, 1, 4, span],
             method="gauss-legendre",
         ) * mpc(0, 1)
-        rep.add(
-            CaseResult.evaluated(
-                f"elemtail;n={n};alpha={alpha}",
-                {"n": n, "alpha": alpha},
-                lhs,
-                rhs,
-                tol=1e-25,
-            )
+        yield CaseResult.evaluated(
+            f"elemtail;n={n};alpha={alpha}",
+            {"n": n, "alpha": alpha},
+            lhs,
+            rhs,
+            tol=1e-25,
         )
     # regularized single integrals extend the convergent ones
     for k in (2, 3):
         for m in (2 * k + 1, 2 * k + 2):
             lhs = t_cusp_reg(k, m, budget)
             rhs = quad_T_cusp(k, m, tol=1e-24, budget=budget)
-            rep.add(
-                CaseResult.evaluated(
-                    f"treg;2k={2 * k};m={m}",
-                    {"2k": 2 * k, "m": m},
-                    lhs,
-                    rhs,
-                    tol=1e-15,
-                    notes="regularization agrees with the directly convergent integral",
-                )
+            yield CaseResult.evaluated(
+                f"treg;2k={2 * k};m={m}",
+                {"2k": 2 * k, "m": m},
+                lhs,
+                rhs,
+                tol=1e-15,
+                notes="regularization agrees with the directly convergent integral",
             )
     # mixed double integral against direct double quadrature
     for k_c, a, k_i, b in ((2, 6, 2, -1), (2, 7, 3, 2)):
         lhs = t_mixed_reduce(CUSP_THEN_CONST, k_c, k_i, a, b, budget)
         rhs = quad_T_cusp_const(k_c, a, k_i, b, tol=1e-22, budget=budget)
-        rep.add(
-            CaseResult.evaluated(
-                f"tmixed;2kc={2 * k_c};a={a};2ki={2 * k_i};b={b}",
-                {"2k_cusp": 2 * k_c, "alpha": a, "2k_const": 2 * k_i, "beta": b},
-                lhs,
-                rhs,
-                tol=1e-15,
-            )
+        yield CaseResult.evaluated(
+            f"tmixed;2kc={2 * k_c};a={a};2ki={2 * k_i};b={b}",
+            {"2k_cusp": 2 * k_c, "alpha": a, "2k_const": 2 * k_i, "beta": b},
+            lhs,
+            rhs,
+            tol=1e-15,
         )
     # R-side: const-then-cusp word against the vertical oracle
     for k1, k2, a1, a2 in ((2, 2, 1, 1), (3, 2, 2, 1)):
         lhs = r_iter([("const", k1), ("cusp", k2)], (a1, a2), budget)
         path = default_path(_TAU_I, 1e-26, a1 + a2)
         rhs = quad_vertical([("const", k1), ("cusp", k2)], (a1, a2), path, tol=1e-22, budget=budget)
-        rep.add(
-            CaseResult.evaluated(
-                f"riter;2k1={2 * k1};2k2={2 * k2};a1={a1};a2={a2}",
-                {"2k1": 2 * k1, "2k2": 2 * k2, "a1": a1, "a2": a2},
-                lhs,
-                rhs,
-                tol=1e-18,
-            )
+        yield CaseResult.evaluated(
+            f"riter;2k1={2 * k1};2k2={2 * k2};a1={a1};a2={a2}",
+            {"2k1": 2 * k1, "2k2": 2 * k2, "a1": a1, "a2": a2},
+            lhs,
+            rhs,
+            tol=1e-18,
         )
-    return rep.finalize()
 
 
 _SUITE_FUNCS = {
@@ -491,6 +422,8 @@ _SUITE_FUNCS = {
     "oracle-cross": suite_oracle_cross,
 }
 
+SUITES = tuple(_SUITE_FUNCS)
+
 
 def run_suite(name: str, grid: str = "small",
               config: EngineConfig | None = None) -> VerificationReport:
@@ -500,4 +433,9 @@ def run_suite(name: str, grid: str = "small",
     if grid not in ("small", "full"):
         raise ValueError("grid must be 'small' or 'full'")
     config = configure(config or EngineConfig())
-    return _SUITE_FUNCS[name](grid, config)
+    engine = {"digits": config.digits, "eps": config.eps, "nmax": config.n_max,
+              "version": __version__}
+    rep = VerificationReport(suite=name, engine=engine)
+    for case in _SUITE_FUNCS[name](grid, config):
+        rep.add(case)
+    return rep.finalize()

@@ -1,0 +1,26 @@
+import hashlib
+
+from eistau.verify import run_suite
+
+# sha256 of run_suite(suite, "small").to_json() for the eight closed-form
+# suites.  The reports are a byte-exact contract: a change that moves any digit
+# must update the digest here and explain the changed digits in CHANGES.md.
+SMALL_REPORT_SHA256 = {
+    "roundtrip": "a34c7d628c72dbbc7a2cfab4cf18fd5937f76b819eeb2be4b1733d35a445050d",
+    "shuffle": "90440c40b3dbeb4b5d5f5d50b02bc7157b705bcbf30b0ca49045c20560fcd76c",
+    "stuffle": "df71f936b0e41f7e044c066c9365b9df239059f4e88f155b2cd3a1657a07f36c",
+    "deriv": "d7984a1b5b1e1b4ca5f697e372d963a0bd4992792f0c35da2603501b398ea303",
+    "fund": "e1f471aa021a7668b8ca216311d4e39db58d1015db86fa40a65b609ee82c073e",
+    "haberland": "467b64da769b69c0359aa20e81f4732c30cf5defd882a57724b5d139c2946547",
+    "symmetry": "b8a27f36b54fb333443a9b99f81bf7435f8403512e609139bbcafeb09f443b98",
+    "firstdiff": "6047e5ee51b07d9e352d090ec5dcb1a4669fc093f76d149b9d9ffc774c678b30",
+}
+
+
+def test_closed_suite_small_reports_byte_identical():
+    got = {
+        suite: hashlib.sha256(run_suite(suite, "small").to_json().encode()).hexdigest()
+        for suite in SMALL_REPORT_SHA256
+    }
+    changed = sorted(s for s in SMALL_REPORT_SHA256 if got[s] != SMALL_REPORT_SHA256[s])
+    assert not changed, f"report bytes changed for {changed}"
