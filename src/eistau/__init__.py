@@ -52,6 +52,23 @@ from .report import VerificationReport, emit
 from .rewrite import int_to_l, l_to_int, shuffle_product, stuffle_product
 from .verify import SUITES, run_suite
 
+
+def clear_caches() -> None:
+    """Empty the engine's caches; values computed afterwards are bit-identical.
+
+    Clears the memo of base-point integrals (`mmv`), the L-series coefficient
+    tables (`lseries`), the truncation-index cache and the divisor-sum sieve
+    (`eisenstein`, the sieve under its lock).
+    """
+    from . import eisenstein, lseries, mmv
+
+    mmv._memo.clear()
+    lseries._coeff_cache.clear()
+    eisenstein._trunc_cache.clear()
+    with eisenstein._sigma_lock:
+        eisenstein._sigma_tables.clear()
+
+
 __all__ = [
     "BiPolynomial",
     "BudgetError",
@@ -67,6 +84,7 @@ __all__ = [
     "VerificationReport",
     "__version__",
     "bernoulli",
+    "clear_caches",
     "configure",
     "divisor_sigma",
     "e0_cocycle_S",

@@ -16,12 +16,44 @@ The elementary building block is
 
 with c = 2 pi i n, applied per frequency with Q(s) = P_n(s) s^{alpha-1}.
 
+The two steps of an iterated tail integral work on raw mpf parts (flat lists
+of real and imaginary parts, through `mpmath.libmp` at the context's precision
+and rounding), not on mpc objects, and give bit-identical values to the
+mpc-level formulas:
+
+* `mul_qseries` multiplies by a q-series with integer coefficients (a cusp
+  series sum_n sigma(n) e^{2 pi i n t}) and truncates at n_cut.  It forms only
+  the frequency pairs n1 + n2 <= n_cut and sums each output frequency in
+  place in ascending n1, so it rounds exactly as `ExpPoly.__mul__` followed by
+  `truncated`.
+* `ExpPoly.tail_integral` reproduces the per-derivative formula above
+  operation for operation: for j = 0, 1, ... it adds Q^(j) times
+  -(-1)^j / c^{j+1} into the result and replaces Q by its derivative, in
+  place.  c is exactly imaginary, so every such factor is exactly real or
+  exactly imaginary and its mpc products reduce to real ones.
+
+Both skip exact zeros (the parts below s^{alpha-1} after the shift, and the
+zero halves of exactly real or imaginary coefficients): adding or multiplying
+one changes no bit.  The tests pin the identity.
+
 Instances are treated as immutable: all operations return new values.
 """
 
 from __future__ import annotations
 
 from mpmath import mp, mpc
+from mpmath.libmp import (
+    fnone,
+    from_int,
+    fzero,
+    mpf_add,
+    mpf_div,
+    mpf_mul,
+    mpf_mul_int,
+    mpf_neg,
+    to_int,
+)
+from mpmath.libmp.libmpf import round_fast
 
 Poly = tuple  # coefficient tuple, index = power of t
 
@@ -143,20 +175,44 @@ class ExpPoly:
             raise ValueError("alpha must be >= 1")
         if 0 in self.terms:
             raise ValueError("nonzero frequency-0 part: tail integral diverges")
-        out: dict[int, Poly] = {}
+        prec, rnd = mp._prec_rounding
+        two_pi_i = 2 * mp.pi * mpc(0, 1)
+        out: dict[int, list] = {}
         for n, p in self.terms.items():
-            c = 2 * mp.pi * mpc(0, 1) * n
-            q = _pshift(p, alpha - 1)
-            acc: Poly = ()
-            sign = -1  # -(-1)^j / c^{j+1} for j = 0, 1, ...
-            cpow = c
-            while q:
-                acc = _padd(acc, _pscale(q, sign / cpow))
-                q = _pderiv(q)
-                sign = -sign
-                cpow *= c
+            b = (two_pi_i * n)._mpc_[1]  # c = 2 pi i n = i b, real part exactly 0
+            q = [fzero] * (2 * alpha - 2) + _flat(p)  # Q = P_n(s) s^{alpha-1}
+            acc = [fzero] * len(q)
+            sign = fnone  # -(-1)^j / c^{j+1} for j = 0, 1, ...
+            v, imag = b, True  # c^{j+1} = i v if imag else v
+            for top in range(len(q), 0, -2):  # Q^(j) fills q[:top]
+                # sign / c^{j+1} and c^{j+2}, rounded as mpc division and mpc
+                # multiplication round them: c^{j+1} is exactly real or exactly
+                # imaginary, so each takes one real product.  Times a real factor
+                # f, a part of q[i] stays in place; times i f, the real part x
+                # gives i x f and the imaginary part y gives -y f.
+                m = mpf_mul(v, v, prec + 10, round_fast)
+                num = mpf_mul(v, sign)
+                if imag:
+                    f = mpf_div(mpf_neg(num), m, prec, rnd)
+                    f_x, f_y, flip = f, mpf_neg(f), 1
+                    v = mpf_mul(v, mpf_neg(b), prec, rnd)
+                else:
+                    f_x = f_y = mpf_div(num, m, prec, rnd)
+                    flip = 0
+                    v = mpf_mul(v, b, prec, rnd)
+                for k in range(top):
+                    x = q[k]
+                    if x != fzero:
+                        x = mpf_mul(x, f_y if k & 1 else f_x, prec, rnd)
+                        a = acc[k ^ flip]
+                        acc[k ^ flip] = x if a == fzero else mpf_add(a, x, prec, rnd)
+                for k in range(top - 2):  # Q <- Q'
+                    x = q[k + 2]
+                    q[k] = fzero if x == fzero else mpf_mul_int(x, (k >> 1) + 1, prec, rnd)
+                sign = mpf_neg(sign)
+                imag = not imag
             out[n] = acc
-        return ExpPoly(out)
+        return _from_flat(out)
 
     def derivative(self) -> "ExpPoly":
         """d/dt, termwise: P_n' + 2 pi i n P_n per frequency."""
@@ -188,6 +244,67 @@ class ExpPoly:
 
     def __repr__(self):
         return f"ExpPoly(<{len(self.terms)} frequencies, max {self.max_freq()}>)"
+
+
+# The kernels work on flat lists of raw mpf parts, re and im of each coefficient
+# side by side.  Every sum in them adds values already rounded at the working
+# precision, so adding an exact zero, or a product with one, changes nothing
+# and is skipped.
+
+
+def _flat(p: Poly) -> list:
+    return [x for z in p for x in z._mpc_]
+
+
+def _from_flat(parts: dict[int, list]) -> ExpPoly:
+    """ExpPoly from flat part lists, trimmed as the constructor trims."""
+    make = mp.make_mpc
+    out = ExpPoly()
+    for n, flat in parts.items():
+        end = len(flat)
+        while end and flat[end - 1] == fzero and flat[end - 2] == fzero:
+            end -= 2
+        if end:
+            # from a list: a tuple built from a generator is allocated long and
+            # shrunk, so freed ones pile up in the per-size tuple free lists
+            out.terms[n] = tuple([make((flat[k], flat[k + 1])) for k in range(0, end, 2)])
+    return out
+
+
+def mul_qseries(g: ExpPoly, coeffs, n_cut: int) -> ExpPoly:
+    """(sum_{1<=n<=n_cut} coeffs[n] e^{2 pi i n t}) * g, truncated at frequency n_cut.
+
+    `coeffs` holds Python integers (index 0 unused), e.g. a `sigma_table`.  The
+    value is bit-identical to `(ExpPoly.from_qseries(...) * g).truncated(n_cut)`:
+    each term coeffs[n1] * g_{n2} is rounded once as the mpc product is, and the
+    terms of each output frequency are summed in ascending n1; pairs beyond
+    n_cut are never formed.
+    """
+    prec, rnd = mp._prec_rounding
+    src = []  # (n2, flat length, nonzero parts (k, x)) in ascending n2
+    for n2, p in sorted(g.terms.items()):
+        if n2 < n_cut:
+            flat = _flat(p)
+            src.append((n2, len(flat), [(k, x) for k, x in enumerate(flat) if x != fzero]))
+    out: dict[int, list] = {}
+    for n1 in range(1, n_cut + 1):
+        a = coeffs[n1]
+        if not a:
+            continue
+        if a.bit_length() > prec:  # mpc(a) would round it first
+            a = to_int(from_int(a, prec, rnd))
+        for n2, size, nonzero in src:
+            n = n1 + n2
+            if n > n_cut:
+                break
+            acc = out.setdefault(n, [])
+            if len(acc) < size:
+                acc.extend([fzero] * (size - len(acc)))
+            for k, x in nonzero:
+                x = mpf_mul_int(x, a, prec, rnd)
+                y = acc[k]
+                acc[k] = x if y == fzero else mpf_add(y, x, prec, rnd)
+    return _from_flat(out)
 
 
 def elem_exp_tail(n: int, alpha: int, a) -> mpc:

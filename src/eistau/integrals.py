@@ -25,7 +25,7 @@ from mpmath import mp, mpc
 from .algebra import CompositeIndex
 from .config import DEFAULT_BUDGET, TruncationBudget
 from .eisenstein import sigma_table, tail_start
-from .exppoly import ExpPoly
+from .exppoly import ExpPoly, mul_qseries
 
 MAX_DEPTH = 6
 
@@ -56,8 +56,10 @@ def _fold(index: CompositeIndex, at: mpc, budget: TruncationBudget) -> ExpPoly:
     n_cut = freq_cutoff(index, at, budget)
     g: ExpPoly | None = None
     for k, alpha in zip(reversed(index.ks), reversed(index.alphas)):
-        series = cusp_exppoly(k, n_cut)
-        g = series if g is None else (series * g).truncated(n_cut)
+        if g is None:
+            g = cusp_exppoly(k, n_cut)
+        else:
+            g = mul_qseries(g, sigma_table(2 * k - 1, n_cut), n_cut)
         g = g.tail_integral(alpha)
     return g
 

@@ -427,15 +427,20 @@ SUITES = tuple(_SUITE_FUNCS)
 
 def run_suite(name: str, grid: str = "small",
               config: EngineConfig | None = None) -> VerificationReport:
-    """Execute one verification suite on the requested grid size."""
+    """Execute one verification suite on the requested grid size.
+
+    The suite runs at ``config.digits``; the caller's ``mp.dps`` is restored.
+    """
     if name not in _SUITE_FUNCS:
         raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITES)}")
     if grid not in ("small", "full"):
         raise ValueError("grid must be 'small' or 'full'")
-    config = configure(config or EngineConfig())
+    config = config or EngineConfig()
     engine = {"digits": config.digits, "eps": config.eps, "nmax": config.n_max,
               "version": __version__}
     rep = VerificationReport(suite=name, engine=engine)
-    for case in _SUITE_FUNCS[name](grid, config):
-        rep.add(case)
+    with mp.workdps(config.digits):  # the caller's precision comes back on exit
+        configure(config)
+        for case in _SUITE_FUNCS[name](grid, config):
+            rep.add(case)
     return rep.finalize()

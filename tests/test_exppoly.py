@@ -1,7 +1,9 @@
 import pytest
 from mpmath import mp, mpc, mpf
 
-from eistau.exppoly import ExpPoly, elem_exp_tail
+from eistau.eisenstein import sigma_table
+from eistau.exppoly import ExpPoly, elem_exp_tail, mul_qseries
+from eistau.integrals import cusp_exppoly
 
 I = mpc(0, 1)
 
@@ -98,3 +100,72 @@ def test_dump_format():
     line = a.dump()
     assert line.startswith("2; ")
     assert line.count("\n") == 0
+
+
+# -- the fold kernel is bit-identical to the mpc-level formulas --------------------
+
+
+def _parts(e: ExpPoly) -> dict:
+    return {n: tuple(z._mpc_ for z in p) for n, p in e.terms.items()}
+
+
+def _tail_integral_reference(f: ExpPoly, alpha: int) -> ExpPoly:
+    """The per-derivative formula on mpc values, one operation at a time."""
+    out = {}
+    for n, p in f.terms.items():
+        c = 2 * mp.pi * mpc(0, 1) * n
+        q = [mpc(0)] * (alpha - 1) + list(p)
+        acc = []
+        sign, cpow = -1, c
+        while q:
+            s = sign / cpow
+            scaled = [x * s for x in q]
+            acc = scaled if not acc else [a + b for a, b in zip(acc, scaled)] + acc[len(scaled):]
+            q = [(i + 1) * q[i + 1] for i in range(len(q) - 1)]
+            sign = -sign
+            cpow *= c
+        out[n] = tuple(acc)
+    return ExpPoly(out)
+
+
+def _mixed_exppoly() -> ExpPoly:
+    # several degrees, a zero coefficient inside a polynomial, gaps in frequency
+    return ExpPoly({
+        1: (mpc("0.5", "-1.25"), mpc(0), mpc(3, "0.1")),
+        2: (mpc(0, 1),),
+        5: (mpc("-2.5"), mpc("1e-7", 4)),
+        6: (mpc(0), mpc(0), mpc("0.3", "0.7")),
+    })
+
+
+@pytest.mark.parametrize("dps", [40, 70])
+def test_mul_qseries_matches_product_then_truncation(dps):
+    with mp.workdps(dps + 30):
+        wide = _mixed_exppoly()  # coefficients wider than the working precision
+    with mp.workdps(dps):
+        for k, n_cut, g in [(3, 17, cusp_exppoly(2, 17).tail_integral(2)),
+                            (5, 9, _mixed_exppoly()),
+                            (2, 4, _mixed_exppoly()),
+                            (3, 7, wide)]:
+            ref = (cusp_exppoly(k, n_cut) * g).truncated(n_cut)
+            got = mul_qseries(g, sigma_table(2 * k - 1, n_cut), n_cut)
+            assert _parts(got) == _parts(ref)
+
+
+def test_mul_qseries_rounds_wide_integer_coefficients_as_mpc_does():
+    coeffs = [0, 3**90 + 1, 0, 7, 2**200 - 1]  # wider than 53 bits, and a zero
+    g = _mixed_exppoly()
+    with mp.workdps(15):
+        ref = ExpPoly.from_qseries({n: coeffs[n] for n in range(1, 5)}) * g
+        got = mul_qseries(g, coeffs, 4)
+        assert _parts(got) == _parts(ref.truncated(4))
+
+
+@pytest.mark.parametrize("dps", [40, 70])
+@pytest.mark.parametrize("alpha", [1, 2, 4])
+def test_tail_integral_matches_per_derivative_formula(dps, alpha):
+    with mp.workdps(dps + 30):
+        wide = _mixed_exppoly()  # coefficients wider than the working precision
+    with mp.workdps(dps):
+        for f in (_mixed_exppoly(), cusp_exppoly(4, 12).tail_integral(3), wide):
+            assert _parts(f.tail_integral(alpha)) == _parts(_tail_integral_reference(f, alpha))

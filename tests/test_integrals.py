@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 from mpmath import mp, mpc, mpf
 
@@ -6,6 +8,7 @@ from eistau.config import BudgetError, TruncationBudget
 from eistau.eisenstein import eis_cusp_eval
 from eistau.integrals import int_eval, int_exppoly
 from eistau.lseries import l_eval
+from eistau.mmv import r_iter
 
 BUDGET = TruncationBudget(1e-30, 100_000)
 
@@ -60,3 +63,26 @@ def test_shuffle_depth1_squares():
     aa = make_index([2, 2], [1, 1])
     lhs = int_eval(a, tau, BUDGET) ** 2
     assert abs(lhs - 2 * int_eval(aa, tau, BUDGET)) < mpf("1e-20")
+
+
+def _mpc_digest(values) -> str:
+    """sha256 of the raw (sign, mantissa, exponent, bitcount) parts of mpc values."""
+    h = hashlib.sha256()
+    for v in values:
+        for part in v._mpc_:
+            h.update((",".join(str(int(x)) for x in part) + ";").encode())
+    return h.hexdigest()
+
+
+# Folds at depth 1-3, with shifted (alpha > 1) stages, on and off the imaginary
+# axis, and the constant-cusp fold of r_iter; every bit is pinned.
+PINNED_INDICES = [((2,), (1,)), ((4,), (3,)), ((3, 2), (2, 1)), ((2, 3), (3, 2)),
+                  ((2, 2, 3), (1, 2, 1)), ((3, 2, 4), (2, 1, 3))]
+PINNED_TAUS = [("0", "1"), ("0.3", "0.8")]  # parsed at the test's working precision
+PINNED_FOLD_SHA256 = "c12809ece1f62f79ec167c14f5627631bb73de6dd198225ff43c71f5026d1e8e"
+
+
+def test_fold_values_bit_identical():
+    vals = [int_eval(make_index(ks, al), mpc(*tau)) for ks, al in PINNED_INDICES for tau in PINNED_TAUS]
+    vals.append(r_iter([("const", 3), ("cusp", 2)], (2, 1)))
+    assert _mpc_digest(vals) == PINNED_FOLD_SHA256

@@ -246,3 +246,26 @@ def test_zeta_odd_monotone():
 def test_zeta_odd_rejects_even():
     with pytest.raises(ValueError):
         zeta_odd(4, ZETA_BUDGET)
+
+
+def test_clear_caches_recomputes_bit_identical_values():
+    from eistau import clear_caches, eisenstein, lseries, mmv
+    from eistau.integrals import int_eval
+    from eistau.lseries import l_eval
+
+    tau = mpc("0.2", "1.1")
+
+    def values():
+        return [s_coeff(MonomialCoefficientRequest((2, 3), (1, 2)), budget=BUDGET),
+                r_iter([("const", 3), ("cusp", 2)], (2, 1), BUDGET),
+                l_eval(make_index([2, 3], [1, 2]), tau, BUDGET),
+                int_eval(make_index([3, 2], [2, 1]), tau, BUDGET),
+                eisenstein.eis_cusp_eval(4, tau, BUDGET)]
+
+    before = [v._mpc_ for v in values()]
+    clear_caches()
+    caches = (mmv._memo, lseries._coeff_cache, eisenstein._trunc_cache,
+              eisenstein._sigma_tables)
+    assert not any(caches)
+    assert [v._mpc_ for v in values()] == before
+    assert all(caches)

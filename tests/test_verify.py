@@ -1,5 +1,9 @@
 import hashlib
 
+import pytest
+from mpmath import mp
+
+from eistau.config import EngineConfig
 from eistau.verify import run_suite
 
 # sha256 of run_suite(suite, "small").to_json() for the eight closed-form
@@ -24,3 +28,13 @@ def test_closed_suite_small_reports_byte_identical():
     }
     changed = sorted(s for s in SMALL_REPORT_SHA256 if got[s] != SMALL_REPORT_SHA256[s])
     assert not changed, f"report bytes changed for {changed}"
+
+
+def test_run_suite_leaves_caller_precision():
+    mp.dps = 20
+    text = run_suite("deriv", "small").to_json()
+    assert mp.dps == 20
+    assert hashlib.sha256(text.encode()).hexdigest() == SMALL_REPORT_SHA256["deriv"]
+    with pytest.raises(ValueError):
+        run_suite("deriv", "small", EngineConfig(digits=10))
+    assert mp.dps == 20
