@@ -58,13 +58,15 @@ def clear_caches() -> None:
 
     Clears the memo of base-point integrals (`mmv`), the L-series coefficient
     tables (`lseries`), the truncation-index cache and the divisor-sum sieve
-    (`eisenstein`, the sieve under its lock).
+    (`eisenstein`, the sieve under its lock) and the Chebyshev rules of the
+    quadrature oracles (`quadrature`).
     """
-    from . import eisenstein, lseries, mmv
+    from . import eisenstein, lseries, mmv, quadrature
 
     mmv._memo.clear()
     lseries._coeff_cache.clear()
     eisenstein._trunc_cache.clear()
+    quadrature._rules.clear()
     with eisenstein._sigma_lock:
         eisenstein._sigma_tables.clear()
 

@@ -116,12 +116,13 @@ def tail_start(power: int, x, eps, n_max: int) -> int:
     if x == 0:
         return 1
     lnx = mp.log(x)
+    log_eps = mp.log(eps)
     n = max(1, int(mp.ceil(power / (-lnx))))  # past the peak of n^power x^n
     while n <= n_max:
         rho = (mpf(n + 2) / (n + 1)) ** power * x
         if rho < 1:
             log_tail = power * mp.log(n + 1) + (n + 1) * lnx - mp.log(1 - rho)
-            if log_tail < mp.log(eps):
+            if log_tail < log_eps:
                 return n
         n += 1 + n // 16
     raise BudgetError(

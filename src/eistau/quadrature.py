@@ -1,9 +1,21 @@
-"""Adaptive Gauss-Legendre oracles, independent of the ExpPoly machinery.
+"""Chebyshev panel oracles, independent of the ExpPoly machinery.
 
 Integrands are evaluated strictly from truncated q-series (module eisenstein);
 paths are truncated vertical rays or the segment (0, i], and every truncation
 is covered by a crude certified tail bound.  These routines exist to check the
 closed forms and are tuned for reliability, not speed.
+
+Every integral is a sum of panel integrals computed by one kernel (`_panel`).
+On each panel the integrand is sampled at n first-kind Chebyshev nodes and
+integrated with Fejér's first rule, for n = 8, 24, 72, ...: the n-node set is
+a subset of the 3n-node set, so each level reuses the samples of the last.
+The 3n value is accepted once it agrees with the n value to tol/(4 panels);
+past 648 nodes the kernel raises `BudgetError`.  The nodes are interior, so a
+path that starts at 0 is never evaluated there.  At depth 2 the inner
+integral from every outer node to the top of its panel comes from the same
+samples, through the Chebyshev coefficients of the interpolant (spectral
+integration), and panels are processed from the top of the path down so the
+inner integral above a panel is a running sum.
 
 Near the origin the cusp part is evaluated through the weight-2k inversion
 E(tau) = tau^{-2k} E(-1/tau), which keeps the series argument high on the
@@ -16,8 +28,93 @@ from dataclasses import dataclass
 
 from mpmath import mp, mpc, mpf
 
-from .config import DEFAULT_BUDGET, TruncationBudget
-from .eisenstein import CONST, CUSP, _constant_mpf, eis_cusp_eval, eis_eval
+from .config import DEFAULT_BUDGET, BudgetError, TruncationBudget
+from .eisenstein import CUSP, _constant_mpf, eis_cusp_eval, eis_eval
+
+_N0 = 8  # nodes of the first level on every panel
+_N_CAP = 648  # _N0 * 3^4: the last level tried before BudgetError
+
+# (n, mp.prec) -> (nodes, Fejér weights, cos(m pi / 2n) for 0 <= m < 4n)
+_rules: dict[tuple[int, int], tuple[list, list, list]] = {}
+
+
+def _rule(n: int):
+    """First-kind Chebyshev nodes x_j = cos((2j+1) pi / 2n) and Fejér weights, at mp.prec.
+
+    The angle is the rational (2j+1)/(2n) rounded once, so x_j of the n-node
+    rule equals x_{3j+1} of the 3n-node rule bit for bit.
+    """
+    key = (n, mp.prec)
+    rule = _rules.get(key)
+    if rule is None:
+        cos_tab = [mp.cospi(mpf(m) / (2 * n)) for m in range(4 * n)]
+        nodes = [cos_tab[2 * j + 1] for j in range(n)]
+        recip = [mpf(1) / (4 * k * k - 1) for k in range(1, n // 2 + 1)]
+        first = [
+            (1 - 2 * mp.fdot(recip, [cos_tab[(2 * k * (2 * j + 1)) % (4 * n)]
+                                     for k in range(1, n // 2 + 1)])) * 2 / n
+            for j in range((n + 1) // 2)
+        ]
+        weights = first + first[: n // 2][::-1]  # w_j = w_{n-1-j}
+        rule = _rules[key] = (nodes, weights, cos_tab)
+    return rule
+
+
+def _antiderivative(vals, cos_tab, n: int) -> list:
+    """int_{x_j}^1 of the degree-(n-1) interpolant of vals, at the n nodes x_j.
+
+    With the interpolant sum_k c_k T_k, its antiderivative has coefficients
+    C_k = (c_{k-1} - c_{k+1}) / (2k) (c_0 doubled at k = 1), and
+    int_x^1 = sum_k C_k (1 - T_k(x)); T_k(x_j) = cos(k (2j+1) pi / 2n).
+    """
+    m4 = 4 * n
+    c = [mp.fdot(vals, [cos_tab[(k * (2 * j + 1)) % m4] for j in range(n)]) * 2 / n
+         for k in range(n)]
+    c[0] /= 2
+    c += [0, 0]
+    big_c = [(2 * c[0] - c[2]) / 2] + [(c[k - 1] - c[k + 1]) / (2 * k) for k in range(2, n + 1)]
+    return [mp.fdot(big_c, [1 - cos_tab[(k * (2 * j + 1)) % m4] for k in range(1, n + 1)])
+            for j in range(n)]
+
+
+def _panel(sample, reduce, lo, hi, tol) -> tuple:
+    """Certified values of one panel [lo, hi] (real or complex end points).
+
+    sample(u) is taken at the mapped nodes u_j = mid + half x_j;
+    reduce(half, rule, samples) turns the samples into a tuple of panel values.
+    The 3n-node tuple is returned once every entry is within tol of the n-node one.
+    """
+    mid, half = (hi + lo) / 2, (hi - lo) / 2
+    n, vals, prev = _N0, [], None
+    while n <= _N_CAP:
+        rule = _rule(n)
+        old, vals = vals, [None] * n
+        if old:
+            vals[1::3] = old  # the n/3 nodes of the previous level
+        for j, x in enumerate(rule[0]):
+            if vals[j] is None:
+                vals[j] = sample(mid + half * x)
+        cur = reduce(half, rule, vals)
+        if prev is not None and all(abs(a - b) <= tol for a, b in zip(cur, prev)):
+            return cur
+        prev, n = cur, 3 * n
+    raise BudgetError(
+        f"panel [{mp.nstr(lo, 6)}, {mp.nstr(hi, 6)}] not certified to {mp.nstr(tol, 3)} "
+        f"with {_N_CAP} Chebyshev nodes"
+    )
+
+
+def _fejer(half, rule, vals) -> tuple:
+    return (half * mp.fdot(rule[1], vals),)
+
+
+def _panels_sum(f, pts, tol) -> mpc:
+    """Sum of certified panel integrals of f over consecutive pts, each to tol/(4 panels)."""
+    ptol = mpf(tol) / (4 * (len(pts) - 1))
+    acc = mpc(0)
+    for lo, hi in zip(pts, pts[1:]):
+        acc += _panel(f, _fejer, lo, hi, ptol)[0]
+    return acc
 
 
 @dataclass(frozen=True)
@@ -63,9 +160,9 @@ def _tolerance_dps(tol) -> int:
 
 
 def quad_segment(f, a, b, tol=1e-30) -> mpc:
-    """mp.quad of f along the straight segment [a, b], at tolerance-driven precision."""
+    """Integral of f along the straight segment [a, b], one panel certified to tol/4."""
     with mp.workdps(_tolerance_dps(tol)):
-        val = mp.quad(f, [mpc(a), mpc(b)], method="gauss-legendre")
+        val = _panels_sum(f, [mpc(a), mpc(b)], tol)
     return +val
 
 
@@ -112,7 +209,7 @@ def _ray_tail_bound(k: int, alpha: int, x0_abs, y0, h) -> mpf:
 
 def quad_vertical(factors, alphas, path: PathSpec, tol=1e-25,
                   budget: TruncationBudget = DEFAULT_BUDGET) -> mpc:
-    """Nested quadrature of the ordered integrand over the truncated vertical simplex.
+    """Panel quadrature of the ordered integrand over the truncated vertical simplex.
 
     factors: sequence of ("cusp", k) / ("const", k), position 1 nearest the start;
     the exponent alpha_j applies as tau^{alpha_j - 1}.  Depth <= 2.  The innermost
@@ -134,64 +231,52 @@ def quad_vertical(factors, alphas, path: PathSpec, tol=1e-25,
     with mp.workdps(dps):
         series_budget = TruncationBudget(eps=float(mpf(tol) / 100), n_max=budget.n_max)
 
-        def factor_fn(spec):
+        def term(spec, alpha):
             kind, k = spec
             if kind == CUSP:
-                return lambda t: eis_cusp_eval(k, t, series_budget)
+                return lambda t: eis_cusp_eval(k, t, series_budget) * t ** (alpha - 1)
             cv = _constant_mpf(k)
-            return lambda t: cv
+            return lambda t: cv * t ** (alpha - 1)
 
         pts = path.offsets()
+        I = mpc(0, 1)
 
         if len(factors) == 1:
-            f1 = factor_fn(factors[0])
-            a1 = alphas[0]
-
-            def g(u):
-                t = start + mpc(0, 1) * u
-                return f1(t) * t ** (a1 - 1)
-
-            val = mp.quad(g, pts, method="gauss-legendre") * mpc(0, 1)
-            bound = _ray_tail_bound(factors[0][1], a1, x0_abs, y0, span)
+            bound = _ray_tail_bound(factors[0][1], alphas[0], x0_abs, y0, span)
             if not bound < mpf(tol):
                 raise ValueError("height cap too low for requested tolerance")
+            g = term(factors[0], alphas[0])
+            val = _panels_sum(lambda u: g(start + I * u), pts, tol) * I
             return +val
 
-        f1, f2 = factor_fn(factors[0]), factor_fn(factors[1])
-        a1, a2 = alphas
-        k2 = factors[1][1]
-        inner_tail = _ray_tail_bound(k2, a2, x0_abs, y0, span)
-
-        def g2(u):
-            t = start + mpc(0, 1) * u
-            return f2(t) * t ** (a2 - 1)
-
-        # tabulate the inner antiderivative on panel boundaries: suffix sums of
-        # per-panel integrals, so each outer node only integrates within its panel
-        panel = [
-            mp.quad(g2, [pts[j], pts[j + 1]], method="gauss-legendre")
-            for j in range(len(pts) - 1)
-        ]
-        suffix = [mpc(0)] * (len(pts))
-        for j in range(len(pts) - 2, -1, -1):
-            suffix[j] = suffix[j + 1] + panel[j]
-
-        def inner(u):
-            j = len(pts) - 2
-            while j > 0 and pts[j] > u:
-                j -= 1
-            piece = mp.quad(g2, [u, pts[j + 1]], method="gauss-legendre")
-            return (piece + suffix[j + 1]) * mpc(0, 1)
-
-        def g1(u):
-            t = start + mpc(0, 1) * u
-            return f1(t) * t ** (a1 - 1) * inner(u)
-
-        val = mp.quad(g1, pts, method="gauss-legendre") * mpc(0, 1)
+        inner_tail = _ray_tail_bound(factors[1][1], alphas[1], x0_abs, y0, span)
         # crude: |outer factor| integrates to O(1); demand the inner tail alone is tiny
-        if not inner_tail * (1 + span + x0_abs) ** max(a1, 1) < mpf(tol):
+        if not inner_tail * (1 + span + x0_abs) ** max(alphas[0], 1) < mpf(tol):
             raise ValueError("height cap too low for requested tolerance")
-        return +val
+        g1, g2 = term(factors[0], alphas[0]), term(factors[1], alphas[1])
+
+        def sample(u):
+            t = start + I * u
+            return g1(t), g2(t)
+
+        above = mpc(0)  # int of the inner integrand from the top of the panel to the span
+
+        def reduce(half, rule, vals):
+            _, weights, cos_tab = rule
+            outer = [v[0] for v in vals]
+            inner = [v[1] for v in vals]
+            tails = _antiderivative(inner, cos_tab, len(vals))
+            inner_at = [(half * s + above) * I for s in tails]  # i int_u^span at each node
+            return (half * mp.fdot(weights, inner),
+                    half * mp.fdot(weights, [o * s for o, s in zip(outer, inner_at)]))
+
+        ptol = mpf(tol) / (4 * (len(pts) - 1))
+        val = mpc(0)
+        for lo, hi in reversed(list(zip(pts, pts[1:]))):
+            inner_panel, outer_panel = _panel(sample, reduce, lo, hi, ptol)
+            above += inner_panel
+            val += outer_panel
+        return +(val * I)
 
 
 def eis_cusp_near_zero(k: int, tau, budget: TruncationBudget = DEFAULT_BUDGET) -> mpc:
@@ -200,6 +285,9 @@ def eis_cusp_near_zero(k: int, tau, budget: TruncationBudget = DEFAULT_BUDGET) -
     if tau.imag >= 1:
         return eis_cusp_eval(k, tau, budget)
     return tau ** (-2 * k) * eis_eval(k, -1 / tau, budget) - _constant_mpf(k)
+
+
+_T_PANELS = ("0", "1e-4", "1e-2", "0.1", "0.3", "0.6", "1")  # graded toward the origin
 
 
 def quad_T_cusp(k: int, m: int, tol=1e-25, budget: TruncationBudget = DEFAULT_BUDGET) -> mpc:
@@ -218,8 +306,7 @@ def quad_T_cusp(k: int, m: int, tol=1e-25, budget: TruncationBudget = DEFAULT_BU
             t = mpc(0, 1) * y
             return eis_cusp_near_zero(k, t, series_budget) * t ** (m - 1)
 
-        pts = [mpf(0), mpf("1e-4"), mpf("1e-2"), mpf("0.1"), mpf("0.3"), mpf("0.6"), mpf(1)]
-        val = mp.quad(f, pts, method="gauss-legendre") * mpc(0, 1)
+        val = _panels_sum(f, [mpf(p) for p in _T_PANELS], tol) * mpc(0, 1)
     return +val
 
 
@@ -246,6 +333,5 @@ def quad_T_cusp_const(k_cusp: int, a: int, k_const: int, b: int, tol=1e-25,
             inner = (ipow - t**b) / b  # int_t^i u^{b-1} du
             return eis_cusp_near_zero(k_cusp, t, series_budget) * t ** (a - 1) * inner
 
-        pts = [mpf(0), mpf("1e-4"), mpf("1e-2"), mpf("0.1"), mpf("0.3"), mpf("0.6"), mpf(1)]
-        val = cv * mp.quad(f, pts, method="gauss-legendre") * mpc(0, 1)
+        val = cv * _panels_sum(f, [mpf(p) for p in _T_PANELS], tol) * mpc(0, 1)
     return +val

@@ -33,7 +33,13 @@ from .mmv import (
     t_cusp_reg,
     t_mixed_reduce,
 )
-from .quadrature import default_path, quad_T_cusp, quad_T_cusp_const, quad_vertical
+from .quadrature import (
+    default_path,
+    quad_segment,
+    quad_T_cusp,
+    quad_T_cusp_const,
+    quad_vertical,
+)
 from .report import CaseResult, VerificationReport
 from .rewrite import convert_sum, int_to_l, l_to_int, numeric_value, shuffle_product, stuffle_product
 
@@ -324,6 +330,7 @@ _DP_INDICES = (
 
 _QUAD_CASES_D1 = (((2,), (1,), _TAU_I), ((3,), (2,), _TAU_2I))
 _QUAD_CASES_D2 = (((2, 2), (1, 1), _TAU_2I), ((2, 3), (2, 1), _TAU_I))
+_ELEMTAIL_PANELS = (0, 1, 2, 4, 8, 16, 30)  # offsets above i, graded like the decay
 
 
 def suite_oracle_cross(grid: str, config: EngineConfig) -> Iterator[CaseResult]:
@@ -356,15 +363,14 @@ def suite_oracle_cross(grid: str, config: EngineConfig) -> Iterator[CaseResult]:
             rhs,
             tol=1e-18,
         )
-    # elementary tail integral against direct quadrature on the truncated ray
+    # elementary tail integral against direct quadrature on the ray from i, truncated at 31i
     for n, alpha in ((1, 3), (2, 1)):
         lhs = elem_exp_tail(n, alpha, _TAU_I)
-        span = mpf(30)
-        rhs = mp.quad(
-            lambda u: mp.expjpi(2 * n * (_TAU_I + mpc(0, 1) * u)) * (_TAU_I + mpc(0, 1) * u) ** (alpha - 1),
-            [0, 1, 4, span],
-            method="gauss-legendre",
-        ) * mpc(0, 1)
+        ends = [_TAU_I * (1 + u) for u in _ELEMTAIL_PANELS]
+        rhs = sum(
+            quad_segment(lambda t: mp.expjpi(2 * n * t) * t ** (alpha - 1), a, b, tol=1e-30)
+            for a, b in zip(ends, ends[1:])
+        )
         yield CaseResult.evaluated(
             f"elemtail;n={n};alpha={alpha}",
             {"n": n, "alpha": alpha},

@@ -3,6 +3,7 @@ import hashlib
 import pytest
 from mpmath import mp
 
+from eistau import clear_caches
 from eistau.config import EngineConfig
 from eistau.verify import run_suite
 
@@ -19,6 +20,9 @@ SMALL_REPORT_SHA256 = {
     "symmetry": "b8a27f36b54fb333443a9b99f81bf7435f8403512e609139bbcafeb09f443b98",
     "firstdiff": "6047e5ee51b07d9e352d090ec5dcb1a4669fc093f76d149b9d9ffc774c678b30",
 }
+
+# sha256 of run_suite("oracle-cross", "small").to_json() with the Chebyshev panel oracles.
+ORACLE_CROSS_SMALL_SHA256 = "ab3ffee7cd938f7921df0792df82c2874f5d1379a26b158b9e0bb8b70af66471"
 
 
 def test_closed_suite_small_reports_byte_identical():
@@ -38,3 +42,15 @@ def test_run_suite_leaves_caller_precision():
     with pytest.raises(ValueError):
         run_suite("deriv", "small", EngineConfig(digits=10))
     assert mp.dps == 20
+
+
+def test_oracle_cross_report_independent_of_caches_and_caller_precision():
+    texts = []
+    for dps, clear in ((20, True), (50, False), (50, True)):
+        if clear:
+            clear_caches()
+        mp.dps = dps
+        texts.append(run_suite("oracle-cross", "small").to_json())
+        assert mp.dps == dps
+    assert texts[0] == texts[1] == texts[2]
+    assert hashlib.sha256(texts[0].encode()).hexdigest() == ORACLE_CROSS_SMALL_SHA256
