@@ -56,14 +56,18 @@ from .verify import SUITES, run_suite
 def clear_caches() -> None:
     """Empty the engine's caches; values computed afterwards are bit-identical.
 
-    Clears the memo of base-point integrals (`mmv`), the L-series coefficient
-    tables (`lseries`), the truncation-index cache and the divisor-sum sieve
-    (`eisenstein`, the sieve under its lock) and the Chebyshev rules of the
-    quadrature oracles (`quadrature`).
+    Clears the memo of base-point integrals (`mmv`), the fold cache of the
+    iterated integrals and its seen-set (`integrals`; a fold is kept from its
+    index's second evaluation on, at the largest n_cut so far), the L-series
+    coefficient tables (`lseries`), the truncation-index cache and the
+    divisor-sum sieve (`eisenstein`, the sieve under its lock) and the
+    Chebyshev rules of the quadrature oracles (`quadrature`).
     """
-    from . import eisenstein, lseries, mmv, quadrature
+    from . import eisenstein, integrals, lseries, mmv, quadrature
 
     mmv._memo.clear()
+    integrals._folds.clear()
+    integrals._fold_seen.clear()
     lseries._coeff_cache.clear()
     eisenstein._trunc_cache.clear()
     quadrature._rules.clear()

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import threading
 from fractions import Fraction
-from math import comb
+from math import comb, expm1, log, log1p
 
 from mpmath import mp, mpc, mpf
 
@@ -108,6 +108,11 @@ def tail_start(power: int, x, eps, n_max: int) -> int:
 
     Bound: once rho = ((N+2)/(N+1))^power * x < 1 the terms decay at least
     geometrically past N, so the tail is at most t(N+1) / (1 - rho).
+
+    The step loop screens both tests in double precision on log rho and on
+    the log tail, and decides in mpf only when |log rho| <= 1e-6 or the log
+    tail lies within 1e-6 (1 + |log eps|) of log eps: far past the error of
+    the floats, so N is the one the mpf tests alone give.
     """
     x = mpf(x)
     eps = mpf(eps)
@@ -117,18 +122,32 @@ def tail_start(power: int, x, eps, n_max: int) -> int:
         return 1
     lnx = mp.log(x)
     log_eps = mp.log(eps)
+    lnx_f, log_eps_f = float(lnx), float(log_eps)
+    margin = 1e-6 * (1 + abs(log_eps_f))
     n = max(1, int(mp.ceil(power / (-lnx))))  # past the peak of n^power x^n
     while n <= n_max:
-        rho = (mpf(n + 2) / (n + 1)) ** power * x
-        if rho < 1:
-            log_tail = power * mp.log(n + 1) + (n + 1) * lnx - mp.log(1 - rho)
-            if log_tail < log_eps:
+        log_rho = power * log1p(1 / (n + 1)) + lnx_f
+        if log_rho < -1e-6:
+            log_tail = power * log(n + 1) + (n + 1) * lnx_f - log(-expm1(log_rho))
+            if log_tail < log_eps_f - margin:
                 return n
+            if log_tail <= log_eps_f + margin and _tail_below(power, n, x, lnx, log_eps):
+                return n
+        elif log_rho <= 1e-6 and _tail_below(power, n, x, lnx, log_eps):
+            return n
         n += 1 + n // 16
     raise BudgetError(
         f"truncation index cap {n_max} reached before certified tail < {float(eps)}; "
         "Im tau is too small for this budget"
     )
+
+
+def _tail_below(power: int, n: int, x: mpf, lnx: mpf, log_eps: mpf) -> bool:
+    """The mpf test of tail_start at n: rho < 1 and the geometric tail bound < eps."""
+    rho = (mpf(n + 2) / (n + 1)) ** power * x
+    if not rho < 1:
+        return False
+    return power * mp.log(n + 1) + (n + 1) * lnx - mp.log(1 - rho) < log_eps
 
 
 _trunc_cache: dict[tuple[int, float, float, int], int] = {}

@@ -222,11 +222,14 @@ class ExpPoly:
             out[n] = _padd(_pderiv(p), _pscale(p, c))
         return ExpPoly(out)
 
-    def __call__(self, t) -> mpc:
+    def __call__(self, t, n_max: int | None = None) -> mpc:
+        """Value at t, summed from the highest frequency down; with n_max, of
+        `self.truncated(n_max)`, bit for bit."""
         t = mpc(t)
         acc = mpc(0)
         for n, p in sorted(self.terms.items(), reverse=True):
-            acc += _peval(p, t) * mp.expjpi(2 * n * t)
+            if n_max is None or n <= n_max:
+                acc += _peval(p, t) * mp.expjpi(2 * n * t)
         return acc
 
     def coefficient(self, n: int, j: int) -> mpc:

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from math import comb, gcd
 
@@ -125,3 +126,40 @@ def test_modular_transformation_off_fixed_point(k):
     lhs = eis_eval(k, -1 / tau, budget)
     rhs = tau ** (2 * k) * eis_eval(k, tau, budget)
     assert abs(lhs - rhs) < 10 * mpf(budget.eps) * max(1, abs(rhs))
+
+
+def _tail_start_mpf(power, x, eps, n_max):
+    """Reference: the step loop of tail_start with both tests in mpf throughout."""
+    x, eps = mpf(x), mpf(eps)
+    lnx, log_eps = mp.log(x), mp.log(eps)
+    n = max(1, int(mp.ceil(power / (-lnx))))
+    while n <= n_max:
+        rho = (mpf(n + 2) / (n + 1)) ** power * x
+        if rho < 1:
+            log_tail = power * mp.log(n + 1) + (n + 1) * lnx - mp.log(1 - rho)
+            if log_tail < log_eps:
+                return n
+        n += 1 + n // 16
+    raise BudgetError("cap reached")
+
+
+def test_tail_start_screen_matches_mpf_loop():
+    # the double-precision screen picks the same N as the mpf tests, BudgetError included
+    rng = random.Random(20261018)
+    outcomes = []
+    for _ in range(3000):
+        power = rng.randint(2, 70)
+        x = mp.exp(-2 * mp.pi * mpf(0.05 * 800 ** rng.random()))  # y log-uniform on [0.05, 40]
+        eps = mpf(10) ** -rng.randint(10, 60)
+        got = want = BudgetError
+        try:
+            got = tail_start(power, x, eps, 500)
+        except BudgetError:
+            pass
+        try:
+            want = _tail_start_mpf(power, x, eps, 500)
+        except BudgetError:
+            pass
+        assert got == want, (power, x, eps)
+        outcomes.append(got is BudgetError)
+    assert 0 < sum(outcomes) < len(outcomes)

@@ -249,7 +249,7 @@ def test_zeta_odd_rejects_even():
 
 
 def test_clear_caches_recomputes_bit_identical_values():
-    from eistau import clear_caches, eisenstein, lseries, mmv
+    from eistau import clear_caches, eisenstein, integrals, lseries, mmv
     from eistau.integrals import int_eval
     from eistau.lseries import l_eval
 
@@ -265,7 +265,8 @@ def test_clear_caches_recomputes_bit_identical_values():
     before = [v._mpc_ for v in values()]
     clear_caches()
     caches = (mmv._memo, lseries._coeff_cache, eisenstein._trunc_cache,
-              eisenstein._sigma_tables)
+              eisenstein._sigma_tables, integrals._folds, integrals._fold_seen)
     assert not any(caches)
     assert [v._mpc_ for v in values()] == before
+    assert [v._mpc_ for v in values()] == before  # a fold is kept on its second sight
     assert all(caches)
