@@ -60,10 +60,13 @@ def clear_caches() -> None:
     iterated integrals and its seen-set (`integrals`; a fold is kept from its
     index's second evaluation on, at the largest n_cut so far), the L-series
     coefficient tables (`lseries`), the truncation-index cache and the
-    divisor-sum sieve (`eisenstein`, the sieve under its lock) and the
-    Chebyshev rules of the quadrature oracles (`quadrature`).
+    divisor-sum sieve (`eisenstein`, the sieve under its lock), the
+    Chebyshev rules of the quadrature oracles (`quadrature`) and the exact
+    conversion tables of the rewrite algebra (`rewrite`: the skeletons
+    `_int_to_l_skeleton` and `_l_to_int_skeleton`, the per-shape map
+    `_shape_map` and `roundtrip_pattern`).
     """
-    from . import eisenstein, integrals, lseries, mmv, quadrature
+    from . import eisenstein, integrals, lseries, mmv, quadrature, rewrite
 
     mmv._memo.clear()
     integrals._folds.clear()
@@ -71,6 +74,10 @@ def clear_caches() -> None:
     lseries._coeff_cache.clear()
     eisenstein._trunc_cache.clear()
     quadrature._rules.clear()
+    rewrite._int_to_l_skeleton.cache_clear()
+    rewrite._l_to_int_skeleton.cache_clear()
+    rewrite._shape_map.cache_clear()
+    rewrite.roundtrip_pattern.cache_clear()
     with eisenstein._sigma_lock:
         eisenstein._sigma_tables.clear()
 

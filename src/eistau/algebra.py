@@ -165,6 +165,13 @@ class FormalSum:
             terms[g] = terms.get(g, 0) + c
         return cls(terms)
 
+    @classmethod
+    def _from_nonzero(cls, terms: dict[Generator, Fraction]) -> "FormalSum":
+        """Wrap a dict whose coefficients are already nonzero Fractions, without copying."""
+        fs = cls()
+        fs.terms = terms
+        return fs
+
     def is_zero(self) -> bool:
         return not self.terms
 

@@ -105,6 +105,12 @@ def _cmd_eval_int(args) -> int:
     if args.dump_exppoly:
         poly = int_exppoly(gen.index(), tau.imag, config.budget())
         print(poly.dump())
+        if tau.real != 0:
+            print(
+                f"note: the carrier's n_cut is sized at tau = i*{mp.nstr(tau.imag, 6)}; "
+                "its values at Re tau != 0 are not covered by the truncation certificate",
+                file=sys.stderr,
+            )
     return 0
 
 

@@ -38,7 +38,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import comb, factorial
+from math import comb, factorial, lcm
 
 from mpmath import mpc
 
@@ -126,38 +126,75 @@ def _l_to_int_skeleton(alphas: tuple[int, ...]):
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
+def _shape_map(direction: str, alphas: tuple[int, ...]):
+    """(D, ((new_alphas, power_shift, numerator), ...)): one exponent shape's map over D.
+
+    D is the lcm of the skeleton's denominators (1 for 'int2l'), so each entry's
+    coefficient is numerator / D with an integer numerator.
+    """
+    if direction == "int2l":
+        return 1, tuple((ivec, t_delta, c) for ivec, c, t_delta in _int_to_l_skeleton(alphas))
+    skeleton = _l_to_int_skeleton(alphas)
+    denom = lcm(*(c.denominator for _, _, c in skeleton))
+    return denom, tuple(
+        (new_alphas, i1, c.numerator * (denom // c.denominator)) for new_alphas, i1, c in skeleton
+    )
+
+
+# direction -> (input kind, output kind, message for an input of the wrong kind)
+_DIRECTIONS = {
+    "int2l": (TAU_INTEGRAL, LSERIES, "int_to_l expects a tau-integral generator"),
+    "l2int": (LSERIES, TAU_INTEGRAL, "l_to_int expects an L-series generator"),
+}
+
+
+def _convert(pairs, direction: str) -> FormalSum:
+    """Apply one conversion map to (generator, rational coefficient) pairs.
+
+    Works per exponent shape on integer numerators over the common denominator
+    of all terms; the weights ks ride through unchanged.  Each output generator
+    is built directly: skeleton exponents are >= 1 and ks comes from a
+    validated generator.
+    """
+    in_kind, out_kind, kind_msg = _DIRECTIONS[direction]
+    terms = []
+    common = 1
+    for g, c in pairs:
+        if g.kind != in_kind:
+            raise ValueError(kind_msg)
+        if g.depth < 1:
+            raise ValueError("depth must be >= 1")
+        denom, entries = _shape_map(direction, g.alphas)
+        terms.append((g, c, denom, entries))
+        common = lcm(common, c.denominator * denom)
+    acc: dict[tuple, int] = {}
+    for g, c, denom, entries in terms:
+        scale = c.numerator * (common // (c.denominator * denom))
+        ks, power = g.ks, g.power
+        for new_alphas, shift, num in entries:
+            key = (ks, new_alphas, power + shift)
+            acc[key] = acc.get(key, 0) + scale * num
+    return FormalSum._from_nonzero(
+        {Generator(out_kind, ks, al, p): Fraction(v, common) for (ks, al, p), v in acc.items() if v}
+    )
+
+
 def int_to_l(gen: Generator) -> FormalSum:
     """Expand tau^p Int(k; alphas) as a formal sum of L-series generators."""
-    if gen.kind != TAU_INTEGRAL:
-        raise ValueError("int_to_l expects a tau-integral generator")
-    if gen.depth < 1:
-        raise ValueError("depth must be >= 1")
-    return FormalSum._accumulate(
-        (lseries_gen(gen.ks, ivec, gen.power + t_delta), coeff)
-        for ivec, coeff, t_delta in _int_to_l_skeleton(gen.alphas)
-    )
+    return _convert(((gen, 1),), "int2l")
 
 
 def l_to_int(gen: Generator) -> FormalSum:
     """Expand L^{(t)}(k; alphas) as a formal sum of tau-integral generators."""
-    if gen.kind != LSERIES:
-        raise ValueError("l_to_int expects an L-series generator")
-    if gen.depth < 1:
-        raise ValueError("depth must be >= 1")
-    return FormalSum._accumulate(
-        (tau_integral_gen(gen.ks, new_alphas, gen.power + i1), coeff)
-        for new_alphas, i1, coeff in _l_to_int_skeleton(gen.alphas)
-    )
+    return _convert(((gen, 1),), "l2int")
 
 
 def convert_sum(fs: FormalSum, direction: str) -> FormalSum:
     """Linear extension of the conversion maps; direction 'int2l' or 'l2int'."""
-    if direction not in ("int2l", "l2int"):
+    if direction not in _DIRECTIONS:
         raise ValueError("direction must be 'int2l' or 'l2int'")
-    conv = int_to_l if direction == "int2l" else l_to_int
-    return FormalSum._accumulate(
-        (h, d * c) for g, c in fs.terms.items() for h, d in conv(g).terms.items()
-    )
+    return _convert(fs.terms.items(), direction)
 
 
 Chain = tuple[Letter, ...]

@@ -55,6 +55,21 @@ def test_eval_int_dump(capsys):
     assert "1; " in out  # carrier has a frequency-1 line
 
 
+def test_eval_int_dump_caveat_on_stderr_off_axis_only(capsys):
+    def run(tau):
+        argv = ["eval-int", "--index", "I{ks=[2,3];alphas=[1,2];taupow=0}", "--tau", tau,
+                "--dump-exppoly"]
+        assert main(argv) == 0
+        return capsys.readouterr()
+
+    on, off = run("0+1.5i"), run("0.5+1.5i")
+    assert on.err == ""
+    assert "not covered by the truncation certificate" in off.err
+    # stdout keeps only the value line and the dump, sized at i*Im tau on both
+    assert off.out.splitlines()[1:] == on.out.splitlines()[1:]
+    assert "1; " in off.out
+
+
 def test_convert_round_trip_text(capsys):
     assert main(["convert", "--dir", "int2l", "--index", "I{ks=[2];alphas=[2];taupow=0}"]) == 0
     out = capsys.readouterr().out.strip()

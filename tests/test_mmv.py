@@ -270,3 +270,28 @@ def test_clear_caches_recomputes_bit_identical_values():
     assert [v._mpc_ for v in values()] == before
     assert [v._mpc_ for v in values()] == before  # a fold is kept on its second sight
     assert all(caches)
+
+
+def test_clear_caches_empties_rewrite_tables_and_converts_equal():
+    from eistau import clear_caches, rewrite
+    from eistau.algebra import FormalSum, lseries_gen, tau_integral_gen
+
+    fs = FormalSum({tau_integral_gen([2, 3, 2], [3, 1, 4], 1): Fraction(-2, 3),
+                    tau_integral_gen([3], [4], 0): Fraction(5, 7)})
+
+    def converted():
+        to_l = rewrite.convert_sum(fs, "int2l")
+        back = rewrite.convert_sum(to_l, "l2int")
+        pattern = rewrite.roundtrip_pattern((2, 3), 1, "L")
+        return to_l, back, pattern, rewrite.l_to_int(lseries_gen([2, 2], [4, 2], 2))
+
+    before = converted()
+    tables = (rewrite._int_to_l_skeleton, rewrite._l_to_int_skeleton,
+              rewrite._shape_map, rewrite.roundtrip_pattern)
+    assert all(t.cache_info().currsize for t in tables)
+    clear_caches()
+    assert not any(t.cache_info().currsize for t in tables)
+    after = converted()
+    assert after == before
+    assert after[1] == fs and after[2]
+    assert all(t.cache_info().currsize for t in tables)

@@ -1,4 +1,6 @@
-from math import comb
+from fractions import Fraction
+from itertools import product
+from math import comb, factorial, prod
 
 import pytest
 from hypothesis import given, settings
@@ -122,6 +124,98 @@ def test_round_trip_generators(pairs, t):
     assert convert_sum(int_to_l(gi), "l2int") == FormalSum.single(gi)
     gl = lseries_gen(ks, alphas, t)
     assert convert_sum(l_to_int(gl), "int2l") == FormalSum.single(gl)
+
+
+def _reference_int_to_l(g):
+    """Integral -> series, term by term from the module docstring's formula."""
+    out = []
+
+    def rec(j, carry, ivec, coeff):
+        if j < 0:
+            out.append((lseries_gen(g.ks, ivec, g.power + carry), coeff))
+            return
+        a = g.alphas[j] + carry  # A_j
+        for i in range(1, a + 1):
+            ratio = Fraction(factorial(a - 1), factorial(a - i))
+            rec(j - 1, a - i, [i] + ivec, coeff * (-1) ** i * ratio)
+
+    rec(g.depth - 1, 0, [], Fraction(1))
+    return out
+
+
+def _reference_l_to_int(g):
+    """Series -> integral, term by term from the module docstring's formula."""
+    alphas = g.alphas
+    pre = Fraction((-1) ** sum(alphas), prod(factorial(a - 1) for a in alphas))
+    out = []
+    for ivec in product(*(range(a) for a in alphas)):
+        coeff = pre * (-1) ** sum(ivec) * prod(comb(a - 1, i) for a, i in zip(alphas, ivec))
+        nxt = ivec[1:] + (0,)
+        new_alphas = [a - i + n for a, i, n in zip(alphas, ivec, nxt)]
+        out.append((tau_integral_gen(g.ks, new_alphas, g.power + ivec[0]), coeff))
+    return out
+
+
+def _reference_convert(fs, direction):
+    expand = _reference_int_to_l if direction == "int2l" else _reference_l_to_int
+    acc = {}
+    for g, c in fs.terms.items():
+        for h, d in expand(g):
+            acc[h] = acc.get(h, Fraction(0)) + c * d
+    return {h: v for h, v in acc.items() if v}
+
+
+_TERMS = st.lists(
+    st.tuples(
+        st.lists(st.tuples(st.integers(2, 4), st.integers(1, 4)), min_size=1, max_size=3),
+        st.integers(0, 2),
+        st.integers(-12, 12).filter(bool),
+        st.integers(1, 9),
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+def _draw_sum(make_gen, terms):
+    return FormalSum._accumulate(
+        (make_gen([k for k, _ in word], [a for _, a in word], p), Fraction(num, den))
+        for word, p, num, den in terms
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(_TERMS, _TERMS)
+def test_convert_sum_matches_fraction_reference(int_terms, l_terms):
+    sums = {"int2l": _draw_sum(tau_integral_gen, int_terms),
+            "l2int": _draw_sum(lseries_gen, l_terms)}
+    for direction, fs in sums.items():
+        other = "l2int" if direction == "int2l" else "int2l"
+        # the other family's sum, mapped over: its expansion cancels back to it
+        image = FormalSum(_reference_convert(sums[other], other))
+        for src in (fs, image + fs):
+            got = convert_sum(src, direction)
+            assert got.terms == _reference_convert(src, direction)
+            assert all(type(c) is Fraction and c for c in got.terms.values())
+        assert convert_sum(image, direction) == sums[other]
+        assert convert_sum(fs - fs, direction).is_zero()
+
+
+def test_conversions_reject_wrong_kind_and_depth_zero():
+    cases = [(int_to_l, "int2l", lseries_gen([2], [1], 0), tau_integral_gen([], [], 0)),
+             (l_to_int, "l2int", tau_integral_gen([2], [1], 0), lseries_gen([], [], 0))]
+    for conv, direction, wrong_kind, unit in cases:
+        for bad in (wrong_kind, unit):
+            with pytest.raises(ValueError):
+                conv(bad)
+            with pytest.raises(ValueError):
+                convert_sum(FormalSum.single(bad), direction)
+    with pytest.raises(ValueError, match="int_to_l expects a tau-integral generator"):
+        int_to_l(lseries_gen([2], [1], 0))
+    with pytest.raises(ValueError, match="l_to_int expects an L-series generator"):
+        l_to_int(tau_integral_gen([2], [1], 0))
+    with pytest.raises(ValueError, match="depth must be >= 1"):
+        int_to_l(tau_integral_gen([], [], 0))
 
 
 @pytest.mark.parametrize(

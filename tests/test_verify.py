@@ -21,6 +21,10 @@ SMALL_REPORT_SHA256 = {
     "firstdiff": "6047e5ee51b07d9e352d090ec5dcb1a4669fc093f76d149b9d9ffc774c678b30",
 }
 
+# sha256 of run_suite("roundtrip", "full").to_json(): the full grid reaches depth 3
+# and alpha = 4, where the conversions accumulate the most terms per shape.
+ROUNDTRIP_FULL_SHA256 = "b8231873ba78e816b20d78296b856f5f55227ce8898a09d09f810c524d154594"
+
 # sha256 of run_suite("oracle-cross", "small").to_json() with the Chebyshev panel oracles.
 ORACLE_CROSS_SMALL_SHA256 = "ab3ffee7cd938f7921df0792df82c2874f5d1379a26b158b9e0bb8b70af66471"
 
@@ -32,6 +36,11 @@ def test_closed_suite_small_reports_byte_identical():
     }
     changed = sorted(s for s in SMALL_REPORT_SHA256 if got[s] != SMALL_REPORT_SHA256[s])
     assert not changed, f"report bytes changed for {changed}"
+
+
+def test_roundtrip_full_report_byte_identical():
+    text = run_suite("roundtrip", "full").to_json()
+    assert hashlib.sha256(text.encode()).hexdigest() == ROUNDTRIP_FULL_SHA256
 
 
 def test_run_suite_leaves_caller_precision():
