@@ -58,11 +58,12 @@ def clear_caches() -> None:
 
     Clears the memo of base-point integrals (`mmv`), the fold cache of the
     iterated integrals and its seen-set (`integrals`; a fold is kept from its
-    index's second evaluation on, at the largest n_cut so far), the L-series
-    coefficient tables (`lseries`), the truncation-index cache and the
-    divisor-sum sieve (`eisenstein`, the sieve under its lock), the
-    Chebyshev rules of the quadrature oracles (`quadrature`) and the exact
-    conversion tables of the rewrite algebra (`rewrite`: the skeletons
+    word's second evaluation on, at the largest n_cut so far), the L-series
+    coefficient tables (`lseries`), the truncation-index cache, the
+    divisor-sum sieve and the Bernoulli table (`eisenstein`; the sieve and
+    the table under their locks, the table back to b_0 alone), the Chebyshev
+    rules of the quadrature oracles (`quadrature`) and the exact conversion
+    tables of the rewrite algebra (`rewrite`: the skeletons
     `_int_to_l_skeleton` and `_l_to_int_skeleton`, the per-shape map
     `_shape_map` and `roundtrip_pattern`).
     """
@@ -80,6 +81,8 @@ def clear_caches() -> None:
     rewrite.roundtrip_pattern.cache_clear()
     with eisenstein._sigma_lock:
         eisenstein._sigma_tables.clear()
+    with eisenstein._bernoulli_lock:
+        del eisenstein._bernoulli_even[1:]
 
 
 __all__ = [

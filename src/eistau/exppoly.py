@@ -95,10 +95,6 @@ def _pshift(a: Poly, m: int) -> Poly:
     return (mpc(0),) * m + tuple(a)
 
 
-def _pderiv(a: Poly) -> Poly:
-    return _ptrim(j * a[j] for j in range(1, len(a)))
-
-
 def _peval(a: Poly, t) -> mpc:
     acc = mpc(0)
     for c in reversed(a):
@@ -214,14 +210,6 @@ class ExpPoly:
             out[n] = acc
         return _from_flat(out)
 
-    def derivative(self) -> "ExpPoly":
-        """d/dt, termwise: P_n' + 2 pi i n P_n per frequency."""
-        out: dict[int, Poly] = {}
-        for n, p in self.terms.items():
-            c = 2 * mp.pi * mpc(0, 1) * n
-            out[n] = _padd(_pderiv(p), _pscale(p, c))
-        return ExpPoly(out)
-
     def __call__(self, t, n_max: int | None = None) -> mpc:
         """Value at t, summed from the highest frequency down; with n_max, of
         `self.truncated(n_max)`, bit for bit."""
@@ -231,11 +219,6 @@ class ExpPoly:
             if n_max is None or n <= n_max:
                 acc += _peval(p, t) * mp.expjpi(2 * n * t)
         return acc
-
-    def coefficient(self, n: int, j: int) -> mpc:
-        """Coefficient of t^j e^{2 pi i n t}."""
-        p = self.terms.get(n, ())
-        return mpc(p[j]) if j < len(p) else mpc(0)
 
     def dump(self) -> str:
         """Debug format: one line per frequency, 'n; c0, c1, ...'."""

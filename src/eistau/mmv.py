@@ -6,6 +6,11 @@ weight-2k cusp/constant factors (E0 / Einf, Einf = -b_{2k}/(4k)):
     T(f1,..,fr; m1,..,mr) = int_{0<u1<..<ur<i}  f1(u1) u1^{m1-1} .. dur .. du1
     R(f1,..,fr; m1,..,mr) = int_{i<u1<..<ur<ioo} likewise.
 
+Every R word with exponents >= 1, const factors included, is the fold of
+`integrals.word_eval` at tau = i; the one R route local to this module is the
+gammainc sum for a single cusp factor with m <= 0.  The module memoizes these
+values and assembles the formulas below from them.
+
 Closed forms and regularized values (every formula below is pinned by the
 verification suites; "regularized" means the analytic extension fixed by
 int_0^u s^{b-1} ds := u^b / b and int_u^{ioo} s^{b-1} ds := -u^b / b):
@@ -63,7 +68,9 @@ from .algebra import CompositeIndex
 from .config import DEFAULT_BUDGET, BudgetError, SingularParameterError, TruncationBudget
 from .eisenstein import CONST, CUSP, bernoulli, sigma_table, tail_start
 from .eisenstein import _constant_mpf as _einf
-from .integrals import cusp_exppoly, freq_cutoff, int_eval
+# int_eval is unused here, but bench/test_bench.py checks that the benchmark's
+# tracer restores this binding.
+from .integrals import int_eval, word_eval  # noqa: F401
 
 _BASE = mpc(0, 1)  # all integrals in this module are anchored at tau = i
 
@@ -103,13 +110,18 @@ def t_const_const(k1: int, k2: int, b1: int, b2: int) -> mpc:
     return _einf(k1) * _einf(k2) * _ipow(b1 + b2) / (b1 * (b1 + b2))
 
 
-def _r_cusp(k: int, alpha: int, budget: TruncationBudget) -> mpc:
-    """R(E0_{2k}; alpha) for any integer alpha; convergent for all of them."""
+def _r(word: tuple, alphas: tuple, budget: TruncationBudget) -> mpc:
+    """R(word; alphas), memoized by value: the `integrals` fold of the word, or
+    for one cusp factor with alpha <= 0 (convergent too) the gammainc sum."""
+    if len(word) > 1 and min(alphas) < 1:
+        error = SingularParameterError if word[0][0] == CONST else ValueError
+        raise error(f"R words of depth 2 require positive exponents, got {alphas}")
 
     def compute():
-        if alpha >= 1:
-            return int_eval(CompositeIndex((k,), (alpha,)), _BASE, budget)
+        if alphas[0] >= 1:
+            return word_eval(word, alphas, _BASE, budget)
         # sum_n sigma(n) (i / 2 pi n)^alpha Gamma(alpha, 2 pi n)
+        ((_, k),), (alpha,) = word, alphas
         with mp.extradps(10):
             n_trunc = tail_start(
                 2 * k - alpha + 2, mp.exp(-2 * mp.pi), mpf(budget.eps), budget.n_max
@@ -124,30 +136,7 @@ def _r_cusp(k: int, alpha: int, budget: TruncationBudget) -> mpc:
                 )
         return +acc
 
-    return _memoized(("r1", k, alpha, budget), compute)
-
-
-def _r_cusp_cusp(k1: int, k2: int, a1: int, a2: int, budget: TruncationBudget) -> mpc:
-    return _memoized(
-        ("r2", k1, k2, a1, a2, budget),
-        lambda: int_eval(CompositeIndex((k1, k2), (a1, a2)), _BASE, budget),
-    )
-
-
-def _r_const_cusp(k1: int, k2: int, a1: int, a2: int, budget: TruncationBudget) -> mpc:
-    """R(Einf_{2k1}, E0_{2k2}; a1, a2), the constant factor nearest to i."""
-
-    def compute():
-        with mp.extradps(15):
-            idx = CompositeIndex((k2, k2), (a1, a2))  # weight doubled: crude, safe majorant
-            n_cut = freq_cutoff(idx, _BASE, budget)
-            g = cusp_exppoly(k2, n_cut).tail_integral(a2).tail_integral(a1)
-            val = _einf(k1) * g(_BASE)
-        return +val
-
-    if a1 < 1 or a2 < 1:
-        raise SingularParameterError("R(const, cusp) requires positive exponents here")
-    return _memoized(("rec", k1, k2, a1, a2, budget), compute)
+    return _memoized(("r", word, alphas, budget), compute)
 
 
 def r_iter(factors, alphas, budget: TruncationBudget = DEFAULT_BUDGET) -> mpc:
@@ -155,7 +144,7 @@ def r_iter(factors, alphas, budget: TruncationBudget = DEFAULT_BUDGET) -> mpc:
 
     The integration must be exponentially damped at every stage, i.e. the
     innermost factor must be a cusp part, and a depth-2 (cusp, const) word is
-    rejected as structurally divergent.
+    rejected as structurally divergent.  Depth-2 words need exponents >= 1.
     """
     factors = tuple((str(kind), int(k)) for kind, k in factors)
     alphas = tuple(int(a) for a in alphas)
@@ -170,11 +159,7 @@ def r_iter(factors, alphas, budget: TruncationBudget = DEFAULT_BUDGET) -> mpc:
         raise SingularParameterError(
             "structurally divergent: innermost factor must be a cusp part"
         )
-    if len(factors) == 1:
-        return _r_cusp(factors[0][1], alphas[0], budget)
-    if factors[0][0] == CUSP:
-        return _r_cusp_cusp(factors[0][1], factors[1][1], alphas[0], alphas[1], budget)
-    return _r_const_cusp(factors[0][1], factors[1][1], alphas[0], alphas[1], budget)
+    return _r(factors, alphas, budget)
 
 
 def t_cusp_reg(k: int, m: int, budget: TruncationBudget = DEFAULT_BUDGET) -> mpc:
@@ -186,7 +171,7 @@ def t_cusp_reg(k: int, m: int, budget: TruncationBudget = DEFAULT_BUDGET) -> mpc
     if m in (0, 2 * k):
         raise SingularParameterError(f"T(E0; m) is singular at m = {m} for weight {2 * k}")
     return (
-        (-1) ** m * (_r_cusp(k, 2 * k - m, budget) - t_const_closed(k, 2 * k - m))
+        (-1) ** m * (_r(((CUSP, k),), (2 * k - m,), budget) - t_const_closed(k, 2 * k - m))
         - t_const_closed(k, m)
     )
 
@@ -274,15 +259,16 @@ def i_coeff(ks, alphas=None, budget: TruncationBudget = DEFAULT_BUDGET) -> mpc:
     req = _as_request(ks, alphas)
     if len(req.ks) == 1:
         (k,), (a,) = req.ks, req.alphas
-        body = _r_cusp(k, a, budget) - t_const_closed(k, a)
+        body = _r(((CUSP, k),), (a,), budget) - t_const_closed(k, a)
         return (-1) ** a * (2 * mp.pi * mpc(0, 1)) ** (2 * k - 1) * comb(2 * k - 2, a - 1) * body
     k1, k2 = req.ks
     a1, a2 = req.alphas
+    c1, c2, e1, e2 = (CUSP, k1), (CUSP, k2), (CONST, k1), (CONST, k2)
     body = (
-        _r_cusp_cusp(k1, k2, a1, a2, budget)
-        + _r_const_cusp(k1, k2, a1, a2, budget)
-        - _r_const_cusp(k2, k1, a2, a1, budget)
-        - _r_cusp(k1, a1, budget) * t_const_closed(k2, a2)
+        _r((c1, c2), (a1, a2), budget)
+        + _r((e1, c2), (a1, a2), budget)
+        - _r((e2, c1), (a2, a1), budget)
+        - _r((c1,), (a1,), budget) * t_const_closed(k2, a2)
         + t_const_const(k2, k1, a2, a1)
     )
     sgn = (-1) ** (a1 + a2) * comb(2 * k1 - 2, a1 - 1) * comb(2 * k2 - 2, a2 - 1)
@@ -318,7 +304,7 @@ def int0_reg(index: CompositeIndex, budget: TruncationBudget = DEFAULT_BUDGET) -
         k, m = index.ks[0], index.alphas[0]
         if m in (0, 2 * k):
             raise SingularParameterError(f"exponent {m} is singular for weight {2 * k}")
-        return _r_cusp(k, m, budget) + t_cusp_reg(k, m, budget)
+        return _r(((CUSP, k),), (m,), budget) + t_cusp_reg(k, m, budget)
     if index.depth != 2:
         raise ValueError("int0_reg supports depth 1 and 2 only")
     k1, k2 = index.ks
@@ -332,8 +318,8 @@ def int0_reg(index: CompositeIndex, budget: TruncationBudget = DEFAULT_BUDGET) -
                                      f"({2 * k1}, {2 * k2})")
     a_zero, a_prime, a_inf = _a_terms(index, budget)
     return (
-        _r_cusp_cusp(k1, k2, a1, a2, budget)
-        + (-1) ** w * _r_cusp_cusp(k2, k1, 2 * k2 - a2, 2 * k1 - a1, budget)
+        _r(((CUSP, k1), (CUSP, k2)), (a1, a2), budget)
+        + (-1) ** w * _r(((CUSP, k2), (CUSP, k1)), (2 * k2 - a2, 2 * k1 - a1), budget)
         - a_zero
         - a_prime
         - a_inf
@@ -363,7 +349,7 @@ def _a_terms(index: CompositeIndex, budget: TruncationBudget) -> tuple[mpc, mpc,
     """(A0, A', Ainf) of the depth-2 Int0 assembly (see module docstring)."""
     k1, k2 = index.ks
     a1, a2 = index.alphas
-    a_zero = -t_cusp_reg(k1, a1, budget) * _r_cusp(k2, a2, budget)
+    a_zero = -t_cusp_reg(k1, a1, budget) * _r(((CUSP, k2),), (a2,), budget)
     a_prime = -(
         t_mixed_reduce(CUSP_THEN_CONST, k1, k2, a1, a2 - 2 * k2, budget)
         - t_mixed_reduce(CUSP_THEN_CONST, k1, k2, a1, a2, budget)
@@ -509,7 +495,7 @@ def first_difference_sides(k1: int, k2: int, a1: int, a2: int,
 def fund_first_sides(k: int, alpha: int,
                      budget: TruncationBudget = DEFAULT_BUDGET) -> tuple[mpc, mpc]:
     """(lhs, rhs) of R(E0;a) = (-1)^a [T(E0;2k-a) + T(Einf;2k-a)] + T(Einf;a)."""
-    lhs = _r_cusp(k, alpha, budget)
+    lhs = _r(((CUSP, k),), (alpha,), budget)
     rhs = (-1) ** alpha * (
         t_cusp_reg(k, 2 * k - alpha, budget) + t_const_closed(k, 2 * k - alpha)
     ) + t_const_closed(k, alpha)
@@ -519,6 +505,6 @@ def fund_first_sides(k: int, alpha: int,
 def fund_second_sides(k1: int, k2: int, a1: int, a2: int,
                       budget: TruncationBudget = DEFAULT_BUDGET) -> tuple[mpc, mpc]:
     """(lhs, rhs) of the inversion identity for R(Einf_1, E0_2; a1, a2)."""
-    lhs = _r_const_cusp(k1, k2, a1, a2, budget)
+    lhs = _r(((CONST, k1), (CUSP, k2)), (a1, a2), budget)
     rhs = r_const_cusp_identity(k1, k2, a1, a2, budget)
     return lhs, rhs

@@ -92,6 +92,7 @@ def test_fold_values_bit_identical():
 # -- the fold cache: one fold per (index, precision), reused across tau --------
 
 FOLD_INDEX = make_index([3, 2, 2], [2, 1, 3])
+FOLD_WORD = tuple(("cusp", k) for k in FOLD_INDEX.ks)
 FOLD_TAUS = [mpc("0.1", "0.7"), mpc(0, "0.9"), mpc("-0.4", "1.3"), mpc(0, 2)]  # Im tau ascending
 
 
@@ -109,8 +110,9 @@ def test_fold_cache_values_bit_identical_to_cold(taus):
     assert warm == cold + cold
     # the kept fold is the one at the largest n_cut seen
     with mp.extradps(15):  # the precision int_eval folds at
-        n_cut = max(integrals.freq_cutoff(FOLD_INDEX, tau, BUDGET) for tau in taus)
-        assert integrals._folds[(FOLD_INDEX.ks, FOLD_INDEX.alphas, mp.prec)][0] == n_cut
+        n_cut = max(integrals.freq_cutoff(FOLD_WORD, FOLD_INDEX.alphas, tau, BUDGET)
+                    for tau in taus)
+        assert integrals._folds[(FOLD_WORD, FOLD_INDEX.alphas, mp.prec)][0] == n_cut
 
 
 def test_fold_cache_admits_on_second_sight():

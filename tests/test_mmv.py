@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -88,6 +89,18 @@ def test_r_iter_structural_rejections():
         r_iter([("cusp", 2)], [1, 2], BUDGET)
 
 
+@pytest.mark.parametrize("factors,alphas", [([("const", 10), ("cusp", 2)], (1, 1)),
+                                            ([("const", 11), ("cusp", 3)], (2, 1))])
+def test_r_iter_const_word_certificate_covers_its_constant(factors, alphas):
+    # |Einf| is 13.2 at k = 10 and 140.7 at k = 11: the value is Einf times the
+    # truncated fold, so the fold's truncation must be certified at eps / |Einf|
+    eps = mpf("1e-30")
+    val = r_iter(factors, alphas, TruncationBudget(eps, 200_000))
+    with mp.extradps(20):
+        ref = r_iter(factors, alphas, TruncationBudget(eps * mpf("1e-10"), 200_000))
+    assert abs(val - ref) <= eps
+
+
 def test_r_iter_negative_exponent_matches_quadrature():
     # gammainc route vs direct quadrature on the truncated ray
     from eistau.eisenstein import eis_cusp_eval
@@ -96,6 +109,36 @@ def test_r_iter_negative_exponent_matches_quadrature():
     f = lambda u: eis_cusp_eval(2, I + I * u, BUDGET) * (I + I * u) ** (-3)
     ref = mp.quad(f, [0, 1, 4, 12, 30], method="gauss-legendre") * I
     assert abs(val - ref) < mpf("1e-27")
+
+
+def _mpc_digest(values) -> str:
+    """sha256 of the raw (sign, mantissa, exponent, bitcount) parts of mpc values."""
+    h = hashlib.sha256()
+    for v in values:
+        for part in v._mpc_:
+            h.update((",".join(str(int(x)) for x in part) + ";").encode())
+    return h.hexdigest()
+
+
+# One word per R route: depth 1 with alpha <= 0 (the gammainc sum) and alpha >= 1,
+# cusp-cusp, and const-cusp with the constant's weight below and above the
+# cusp's; then one length-2 S coefficient assembled from all of them.
+R_WORDS = [([("cusp", 2)], (-2,)), ([("cusp", 3)], (1,)), ([("cusp", 4)], (5,)),
+           ([("cusp", 2), ("cusp", 3)], (2, 1)), ([("const", 3), ("cusp", 2)], (2, 1)),
+           ([("const", 2), ("cusp", 4)], (1, 3)), ([("const", 4), ("cusp", 2)], (3, 2))]
+R_WORDS_SHA256 = "1661089012ccc3f72b325cd24013f88954deac7ec6a7168566fa64218e4248b9"
+
+
+def test_r_words_bit_identical():
+    from eistau import clear_caches
+
+    vals = []
+    for factors, alphas in R_WORDS:
+        clear_caches()
+        vals.append(r_iter(factors, alphas, BUDGET))
+    clear_caches()
+    vals.append(s_coeff((3, 2), (2, 3), BUDGET))
+    assert _mpc_digest(vals) == R_WORDS_SHA256
 
 
 # -- regularized values ---------------------------------------------------------------
@@ -263,10 +306,12 @@ def test_clear_caches_recomputes_bit_identical_values():
                 eisenstein.eis_cusp_eval(4, tau, BUDGET)]
 
     before = [v._mpc_ for v in values()]
+    assert len(eisenstein._bernoulli_even) > 1
     clear_caches()
     caches = (mmv._memo, lseries._coeff_cache, eisenstein._trunc_cache,
               eisenstein._sigma_tables, integrals._folds, integrals._fold_seen)
     assert not any(caches)
+    assert eisenstein._bernoulli_even == [Fraction(1)]
     assert [v._mpc_ for v in values()] == before
     assert [v._mpc_ for v in values()] == before  # a fold is kept on its second sight
     assert all(caches)

@@ -21,9 +21,16 @@ SMALL_REPORT_SHA256 = {
     "firstdiff": "6047e5ee51b07d9e352d090ec5dcb1a4669fc093f76d149b9d9ffc774c678b30",
 }
 
-# sha256 of run_suite("roundtrip", "full").to_json(): the full grid reaches depth 3
-# and alpha = 4, where the conversions accumulate the most terms per shape.
-ROUNDTRIP_FULL_SHA256 = "b8231873ba78e816b20d78296b856f5f55227ce8898a09d09f810c524d154594"
+# sha256 of run_suite(suite, "full").to_json().  The roundtrip grid reaches depth
+# 3 and alpha = 4, where the conversions accumulate the most terms per shape;
+# the other four are assembled from the base-point-i R words of `mmv`.
+FULL_REPORT_SHA256 = {
+    "roundtrip": "b8231873ba78e816b20d78296b856f5f55227ce8898a09d09f810c524d154594",
+    "fund": "65e3e534e63ec635c8d1a7783d8d67ae87568458a5e461b3dffd0541969c10df",
+    "haberland": "6c46a519dee39465e42bd242a757e25969c737798f9fd177c83116c8df50f475",
+    "symmetry": "bd72de2b9852df1119623402e75ef5be26ac3f2a3d28e4d31d5177b0bcf6ee4b",
+    "firstdiff": "5d9fddbf1ad381c7436c6ee18e2fc0a11912f65d0127ff27c2ea6e12bc36a1fa",
+}
 
 # sha256 of run_suite("oracle-cross", "small").to_json() with the Chebyshev panel oracles.
 ORACLE_CROSS_SMALL_SHA256 = "ab3ffee7cd938f7921df0792df82c2874f5d1379a26b158b9e0bb8b70af66471"
@@ -38,9 +45,10 @@ def test_closed_suite_small_reports_byte_identical():
     assert not changed, f"report bytes changed for {changed}"
 
 
-def test_roundtrip_full_report_byte_identical():
-    text = run_suite("roundtrip", "full").to_json()
-    assert hashlib.sha256(text.encode()).hexdigest() == ROUNDTRIP_FULL_SHA256
+@pytest.mark.parametrize("suite", sorted(FULL_REPORT_SHA256))
+def test_full_report_byte_identical(suite):
+    text = run_suite(suite, "full").to_json()
+    assert hashlib.sha256(text.encode()).hexdigest() == FULL_REPORT_SHA256[suite]
 
 
 def test_run_suite_leaves_caller_precision():
