@@ -63,9 +63,8 @@ def clear_caches() -> None:
     divisor-sum sieve and the Bernoulli table (`eisenstein`; the sieve and
     the table under their locks, the table back to b_0 alone), the Chebyshev
     rules of the quadrature oracles (`quadrature`) and the exact conversion
-    tables of the rewrite algebra (`rewrite`: the skeletons
-    `_int_to_l_skeleton` and `_l_to_int_skeleton`, the per-shape map
-    `_shape_map` and `roundtrip_pattern`).
+    tables of the rewrite algebra (`rewrite._int_to_l_table` and
+    `rewrite._l_to_int_table`).
     """
     from . import eisenstein, integrals, lseries, mmv, quadrature, rewrite
 
@@ -75,10 +74,8 @@ def clear_caches() -> None:
     lseries._coeff_cache.clear()
     eisenstein._trunc_cache.clear()
     quadrature._rules.clear()
-    rewrite._int_to_l_skeleton.cache_clear()
-    rewrite._l_to_int_skeleton.cache_clear()
-    rewrite._shape_map.cache_clear()
-    rewrite.roundtrip_pattern.cache_clear()
+    rewrite._int_to_l_table.cache_clear()
+    rewrite._l_to_int_table.cache_clear()
     with eisenstein._sigma_lock:
         eisenstein._sigma_tables.clear()
     with eisenstein._bernoulli_lock:

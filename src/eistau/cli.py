@@ -103,14 +103,7 @@ def _cmd_eval_int(args) -> int:
     print(f"value = {format_complex(value)}")
     print(f"tail_bound <= {config.eps:.3g}")
     if args.dump_exppoly:
-        poly = int_exppoly(gen.index(), tau.imag, config.budget())
-        print(poly.dump())
-        if tau.real != 0:
-            print(
-                f"note: the carrier's n_cut is sized at tau = i*{mp.nstr(tau.imag, 6)}; "
-                "its values at Re tau != 0 are not covered by the truncation certificate",
-                file=sys.stderr,
-            )
+        print(int_exppoly(gen.index(), tau, config.budget()).dump())
     return 0
 
 

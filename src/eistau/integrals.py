@@ -138,16 +138,14 @@ def int_eval(index: CompositeIndex, tau, budget: TruncationBudget = DEFAULT_BUDG
     return word_eval(tuple((CUSP, k) for k in index.ks), index.alphas, tau, budget)
 
 
-def int_exppoly(index: CompositeIndex, y_min, budget: TruncationBudget = DEFAULT_BUDGET) -> ExpPoly:
-    """The ExpPoly representing the iterated integral, with n_cut sized at tau = i*y_min.
-
-    Off the imaginary axis the sizing understates the (1 + |tau|)^{sum alpha}
-    factor of the frequency majorant, so values at Re tau != 0 are not covered
-    by the truncation certificate.
-    """
+def int_exppoly(index: CompositeIndex, tau, budget: TruncationBudget = DEFAULT_BUDGET) -> ExpPoly:
+    """The ExpPoly representing the iterated integral, with n_cut certified at tau."""
     if index.depth == 0:
         return ExpPoly.from_qseries({0: 1})
+    tau = mpc(tau)
+    if not tau.imag > 0:
+        raise ValueError("Im tau must be positive")
     with mp.extradps(15):
         word = tuple((CUSP, k) for k in index.ks)
-        g, n_cut = _cached_fold(word, index.alphas, mpc(0, y_min), budget)
+        g, n_cut = _cached_fold(word, index.alphas, tau, budget)
         return g.truncated(n_cut)

@@ -121,29 +121,25 @@ def _panels_sum(f, pts, tol) -> mpc:
 class PathSpec:
     """Truncated vertical path start -> start + i*(height - Im start).
 
-    `panels` holds the subdivision offsets (relative to the start height) at
-    which the quadrature splits the path; offsets beyond the truncated span
-    are ignored.  The default grades panels geometrically toward the start,
-    where the integrand is largest.  `start` may be an mpc and is used at its
-    full precision (a float complex would silently perturb off-axis paths).
+    The quadrature splits the path at the offsets `_PATH_PANELS` above the
+    start height that fall inside the truncated span.  `start` may be an mpc
+    and is used at its full precision (a float complex would silently perturb
+    off-axis paths).
     """
 
     start: complex | mpc
     height: float
-    panels: tuple[float, ...] = (0.5, 1.0, 2.0, 4.0)
 
     def __post_init__(self):
         if not mpc(self.start).imag > 0:
             raise ValueError("path start must have positive imaginary part")
         if not self.height > mpc(self.start).imag:
             raise ValueError("height cap must exceed Im(start)")
-        if any(p <= 0 for p in self.panels) or list(self.panels) != sorted(set(self.panels)):
-            raise ValueError("panel offsets must be positive and strictly increasing")
 
     def offsets(self):
         """Panel boundaries in the path parameter u, ending at the truncated span."""
         span = mpf(self.height) - mpc(self.start).imag
-        return [mpf(0)] + [mpf(p) for p in self.panels if p < span] + [span]
+        return [mpf(0)] + [mpf(p) for p in _PATH_PANELS if p < span] + [span]
 
 
 def default_path(start, eps, alpha_total: int = 0) -> PathSpec:
@@ -287,7 +283,11 @@ def eis_cusp_near_zero(k: int, tau, budget: TruncationBudget = DEFAULT_BUDGET) -
     return tau ** (-2 * k) * eis_eval(k, -1 / tau, budget) - _constant_mpf(k)
 
 
-_T_PANELS = ("0", "1e-4", "1e-2", "0.1", "0.3", "0.6", "1")  # graded toward the origin
+# Panel offsets above the start of a vertical path, graded geometrically toward
+# the start where the integrand is largest; and panel ends on (0, i], graded
+# toward the origin.
+_PATH_PANELS = (0.5, 1.0, 2.0, 4.0)
+_T_PANELS = ("0", "1e-4", "1e-2", "0.1", "0.3", "0.6", "1")
 
 
 def quad_T_cusp(k: int, m: int, tol=1e-25, budget: TruncationBudget = DEFAULT_BUDGET) -> mpc:

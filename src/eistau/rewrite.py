@@ -81,13 +81,13 @@ def shuffle_product(u, v) -> FormalSum:
 
 
 @lru_cache(maxsize=None)
-def _int_to_l_skeleton(alphas: tuple[int, ...]):
-    """Entries (i_vec, integer coefficient, t_delta) of the integral -> series map."""
+def _int_to_l_table(alphas: tuple[int, ...]):
+    """(1, ((i_vec, t_delta, integer coefficient), ...)): the integral -> series map."""
     out = []
 
     def rec(j: int, carry: int, ivec_rev: list[int], coeff: int):
         if j < 0:
-            out.append((tuple(reversed(ivec_rev)), coeff, carry))
+            out.append((tuple(reversed(ivec_rev)), carry, coeff))
             return
         a = alphas[j] + carry
         ratio = 1  # (a-1)! / (a-i)!
@@ -98,66 +98,48 @@ def _int_to_l_skeleton(alphas: tuple[int, ...]):
             ratio *= a - i
 
     rec(len(alphas) - 1, 0, [], 1)
-    return tuple(out)
+    return 1, tuple(out)
 
 
 @lru_cache(maxsize=None)
-def _l_to_int_skeleton(alphas: tuple[int, ...]):
-    """Entries (new_alphas, i_1, Fraction coefficient) of the series -> integral map."""
+def _l_to_int_table(alphas: tuple[int, ...]):
+    """(D, ((new_alphas, i_1, numerator), ...)): the series -> integral map over
+    D = prod_j (alpha_j - 1)!, each coefficient being numerator / D."""
     denom = 1
     for a in alphas:
         denom *= factorial(a - 1)
-    sign = (-1) ** sum(alphas)
     out = []
 
     def rec(j: int, i_next: int, rev_alphas: list[int], coeff: int):
         if j < 0:
-            out.append((tuple(reversed(rev_alphas)), i_next, Fraction(sign * coeff, denom)))
+            out.append((tuple(reversed(rev_alphas)), i_next, coeff))
             return
         a = alphas[j]
         for i in range(a):
-            new_alpha = a - i + i_next
-            assert new_alpha >= 1
-            rev_alphas.append(new_alpha)
+            rev_alphas.append(a - i + i_next)
             rec(j - 1, i, rev_alphas, coeff * comb(a - 1, i) * (-1) ** i)
             rev_alphas.pop()
 
-    rec(len(alphas) - 1, 0, [], 1)
-    return tuple(out)
+    rec(len(alphas) - 1, 0, [], (-1) ** sum(alphas))
+    return denom, tuple(out)
 
 
-@lru_cache(maxsize=None)
-def _shape_map(direction: str, alphas: tuple[int, ...]):
-    """(D, ((new_alphas, power_shift, numerator), ...)): one exponent shape's map over D.
-
-    D is the lcm of the skeleton's denominators (1 for 'int2l'), so each entry's
-    coefficient is numerator / D with an integer numerator.
-    """
-    if direction == "int2l":
-        return 1, tuple((ivec, t_delta, c) for ivec, c, t_delta in _int_to_l_skeleton(alphas))
-    skeleton = _l_to_int_skeleton(alphas)
-    denom = lcm(*(c.denominator for _, _, c in skeleton))
-    return denom, tuple(
-        (new_alphas, i1, c.numerator * (denom // c.denominator)) for new_alphas, i1, c in skeleton
-    )
-
-
-# direction -> (input kind, output kind, message for an input of the wrong kind)
+# direction -> (input kind, output kind, message for an input of the wrong kind, table)
 _DIRECTIONS = {
-    "int2l": (TAU_INTEGRAL, LSERIES, "int_to_l expects a tau-integral generator"),
-    "l2int": (LSERIES, TAU_INTEGRAL, "l_to_int expects an L-series generator"),
+    "int2l": (TAU_INTEGRAL, LSERIES, "int_to_l expects a tau-integral generator", _int_to_l_table),
+    "l2int": (LSERIES, TAU_INTEGRAL, "l_to_int expects an L-series generator", _l_to_int_table),
 }
 
 
 def _convert(pairs, direction: str) -> FormalSum:
     """Apply one conversion map to (generator, rational coefficient) pairs.
 
-    Works per exponent shape on integer numerators over the common denominator
-    of all terms; the weights ks ride through unchanged.  Each output generator
-    is built directly: skeleton exponents are >= 1 and ks comes from a
-    validated generator.
+    Works per exponent shape on the direction's integer table, over the common
+    denominator of all terms; the weights ks ride through unchanged.  Each
+    output generator is built directly: table exponents are >= 1 and ks comes
+    from a validated generator.
     """
-    in_kind, out_kind, kind_msg = _DIRECTIONS[direction]
+    in_kind, out_kind, kind_msg, table = _DIRECTIONS[direction]
     terms = []
     common = 1
     for g, c in pairs:
@@ -165,7 +147,7 @@ def _convert(pairs, direction: str) -> FormalSum:
             raise ValueError(kind_msg)
         if g.depth < 1:
             raise ValueError("depth must be >= 1")
-        denom, entries = _shape_map(direction, g.alphas)
+        denom, entries = table(g.alphas)
         terms.append((g, c, denom, entries))
         common = lcm(common, c.denominator * denom)
     acc: dict[tuple, int] = {}
@@ -240,28 +222,21 @@ def stuffle_product(g1: Generator, g2: Generator) -> FormalSum:
     )
 
 
-@lru_cache(maxsize=None)
 def roundtrip_pattern(alphas: tuple[int, ...], t: int, start: str = TAU_INTEGRAL) -> bool:
     """Exact identity check of the composed conversion for one exponent pattern.
 
     Both conversion maps act on (alphas, power) only and carry the weight tuple
-    through unchanged, so the round trip is the identity on every generator
-    with this pattern iff the composed skeleton is.  Computed with plain
-    tuple/Fraction arithmetic for speed.
+    through unchanged, so the round trip of one generator with this pattern
+    (weights 2 throughout) decides it for every generator with the pattern.
     """
-    acc: dict[tuple[tuple[int, ...], int], Fraction] = {}
+    ks = (2,) * len(alphas)
     if start == TAU_INTEGRAL:
-        for ivec, c1, t_delta in _int_to_l_skeleton(alphas):
-            for new_alphas, i1, c2 in _l_to_int_skeleton(ivec):
-                key = (new_alphas, t + t_delta + i1)
-                acc[key] = acc.get(key, Fraction(0)) + c1 * c2
+        gen = tau_integral_gen(ks, alphas, t)
+        back = convert_sum(int_to_l(gen), "l2int")
     else:
-        for new_alphas, i1, c1 in _l_to_int_skeleton(alphas):
-            for ivec, c2, t_delta in _int_to_l_skeleton(new_alphas):
-                key = (ivec, t + i1 + t_delta)
-                acc[key] = acc.get(key, Fraction(0)) + c1 * c2
-    acc = {k: v for k, v in acc.items() if v}
-    return acc == {(alphas, t): Fraction(1)}
+        gen = lseries_gen(ks, alphas, t)
+        back = convert_sum(l_to_int(gen), "int2l")
+    return back == FormalSum.single(gen)
 
 
 def numeric_value(fs: FormalSum, tau, budget: TruncationBudget = DEFAULT_BUDGET) -> mpc:

@@ -1,9 +1,16 @@
 import json
+import shlex
+from pathlib import Path
 
 import pytest
+from mpmath import mp, mpc
 
 import eistau.verify as verify_mod
+from eistau.algebra import make_index
 from eistau.cli import main
+from eistau.config import EngineConfig, TruncationBudget
+from eistau.eisenstein import CUSP
+from eistau.integrals import freq_cutoff, int_eval, int_exppoly
 from eistau.report import VerificationReport
 
 
@@ -55,19 +62,38 @@ def test_eval_int_dump(capsys):
     assert "1; " in out  # carrier has a frequency-1 line
 
 
-def test_eval_int_dump_caveat_on_stderr_off_axis_only(capsys):
-    def run(tau):
-        argv = ["eval-int", "--index", "I{ks=[2,3];alphas=[1,2];taupow=0}", "--tau", tau,
-                "--dump-exppoly"]
-        assert main(argv) == 0
-        return capsys.readouterr()
+def test_eval_int_dump_certified_at_tau_off_axis(capsys):
+    # the carrier's n_cut is certified at tau itself: 24 at 5+i, where i*Im tau gives 22
+    idx, tau = make_index([3, 4], [2, 3]), mpc(5, 1)
+    argv = ["eval-int", "--index", "I{ks=[3,4];alphas=[2,3];taupow=0}", "--tau", "5+1i",
+            "--dump-exppoly"]
+    assert main(argv) == 0
+    out = capsys.readouterr()
+    assert out.err == ""
+    dump = out.out.splitlines()[2:]
+    budget = EngineConfig().budget()
+    carrier = int_exppoly(idx, tau, budget)  # at the CLI's 40 digits
+    assert "\n".join(dump) == carrier.dump()
+    with mp.extradps(15):
+        word = ((CUSP, 3), (CUSP, 4))
+        n_cut = freq_cutoff(word, (2, 3), tau, budget)
+        assert freq_cutoff(word, (2, 3), mpc(0, 1), budget) == 22
+    assert int(dump[-1].split(";")[0]) == carrier.max_freq() == n_cut == 24
+    ref = int_eval(idx, tau, TruncationBudget(budget.eps * 1e-10, budget.n_max))
+    assert abs(carrier(tau) - ref) <= budget.eps
 
-    on, off = run("0+1.5i"), run("0.5+1.5i")
-    assert on.err == ""
-    assert "not covered by the truncation certificate" in off.err
-    # stdout keeps only the value line and the dump, sized at i*Im tau on both
-    assert off.out.splitlines()[1:] == on.out.splitlines()[1:]
-    assert "1; " in off.out
+
+def test_readme_command_lines_run(tmp_path, monkeypatch, capsys):
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```")[1]
+    lines = [ln for ln in block.replace("\\\n", " ").splitlines() if ln.strip()]
+    assert len(lines) == 8
+    monkeypatch.chdir(tmp_path)
+    for line in lines:
+        argv = shlex.split(line)
+        assert argv[0] == "eistau"
+        assert main(argv[1:]) == 0, line
+    capsys.readouterr()
 
 
 def test_convert_round_trip_text(capsys):

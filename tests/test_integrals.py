@@ -53,7 +53,7 @@ def test_derivative_contract(ks, alphas):
 def test_exppoly_form_matches_eval():
     idx = make_index([2, 2], [1, 2])
     tau = mpc(0, "1.5")
-    g = int_exppoly(idx, tau.imag, BUDGET)
+    g = int_exppoly(idx, tau, BUDGET)
     assert abs(g(tau) - int_eval(idx, tau, BUDGET)) < mpf("1e-28")
 
 
@@ -138,23 +138,23 @@ def test_fold_cache_keys_on_precision():
     assert len({prec for _, _, prec in integrals._folds}) == 2
 
 
-# sha256 of int_exppoly([3, 2]; [2, 1]) at y_min = 1.3 and 40 digits, .dump()
+# sha256 of int_exppoly([3, 2]; [2, 1]) at tau = 1.3i and 40 digits, .dump()
 EXPPOLY_DUMP_SHA256 = "9e424861efce96c453d06d1cfdb9026edeb3b66b3402c08ab234cc6f0256c405"
 
 
 def test_int_exppoly_dump_unchanged_by_fold_cache():
     idx = make_index([3, 2], [2, 1])
     clear_caches()
-    cold = int_exppoly(idx, mpf("1.3"), BUDGET).dump()
+    cold = int_exppoly(idx, mpc(0, "1.3"), BUDGET).dump()
     for _ in range(2):  # keeps the fold at the larger n_cut of Im tau = 0.7
         int_eval(idx, mpc(0, "0.7"), BUDGET)
-    warm = int_exppoly(idx, mpf("1.3"), BUDGET).dump()
+    warm = int_exppoly(idx, mpc(0, "1.3"), BUDGET).dump()
     assert warm == cold
     assert hashlib.sha256(warm.encode()).hexdigest() == EXPPOLY_DUMP_SHA256
 
 
 def test_exppoly_call_n_max_is_truncated_value():
-    g = int_exppoly(make_index([2, 3], [1, 2]), mpf("0.8"), BUDGET)
+    g = int_exppoly(make_index([2, 3], [1, 2]), mpc(0, "0.8"), BUDGET)
     t = mpc("0.3", "1.1")
     for n_max in (0, 1, 5, g.max_freq() - 1, g.max_freq(), g.max_freq() + 3):
         assert g(t, n_max=n_max)._mpc_ == g.truncated(n_max)(t)._mpc_

@@ -331,8 +331,7 @@ def test_clear_caches_empties_rewrite_tables_and_converts_equal():
         return to_l, back, pattern, rewrite.l_to_int(lseries_gen([2, 2], [4, 2], 2))
 
     before = converted()
-    tables = (rewrite._int_to_l_skeleton, rewrite._l_to_int_skeleton,
-              rewrite._shape_map, rewrite.roundtrip_pattern)
+    tables = (rewrite._int_to_l_table, rewrite._l_to_int_table)
     assert all(t.cache_info().currsize for t in tables)
     clear_caches()
     assert not any(t.cache_info().currsize for t in tables)

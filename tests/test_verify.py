@@ -23,9 +23,13 @@ SMALL_REPORT_SHA256 = {
 
 # sha256 of run_suite(suite, "full").to_json().  The roundtrip grid reaches depth
 # 3 and alpha = 4, where the conversions accumulate the most terms per shape;
-# the other four are assembled from the base-point-i R words of `mmv`.
+# fund, haberland, symmetry and firstdiff are assembled from the base-point-i
+# R words of `mmv`.
 FULL_REPORT_SHA256 = {
     "roundtrip": "b8231873ba78e816b20d78296b856f5f55227ce8898a09d09f810c524d154594",
+    "shuffle": "3b3f3095ca220a51f5fbce22d5ef418961462d0336b049f39dfa6e196444886c",
+    "stuffle": "4c88aa4acb58bff713f995d0cf60d168b7171a5a73a84077148776084869e271",
+    "deriv": "354809705b35944c4d5e5c42d9e42a866c41c5f132077a59998fb7909cbcaffc",
     "fund": "65e3e534e63ec635c8d1a7783d8d67ae87568458a5e461b3dffd0541969c10df",
     "haberland": "6c46a519dee39465e42bd242a757e25969c737798f9fd177c83116c8df50f475",
     "symmetry": "bd72de2b9852df1119623402e75ef5be26ac3f2a3d28e4d31d5177b0bcf6ee4b",
