@@ -57,8 +57,9 @@ def clear_caches() -> None:
     """Empty the engine's caches; values computed afterwards are bit-identical.
 
     Clears the memo of base-point integrals (`mmv`), the fold cache of the
-    iterated integrals and its seen-set (`integrals`; a fold is kept from its
-    word's second evaluation on, at the largest n_cut so far), the L-series
+    iterated integrals, its seen-set and the fold majorants (`integrals`; a
+    fold is kept from its word's second evaluation on, at the largest n_cut so
+    far), the L-series
     coefficient tables (`lseries`), the truncation-index cache, the
     divisor-sum sieve and the Bernoulli table (`eisenstein`; the sieve and
     the table under their locks, the table back to b_0 alone), the Chebyshev
@@ -71,6 +72,7 @@ def clear_caches() -> None:
     mmv._memo.clear()
     integrals._folds.clear()
     integrals._fold_seen.clear()
+    integrals.fold_majorant.cache_clear()
     lseries._coeff_cache.clear()
     eisenstein._trunc_cache.clear()
     quadrature._rules.clear()

@@ -101,7 +101,8 @@ def _cmd_eval_int(args) -> int:
     tau = parse_complex(args.tau)
     value = tau**gen.power * int_eval(gen.index(), tau, config.budget())
     print(f"value = {format_complex(value)}")
-    print(f"tail_bound <= {config.eps:.3g}")
+    # int_eval is certified to eps, so tau^t int_eval is to |tau|^t eps
+    print(f"tail_bound <= {config.eps * float(abs(tau)) ** gen.power:.3g}")
     if args.dump_exppoly:
         print(int_exppoly(gen.index(), tau, config.budget()).dump())
     return 0

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import threading
 from fractions import Fraction
-from math import comb, expm1, log, log1p
+from math import comb, expm1, factorial, log, log1p
 
 from mpmath import mp, mpc, mpf
 
@@ -101,6 +101,23 @@ def _constant_mpf(k: int) -> mpf:
     """eis_constant(k) as an mpf at the caller's working precision."""
     c = eis_constant(k)
     return mpf(c.numerator) / c.denominator
+
+
+def sigma_majorant(k: int) -> Fraction:
+    """C with sigma_{2k-1}(n) <= C n^{2k-1} for all n >= 1: zeta(2k-1) <= (2k-1)/(2k-2)."""
+    return Fraction(2 * k - 1, 2 * k - 2)
+
+
+def convolution_majorant(a: int, b: int) -> Fraction:
+    """K with sum_{n1+n2=n; n1,n2>=1} n1^a n2^b <= K n^{a+b+1} for all n >= 1, a, b >= 0.
+
+    f(x) = x^a (n-x)^b is unimodal on [0, n], so the sum over the integers is
+    at most its integral B(a+1, b+1) n^{a+b+1} plus its peak
+    a^a b^b / (a+b)^{a+b} n^{a+b}.  The peak term is needed at small n: for
+    a = b = 10 and n = 2 the sum is 1 and the integral 0.54.
+    """
+    beta = Fraction(factorial(a) * factorial(b), factorial(a + b + 1))
+    return beta + Fraction(a**a * b**b, (a + b) ** (a + b))
 
 
 def tail_start(power: int, x, eps, n_max: int) -> int:

@@ -14,12 +14,16 @@ sees frequencies >= 1 only.  The final ExpPoly is evaluated at tau, and the
 word's constants multiply that value once.  `int_eval` is the all-cusp word
 of a CompositeIndex, with 1 at depth 0.
 
-Frequency truncation: every dropped term has frequency n > n_cut and modulus
-at most M(n) e^{-2 pi n Im tau} on the evaluation ray, where M(n) is the crude
-coefficient majorant n^{2 sum k + sum alpha + r} (1 + |tau|)^{sum alpha}; n_cut
-is chosen so the certified geometric tail of M(n) e^{-2 pi n Im tau} is below
-the budget, split across stages.  A const factor enters sum k with the word's
-largest cusp weight, and its constant divides the budget (`freq_cutoff`).
+Frequency truncation: a cusp stage truncates its product at n_cut, and a
+product term at frequency n comes from input frequencies below n, so the
+truncated fold is the exact fold with its frequencies > n_cut dropped; the
+truncation error is the sum of those terms at tau.  `fold_majorant` carries a
+bound |P_n(t)| <= C(|t|) n^P through the fold, stage by stage: sigma_{2k-1}(n)
+<= zeta(2k-1) n^{2k-1} for a series, B(a+1, b+1) n^{a+b+1} plus a peak term
+for a product's convolution, |Einf_k| for a const stage, and 1/(2 pi n) per
+derivative for a tail integral, whose polynomial part is bounded at radius |t|.
+n_cut is an N that `tail_start` certifies to keep the sum over n > N of
+C n^P e^{-2 pi n Im tau} below eps/2 (`freq_cutoff`).
 
 Truncation prefix: the fold's q-expansion does not depend on tau, only n_cut
 does, and the frequencies <= N' of the fold truncated at N >= N' are
@@ -38,11 +42,24 @@ fold.  The key holds the const weights too: without them the const words of
 
 from __future__ import annotations
 
-from mpmath import mp, mpc
+from fractions import Fraction
+from functools import lru_cache
+from math import factorial
+
+from mpmath import mp, mpc, mpf
 
 from .algebra import CompositeIndex
 from .config import DEFAULT_BUDGET, TruncationBudget
-from .eisenstein import CONST, CUSP, _constant_mpf, sigma_table, tail_start
+from .eisenstein import (
+    CONST,
+    CUSP,
+    _constant_mpf,
+    convolution_majorant,
+    eis_constant,
+    sigma_majorant,
+    sigma_table,
+    tail_start,
+)
 from .exppoly import ExpPoly, mul_qseries
 
 MAX_DEPTH = 6
@@ -54,24 +71,58 @@ def cusp_exppoly(k: int, n_cut: int) -> ExpPoly:
     return ExpPoly.from_qseries({n: sig[n] for n in range(1, n_cut + 1)})
 
 
-def freq_cutoff(word, alphas, tau: mpc, budget: TruncationBudget) -> int:
-    """Certified common frequency cutoff for all stages of the fold of `word` at tau.
+@lru_cache(maxsize=1024)
+def fold_majorant(word, alphas) -> tuple[int, tuple[Fraction, ...], int]:
+    """(P, c, h) with |P_n(t)| prod |Einf_k| <= n^P (2 pi)^{-h} sum_d c_d (2 pi |t|)^d
+    for every frequency n >= 1 of the fold of `word` and every t, c_d >= 0.
 
-    A const factor is majorized as a cusp factor of the word's largest cusp
-    weight; for (const k1, cusp k2) that is the cusp weight doubled.  The value
-    is the truncated fold times the word's constants, so the budget of the
-    truncation is divided by prod max(1, |Einf_k|) over the const factors.
+    Carried innermost out, stage by stage: the innermost series starts at
+    (sigma_majorant(k), 2k-1); a cusp stage convolves with sigma_{2k-1}, which
+    multiplies C by sigma_majorant(k) convolution_majorant(2k-1, P) and adds 2k
+    to P; a const stage multiplies C by |Einf_k|.  In the tail integral,
+    |P_n(s) s^{alpha-1}| <= q(|s|) for a polynomial q with nonnegative
+    coefficients, and |s| <= |t| + u on the ray s = t + iu, so the integral's
+    frequency-n polynomial is at most int_0^oo e^{-2 pi n u} q(|t| + u) du
+    = sum_j q^(j)(|t|) / (2 pi n)^{j+1} <= n^{-1} sum_j q^(j)(|t|) / (2 pi)^{j+1}:
+    P drops by one (not below 0, as n >= 1), and every derivative lowers the
+    degree in |t| by one and adds a factor 1/(2 pi), so the bound stays
+    homogeneous in 2 pi |t|.
     """
-    r = len(word)
-    k_max = max(k for kind, k in word if kind == CUSP)
-    power = 2 * sum(k if kind == CUSP else k_max for kind, k in word) + sum(alphas) + r
-    x = mp.exp(-2 * mp.pi * tau.imag)
-    scale = (1 + abs(tau)) ** sum(alphas)
-    for kind, k in word:
-        if kind == CONST:
-            scale *= max(1, abs(_constant_mpf(k)))
-    eps_eff = mp.mpf(budget.eps) / (scale * 4 * (r + 1))
-    return tail_start(power, x, eps_eff, budget.n_max)
+    power, c, h = 0, None, 0
+    for (kind, k), alpha in zip(reversed(word), reversed(alphas)):
+        if c is None:
+            power, c = 2 * k - 1, [sigma_majorant(k)]
+        elif kind == CUSP:
+            s = sigma_majorant(k) * convolution_majorant(2 * k - 1, power)
+            power, c = power + 2 * k, [x * s for x in c]
+        else:
+            e = abs(eis_constant(k))
+            c = [x * e for x in c]
+        q = [Fraction(0)] * (alpha - 1) + c
+        c = [sum(q[d] * (factorial(d) // factorial(e)) for d in range(e, len(q)))
+             for e in range(len(q))]
+        power, h = max(power - 1, 0), h + alpha
+    return power, tuple(c), h
+
+
+def freq_cutoff(word, alphas, tau: mpc, budget: TruncationBudget) -> int:
+    """Certified frequency cutoff of the fold of `word` at tau.
+
+    The truncated fold is the exact fold with its frequencies > n_cut dropped,
+    so the truncation error of `word_eval` is sum_{n > n_cut} of the dropped
+    terms, each at most C n^P e^{-2 pi n Im tau} (`fold_majorant`, with C
+    evaluated at |tau|).  n_cut keeps that sum below eps/2, which leaves the
+    other half of eps to rounding.
+    """
+    power, c, h = fold_majorant(word, alphas)
+    two_pi = 2 * mp.pi
+    u = two_pi * abs(tau)
+    scale = mpf(0)
+    for x in reversed(c):
+        scale = scale * u + mpf(x.numerator) / x.denominator
+    scale /= two_pi**h
+    return tail_start(power, mp.exp(-two_pi * tau.imag), mpf(budget.eps) / (2 * scale),
+                      budget.n_max)
 
 
 # (word, alphas, mp.prec) -> (n_cut, fold truncated at n_cut), the largest n_cut

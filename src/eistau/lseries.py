@@ -23,7 +23,7 @@ from mpmath import mp, mpc, mpf
 
 from .algebra import CompositeIndex
 from .config import DEFAULT_BUDGET, TruncationBudget
-from .eisenstein import _cached_tail_start, sigma_table
+from .eisenstein import _cached_tail_start, convolution_majorant, sigma_majorant, sigma_table
 
 BRUTEFORCE_MAX_DEPTH = 4
 BRUTEFORCE_MAX_N = 200
@@ -117,10 +117,27 @@ def l_coeffs_bruteforce(index: CompositeIndex, n: int) -> LCoefficients:
     return LCoefficients(index, tuple(out[1:]))
 
 
-def _coeff_majorant_power(index: CompositeIndex) -> int:
-    # c(m) <= (#compositions) * (sigma product) <= m^{r-1} m^{2 sum k}, and the
-    # leading denominator >= m; keep an extra m^2 of slack
-    return 2 * index.upper_weight + index.depth + 1
+def _coeff_majorant(index: CompositeIndex) -> tuple[int, Fraction]:
+    """(P, C) with c(m) <= C m^P for every m >= 1.
+
+    Carried innermost out along the recursion of `l_coeffs_dp`:
+    sigma_{2k-1}(n) <= sigma_majorant(k) n^{2k-1}; a layer's convolution
+    sum_u sigma_{2k_j-1}(u) S_{j+1}(m-u) multiplies C by sigma_majorant(k_j)
+    convolution_majorant(2k_j-1, P) and adds 2k_j to P; its denominator
+    m^{alpha_j} lowers P by alpha_j, not below 0, as m >= 1.  Unclamped,
+    P = sum (2k-1) + r - 1 - sum alpha: the inner denominators lower it below
+    the sum (2k-1) + r - 1 - alpha_1 of the leading denominator alone.
+    """
+    power, c = None, Fraction(1)
+    for k, alpha in zip(reversed(index.ks), reversed(index.alphas)):
+        c *= sigma_majorant(k)
+        if power is None:
+            power = 2 * k - 1
+        else:
+            c *= convolution_majorant(2 * k - 1, power)
+            power += 2 * k
+        power = max(power - alpha, 0)
+    return power, c
 
 
 _coeff_cache: dict[tuple[tuple[int, ...], tuple[int, ...]], LCoefficients] = {}
@@ -151,10 +168,9 @@ def l_eval(index: CompositeIndex, tau, budget: TruncationBudget = DEFAULT_BUDGET
     with mp.extradps(10):
         alpha_sum = sum(index.alphas)
         prefactor = (2 * mp.pi * mpc(0, 1)) ** (-alpha_sum) * tau**index.t
-        eps_series = mpf(budget.eps) / (1 + abs(prefactor))
-        n_trunc = _cached_tail_start(
-            _coeff_majorant_power(index), tau.imag, eps_series, budget.n_max
-        )
+        power, c = _coeff_majorant(index)
+        eps_series = mpf(budget.eps) / ((1 + abs(prefactor)) * (mpf(c.numerator) / c.denominator))
+        n_trunc = _cached_tail_start(power, tau.imag, eps_series, budget.n_max)
         coeffs = _coeffs_upto(index, n_trunc)
         q = mp.expjpi(2 * tau)
         qn = mpc(1)

@@ -403,8 +403,15 @@ def e0_cocycle_S(k: int) -> BiPolynomial:
 
 
 def zeta_odd(s: int, budget: TruncationBudget = DEFAULT_BUDGET) -> mpf:
-    """zeta(s) for odd s >= 3: direct sum to N-1 plus the two-term tail
-    N^{1-s}/(s-1) + N^{-s}/2, with the certified remainder below budget.eps."""
+    """zeta(s) for odd s >= 3 by Euler-Maclaurin: the direct sum to N-1, then
+
+        N^{1-s}/(s-1) + N^{-s}/2 + sum_{i=1}^{p} b_{2i}/(2i)! s(s+1)...(s+2i-2) N^{1-s-2i},
+
+    with b_{2i} exact from `bernoulli`.  x^{-s} is completely monotone, so the
+    remainder is at most the first omitted term; p grows until that term is
+    below budget.eps, and N doubles (from 8) while the terms stop decreasing
+    first, which they do once s + 2i passes about 2 pi N.
+    """
     if s < 3 or s % 2 == 0:
         raise ValueError("s must be odd and >= 3")
 
@@ -412,25 +419,32 @@ def zeta_odd(s: int, budget: TruncationBudget = DEFAULT_BUDGET) -> mpf:
         with mp.extradps(10):
             eps = mpf(budget.eps)
             n = 8
-            while s * mpf(n) ** (-s - 1) / 6 >= eps:  # remainder bound after the 1/2 term
-                n *= 2
+            while True:
                 if n > budget.n_max:
                     raise BudgetError(
-                        "the two-term tail correction cannot certify this eps within n_max"
+                        "the Euler-Maclaurin tail cannot certify this eps within n_max"
                     )
+                corr, rising, i = [], s, 1  # rising = s (s+1) ... (s+2i-2)
+                while True:
+                    c = bernoulli(2 * i) * rising / factorial(2 * i)
+                    term = mpf(c.numerator) / c.denominator * mpf(n) ** (1 - s - 2 * i)
+                    if abs(term) < eps or (corr and abs(term) >= abs(corr[-1])):
+                        break
+                    corr.append(term)
+                    rising *= (s + 2 * i - 1) * (s + 2 * i)
+                    i += 1
+                if abs(term) < eps:
+                    break
+                n *= 2
             acc = mp.fsum(mpf(j) ** (-s) for j in range(1, n))
-            acc += mpf(n) ** (1 - s) / (s - 1) + mpf(n) ** (-s) / 2
+            acc += mpf(n) ** (1 - s) / (s - 1) + mpf(n) ** (-s) / 2 + mp.fsum(corr)
         return +acc
 
     return _memoized(("zeta", s, budget), compute)
 
 
 def haberland_rhs(k: int, alpha: int, budget: TruncationBudget = DEFAULT_BUDGET) -> mpc:
-    """Closed form for S(2k; alpha): Bernoulli cocycle plus the odd zeta term.
-
-    The zeta budget is floored at 1e-18: the tail correction is only quartic
-    in 1/N, and the identity is compared at relative 1e-12.
-    """
+    """Closed form for S(2k; alpha): Bernoulli cocycle plus the odd zeta term."""
     if not 1 <= alpha <= 2 * k - 1:
         raise ValueError("alpha out of range")
     poly = e0_cocycle_S(k)
@@ -438,9 +452,8 @@ def haberland_rhs(k: int, alpha: int, budget: TruncationBudget = DEFAULT_BUDGET)
     val = (2 * mp.pi * mpc(0, 1)) ** (2 * k - 1) * mpf(c.numerator) / c.denominator
     delta = (1 if alpha == 1 else 0) - (1 if alpha == 2 * k - 1 else 0)
     if delta:
-        zeta_budget = TruncationBudget(max(budget.eps, 1e-18), budget.n_max)
         frac = Fraction(factorial(2 * k - 2), 2) * delta
-        val += mpf(frac.numerator) / frac.denominator * zeta_odd(2 * k - 1, zeta_budget)
+        val += mpf(frac.numerator) / frac.denominator * zeta_odd(2 * k - 1, budget)
     return val
 
 

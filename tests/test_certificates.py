@@ -2,9 +2,10 @@
 
 Each seeded case is computed at eps 1e-30 and 40 digits, and again at
 eps * 1e-10 with 20 more digits; the two must agree to eps.  The cases cover
-Re tau in [-40, 40], Im tau in [0.15, 1.5] and weights k <= 5.  `s_coeff` is
-left out: it scales R values by (2 pi)^{2k-1} C(2k-2, a-1) and claims no eps
-bound of its own.
+Re tau in [-40, 40], Im tau in [0.15, 1.5] and weights k <= 5, and R words at
+i: const-cusp words with |Einf| > 1 and cusp words up to alpha = 2k-1.
+`s_coeff` is left out: it scales R values by (2 pi)^{2k-1} C(2k-2, a-1) and
+claims no eps bound of its own.
 """
 
 import random
@@ -13,7 +14,7 @@ from mpmath import mp, mpc, mpf
 
 from eistau.algebra import make_index
 from eistau.config import BudgetError, TruncationBudget
-from eistau.eisenstein import CUSP, eis_cusp_eval
+from eistau.eisenstein import CONST, CUSP, eis_cusp_eval
 from eistau.integrals import int_eval
 from eistau.lseries import l_eval
 from eistau.mmv import r_iter
@@ -53,6 +54,15 @@ def _cases(seed=2019):
         # depth-1 words also take exponents <= 0 (the incomplete-gamma sum)
         ks, alphas = _word(rng, depth, -2 if depth == 1 else 1)
         word = [(CUSP, k) for k in ks]
+        yield f"r_iter {word} {alphas}", \
+            lambda b, word=word, alphas=alphas: r_iter(word, alphas, b)
+    # const words whose constant exceeds 1 (|Einf| 13.2 and 140.7), then depth-2
+    # cusp words with exponents up to 2k-1, the R words that s_coeff folds
+    words = [([(CONST, 10), (CUSP, 2)], [1, 1]), ([(CONST, 11), (CUSP, 3)], [2, 1])]
+    for _ in range(8):
+        ks = [rng.randint(2, 5) for _ in range(2)]
+        words.append(([(CUSP, k) for k in ks], [rng.randint(1, 2 * k - 1) for k in ks]))
+    for word, alphas in words:
         yield f"r_iter {word} {alphas}", \
             lambda b, word=word, alphas=alphas: r_iter(word, alphas, b)
 

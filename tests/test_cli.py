@@ -3,7 +3,7 @@ import shlex
 from pathlib import Path
 
 import pytest
-from mpmath import mp, mpc
+from mpmath import mp, mpc, mpf
 
 import eistau.verify as verify_mod
 from eistau.algebra import make_index
@@ -11,7 +11,7 @@ from eistau.cli import main
 from eistau.config import EngineConfig, TruncationBudget
 from eistau.eisenstein import CUSP
 from eistau.integrals import freq_cutoff, int_eval, int_exppoly
-from eistau.report import VerificationReport
+from eistau.report import VerificationReport, parse_complex
 
 
 def test_selftest(capsys):
@@ -63,9 +63,9 @@ def test_eval_int_dump(capsys):
 
 
 def test_eval_int_dump_certified_at_tau_off_axis(capsys):
-    # the carrier's n_cut is certified at tau itself: 24 at 5+i, where i*Im tau gives 22
-    idx, tau = make_index([3, 4], [2, 3]), mpc(5, 1)
-    argv = ["eval-int", "--index", "I{ks=[3,4];alphas=[2,3];taupow=0}", "--tau", "5+1i",
+    # the carrier's n_cut is certified at tau itself: 16 at 40+i, where i*Im tau gives 14
+    idx, tau = make_index([3, 4], [2, 3]), mpc(40, 1)
+    argv = ["eval-int", "--index", "I{ks=[3,4];alphas=[2,3];taupow=0}", "--tau", "40+1i",
             "--dump-exppoly"]
     assert main(argv) == 0
     out = capsys.readouterr()
@@ -77,10 +77,24 @@ def test_eval_int_dump_certified_at_tau_off_axis(capsys):
     with mp.extradps(15):
         word = ((CUSP, 3), (CUSP, 4))
         n_cut = freq_cutoff(word, (2, 3), tau, budget)
-        assert freq_cutoff(word, (2, 3), mpc(0, 1), budget) == 22
-    assert int(dump[-1].split(";")[0]) == carrier.max_freq() == n_cut == 24
+        assert freq_cutoff(word, (2, 3), mpc(0, 1), budget) == 14
+    assert int(dump[-1].split(";")[0]) == carrier.max_freq() == n_cut == 16
     ref = int_eval(idx, tau, TruncationBudget(budget.eps * 1e-10, budget.n_max))
     assert abs(carrier(tau) - ref) <= budget.eps
+
+
+def test_eval_int_bound_covers_tau_power(capsys):
+    # tau^t int_eval is certified to |tau|^t eps, not eps: (5; 3) with t = 2 at 40+0.15i
+    argv = ["eval-int", "--index", "I{ks=[5];alphas=[3];taupow=2}", "--tau", "40+0.15i"]
+    assert main(argv) == 0
+    value_line, bound_line = capsys.readouterr().out.splitlines()
+    value = parse_complex(value_line.removeprefix("value = "))
+    assert bound_line == "tail_bound <= 1.6e-27"  # |tau|^2 eps, |tau|^2 = 1600.0225
+    bound = mpf(bound_line.removeprefix("tail_bound <= "))
+    eps, tau = EngineConfig().eps, mpc(40, "0.15")
+    with mp.workdps(60):
+        ref = tau**2 * int_eval(make_index([5], [3]), tau, TruncationBudget(eps * 1e-10))
+        assert abs(value - ref) <= bound
 
 
 def test_readme_command_lines_run(tmp_path, monkeypatch, capsys):

@@ -1,4 +1,6 @@
 import hashlib
+import random
+from fractions import Fraction
 
 import pytest
 from mpmath import mp, mpc, mpf
@@ -6,7 +8,8 @@ from mpmath import mp, mpc, mpf
 from eistau import clear_caches, integrals
 from eistau.algebra import make_index
 from eistau.config import BudgetError, TruncationBudget
-from eistau.eisenstein import eis_cusp_eval
+from eistau.eisenstein import eis_constant, eis_cusp_eval
+from eistau.exppoly import _peval
 from eistau.integrals import int_eval, int_exppoly
 from eistau.lseries import l_eval
 from eistau.mmv import r_iter
@@ -80,7 +83,7 @@ def _mpc_digest(values) -> str:
 PINNED_INDICES = [((2,), (1,)), ((4,), (3,)), ((3, 2), (2, 1)), ((2, 3), (3, 2)),
                   ((2, 2, 3), (1, 2, 1)), ((3, 2, 4), (2, 1, 3))]
 PINNED_TAUS = [("0", "1"), ("0.3", "0.8")]  # parsed at the test's working precision
-PINNED_FOLD_SHA256 = "c12809ece1f62f79ec167c14f5627631bb73de6dd198225ff43c71f5026d1e8e"
+PINNED_FOLD_SHA256 = "ab0370f50a7224f9386ac66e08e0e5175c661bb21801ec019000879ee9e40ca3"
 
 
 def test_fold_values_bit_identical():
@@ -139,7 +142,7 @@ def test_fold_cache_keys_on_precision():
 
 
 # sha256 of int_exppoly([3, 2]; [2, 1]) at tau = 1.3i and 40 digits, .dump()
-EXPPOLY_DUMP_SHA256 = "9e424861efce96c453d06d1cfdb9026edeb3b66b3402c08ab234cc6f0256c405"
+EXPPOLY_DUMP_SHA256 = "0975ebc9e04540f76a32109bd52e5d586a46e83fab1b3f55a63157852da9b1b8"
 
 
 def test_int_exppoly_dump_unchanged_by_fold_cache():
@@ -159,3 +162,81 @@ def test_exppoly_call_n_max_is_truncated_value():
     for n_max in (0, 1, 5, g.max_freq() - 1, g.max_freq(), g.max_freq() + 3):
         assert g(t, n_max=n_max)._mpc_ == g.truncated(n_max)(t)._mpc_
     assert g(t, n_max=None)._mpc_ == g(t)._mpc_
+
+
+# -- the fold majorant: it dominates every realized frequency, and is sharp -----
+
+
+def _einf_product(word):
+    out = mpf(1)
+    for kind, k in word:
+        if kind == "const":
+            c = abs(eis_constant(k))
+            out *= mpf(c.numerator) / c.denominator
+    return out
+
+
+def _majorant_words(seed=2019):
+    """Seeded words of depth <= 3 (k <= 11, so |Einf| reaches 140.7) at seeded tau,
+    R words at i with exponents up to 2k-1, and two words that need the peak
+    term of `convolution_majorant` (at n = 2) and the constant |Einf_11|."""
+    rng = random.Random(seed)
+    for _ in range(16):
+        depth = rng.randint(1, 3)
+        word = [(rng.choice(["cusp", "const"]), rng.randint(2, 11)) for _ in range(depth - 1)]
+        word = tuple(word + [("cusp", rng.randint(2, 11))])
+        alphas = tuple(rng.randint(1, min(2 * k - 1, 5)) for _, k in word)
+        yield word, alphas, mpc(rng.randint(-400, 400) / 10, rng.randint(20, 200) / 100)
+    for _ in range(8):
+        word = [(rng.choice(["cusp", "const"]), rng.randint(2, 11)), ("cusp", rng.randint(2, 11))]
+        yield tuple(word), tuple(rng.randint(1, 2 * k - 1) for _, k in word), mpc(0, 1)
+    yield (("cusp", 11), ("cusp", 11)), (1, 1), mpc(0, 1)
+    yield (("const", 11), ("cusp", 11)), (1, 1), mpc(0, 1)
+
+
+def test_fold_majorant_dominates_realized_frequencies():
+    for word, alphas, tau in _majorant_words():
+        with mp.extradps(15):
+            power, c, h = integrals.fold_majorant(word, alphas)
+            u = 2 * mp.pi * abs(tau)
+            scale = sum(mpf(x.numerator) / x.denominator * u**d for d, x in enumerate(c))
+            scale /= (2 * mp.pi) ** h
+            n_cut = integrals.freq_cutoff(word, alphas, tau, BUDGET)
+            fold = integrals._fold(word, alphas, 2 * n_cut)
+            assert fold.max_freq() > n_cut
+            einf = _einf_product(word)
+            for n, poly in fold.terms.items():
+                realized = abs(_peval(poly, tau)) * einf
+                assert realized <= scale * mpf(n) ** power, (word, alphas, tau, n)
+
+
+def test_fold_majorant_stage_constants():
+    # cusp-cusp: zeta(3) <= 3/2 per series, sum_{n1+n2=n} n1^3 n2^2 <= K n^6 with
+    # K = B(4, 3) + 3^3 2^2 / 5^5, and one 1/(2 pi n) per alpha = 1 stage
+    k32 = Fraction(1, 60) + Fraction(108, 3125)
+    word = (("cusp", 2), ("cusp", 2))
+    assert integrals.fold_majorant(word, (1, 1)) == (5, (Fraction(9, 4) * k32,), 2)
+    # const-cusp: |P_n(t)| <= |Einf_3| (3/2) n^2/(2 pi) (|t|/(2 pi n) + 1/(2 pi n)^2)
+    #   <= n (2 pi)^{-3} (1 + 2 pi |t|) / 336, as |Einf_3| = 1/504
+    word = (("const", 3), ("cusp", 2))
+    assert integrals.fold_majorant(word, (2, 1)) == (1, (Fraction(1, 336),) * 2, 3)
+
+
+# certified / needed n_cut at Re tau = 0.3 and y = 0.7, 1, 2; "needed" is the
+# smallest N whose realized dropped terms sum below eps/4, from a fold at 3 n_cut + 10
+SHARPNESS_GRID = {
+    ((2,), (1,)): ((16, 11, 5), (16, 11, 5)),
+    ((3, 4), (2, 3)): ((22, 14, 6), (20, 13, 6)),
+    ((2, 3, 5), (1, 4, 2)): ((22, 14, 6), (21, 14, 6)),
+    ((5, 5), (4, 4)): ((26, 16, 7), (24, 16, 7)),
+}
+
+
+def test_freq_cutoff_sharp_on_grid():
+    for (ks, alphas), (certified, needed) in SHARPNESS_GRID.items():
+        word = tuple(("cusp", k) for k in ks)
+        with mp.extradps(15):
+            got = tuple(integrals.freq_cutoff(word, alphas, mpc("0.3", y), BUDGET)
+                        for y in ("0.7", "1", "2"))
+        assert got == certified
+        assert all(n <= 1.5 * m for n, m in zip(got, needed))

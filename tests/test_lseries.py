@@ -8,7 +8,7 @@ from mpmath import mp, mpc, mpf
 from eistau.algebra import make_index
 from eistau.config import TruncationBudget
 from eistau.eisenstein import divisor_sigma
-from eistau.lseries import l_coeffs_bruteforce, l_coeffs_dp, l_eval
+from eistau.lseries import _coeff_majorant, l_coeffs_bruteforce, l_coeffs_dp, l_eval
 
 BUDGET = TruncationBudget(1e-30, 100_000)
 
@@ -102,3 +102,22 @@ def test_l_eval_matches_coefficient_sum_depth2():
         acc += mpf(c.numerator) / c.denominator * q**m
     ref = (2 * mp.pi * mpc(0, 1)) ** (-3) * acc
     assert abs(val - ref) < mpf("1e-28")
+
+
+@pytest.mark.parametrize(
+    "ks,alphas",
+    [((2,), (1,)), ((11,), (1,)), ((11, 11), (1, 1)), ((3, 4), (6, 1)),
+     ((2, 2, 2), (1, 1, 1)), ((5, 3, 2), (1, 4, 2))],
+)
+def test_coeff_majorant_dominates_exact_coefficients(ks, alphas):
+    idx = make_index(ks, alphas)
+    power, c = _coeff_majorant(idx)
+    coeffs = l_coeffs_dp(idx, 200)
+    assert all(coeffs[m] <= c * m**power for m in range(1, 201))
+
+
+def test_coeff_majorant_layer_constants():
+    # c(m) = sum_{u} sigma_3(u) sigma_3(m-u) / ((m-u) m) with sigma_3(n) <= 3/2 n^3:
+    # the inner layer is 3/2 n^2, the convolution K(3, 2) m^6 = (B(4, 3) + 3^3 2^2 / 5^5) m^6
+    k32 = Fraction(1, 60) + Fraction(108, 3125)
+    assert _coeff_majorant(make_index([2, 2], [1, 1])) == (5, Fraction(9, 4) * k32)

@@ -126,7 +126,7 @@ def _mpc_digest(values) -> str:
 R_WORDS = [([("cusp", 2)], (-2,)), ([("cusp", 3)], (1,)), ([("cusp", 4)], (5,)),
            ([("cusp", 2), ("cusp", 3)], (2, 1)), ([("const", 3), ("cusp", 2)], (2, 1)),
            ([("const", 2), ("cusp", 4)], (1, 3)), ([("const", 4), ("cusp", 2)], (3, 2))]
-R_WORDS_SHA256 = "1661089012ccc3f72b325cd24013f88954deac7ec6a7168566fa64218e4248b9"
+R_WORDS_SHA256 = "1b5cdf53f95f7cb079c30565975ffd43ea462859b6f96e0c73b4e9197eb080c9"
 
 
 def test_r_words_bit_identical():
@@ -278,6 +278,14 @@ def test_zeta_odd_against_naive_sum():
     assert abs(float(zeta_odd(5, ZETA_BUDGET)) - naive_zeta(5, 100_000)) < 1e-12
     assert abs(zeta_odd(3, ZETA_BUDGET) - mpf("1.202056903159594")) < mpf("1e-15")
     assert abs(zeta_odd(5, ZETA_BUDGET) - mpf("1.036927755143370")) < mpf("1e-15")
+
+
+@pytest.mark.parametrize("eps", [1e-18, 1e-30])
+def test_zeta_odd_within_eps_of_mpmath(eps):
+    for s in range(3, 12, 2):
+        z = zeta_odd(s, TruncationBudget(eps))
+        with mp.workdps(60):
+            assert abs(z - mp.zeta(s)) <= eps, s
 
 
 def test_zeta_odd_monotone():

@@ -12,13 +12,13 @@ from eistau.verify import run_suite
 # must update the digest here and explain the changed digits in CHANGES.md.
 SMALL_REPORT_SHA256 = {
     "roundtrip": "a34c7d628c72dbbc7a2cfab4cf18fd5937f76b819eeb2be4b1733d35a445050d",
-    "shuffle": "90440c40b3dbeb4b5d5f5d50b02bc7157b705bcbf30b0ca49045c20560fcd76c",
-    "stuffle": "df71f936b0e41f7e044c066c9365b9df239059f4e88f155b2cd3a1657a07f36c",
-    "deriv": "d7984a1b5b1e1b4ca5f697e372d963a0bd4992792f0c35da2603501b398ea303",
-    "fund": "e1f471aa021a7668b8ca216311d4e39db58d1015db86fa40a65b609ee82c073e",
-    "haberland": "467b64da769b69c0359aa20e81f4732c30cf5defd882a57724b5d139c2946547",
-    "symmetry": "b8a27f36b54fb333443a9b99f81bf7435f8403512e609139bbcafeb09f443b98",
-    "firstdiff": "6047e5ee51b07d9e352d090ec5dcb1a4669fc093f76d149b9d9ffc774c678b30",
+    "shuffle": "40f9d9458e2d4597ad35b935230aa055658f871a6065fbc766038cee57e27401",
+    "stuffle": "f7f802695a720485cef67bbdec9c66a438f270aee51fca7e4aff9bd2d8c3c323",
+    "deriv": "ed1d50a387f1976bbd7b8eef79375db2ac5c41f060e1a1534faf62fd3c299b20",
+    "fund": "c454f816933cb4f975532b2237a246011b036c8a47882c5b892a6e24fbd98c32",
+    "haberland": "ad08d10362ff3dee0ffe6c33f8f7d5663e9d27f43e191dad438b44feac6c4f83",
+    "symmetry": "4d878787d7e9ecc122454471ff70b9cf192099b8adf4a55e2d1239fa77b361c9",
+    "firstdiff": "2e87183c2b9d02fd8921304a9a6eb254171a475fbc04cabc363f15e05469de62",
 }
 
 # sha256 of run_suite(suite, "full").to_json().  The roundtrip grid reaches depth
@@ -27,17 +27,17 @@ SMALL_REPORT_SHA256 = {
 # R words of `mmv`.
 FULL_REPORT_SHA256 = {
     "roundtrip": "b8231873ba78e816b20d78296b856f5f55227ce8898a09d09f810c524d154594",
-    "shuffle": "3b3f3095ca220a51f5fbce22d5ef418961462d0336b049f39dfa6e196444886c",
-    "stuffle": "4c88aa4acb58bff713f995d0cf60d168b7171a5a73a84077148776084869e271",
-    "deriv": "354809705b35944c4d5e5c42d9e42a866c41c5f132077a59998fb7909cbcaffc",
-    "fund": "65e3e534e63ec635c8d1a7783d8d67ae87568458a5e461b3dffd0541969c10df",
-    "haberland": "6c46a519dee39465e42bd242a757e25969c737798f9fd177c83116c8df50f475",
-    "symmetry": "bd72de2b9852df1119623402e75ef5be26ac3f2a3d28e4d31d5177b0bcf6ee4b",
-    "firstdiff": "5d9fddbf1ad381c7436c6ee18e2fc0a11912f65d0127ff27c2ea6e12bc36a1fa",
+    "shuffle": "150f78f86cba68beec2169a47726cd6d4ab2c0ac8bb69bd6e6f7366ee7d0b8a5",
+    "stuffle": "886ba02f9f23c7c7048018b536ae83f9bacc75297969bef04a074d1c4d1a5f95",
+    "deriv": "49785c0f04a7954dbd6628ebcc8e464ed12f9134ec83598ddfd2df5dc55d8fe7",
+    "fund": "68a30b7a3690937e39fc1e91b605a0471ca647e71c5bc8533c7feaa4dd204553",
+    "haberland": "2fb126432e6de8e8eaea8f60299140ce8e15adcbdf90794819ba6cd37b201405",
+    "symmetry": "26b6083f76622d59b403d146311fdc76ff4bbb7505f9c36384b349f00aa120d1",
+    "firstdiff": "e1d9e8cc9903fc2cf0bc90eff4fa38b45dd3095ae3e7ed17d3955f244c4bf0d2",
 }
 
 # sha256 of run_suite("oracle-cross", "small").to_json() with the Chebyshev panel oracles.
-ORACLE_CROSS_SMALL_SHA256 = "ab3ffee7cd938f7921df0792df82c2874f5d1379a26b158b9e0bb8b70af66471"
+ORACLE_CROSS_SMALL_SHA256 = "1339bca4ea0fd630d539d2177f464f0bd5fbb3f0e56d9dc16f3a274b16b1391d"
 
 
 def test_closed_suite_small_reports_byte_identical():
