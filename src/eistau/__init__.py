@@ -59,13 +59,11 @@ def clear_caches() -> None:
     Clears the memo of base-point integrals (`mmv`), the fold cache of the
     iterated integrals, its seen-set and the fold majorants (`integrals`; a
     fold is kept from its word's second evaluation on, at the largest n_cut so
-    far), the L-series
-    coefficient tables (`lseries`), the truncation-index cache, the
-    divisor-sum sieve and the Bernoulli table (`eisenstein`; the sieve and
-    the table under their locks, the table back to b_0 alone), the Chebyshev
-    rules of the quadrature oracles (`quadrature`) and the exact conversion
-    tables of the rewrite algebra (`rewrite._int_to_l_table` and
-    `rewrite._l_to_int_table`).
+    far), the L-series coefficient tables (`lseries`), the divisor-sum sieve
+    and the Bernoulli table (`eisenstein`; the sieve and the table under their
+    locks, the table back to b_0 alone), the Chebyshev rules of the quadrature
+    oracles (`quadrature`) and the exact conversion tables of the rewrite
+    algebra (`rewrite._int_to_l_table` and `rewrite._l_to_int_table`).
     """
     from . import eisenstein, integrals, lseries, mmv, quadrature, rewrite
 
@@ -74,7 +72,6 @@ def clear_caches() -> None:
     integrals._fold_seen.clear()
     integrals.fold_majorant.cache_clear()
     lseries._coeff_cache.clear()
-    eisenstein._trunc_cache.clear()
     quadrature._rules.clear()
     rewrite._int_to_l_table.cache_clear()
     rewrite._l_to_int_table.cache_clear()

@@ -74,6 +74,13 @@ def _parse_args(argv):
     return ap.parse_args(argv)
 
 
+def _bound(x: float) -> str:
+    """x at 3 significant digits, rounded up so that the printed figure is still >= x."""
+    s = f"{x:.2e}"
+    step = 10.0 ** (int(s.split("e")[1]) - 2)  # one unit in the third digit
+    return f"{float(s) + step if float(s) < x else float(s):.3g}"
+
+
 def _cmd_eval_l(args) -> int:
     config = _config(args)
     gen = parse_generator(args.index)
@@ -82,7 +89,7 @@ def _cmd_eval_l(args) -> int:
     tau = parse_complex(args.tau)
     value = l_eval(gen.index(), tau, config.budget())
     print(f"value = {format_complex(value)}")
-    print(f"tail_bound <= {config.eps:.3g}")
+    print(f"tail_bound <= {_bound(config.eps)}")
     if args.coeffs_out:
         coeffs = l_coeffs_dp(gen.index(), args.coeffs_n)
         with open(args.coeffs_out, "w", encoding="utf-8") as fh:
@@ -102,7 +109,7 @@ def _cmd_eval_int(args) -> int:
     value = tau**gen.power * int_eval(gen.index(), tau, config.budget())
     print(f"value = {format_complex(value)}")
     # int_eval is certified to eps, so tau^t int_eval is to |tau|^t eps
-    print(f"tail_bound <= {config.eps * float(abs(tau)) ** gen.power:.3g}")
+    print(f"tail_bound <= {_bound(config.eps * float(abs(tau)) ** gen.power)}")
     if args.dump_exppoly:
         print(int_exppoly(gen.index(), tau, config.budget()).dump())
     return 0

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import threading
 from fractions import Fraction
-from math import comb, expm1, factorial, log, log1p
+from math import ceil, comb, expm1, factorial, log, log1p, pi
 
 from mpmath import mp, mpc, mpf
 
@@ -120,78 +120,66 @@ def convolution_majorant(a: int, b: int) -> Fraction:
     return beta + Fraction(a**a * b**b, (a + b) ** (a + b))
 
 
-def tail_start(power: int, x, eps, n_max: int) -> int:
-    """An N certified to satisfy sum_{n > N} n^power x^n < eps, for 0 <= x < 1.
+def tail_start(power: int, y, eps, n_max: int) -> int:
+    """An N certified to satisfy sum_{n > N} n^power x^n < eps for x = e^{-2 pi y}, y > 0.
 
     Bound: once rho = ((N+2)/(N+1))^power * x < 1 the terms decay at least
     geometrically past N, so the tail is at most t(N+1) / (1 - rho).
 
-    The step loop screens both tests in double precision on log rho and on
-    the log tail, and decides in mpf only when |log rho| <= 1e-6 or the log
-    tail lies within 1e-6 (1 + |log eps|) of log eps: far past the error of
-    the floats, so N is the one the mpf tests alone give.
+    The step loop starts past the peak of n^power x^n and screens both tests
+    in double precision with ln x = -2 pi y.  The mpf x, ln x and ln eps are
+    made only where the floats cannot decide: power / (2 pi y) within a
+    relative 1e-9 of an integer (the start), |log rho| <= 1e-6, or the log tail
+    within 1e-6 (1 + |log eps|) of log eps; far past the error of the floats,
+    so N is the one the mpf tests alone give.
     """
-    x = mpf(x)
-    eps = mpf(eps)
-    if x < 0 or x >= 1:
-        raise ValueError("x must lie in [0, 1)")
-    if x == 0:
-        return 1
-    lnx = mp.log(x)
-    log_eps = mp.log(eps)
-    lnx_f, log_eps_f = float(lnx), float(log_eps)
+    lnx_f = -2 * pi * float(y)
+    if not lnx_f < 0:
+        raise ValueError("y must be positive")
+    eps_f = float(eps)
+    log_eps_f = log(eps_f) if eps_f > 1e-300 else float(mp.log(eps))
     margin = 1e-6 * (1 + abs(log_eps_f))
-    n = max(1, int(mp.ceil(power / (-lnx))))  # past the peak of n^power x^n
+    ratio = power / -lnx_f
+    n = max(1, ceil(ratio))
+    if abs(ratio - round(ratio)) < 1e-9 * ratio:
+        n = int(mp.ceil(power / -mp.log(_x(y))))
     while n <= n_max:
         log_rho = power * log1p(1 / (n + 1)) + lnx_f
         if log_rho < -1e-6:
             log_tail = power * log(n + 1) + (n + 1) * lnx_f - log(-expm1(log_rho))
             if log_tail < log_eps_f - margin:
                 return n
-            if log_tail <= log_eps_f + margin and _tail_below(power, n, x, lnx, log_eps):
+            if log_tail <= log_eps_f + margin and _tail_below(power, n, y, eps):
                 return n
-        elif log_rho <= 1e-6 and _tail_below(power, n, x, lnx, log_eps):
+        elif log_rho <= 1e-6 and _tail_below(power, n, y, eps):
             return n
         n += 1 + n // 16
     raise BudgetError(
-        f"truncation index cap {n_max} reached before certified tail < {float(eps)}; "
+        f"truncation index cap {n_max} reached before certified tail < {eps_f}; "
         "Im tau is too small for this budget"
     )
 
 
-def _tail_below(power: int, n: int, x: mpf, lnx: mpf, log_eps: mpf) -> bool:
+def _x(y) -> mpf:
+    """x = e^{-2 pi y} as an mpf; the mpf tests take ln x as its log, so they test that x."""
+    return mp.exp(-2 * mp.pi * mpf(y))
+
+
+def _tail_below(power: int, n: int, y, eps) -> bool:
     """The mpf test of tail_start at n: rho < 1 and the geometric tail bound < eps."""
+    x = _x(y)
     rho = (mpf(n + 2) / (n + 1)) ** power * x
     if not rho < 1:
         return False
-    return power * mp.log(n + 1) + (n + 1) * lnx - mp.log(1 - rho) < log_eps
-
-
-_trunc_cache: dict[tuple[int, float, float, int], int] = {}
-
-
-def _cached_tail_start(power: int, y, eps, n_max: int) -> int:
-    """tail_start for x = e^{-2 pi y}, cached on a downward-quantized y.
-
-    Quantizing y downward only enlarges x, so the cached N stays certified.
-    """
-    yf = float(y)
-    y_q = int(yf * 8) / 8.0
-    if y_q <= 0:
-        return tail_start(power, mp.exp(-2 * mp.pi * y), eps, n_max)
-    key = (power, y_q, float(eps), n_max)
-    n = _trunc_cache.get(key)
-    if n is None:
-        n = tail_start(power, mp.exp(-2 * mp.pi * mpf(y_q)), eps, n_max)
-        _trunc_cache[key] = n
-    return n
+    return power * mp.log(n + 1) + (n + 1) * mp.log(x) - mp.log(1 - rho) < mp.log(mpf(eps))
 
 
 def eis_cusp_eval(k: int, tau, budget: TruncationBudget = DEFAULT_BUDGET) -> mpc:
     """Cusp part sum_{n=1}^N sigma_{2k-1}(n) q^n with certified tail below budget.eps.
 
-    The tail certificate uses sigma_{2k-1}(n) <= n^{2k}.  Raises BudgetError if
-    Im tau is too small for the requested eps within budget.n_max terms.
+    The tail certificate uses sigma_{2k-1}(n) <= n^{2k}, with N from tail_start
+    at Im tau itself.  Raises BudgetError if Im tau is too small for the
+    requested eps within budget.n_max terms.
     """
     if k < 2:
         raise ValueError("k must be >= 2")
@@ -199,7 +187,7 @@ def eis_cusp_eval(k: int, tau, budget: TruncationBudget = DEFAULT_BUDGET) -> mpc
     if not tau.imag > 0:
         raise ValueError("Im tau must be positive")
     with mp.extradps(10):
-        n_trunc = _cached_tail_start(2 * k, tau.imag, budget.eps, budget.n_max)
+        n_trunc = tail_start(2 * k, tau.imag, budget.eps, budget.n_max)
         sig = sigma_table(2 * k - 1, n_trunc)
         q = mp.expjpi(2 * tau)
         qn = mpc(1)

@@ -121,8 +121,7 @@ def freq_cutoff(word, alphas, tau: mpc, budget: TruncationBudget) -> int:
     for x in reversed(c):
         scale = scale * u + mpf(x.numerator) / x.denominator
     scale /= two_pi**h
-    return tail_start(power, mp.exp(-two_pi * tau.imag), mpf(budget.eps) / (2 * scale),
-                      budget.n_max)
+    return tail_start(power, tau.imag, mpf(budget.eps) / (2 * scale), budget.n_max)
 
 
 # (word, alphas, mp.prec) -> (n_cut, fold truncated at n_cut), the largest n_cut

@@ -23,7 +23,7 @@ from mpmath import mp, mpc, mpf
 
 from .algebra import CompositeIndex
 from .config import DEFAULT_BUDGET, TruncationBudget
-from .eisenstein import _cached_tail_start, convolution_majorant, sigma_majorant, sigma_table
+from .eisenstein import convolution_majorant, sigma_majorant, sigma_table, tail_start
 
 BRUTEFORCE_MAX_DEPTH = 4
 BRUTEFORCE_MAX_N = 200
@@ -154,7 +154,9 @@ def _coeffs_upto(index: CompositeIndex, n: int) -> LCoefficients:
 
 
 def l_eval(index: CompositeIndex, tau, budget: TruncationBudget = DEFAULT_BUDGET) -> mpc:
-    """Series value at tau with certified truncation; depth 0 returns 1."""
+    """Series value at tau with certified truncation; depth 0 returns 1.
+
+    N is certified by tail_start at Im tau for the majorant c(m) <= C m^P."""
     if index.depth == 0:
         return mpc(1)
     tau = mpc(tau)
@@ -170,7 +172,7 @@ def l_eval(index: CompositeIndex, tau, budget: TruncationBudget = DEFAULT_BUDGET
         prefactor = (2 * mp.pi * mpc(0, 1)) ** (-alpha_sum) * tau**index.t
         power, c = _coeff_majorant(index)
         eps_series = mpf(budget.eps) / ((1 + abs(prefactor)) * (mpf(c.numerator) / c.denominator))
-        n_trunc = _cached_tail_start(power, tau.imag, eps_series, budget.n_max)
+        n_trunc = tail_start(power, tau.imag, eps_series, budget.n_max)
         coeffs = _coeffs_upto(index, n_trunc)
         q = mp.expjpi(2 * tau)
         qn = mpc(1)

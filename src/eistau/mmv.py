@@ -66,7 +66,7 @@ from mpmath import mp, mpc, mpf
 
 from .algebra import CompositeIndex
 from .config import DEFAULT_BUDGET, BudgetError, SingularParameterError, TruncationBudget
-from .eisenstein import CONST, CUSP, bernoulli, sigma_table, tail_start
+from .eisenstein import CONST, CUSP, bernoulli, sigma_majorant, sigma_table, tail_start
 from .eisenstein import _constant_mpf as _einf
 # int_eval is unused here, but bench/test_bench.py checks that the benchmark's
 # tracer restores this binding.
@@ -110,6 +110,13 @@ def t_const_const(k1: int, k2: int, b1: int, b2: int) -> mpc:
     return _einf(k1) * _einf(k2) * _ipow(b1 + b2) / (b1 * (b1 + b2))
 
 
+def _gammainc_majorant(k: int) -> tuple[int, mpf]:
+    """(P, C) with |sigma_{2k-1}(n) (i / 2 pi n)^alpha Gamma(alpha, 2 pi n)| <= C n^P e^{-2 pi n}
+    for alpha <= 1, where Gamma(alpha, x) <= x^{alpha-1} e^{-x}; sigma by sigma_majorant(k)."""
+    c = sigma_majorant(k)
+    return 2 * k - 2, mpf(c.numerator) / c.denominator / (2 * mp.pi)
+
+
 def _r(word: tuple, alphas: tuple, budget: TruncationBudget) -> mpc:
     """R(word; alphas), memoized by value: the `integrals` fold of the word, or
     for one cusp factor with alpha <= 0 (convergent too) the gammainc sum."""
@@ -123,9 +130,8 @@ def _r(word: tuple, alphas: tuple, budget: TruncationBudget) -> mpc:
         # sum_n sigma(n) (i / 2 pi n)^alpha Gamma(alpha, 2 pi n)
         ((_, k),), (alpha,) = word, alphas
         with mp.extradps(10):
-            n_trunc = tail_start(
-                2 * k - alpha + 2, mp.exp(-2 * mp.pi), mpf(budget.eps), budget.n_max
-            )
+            power, c = _gammainc_majorant(k)
+            n_trunc = tail_start(power, 1, mpf(budget.eps) / c, budget.n_max)
             sig = sigma_table(2 * k - 1, n_trunc)
             acc = mpc(0)
             for n in range(1, n_trunc + 1):

@@ -89,12 +89,20 @@ def test_eval_int_bound_covers_tau_power(capsys):
     assert main(argv) == 0
     value_line, bound_line = capsys.readouterr().out.splitlines()
     value = parse_complex(value_line.removeprefix("value = "))
-    assert bound_line == "tail_bound <= 1.6e-27"  # |tau|^2 eps, |tau|^2 = 1600.0225
+    assert bound_line == "tail_bound <= 1.61e-27"  # |tau|^2 eps = 1.6000225e-27, rounded up
     bound = mpf(bound_line.removeprefix("tail_bound <= "))
     eps, tau = EngineConfig().eps, mpc(40, "0.15")
     with mp.workdps(60):
         ref = tau**2 * int_eval(make_index([5], [3]), tau, TruncationBudget(eps * 1e-10))
         assert abs(value - ref) <= bound
+
+
+def test_eval_l_bound_rounded_up(capsys):
+    # the printed tail_bound stays a bound: 1.2345e-30 rounds up, not to nearest
+    argv = ["eval-l", "--index", "L{ks=[2];alphas=[1];t=0}", "--tau", "0+2i",
+            "--eps", "1.2345e-30"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.splitlines()[1] == "tail_bound <= 1.24e-30"
 
 
 def test_readme_command_lines_run(tmp_path, monkeypatch, capsys):

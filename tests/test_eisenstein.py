@@ -109,7 +109,7 @@ def test_tail_start_certificate():
     # the certified N really bounds the tail (checked against a long direct sum)
     x = mp.exp(-2 * mp.pi)
     for power in (4, 10):
-        n0 = tail_start(power, x, mpf("1e-25"), 10_000)
+        n0 = tail_start(power, 1, mpf("1e-25"), 10_000)
         tail = sum(mpf(n) ** power * x**n for n in range(n0 + 1, n0 + 400))
         assert tail < mpf("1e-25")
 
@@ -143,23 +143,55 @@ def _tail_start_mpf(power, x, eps, n_max):
     raise BudgetError("cap reached")
 
 
+def _same_outcome(power, y, eps):
+    """tail_start on y against the mpf reference loop on x = e^{-2 pi y}; True if both raise."""
+    got = want = BudgetError
+    try:
+        got = tail_start(power, y, eps, 500)
+    except BudgetError:
+        pass
+    try:
+        want = _tail_start_mpf(power, mp.exp(-2 * mp.pi * y), eps, 500)
+    except BudgetError:
+        pass
+    assert got == want, (power, y, eps)
+    return got is BudgetError
+
+
 def test_tail_start_screen_matches_mpf_loop():
     # the double-precision screen picks the same N as the mpf tests, BudgetError included
     rng = random.Random(20261018)
     outcomes = []
     for _ in range(3000):
         power = rng.randint(2, 70)
-        x = mp.exp(-2 * mp.pi * mpf(0.05 * 800 ** rng.random()))  # y log-uniform on [0.05, 40]
+        y = mpf(0.05 * 800 ** rng.random())  # log-uniform on [0.05, 40]
         eps = mpf(10) ** -rng.randint(10, 60)
-        got = want = BudgetError
-        try:
-            got = tail_start(power, x, eps, 500)
-        except BudgetError:
-            pass
-        try:
-            want = _tail_start_mpf(power, x, eps, 500)
-        except BudgetError:
-            pass
-        assert got == want, (power, x, eps)
-        outcomes.append(got is BudgetError)
+        outcomes.append(_same_outcome(power, y, eps))
     assert 0 < sum(outcomes) < len(outcomes)
+
+
+def test_tail_start_start_index_near_integer_ratio():
+    # power / (2 pi y) at or within a relative 1e-9 of an integer m: the float
+    # ceiling cannot decide there, so the start index comes from the mpf ln x
+    rng = random.Random(20261019)
+    for _ in range(400):
+        power, m = rng.randint(2, 70), rng.randint(1, 120)
+        delta = rng.choice((0, rng.uniform(-1e-9, 1e-9), rng.uniform(-1e-15, 1e-15)))
+        y = power / (2 * mp.pi * m * (1 + mpf(delta)))
+        _same_outcome(power, y, mpf(10) ** -rng.randint(10, 60))
+
+
+def test_eis_cusp_eval_cutoff_at_exact_im_tau(monkeypatch):
+    from eistau import eisenstein
+
+    seen = []
+
+    def spy(power, y, eps, n_max):
+        seen.append(y)
+        return tail_start(power, y, eps, n_max)
+
+    monkeypatch.setattr(eisenstein, "tail_start", spy)
+    tau = mpc("0.3", "0.74")
+    budget = TruncationBudget(1e-30, 10_000)
+    eis_cusp_eval(3, tau, budget)
+    assert seen == [tau.imag]

@@ -121,3 +121,15 @@ def test_coeff_majorant_layer_constants():
     # the inner layer is 3/2 n^2, the convolution K(3, 2) m^6 = (B(4, 3) + 3^3 2^2 / 5^5) m^6
     k32 = Fraction(1, 60) + Fraction(108, 3125)
     assert _coeff_majorant(make_index([2, 2], [1, 1])) == (5, Fraction(9, 4) * k32)
+
+
+def test_l_eval_cutoff_certified_at_exact_im_tau():
+    # N comes from tail_start at Im tau itself: rounding Im tau down to a
+    # multiple of 1/8 gave tables of 22 and 13 for the same budget
+    from eistau import clear_caches, lseries
+
+    idx = make_index([3, 4], [2, 3])
+    for tau, n in ((mpc("0.3", "0.74"), 18), (mpc("0.3", "1.1"), 12)):
+        clear_caches()
+        l_eval(idx, tau, BUDGET)
+        assert lseries._coeff_cache[(idx.ks, idx.alphas)].n == n

@@ -126,7 +126,7 @@ def _mpc_digest(values) -> str:
 R_WORDS = [([("cusp", 2)], (-2,)), ([("cusp", 3)], (1,)), ([("cusp", 4)], (5,)),
            ([("cusp", 2), ("cusp", 3)], (2, 1)), ([("const", 3), ("cusp", 2)], (2, 1)),
            ([("const", 2), ("cusp", 4)], (1, 3)), ([("const", 4), ("cusp", 2)], (3, 2))]
-R_WORDS_SHA256 = "1b5cdf53f95f7cb079c30565975ffd43ea462859b6f96e0c73b4e9197eb080c9"
+R_WORDS_SHA256 = "1f0ba93eec4c036449fa2d6e6a6935517af377b89980f4a132d1d88a992197a9"
 
 
 def test_r_words_bit_identical():
@@ -316,8 +316,8 @@ def test_clear_caches_recomputes_bit_identical_values():
     before = [v._mpc_ for v in values()]
     assert len(eisenstein._bernoulli_even) > 1
     clear_caches()
-    caches = (mmv._memo, lseries._coeff_cache, eisenstein._trunc_cache,
-              eisenstein._sigma_tables, integrals._folds, integrals._fold_seen)
+    caches = (mmv._memo, lseries._coeff_cache, eisenstein._sigma_tables,
+              integrals._folds, integrals._fold_seen)
     assert not any(caches)
     assert eisenstein._bernoulli_even == [Fraction(1)]
     assert [v._mpc_ for v in values()] == before
@@ -347,3 +347,22 @@ def test_clear_caches_empties_rewrite_tables_and_converts_equal():
     assert after == before
     assert after[1] == fs and after[2]
     assert all(t.cache_info().currsize for t in tables)
+
+
+def test_gammainc_majorant_dominates_terms():
+    # every term sigma(n) (i / 2 pi n)^alpha Gamma(alpha, 2 pi n) of the alpha <= 0
+    # R sum lies below C n^P e^{-2 pi n}, the majorant its cutoff is sized with
+    from eistau.eisenstein import sigma_table
+    from eistau.mmv import _gammainc_majorant
+
+    worst = 0
+    for alpha in range(-6, 1):
+        # |(i / 2 pi n)^alpha Gamma(alpha, 2 pi n)| e^{2 pi n}, shared by every k
+        g = [(2 * mp.pi * n) ** -alpha * mp.gammainc(alpha, 2 * mp.pi * n) * mp.exp(2 * mp.pi * n)
+             for n in range(1, 201)]
+        for k in range(2, 8):
+            power, c = _gammainc_majorant(k)
+            sig = sigma_table(2 * k - 1, 200)
+            worst = max(worst, max(sig[n] * g[n - 1] / (c * mpf(n) ** power)
+                                   for n in range(1, 201)))
+    assert worst <= 1, worst

@@ -18,7 +18,7 @@ SMALL_REPORT_SHA256 = {
     "fund": "c454f816933cb4f975532b2237a246011b036c8a47882c5b892a6e24fbd98c32",
     "haberland": "ad08d10362ff3dee0ffe6c33f8f7d5663e9d27f43e191dad438b44feac6c4f83",
     "symmetry": "4d878787d7e9ecc122454471ff70b9cf192099b8adf4a55e2d1239fa77b361c9",
-    "firstdiff": "2e87183c2b9d02fd8921304a9a6eb254171a475fbc04cabc363f15e05469de62",
+    "firstdiff": "b2ada6832ea83650d805f5096d3293cb334a1a15d67a4a349483a0fd7175233a",
 }
 
 # sha256 of run_suite(suite, "full").to_json().  The roundtrip grid reaches depth
@@ -33,11 +33,11 @@ FULL_REPORT_SHA256 = {
     "fund": "68a30b7a3690937e39fc1e91b605a0471ca647e71c5bc8533c7feaa4dd204553",
     "haberland": "2fb126432e6de8e8eaea8f60299140ce8e15adcbdf90794819ba6cd37b201405",
     "symmetry": "26b6083f76622d59b403d146311fdc76ff4bbb7505f9c36384b349f00aa120d1",
-    "firstdiff": "e1d9e8cc9903fc2cf0bc90eff4fa38b45dd3095ae3e7ed17d3955f244c4bf0d2",
+    "firstdiff": "e3e5af68f7edd7f2df10f4247a1782577ec1bd9f922f6c5a918b2f5d631013ad",
 }
 
 # sha256 of run_suite("oracle-cross", "small").to_json() with the Chebyshev panel oracles.
-ORACLE_CROSS_SMALL_SHA256 = "1339bca4ea0fd630d539d2177f464f0bd5fbb3f0e56d9dc16f3a274b16b1391d"
+ORACLE_CROSS_SMALL_SHA256 = "54bd1e266c09a13f79346300588b516888d410535d44e09afb4c475baca9752e"
 
 
 def test_closed_suite_small_reports_byte_identical():
