@@ -12,29 +12,36 @@ nonzero frequency-0 part makes the tail diverge and is rejected.
 
 The elementary building block is
 
-    int_a^{i oo} e^{2 pi i n s} Q(s) ds = -e^{2 pi i n a} sum_j (-1)^j Q^(j)(a) / c^{j+1}
+    int_a^{i oo} e^{2 pi i n s} Q(s) ds = -e^{2 pi i n a} R(a),
+    R = sum_j (-1)^j Q^(j) / c^{j+1},
 
-with c = 2 pi i n, applied per frequency with Q(s) = P_n(s) s^{alpha-1}.
+with c = 2 pi i n, applied per frequency with Q(s) = P_n(s) s^{alpha-1}.  R is
+the polynomial solution of c R + R' = Q, so its coefficients follow from the
+top one down: r_D = q_D / c and r_m = (q_m - (m+1) r_{m+1}) / c.
 
 The two steps of an iterated tail integral work on raw mpf parts (flat lists
 of real and imaginary parts, through `mpmath.libmp` at the context's precision
-and rounding), not on mpc objects, and give bit-identical values to the
-mpc-level formulas:
+and rounding), not on mpc objects:
 
 * `mul_qseries` multiplies by a q-series with integer coefficients (a cusp
   series sum_n sigma(n) e^{2 pi i n t}) and truncates at n_cut.  It forms only
   the frequency pairs n1 + n2 <= n_cut and sums each output frequency in
   place in ascending n1, so it rounds exactly as `ExpPoly.__mul__` followed by
   `truncated`.
-* `ExpPoly.tail_integral` reproduces the per-derivative formula above
-  operation for operation: for j = 0, 1, ... it adds Q^(j) times
-  -(-1)^j / c^{j+1} into the result and replaces Q by its derivative, in
-  place.  c is exactly imaginary, so every such factor is exactly real or
-  exactly imaginary and its mpc products reduce to real ones.
+* `ExpPoly.tail_integral` runs that recurrence, O(D) operations per frequency
+  of degree D, and returns -R.  c = i b is exactly imaginary, so a division by
+  c is two real divisions, (x + iy) / (ib) = (y - ix) / b, each rounded once;
+  the subtraction and the product (m+1) r_{m+1} round as mpc arithmetic rounds
+  them.  The tests pin it bit for bit to that statement on mpc values, and
+  within 2^(4-prec) of each frequency's largest coefficient to the sum over
+  derivatives at 30 more digits.
 
 Both skip exact zeros (the parts below s^{alpha-1} after the shift, and the
-zero halves of exactly real or imaginary coefficients): adding or multiplying
-one changes no bit.  The tests pin the identity.
+zero halves of exactly real or imaginary coefficients) where skipping changes
+no bit.
+
+`ExpPoly.__call__` computes one q = e^{2 pi i t} and runs Horner in q from the
+highest frequency (at most n_max) down, each P_n(t) by Horner in t.
 
 Instances are treated as immutable: all operations return new values.
 """
@@ -43,17 +50,15 @@ from __future__ import annotations
 
 from mpmath import mp, mpc
 from mpmath.libmp import (
-    fnone,
     from_int,
     fzero,
     mpf_add,
     mpf_div,
-    mpf_mul,
     mpf_mul_int,
     mpf_neg,
+    mpf_sub,
     to_int,
 )
-from mpmath.libmp.libmpf import round_fast
 
 Poly = tuple  # coefficient tuple, index = power of t
 
@@ -178,46 +183,37 @@ class ExpPoly:
             b = (two_pi_i * n)._mpc_[1]  # c = 2 pi i n = i b, real part exactly 0
             q = [fzero] * (2 * alpha - 2) + _flat(p)  # Q = P_n(s) s^{alpha-1}
             acc = [fzero] * len(q)
-            sign = fnone  # -(-1)^j / c^{j+1} for j = 0, 1, ...
-            v, imag = b, True  # c^{j+1} = i v if imag else v
-            for top in range(len(q), 0, -2):  # Q^(j) fills q[:top]
-                # sign / c^{j+1} and c^{j+2}, rounded as mpc division and mpc
-                # multiplication round them: c^{j+1} is exactly real or exactly
-                # imaginary, so each takes one real product.  Times a real factor
-                # f, a part of q[i] stays in place; times i f, the real part x
-                # gives i x f and the imaginary part y gives -y f.
-                m = mpf_mul(v, v, prec + 10, round_fast)
-                num = mpf_mul(v, sign)
-                if imag:
-                    f = mpf_div(mpf_neg(num), m, prec, rnd)
-                    f_x, f_y, flip = f, mpf_neg(f), 1
-                    v = mpf_mul(v, mpf_neg(b), prec, rnd)
-                else:
-                    f_x = f_y = mpf_div(num, m, prec, rnd)
-                    flip = 0
-                    v = mpf_mul(v, b, prec, rnd)
-                for k in range(top):
-                    x = q[k]
-                    if x != fzero:
-                        x = mpf_mul(x, f_y if k & 1 else f_x, prec, rnd)
-                        a = acc[k ^ flip]
-                        acc[k ^ flip] = x if a == fzero else mpf_add(a, x, prec, rnd)
-                for k in range(top - 2):  # Q <- Q'
-                    x = q[k + 2]
-                    q[k] = fzero if x == fzero else mpf_mul_int(x, (k >> 1) + 1, prec, rnd)
-                sign = mpf_neg(sign)
-                imag = not imag
+            x = y = None  # parts of (m+1) r_{m+1}; none above the top
+            for k in range(len(q) - 2, -1, -2):  # r_m from m = D down, k = 2m
+                wx, wy = q[k], q[k + 1]
+                if x is not None:  # w = q_m - (m+1) r_{m+1}, as mpc subtraction rounds it
+                    wx = mpf_neg(x) if wx == fzero else mpf_sub(wx, x, prec, rnd)
+                    wy = mpf_neg(y) if wy == fzero else mpf_sub(wy, y, prec, rnd)
+                # r_m = w / (i b) = (Im w - i Re w) / b; the integral's coefficient is -r_m
+                u = fzero if wy == fzero else mpf_div(wy, b, prec, rnd)
+                v = fzero if wx == fzero else mpf_div(wx, b, prec, rnd)
+                acc[k], acc[k + 1] = mpf_neg(u), v
+                m = k >> 1
+                x = fzero if u == fzero else mpf_mul_int(u, m, prec, rnd)
+                y = fzero if v == fzero else mpf_mul_int(mpf_neg(v), m, prec, rnd)
             out[n] = acc
         return _from_flat(out)
 
     def __call__(self, t, n_max: int | None = None) -> mpc:
-        """Value at t, summed from the highest frequency down; with n_max, of
-        `self.truncated(n_max)`, bit for bit."""
+        """Value at t by Horner in q = e^{2 pi i t}, from the highest frequency
+        (<= n_max) down; with n_max, of `self.truncated(n_max)`, bit for bit."""
         t = mpc(t)
-        acc = mpc(0)
-        for n, p in sorted(self.terms.items(), reverse=True):
-            if n_max is None or n <= n_max:
-                acc += _peval(p, t) * mp.expjpi(2 * n * t)
+        terms = self.terms
+        top = max((n for n in terms if n_max is None or n <= n_max), default=None)
+        if top is None:
+            return mpc(0)
+        q = mp.expjpi(2 * t)
+        acc = _peval(terms[top], t)
+        for n in range(top - 1, -1, -1):
+            acc *= q
+            p = terms.get(n)
+            if p:
+                acc += _peval(p, t)
         return acc
 
     def dump(self) -> str:

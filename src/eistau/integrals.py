@@ -30,14 +30,16 @@ does, and the frequencies <= N' of the fold truncated at N >= N' are
 bit-identical to the fold truncated at N'.  A term at frequency n is built
 only from input frequencies below n; `mul_qseries` sums each output frequency
 in ascending n1; `tail_integral` works per frequency; and `ExpPoly.__call__`
-visits the frequencies in descending order.  So one fold per word, kept at
-the largest n_cut computed so far, serves every tau, with the same bits as a
-fold made for that tau alone.  The fold cache keys on (word, alphas, working
-precision) and admits a key on its second sight only; the first sight records
-it in a seen-set (the doorkeeper of TinyLFU admission), so a word evaluated
-once, such as the base-point words that `mmv` memoizes by value, holds no
-fold.  The key holds the const weights too: without them the const words of
-`mmv` would meet again across weights, be admitted, and raise peak memory.
+with n_max runs Horner in q from the highest frequency <= n_max down, a
+frequency both folds hold, and never reads one above it.  So one fold per
+word, kept at the largest n_cut computed so far, serves every tau, with the
+same bits as a fold made for that tau alone.  The fold cache keys on (word,
+alphas, working precision) and admits a key on its second sight only; the
+first sight records it in a seen-set (the doorkeeper of TinyLFU admission), so
+a word evaluated once, such as the base-point words that `mmv` memoizes by
+value, holds no fold.  The key holds the const weights too: without them the
+const words of `mmv` would meet again across weights, be admitted, and raise
+peak memory.
 """
 
 from __future__ import annotations

@@ -10,7 +10,10 @@ For an index (k_1..k_r; alpha_1..alpha_r; t) the series is
 Coefficients c(m) are exact rationals; l_coeffs_dp computes them by a backward
 recursion in O(r N^2) exact operations, l_coeffs_bruteforce enumerates the
 compositions literally and exists as an oracle.  Evaluation converts to
-floating point only at the end, with a certified tail bound.
+floating point only at the end, with a certified tail bound.  `l_eval` keeps
+one table of c per (ks, alphas) and extends it when a tau needs more rows, so
+no row is computed twice; each row is converted to mpf once per working
+precision.
 """
 
 from __future__ import annotations
@@ -61,25 +64,61 @@ def l_coeffs_dp(index: CompositeIndex, n: int) -> LCoefficients:
         raise ValueError("depth must be >= 1")
     if n < 1:
         raise ValueError("n must be >= 1")
-    r = index.depth
-    sig = [sigma_table(2 * k - 1, n) for k in index.ks]
-    layer = [Fraction(0)] * (n + 1)
-    for m in range(1, n + 1):
-        layer[m] = Fraction(sig[r - 1][m], m ** index.alphas[r - 1])
-    for j in range(r - 2, -1, -1):
-        sj = sig[j]
-        aj = index.alphas[j]
-        nxt = [Fraction(0)] * (n + 1)
-        for m in range(1, n + 1):
+    table = None
+    for j in range(index.depth - 1, -1, -1):
+        table = _LTable(index.ks[j], index.alphas[j], table)
+    table.grow(n)
+    return LCoefficients(index, tuple(table.rows[1:]))
+
+
+class _LTable:
+    """c(0..n) of one index (k, ...; alpha, ...), kept and grown (c(0) = 0
+    unused), and c(1..n) converted to mpf at one working precision (None for
+    c = 0).
+
+    In the recursion of `l_coeffs_dp`, S_j is c of the suffix (k_j, ..., k_r;
+    alpha_j, ..., alpha_r), so a table holds its first k and alpha and the
+    table of the suffix after them, `inner`, None at depth 1."""
+
+    __slots__ = ("k", "alpha", "inner", "rows", "prec", "values")
+
+    def __init__(self, k: int, alpha: int, inner: "_LTable | None"):
+        self.k, self.alpha, self.inner = k, alpha, inner
+        self.rows = [Fraction(0)]
+        self.prec, self.values = None, []
+
+    @property
+    def n(self) -> int:
+        return len(self.rows) - 1
+
+    def grow(self, n: int) -> None:
+        """Extend the rows from the kept n to n, the inner table first: row m
+        needs the inner rows below m only."""
+        n0 = self.n
+        if n <= n0:
+            return
+        sig = sigma_table(2 * self.k - 1, n)
+        a = self.alpha
+        if self.inner is None:
+            self.rows.extend(Fraction(sig[m], m**a) for m in range(n0 + 1, n + 1))
+            return
+        self.inner.grow(n)
+        inner = self.inner.rows
+        for m in range(n0 + 1, n + 1):
             acc = Fraction(0)
             for u in range(1, m):
-                s = layer[m - u]
+                s = inner[m - u]
                 if s:
-                    acc += sj[u] * s
-            if acc:
-                nxt[m] = acc / m**aj
-        layer = nxt
-    return LCoefficients(index, tuple(layer[1:]))
+                    acc += sig[u] * s
+            self.rows.append(acc / m**a if acc else Fraction(0))
+
+    def mpf_values(self) -> list:
+        """c(1..n) as mpf at the working precision, converted once per row."""
+        if self.prec != mp.prec:
+            self.prec, self.values = mp.prec, []
+        self.values.extend(mpf(c.numerator) / c.denominator if c else None
+                           for c in self.rows[len(self.values) + 1:])
+        return self.values
 
 
 def l_coeffs_bruteforce(index: CompositeIndex, n: int) -> LCoefficients:
@@ -140,17 +179,18 @@ def _coeff_majorant(index: CompositeIndex) -> tuple[int, Fraction]:
     return power, c
 
 
-_coeff_cache: dict[tuple[tuple[int, ...], tuple[int, ...]], LCoefficients] = {}
+_coeff_cache: dict[tuple[tuple[int, ...], tuple[int, ...]], _LTable] = {}
 
 
-def _coeffs_upto(index: CompositeIndex, n: int) -> LCoefficients:
-    """Cached l_coeffs_dp; the cache keeps the largest table per (ks, alphas)."""
-    key = (index.ks, index.alphas)
-    hit = _coeff_cache.get(key)
-    if hit is None or hit.n < n:
-        hit = l_coeffs_dp(CompositeIndex(index.ks, index.alphas, 0), n)
-        _coeff_cache[key] = hit
-    return hit
+def _table(ks: tuple[int, ...], alphas: tuple[int, ...]) -> _LTable:
+    """The kept table of (ks, alphas), whose inner table is the kept one of
+    its suffix: a suffix shared by several indices is grown once."""
+    key = (ks, alphas)
+    table = _coeff_cache.get(key)
+    if table is None:
+        inner = _table(ks[1:], alphas[1:]) if len(ks) > 1 else None
+        table = _coeff_cache[key] = _LTable(ks[0], alphas[0], inner)
+    return table
 
 
 def l_eval(index: CompositeIndex, tau, budget: TruncationBudget = DEFAULT_BUDGET) -> mpc:
@@ -173,14 +213,16 @@ def l_eval(index: CompositeIndex, tau, budget: TruncationBudget = DEFAULT_BUDGET
         power, c = _coeff_majorant(index)
         eps_series = mpf(budget.eps) / ((1 + abs(prefactor)) * (mpf(c.numerator) / c.denominator))
         n_trunc = tail_start(power, tau.imag, eps_series, budget.n_max)
-        coeffs = _coeffs_upto(index, n_trunc)
+        table = _table(index.ks, index.alphas)
+        table.grow(n_trunc)
+        coeffs = table.mpf_values()
         q = mp.expjpi(2 * tau)
         qn = mpc(1)
         acc = mpc(0)
         for m in range(1, n_trunc + 1):
             qn *= q
-            c = coeffs.coeffs[m - 1]
-            if c:
-                acc += mpf(c.numerator) / c.denominator * qn
+            c = coeffs[m - 1]
+            if c is not None:
+                acc += c * qn
         val = prefactor * acc
     return +val

@@ -332,25 +332,6 @@ def int0_reg(index: CompositeIndex, budget: TruncationBudget = DEFAULT_BUDGET) -
     )
 
 
-def int0_reg_swapped_assembly(index: CompositeIndex,
-                              budget: TruncationBudget = DEFAULT_BUDGET) -> mpc:
-    """Same depth-2 value assembled through the inverted-exponent instance.
-
-    Applying the assembly to (k2, k1; 2k2-a2, 2k1-a1) and solving back for the
-    original value exercises a different set of mixed-T reductions; agreement
-    with int0_reg is a consistency check on the regularized calculus.
-    """
-    if index.depth != 2:
-        raise ValueError("depth-2 only")
-    k1, k2 = index.ks
-    a1, a2 = index.alphas
-    w = a1 + a2
-    swapped = CompositeIndex((k2, k1), (2 * k2 - a2, 2 * k1 - a1))
-    other = int0_reg(swapped, budget)
-    # from the two assemblies: Int0(idx) + A(idx) = (-1)^w [Int0(swapped) + A(swapped)]
-    return (-1) ** w * (other + sum(_a_terms(swapped, budget))) - sum(_a_terms(index, budget))
-
-
 def _a_terms(index: CompositeIndex, budget: TruncationBudget) -> tuple[mpc, mpc, mpc]:
     """(A0, A', Ainf) of the depth-2 Int0 assembly (see module docstring)."""
     k1, k2 = index.ks

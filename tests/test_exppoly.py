@@ -2,7 +2,7 @@ import pytest
 from mpmath import mp, mpc, mpf
 
 from eistau.eisenstein import sigma_table
-from eistau.exppoly import ExpPoly, elem_exp_tail, mul_qseries
+from eistau.exppoly import ExpPoly, _peval, elem_exp_tail, mul_qseries
 from eistau.integrals import cusp_exppoly
 
 I = mpc(0, 1)
@@ -171,11 +171,85 @@ def test_mul_qseries_rounds_wide_integer_coefficients_as_mpc_does():
         assert _parts(got) == _parts(ref.truncated(4))
 
 
+def _tail_integral_recurrence(f: ExpPoly, alpha: int) -> ExpPoly:
+    """The recurrence on mpc values: R = sum_j (-1)^j Q^(j) / c^{j+1} solves
+    cR + R' = Q, so r_D = q_D / c and r_m = (q_m - (m+1) r_{m+1}) / c from the
+    top down, and the tail integral is -R.  c = i b, and w / (i b) is
+    (Im w - i Re w) / b: two real divisions."""
+    out = {}
+    for n, p in f.terms.items():
+        b = (2 * mp.pi * mpc(0, 1) * n).imag
+        q = [mpc(0)] * (alpha - 1) + list(p)
+        r = [None] * len(q)
+        for m in range(len(q) - 1, -1, -1):
+            w = q[m] if m == len(q) - 1 else q[m] - (m + 1) * r[m + 1]
+            r[m] = mpc(w.imag / b, -(w.real / b))
+        out[n] = tuple(-x for x in r)
+    return ExpPoly(out)
+
+
+def _tail_inputs(dps):
+    with mp.workdps(dps + 30):
+        wide = _mixed_exppoly()  # coefficients wider than the working precision
+        # wide parts below a coefficient whose r has a zero part: the subtraction
+        # still rounds them first, as mpc subtraction does (the values are ones
+        # whose quotient by 2 pi n then rounds differently, at 40 and 70 digits)
+        wide_zero_above = ExpPoly({3: (mpc("2.9", "0.7"), mpc(1)),
+                                   4: (mpc("0.3", "1.3"), mpc(0, 1))})
+    with mp.workdps(dps):
+        return [_mixed_exppoly(), cusp_exppoly(4, 12).tail_integral(3), wide, wide_zero_above]
+
+
+@pytest.mark.parametrize("dps", [40, 70])
+@pytest.mark.parametrize("alpha", [1, 2, 4])
+def test_tail_integral_is_the_recurrence_bit_for_bit(dps, alpha):
+    for f in _tail_inputs(dps):
+        with mp.workdps(dps):
+            got, ref = f.tail_integral(alpha), _tail_integral_recurrence(f, alpha)
+            assert _parts(got) == _parts(ref)
+
+
 @pytest.mark.parametrize("dps", [40, 70])
 @pytest.mark.parametrize("alpha", [1, 2, 4])
 def test_tail_integral_matches_per_derivative_formula(dps, alpha):
-    with mp.workdps(dps + 30):
-        wide = _mixed_exppoly()  # coefficients wider than the working precision
+    # the per-derivative sum at 30 more digits; each output coefficient within
+    # 2^(4 - prec) of the largest coefficient at its frequency (measured worst: 1.7)
+    for f in _tail_inputs(dps):
+        with mp.workdps(dps):
+            got = f.tail_integral(alpha)
+            bound = mpf(2) ** (4 - mp.prec)
+        with mp.workdps(dps + 30):
+            ref = _tail_integral_reference(f, alpha)
+            assert set(got.terms) == set(ref.terms)
+            for n, p in ref.terms.items():
+                scale = max(abs(c) for c in p)
+                g = got.terms[n] + (mpc(0),) * (len(p) - len(got.terms[n]))
+                assert max(abs(a - c) for a, c in zip(g, p)) <= bound * scale
+
+
+def _call_reference(f: ExpPoly, t, n_max=None) -> mpc:
+    """The value as a sum over frequencies, one e^{2 pi i n t} each."""
+    return sum((_peval(p, t) * mp.expjpi(2 * n * t) for n, p in sorted(f.terms.items())
+                if n_max is None or n <= n_max), mpc(0))
+
+
+@pytest.mark.parametrize("dps", [40, 70])
+def test_call_horner_matches_per_frequency_sum(dps):
+    # gaps in frequency (3-4, 7-9), a constant term, n_max inside the gaps; the
+    # per-frequency sum at 30 more digits, within Horner's error bound
+    # (2 top + 2 deg + 8) 2^-prec sum_n |q|^n sum_j |c_nj| |t|^j (measured worst: 2.5)
     with mp.workdps(dps):
-        for f in (_mixed_exppoly(), cusp_exppoly(4, 12).tail_integral(3), wide):
-            assert _parts(f.tail_integral(alpha)) == _parts(_tail_integral_reference(f, alpha))
+        f = _mixed_exppoly() + ExpPoly({0: (mpc("0.25"),), 10: (mpc(1), mpc(0, -2))})
+        for tau in (mpc(40, "0.15"), mpc(-40, "0.15"), mpc("0.3", "1.1")):
+            for n_max in (None, 8, 6, 4, 1):
+                got = f(tau, n_max)
+                sub = f.truncated(10 if n_max is None else n_max)
+                assert got._mpc_ == sub(tau)._mpc_
+                top = sub.max_freq()
+                deg = max(len(p) for p in sub.terms.values()) - 1
+                size = sum(abs(mp.expjpi(2 * tau)) ** n * sum(abs(c) * abs(tau) ** j
+                                                           for j, c in enumerate(p))
+                           for n, p in sub.terms.items())
+                bound = (2 * top + 2 * deg + 8) * mpf(2) ** -mp.prec * size
+                with mp.workdps(dps + 30):
+                    assert abs(got - _call_reference(f, tau, n_max)) <= bound

@@ -133,3 +133,35 @@ def test_l_eval_cutoff_certified_at_exact_im_tau():
         clear_caches()
         l_eval(idx, tau, BUDGET)
         assert lseries._coeff_cache[(idx.ks, idx.alphas)].n == n
+
+
+def test_l_table_grows_in_place_and_converts_once():
+    # a larger N extends the kept rows of the table and of its suffix tables,
+    # which are the cache's own, rather than rebuilding them; the rows and their
+    # mpf values equal a fresh l_coeffs_dp and a fresh conversion
+    from eistau import clear_caches, lseries
+
+    idx = make_index([2, 3, 2], [1, 2, 2])
+    keys = [(idx.ks[j:], idx.alphas[j:]) for j in range(3)]
+    clear_caches()
+    l_eval(make_index([3, 2], [2, 2]), mpc("0.1", "1.9"), BUDGET)  # the suffix first
+    l_eval(idx, mpc("0.1", "1.9"), BUDGET)
+    tables = [lseries._coeff_cache[key] for key in keys]
+    assert [t.inner for t in tables] == tables[1:] + [None]
+    n0, kept, values0 = tables[0].n, [list(t.rows) for t in tables], list(tables[0].values)
+    l_eval(idx, mpc("0.1", "0.7"), BUDGET)
+    assert [lseries._coeff_cache[key] for key in keys] == tables and tables[0].n > n0
+    assert all(t.rows[m] is old[m] for t, old in zip(tables, kept) for m in range(n0 + 1))
+    assert all(a is b for a, b in zip(tables[0].values, values0))
+    for key, t in zip(keys, tables):
+        assert tuple(t.rows[1:]) == l_coeffs_dp(make_index(*key), t.n).coeffs
+    with mp.extradps(10):  # the precision l_eval converts at
+        assert tables[0].prec == mp.prec
+        assert [None if c is None else c._mpf_ for c in tables[0].values] == [
+            (mpf(c.numerator) / c.denominator)._mpf_ if c else None for c in tables[0].rows[1:]]
+    with mp.workdps(50):  # another precision converts afresh
+        l_eval(idx, mpc("0.1", "1.9"), BUDGET)
+        with mp.extradps(10):
+            assert tables[0].prec == mp.prec and len(tables[0].values) == tables[0].n
+    clear_caches()
+    assert not lseries._coeff_cache

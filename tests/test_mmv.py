@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from mpmath import mp, mpc, mpf
 
-from eistau.algebra import make_index
+from eistau.algebra import CompositeIndex, make_index
 from eistau.config import SingularParameterError, TruncationBudget
 from eistau.mmv import (
     BiPolynomial,
@@ -13,8 +13,8 @@ from eistau.mmv import (
     MonomialCoefficientRequest,
     e0_cocycle_S,
     i_coeff,
+    _a_terms,
     int0_reg,
-    int0_reg_swapped_assembly,
     r_iter,
     s_coeff,
     t_const_closed,
@@ -191,6 +191,22 @@ def test_int0_depth1_matches_split_quadrature():
         [("cusp", 2)], [5], default_path(I, 1e-28, 5), tol=1e-24
     )
     assert abs(val - direct) < mpf("1e-15")
+
+
+def int0_reg_swapped_assembly(index, budget):
+    """The depth-2 value assembled through the inverted-exponent instance.
+
+    Applying the assembly to (k2, k1; 2k2-a2, 2k1-a1) and solving back for the
+    original value exercises a different set of mixed-T reductions; agreement
+    with int0_reg is a consistency check on the regularized calculus.
+    """
+    k1, k2 = index.ks
+    a1, a2 = index.alphas
+    w = a1 + a2
+    swapped = CompositeIndex((k2, k1), (2 * k2 - a2, 2 * k1 - a1))
+    other = int0_reg(swapped, budget)
+    # from the two assemblies: Int0(idx) + A(idx) = (-1)^w [Int0(swapped) + A(swapped)]
+    return (-1) ** w * (other + sum(_a_terms(swapped, budget))) - sum(_a_terms(index, budget))
 
 
 def test_int0_depth2_two_assembly_orders():
