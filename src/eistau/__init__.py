@@ -56,20 +56,20 @@ from .verify import SUITES, run_suite
 def clear_caches() -> None:
     """Empty the engine's caches; values computed afterwards are bit-identical.
 
-    Clears the memo of base-point integrals (`mmv`), the fold cache of the
-    iterated integrals, its seen-set and the fold majorants (`integrals`; a
-    fold is kept from its word's second evaluation on, at the largest n_cut so
-    far), the L-series coefficient tables (`lseries`), the divisor-sum sieve
-    and the Bernoulli table (`eisenstein`; the sieve and the table under their
-    locks, the table back to b_0 alone), the Chebyshev rules of the quadrature
-    oracles (`quadrature`) and the exact conversion tables of the rewrite
-    algebra (`rewrite._int_to_l_table` and `rewrite._l_to_int_table`).
+    Clears the memo of base-point integrals and odd zeta values (`mmv`, keyed
+    on mp.prec), the fold cache of `int_eval` and `int_exppoly` and the fold
+    majorants (`integrals`; a fold is kept from its word's first evaluation on,
+    at the largest n_cut so far), the L-series coefficient tables of `l_eval`
+    and `l_coeffs_dp` (`lseries`), the divisor-sum sieve and the Bernoulli
+    table (`eisenstein`; the sieve and the table under their locks, the table
+    back to b_0 alone), the Chebyshev rules of the quadrature oracles
+    (`quadrature`) and the exact conversion tables of the rewrite algebra
+    (`rewrite._int_to_l_table` and `rewrite._l_to_int_table`).
     """
     from . import eisenstein, integrals, lseries, mmv, quadrature, rewrite
 
     mmv._memo.clear()
     integrals._folds.clear()
-    integrals._fold_seen.clear()
     integrals.fold_majorant.cache_clear()
     lseries._coeff_cache.clear()
     quadrature._rules.clear()

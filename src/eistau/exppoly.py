@@ -290,7 +290,8 @@ def mul_qseries(g: ExpPoly, coeffs, n_cut: int) -> ExpPoly:
 
 
 def elem_exp_tail(n: int, alpha: int, a) -> mpc:
-    """Exact closed form of int_a^{i oo} e^{2 pi i n t} t^{alpha-1} dt for n, alpha >= 1.
+    """int_a^{i oo} e^{2 pi i n t} t^{alpha-1} dt for n, alpha >= 1, by
+    `ExpPoly.tail_integral` of the single term e^{2 pi i n t}, evaluated at a.
 
     Equals -e^{2 pi i n a} sum_{j=0}^{alpha-1} (-1)^j [(alpha-1)!/(alpha-1-j)!]
     a^{alpha-1-j} / (2 pi i n)^{j+1}.
@@ -300,15 +301,4 @@ def elem_exp_tail(n: int, alpha: int, a) -> mpc:
     a = mpc(a)
     if not a.imag > 0:
         raise ValueError("Im a must be positive")
-    c = 2 * mp.pi * mpc(0, 1) * n
-    acc = mpc(0)
-    fact = 1  # (alpha-1)! / (alpha-1-j)!
-    cpow = c
-    apow = a ** (alpha - 1)
-    for j in range(alpha):
-        acc += (-1) ** j * fact * apow / cpow
-        fact *= alpha - 1 - j
-        cpow *= c
-        if j < alpha - 1:
-            apow /= a
-    return -mp.expjpi(2 * n * a) * acc
+    return ExpPoly.from_qseries({n: 1}).tail_integral(alpha)(a)

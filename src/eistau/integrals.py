@@ -33,13 +33,10 @@ in ascending n1; `tail_integral` works per frequency; and `ExpPoly.__call__`
 with n_max runs Horner in q from the highest frequency <= n_max down, a
 frequency both folds hold, and never reads one above it.  So one fold per
 word, kept at the largest n_cut computed so far, serves every tau, with the
-same bits as a fold made for that tau alone.  The fold cache keys on (word,
-alphas, working precision) and admits a key on its second sight only; the
-first sight records it in a seen-set (the doorkeeper of TinyLFU admission), so
-a word evaluated once, such as the base-point words that `mmv` memoizes by
-value, holds no fold.  The key holds the const weights too: without them the
-const words of `mmv` would meet again across weights, be admitted, and raise
-peak memory.
+same bits as a fold made for that tau alone.  `int_eval` and `int_exppoly`
+keep that fold, keyed on (word, alphas, working precision), from a word's
+first evaluation on.  `word_eval` folds afresh and keeps nothing: its callers
+are the base-point words of `mmv`, which memoizes their values.
 """
 
 from __future__ import annotations
@@ -116,6 +113,8 @@ def freq_cutoff(word, alphas, tau: mpc, budget: TruncationBudget) -> int:
     evaluated at |tau|).  n_cut keeps that sum below eps/2, which leaves the
     other half of eps to rounding.
     """
+    if len(word) > MAX_DEPTH:
+        raise ValueError(f"depth {len(word)} exceeds the supported cap {MAX_DEPTH}")
     power, c, h = fold_majorant(word, alphas)
     two_pi = 2 * mp.pi
     u = two_pi * abs(tau)
@@ -127,9 +126,8 @@ def freq_cutoff(word, alphas, tau: mpc, budget: TruncationBudget) -> int:
 
 
 # (word, alphas, mp.prec) -> (n_cut, fold truncated at n_cut), the largest n_cut
-# computed so far; a key enters on its second sight (module docstring).
+# computed so far, for the words of `int_eval` and `int_exppoly`.
 _folds: dict[tuple, tuple[int, ExpPoly]] = {}
-_fold_seen: set[tuple] = set()
 
 
 def _fold(word, alphas, n_cut: int) -> ExpPoly:
@@ -147,26 +145,22 @@ def _fold(word, alphas, n_cut: int) -> ExpPoly:
     return g
 
 
-def _cached_fold(word, alphas, at: mpc, budget: TruncationBudget) -> tuple[ExpPoly, int]:
-    """The n_cut certified at `at`, and a fold whose frequencies <= n_cut are the
-    fold truncated at n_cut; it may hold higher ones."""
-    if len(word) > MAX_DEPTH:
-        raise ValueError(f"depth {len(word)} exceeds the supported cap {MAX_DEPTH}")
-    n_cut = freq_cutoff(word, alphas, at, budget)
-    key = (word, alphas, mp.prec)
+def _kept_fold(index: CompositeIndex, tau: mpc, budget: TruncationBudget) -> tuple[ExpPoly, int]:
+    """The n_cut certified at tau for the cusp word of `index` (depth >= 1), and
+    the kept fold, whose frequencies <= n_cut are the fold truncated at n_cut;
+    it may hold higher ones."""
+    word = tuple((CUSP, k) for k in index.ks)
+    n_cut = freq_cutoff(word, index.alphas, tau, budget)
+    key = (word, index.alphas, mp.prec)
     hit = _folds.get(key)
-    if hit is not None and hit[0] >= n_cut:
-        return hit[1], n_cut
-    g = _fold(word, alphas, n_cut)
-    if hit is not None or key in _fold_seen:
-        _folds[key] = (n_cut, g)
-    else:
-        _fold_seen.add(key)
-    return g, n_cut
+    if hit is None or hit[0] < n_cut:
+        hit = _folds[key] = (n_cut, _fold(word, index.alphas, n_cut))
+    return hit[1], n_cut
 
 
 def word_eval(word, alphas, tau, budget: TruncationBudget = DEFAULT_BUDGET) -> mpc:
-    """Iterated tail integral of a word at tau (see module docstring).
+    """Iterated tail integral of a word at tau (see module docstring), from a
+    fold made for this call; nothing is kept.
 
     `word` is a tuple of (kind, k) pairs whose innermost factor is a cusp part,
     and `alphas` a tuple of exponents >= 1 of the same length >= 1.
@@ -175,8 +169,8 @@ def word_eval(word, alphas, tau, budget: TruncationBudget = DEFAULT_BUDGET) -> m
     if not tau.imag > 0:
         raise ValueError("Im tau must be positive")
     with mp.extradps(15):
-        g, n_cut = _cached_fold(word, alphas, tau, budget)
-        val = g(tau, n_max=n_cut)
+        n_cut = freq_cutoff(word, alphas, tau, budget)
+        val = _fold(word, alphas, n_cut)(tau, n_max=n_cut)
         for kind, k in word:
             if kind == CONST:
                 val = _constant_mpf(k) * val
@@ -184,20 +178,31 @@ def word_eval(word, alphas, tau, budget: TruncationBudget = DEFAULT_BUDGET) -> m
 
 
 def int_eval(index: CompositeIndex, tau, budget: TruncationBudget = DEFAULT_BUDGET) -> mpc:
-    """Iterated tail integral of the cusp parts of `index` at tau; depth 0 gives 1."""
+    """Iterated tail integral of the cusp parts of `index` at tau, from the kept
+    fold; depth 0 gives 1.  Raises ValueError for t != 0."""
+    if index.t:
+        raise ValueError(f"the tau-integral carries no tau^t factor, got t = {index.t}")
     if index.depth == 0:
         return mpc(1)
-    return word_eval(tuple((CUSP, k) for k in index.ks), index.alphas, tau, budget)
+    tau = mpc(tau)
+    if not tau.imag > 0:
+        raise ValueError("Im tau must be positive")
+    with mp.extradps(15):
+        g, n_cut = _kept_fold(index, tau, budget)
+        val = g(tau, n_max=n_cut)
+    return +val
 
 
 def int_exppoly(index: CompositeIndex, tau, budget: TruncationBudget = DEFAULT_BUDGET) -> ExpPoly:
-    """The ExpPoly representing the iterated integral, with n_cut certified at tau."""
+    """The ExpPoly representing the iterated integral, with n_cut certified at
+    tau.  Raises ValueError for t != 0."""
+    if index.t:
+        raise ValueError(f"the tau-integral carries no tau^t factor, got t = {index.t}")
     if index.depth == 0:
         return ExpPoly.from_qseries({0: 1})
     tau = mpc(tau)
     if not tau.imag > 0:
         raise ValueError("Im tau must be positive")
     with mp.extradps(15):
-        word = tuple((CUSP, k) for k in index.ks)
-        g, n_cut = _cached_fold(word, index.alphas, tau, budget)
+        g, n_cut = _kept_fold(index, tau, budget)
         return g.truncated(n_cut)

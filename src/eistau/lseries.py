@@ -10,10 +10,10 @@ For an index (k_1..k_r; alpha_1..alpha_r; t) the series is
 Coefficients c(m) are exact rationals; l_coeffs_dp computes them by a backward
 recursion in O(r N^2) exact operations, l_coeffs_bruteforce enumerates the
 compositions literally and exists as an oracle.  Evaluation converts to
-floating point only at the end, with a certified tail bound.  `l_eval` keeps
-one table of c per (ks, alphas) and extends it when a tau needs more rows, so
-no row is computed twice; each row is converted to mpf once per working
-precision.
+floating point only at the end, with a certified tail bound.  `l_coeffs_dp`
+and `l_eval` share one kept table of c per (ks, alphas) and extend it when a
+call needs more rows, so no row is computed twice; `l_eval` converts each row
+to mpf once per working precision.
 """
 
 from __future__ import annotations
@@ -64,11 +64,9 @@ def l_coeffs_dp(index: CompositeIndex, n: int) -> LCoefficients:
         raise ValueError("depth must be >= 1")
     if n < 1:
         raise ValueError("n must be >= 1")
-    table = None
-    for j in range(index.depth - 1, -1, -1):
-        table = _LTable(index.ks[j], index.alphas[j], table)
+    table = _table(index.ks, index.alphas)
     table.grow(n)
-    return LCoefficients(index, tuple(table.rows[1:]))
+    return LCoefficients(index, tuple(table.rows[1:n + 1]))
 
 
 class _LTable:

@@ -9,7 +9,9 @@ weight-2k cusp/constant factors (E0 / Einf, Einf = -b_{2k}/(4k)):
 Every R word with exponents >= 1, const factors included, is the fold of
 `integrals.word_eval` at tau = i; the one R route local to this module is the
 gammainc sum for a single cusp factor with m <= 0.  The module memoizes these
-values and assembles the formulas below from them.
+values, and the odd zeta values, keyed on the budget and the working precision
+`mp.prec`, and assembles the formulas below from them.  `word_eval` keeps no
+fold, so this memo is the only cache of an R word.
 
 Closed forms and regularized values (every formula below is pinned by the
 verification suites; "regularized" means the analytic extension fixed by
@@ -79,13 +81,13 @@ def _ipow(n: int) -> mpc:
     return (mpc(1), mpc(0, 1), mpc(-1), mpc(0, -1))[n % 4]
 
 
-# -- memo for budget-heavy primitives; keyed on working precision too ----------
+# -- memo for budget-heavy primitives; keyed on mp.prec too --------------------
 
 _memo: dict[tuple, mpc] = {}
 
 
 def _memoized(key: tuple, fn):
-    full = key + (mp.dps,)
+    full = key + (mp.prec,)
     val = _memo.get(full)
     if val is None:
         val = fn()
@@ -306,6 +308,8 @@ def s_coeff(ks, alphas=None, budget: TruncationBudget = DEFAULT_BUDGET) -> mpc:
 
 def int0_reg(index: CompositeIndex, budget: TruncationBudget = DEFAULT_BUDGET) -> mpc:
     """Regularized iterated-integral value at tau = 0, depth 1 or 2."""
+    if index.t:
+        raise ValueError(f"int0_reg takes no tau^t factor, got t = {index.t}")
     if index.depth == 1:
         k, m = index.ks[0], index.alphas[0]
         if m in (0, 2 * k):

@@ -222,21 +222,10 @@ def stuffle_product(g1: Generator, g2: Generator) -> FormalSum:
     )
 
 
-def roundtrip_pattern(alphas: tuple[int, ...], t: int, start: str = TAU_INTEGRAL) -> bool:
-    """Exact identity check of the composed conversion for one exponent pattern.
-
-    Both conversion maps act on (alphas, power) only and carry the weight tuple
-    through unchanged, so the round trip of one generator with this pattern
-    (weights 2 throughout) decides it for every generator with the pattern.
-    """
-    ks = (2,) * len(alphas)
-    if start == TAU_INTEGRAL:
-        gen = tau_integral_gen(ks, alphas, t)
-        back = convert_sum(int_to_l(gen), "l2int")
-    else:
-        gen = lseries_gen(ks, alphas, t)
-        back = convert_sum(l_to_int(gen), "int2l")
-    return back == FormalSum.single(gen)
+def round_trips(gen: Generator) -> bool:
+    """Whether converting `gen` to the other family and back gives `gen`, exactly."""
+    there, back = ("int2l", "l2int") if gen.kind == TAU_INTEGRAL else ("l2int", "int2l")
+    return convert_sum(_convert(((gen, 1),), there), back) == FormalSum.single(gen)
 
 
 def numeric_value(fs: FormalSum, tau, budget: TruncationBudget = DEFAULT_BUDGET) -> mpc:

@@ -5,14 +5,14 @@ from fractions import Fraction
 import pytest
 from mpmath import mp, mpc, mpf
 
-from eistau import clear_caches, integrals
+from eistau import clear_caches, integrals, mmv
 from eistau.algebra import make_index
 from eistau.config import BudgetError, TruncationBudget
 from eistau.eisenstein import eis_constant, eis_cusp_eval
 from eistau.exppoly import _peval
 from eistau.integrals import int_eval, int_exppoly
 from eistau.lseries import l_eval
-from eistau.mmv import r_iter
+from eistau.mmv import MonomialCoefficientRequest, r_iter, s_coeff
 
 BUDGET = TruncationBudget(1e-30, 100_000)
 
@@ -31,6 +31,17 @@ def test_depth_cap():
     idx = make_index([2] * 7, [1] * 7)
     with pytest.raises(ValueError):
         int_eval(idx, mpc(0, 1), BUDGET)
+
+
+def test_int_eval_rejects_tau_power():
+    # the tau^t factor belongs to the caller (numeric_value, the CLI), never dropped
+    with pytest.raises(ValueError, match="t = 2"):
+        int_eval(make_index([2], [1], 2), mpc(0, 1), BUDGET)
+
+
+def test_int_exppoly_rejects_tau_power():
+    with pytest.raises(ValueError, match="t = 1"):
+        int_exppoly(make_index([2, 3], [1, 2], 1), mpc(0, 1), BUDGET)
 
 
 def test_budget_exhaustion_for_tiny_im():
@@ -118,12 +129,16 @@ def test_fold_cache_values_bit_identical_to_cold(taus):
         assert integrals._folds[(FOLD_WORD, FOLD_INDEX.alphas, mp.prec)][0] == n_cut
 
 
-def test_fold_cache_admits_on_second_sight():
+def test_fold_cache_holds_int_eval_words_only():
+    # int_eval keeps its word's fold from the first call on; the base-point
+    # words of mmv are memoized by value there and fold without the cache
     clear_caches()
     int_eval(FOLD_INDEX, FOLD_TAUS[0], BUDGET)
-    assert not integrals._folds and len(integrals._fold_seen) == 1
-    int_eval(FOLD_INDEX, FOLD_TAUS[1], BUDGET)
-    assert len(integrals._folds) == 1
+    assert [key[:2] for key in integrals._folds] == [(FOLD_WORD, FOLD_INDEX.alphas)]
+    clear_caches()
+    r_iter([("const", 3), ("cusp", 2)], (2, 1), BUDGET)
+    s_coeff(MonomialCoefficientRequest((2, 3), (1, 2)), budget=BUDGET)
+    assert not integrals._folds and mmv._memo
 
 
 def test_fold_cache_keys_on_precision():

@@ -135,10 +135,26 @@ def test_l_eval_cutoff_certified_at_exact_im_tau():
         assert lseries._coeff_cache[(idx.ks, idx.alphas)].n == n
 
 
+def test_l_coeffs_dp_grows_the_kept_table():
+    # l_coeffs_dp and l_eval share one table per index: no second chain
+    from eistau import clear_caches, lseries
+
+    idx = make_index([2, 3], [1, 2])
+    clear_caches()
+    l_eval(idx, mpc("0.1", "1.9"), BUDGET)
+    table = lseries._coeff_cache[(idx.ks, idx.alphas)]
+    rows, n0 = table.rows, table.n
+    assert n0 < 30
+    coeffs = l_coeffs_dp(idx, 30).coeffs
+    assert lseries._coeff_cache[(idx.ks, idx.alphas)] is table and table.rows is rows
+    assert table.n == 30 and table.inner is lseries._coeff_cache[((3,), (2,))]
+    assert l_coeffs_dp(idx, n0).coeffs == coeffs[:n0] and table.n == 30
+
+
 def test_l_table_grows_in_place_and_converts_once():
     # a larger N extends the kept rows of the table and of its suffix tables,
-    # which are the cache's own, rather than rebuilding them; the rows and their
-    # mpf values equal a fresh l_coeffs_dp and a fresh conversion
+    # which are the cache's own, rather than rebuilding them; the rows equal
+    # the enumeration oracle and their mpf values a fresh conversion
     from eistau import clear_caches, lseries
 
     idx = make_index([2, 3, 2], [1, 2, 2])
@@ -154,7 +170,7 @@ def test_l_table_grows_in_place_and_converts_once():
     assert all(t.rows[m] is old[m] for t, old in zip(tables, kept) for m in range(n0 + 1))
     assert all(a is b for a, b in zip(tables[0].values, values0))
     for key, t in zip(keys, tables):
-        assert tuple(t.rows[1:]) == l_coeffs_dp(make_index(*key), t.n).coeffs
+        assert tuple(t.rows[1:]) == l_coeffs_bruteforce(make_index(*key), t.n).coeffs
     with mp.extradps(10):  # the precision l_eval converts at
         assert tables[0].prec == mp.prec
         assert [None if c is None else c._mpf_ for c in tables[0].values] == [

@@ -217,6 +217,30 @@ def test_int0_depth2_two_assembly_orders():
         assert abs(a - b) < mpf("1e-12")
 
 
+def test_int0_reg_rejects_tau_power():
+    with pytest.raises(ValueError, match="t = 1"):
+        int0_reg(make_index([2], [3], 1), BUDGET)
+
+
+def test_memo_keys_on_working_precision():
+    # prec 140 and 141 are both 41 digits; each keeps its own R value
+    from eistau import clear_caches
+
+    def r():
+        return r_iter([("cusp", 2), ("cusp", 3)], (1, 2), BUDGET)._mpc_
+
+    cold = {}
+    for prec in (140, 141):
+        clear_caches()
+        with mp.workprec(prec):
+            cold[prec] = r()
+    assert cold[140] != cold[141]
+    clear_caches()
+    for prec in (140, 141, 140, 141):
+        with mp.workprec(prec):
+            assert r() == cold[prec]
+
+
 def test_int0_depth2_singular_guard():
     with pytest.raises(SingularParameterError):
         int0_reg(make_index([2, 2], [2, 2]), BUDGET)  # a1 + a2 = 2k1
@@ -332,12 +356,11 @@ def test_clear_caches_recomputes_bit_identical_values():
     before = [v._mpc_ for v in values()]
     assert len(eisenstein._bernoulli_even) > 1
     clear_caches()
-    caches = (mmv._memo, lseries._coeff_cache, eisenstein._sigma_tables,
-              integrals._folds, integrals._fold_seen)
+    caches = (mmv._memo, lseries._coeff_cache, eisenstein._sigma_tables, integrals._folds)
     assert not any(caches)
     assert eisenstein._bernoulli_even == [Fraction(1)]
     assert [v._mpc_ for v in values()] == before
-    assert [v._mpc_ for v in values()] == before  # a fold is kept on its second sight
+    assert [v._mpc_ for v in values()] == before  # from the memo and the kept fold
     assert all(caches)
 
 
@@ -351,7 +374,7 @@ def test_clear_caches_empties_rewrite_tables_and_converts_equal():
     def converted():
         to_l = rewrite.convert_sum(fs, "int2l")
         back = rewrite.convert_sum(to_l, "l2int")
-        pattern = rewrite.roundtrip_pattern((2, 3), 1, "L")
+        pattern = rewrite.round_trips(lseries_gen([2, 2], [2, 3], 1))
         return to_l, back, pattern, rewrite.l_to_int(lseries_gen([2, 2], [4, 2], 2))
 
     before = converted()

@@ -16,7 +16,7 @@ from eistau.rewrite import (
     int_to_l,
     l_to_int,
     numeric_value,
-    roundtrip_pattern,
+    round_trips,
     shuffle_product,
     shuffle_words,
     stuffle_product,
@@ -109,7 +109,8 @@ def test_round_trip_specific():
     st.booleans(),
 )
 def test_round_trip_patterns(alphas, t, start_integral):
-    assert roundtrip_pattern(tuple(alphas), t, "I" if start_integral else "L")
+    make = tau_integral_gen if start_integral else lseries_gen
+    assert round_trips(make([2] * len(alphas), alphas, t))
 
 
 @settings(max_examples=25, deadline=None)
@@ -120,10 +121,8 @@ def test_round_trip_patterns(alphas, t, start_integral):
 def test_round_trip_generators(pairs, t):
     ks = [k for k, _ in pairs]
     alphas = [a for _, a in pairs]
-    gi = tau_integral_gen(ks, alphas, t)
-    assert convert_sum(int_to_l(gi), "l2int") == FormalSum.single(gi)
-    gl = lseries_gen(ks, alphas, t)
-    assert convert_sum(l_to_int(gl), "int2l") == FormalSum.single(gl)
+    assert round_trips(tau_integral_gen(ks, alphas, t))
+    assert round_trips(lseries_gen(ks, alphas, t))
 
 
 def _reference_int_to_l(g):
