@@ -56,8 +56,8 @@ from .verify import SUITES, run_suite
 def clear_caches() -> None:
     """Empty the engine's caches; values computed afterwards are bit-identical.
 
-    Clears the memo of base-point integrals and odd zeta values (`mmv`, keyed
-    on mp.prec), the fold cache of `int_eval` and `int_exppoly` and the fold
+    Clears the memo of base-point integrals (`mmv`, R words keyed on
+    mp.prec), the fold cache of `int_eval` and `int_exppoly` and the fold
     majorants (`integrals`; a fold is kept from its word's first evaluation on,
     at the largest n_cut so far), the L-series coefficient tables of `l_eval`
     and `l_coeffs_dp` (`lseries`), the divisor-sum sieve and the Bernoulli

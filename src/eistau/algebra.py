@@ -150,10 +150,6 @@ class FormalSum:
                     self.terms[g] = c
 
     @classmethod
-    def zero(cls) -> "FormalSum":
-        return cls()
-
-    @classmethod
     def single(cls, g: Generator, c=1) -> "FormalSum":
         return cls({g: Fraction(c)})
 

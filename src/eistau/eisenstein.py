@@ -126,52 +126,30 @@ def tail_start(power: int, y, eps, n_max: int) -> int:
     Bound: once rho = ((N+2)/(N+1))^power * x < 1 the terms decay at least
     geometrically past N, so the tail is at most t(N+1) / (1 - rho).
 
-    The step loop starts past the peak of n^power x^n and screens both tests
-    in double precision with ln x = -2 pi y.  The mpf x, ln x and ln eps are
-    made only where the floats cannot decide: power / (2 pi y) within a
-    relative 1e-9 of an integer (the start), |log rho| <= 1e-6, or the log tail
-    within 1e-6 (1 + |log eps|) of log eps; far past the error of the floats,
-    so N is the one the mpf tests alone give.
+    The step loop starts past the peak of n^power x^n and runs in double
+    precision with ln x = -2 pi y.  N is accepted when log rho < -1e-6 and the
+    log tail is below log eps by the margin 1e-6 (1 + |log eps|).  The doubles
+    certify the bound: the rounding error of the log tail, that of float(y)
+    and float(eps) included, is about 1e-12 at n <= n_max, six orders below
+    the margin, and an n that the margin leaves undecided steps on.  Only
+    eps <= 1e-300 needs an mpf, for its log.
     """
-    lnx_f = -2 * pi * float(y)
-    if not lnx_f < 0:
+    lnx = -2 * pi * float(y)
+    if not lnx < 0:
         raise ValueError("y must be positive")
     eps_f = float(eps)
-    log_eps_f = log(eps_f) if eps_f > 1e-300 else float(mp.log(eps))
-    margin = 1e-6 * (1 + abs(log_eps_f))
-    ratio = power / -lnx_f
-    n = max(1, ceil(ratio))
-    if abs(ratio - round(ratio)) < 1e-9 * ratio:
-        n = int(mp.ceil(power / -mp.log(_x(y))))
+    log_eps = log(eps_f) if eps_f > 1e-300 else float(mp.log(eps))
+    cut = log_eps - 1e-6 * (1 + abs(log_eps))
+    n = max(1, ceil(power / -lnx))
     while n <= n_max:
-        log_rho = power * log1p(1 / (n + 1)) + lnx_f
-        if log_rho < -1e-6:
-            log_tail = power * log(n + 1) + (n + 1) * lnx_f - log(-expm1(log_rho))
-            if log_tail < log_eps_f - margin:
-                return n
-            if log_tail <= log_eps_f + margin and _tail_below(power, n, y, eps):
-                return n
-        elif log_rho <= 1e-6 and _tail_below(power, n, y, eps):
+        log_rho = power * log1p(1 / (n + 1)) + lnx
+        if log_rho < -1e-6 and power * log(n + 1) + (n + 1) * lnx - log(-expm1(log_rho)) < cut:
             return n
         n += 1 + n // 16
     raise BudgetError(
         f"truncation index cap {n_max} reached before certified tail < {eps_f}; "
         "Im tau is too small for this budget"
     )
-
-
-def _x(y) -> mpf:
-    """x = e^{-2 pi y} as an mpf; the mpf tests take ln x as its log, so they test that x."""
-    return mp.exp(-2 * mp.pi * mpf(y))
-
-
-def _tail_below(power: int, n: int, y, eps) -> bool:
-    """The mpf test of tail_start at n: rho < 1 and the geometric tail bound < eps."""
-    x = _x(y)
-    rho = (mpf(n + 2) / (n + 1)) ** power * x
-    if not rho < 1:
-        return False
-    return power * mp.log(n + 1) + (n + 1) * mp.log(x) - mp.log(1 - rho) < mp.log(mpf(eps))
 
 
 def eis_cusp_eval(k: int, tau, budget: TruncationBudget = DEFAULT_BUDGET) -> mpc:
@@ -205,17 +183,14 @@ def eis_eval(k: int, tau, budget: TruncationBudget = DEFAULT_BUDGET) -> mpc:
     return +val
 
 
-def precision_selftest(threshold_exp: int | None = None) -> mpf:
+def precision_selftest() -> mpf:
     """Built-in precision check: the weight-6 series vanishes at tau = i.
 
-    Returns |E_6(i)| and raises if it exceeds 10^-(P-5) at working precision P
-    (or ``10^-threshold_exp`` if given).
+    Returns |E_6(i)| and raises if it exceeds 10^-(P-5) at working precision P.
     """
-    if threshold_exp is None:
-        threshold_exp = mp.dps - 5
     budget = TruncationBudget(eps=mpf(10) ** (-(mp.dps + 5)), n_max=DEFAULT_BUDGET.n_max)
     resid = abs(eis_eval(3, mpc(0, 1), budget))
-    if not resid < mpf(10) ** (-threshold_exp):
+    if not resid < mpf(10) ** (5 - mp.dps):
         raise AssertionError(
             f"precision self-test failed: |E_6(i)| = {mp.nstr(resid, 8)} "
             f"at {mp.dps} working digits"

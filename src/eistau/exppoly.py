@@ -144,9 +144,6 @@ class ExpPoly:
             out[n] = _padd(out.get(n, ()), p)
         return ExpPoly(out)
 
-    def __sub__(self, other: "ExpPoly") -> "ExpPoly":
-        return self + other.scale(-1)
-
     def scale(self, c) -> "ExpPoly":
         c = mpc(c)
         if c == 0:

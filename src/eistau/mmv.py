@@ -9,9 +9,9 @@ weight-2k cusp/constant factors (E0 / Einf, Einf = -b_{2k}/(4k)):
 Every R word with exponents >= 1, const factors included, is the fold of
 `integrals.word_eval` at tau = i; the one R route local to this module is the
 gammainc sum for a single cusp factor with m <= 0.  The module memoizes these
-values, and the odd zeta values, keyed on the budget and the working precision
-`mp.prec`, and assembles the formulas below from them.  `word_eval` keeps no
-fold, so this memo is the only cache of an R word.
+values, keyed on the budget and the working precision `mp.prec`, and
+assembles the formulas below from them.  `word_eval` keeps no fold, so this
+memo is the only cache of an R word.
 
 Closed forms and regularized values (every formula below is pinned by the
 verification suites; "regularized" means the analytic extension fixed by
@@ -67,7 +67,7 @@ from math import comb, factorial
 from mpmath import mp, mpc, mpf
 
 from .algebra import CompositeIndex
-from .config import DEFAULT_BUDGET, BudgetError, SingularParameterError, TruncationBudget
+from .config import DEFAULT_BUDGET, SingularParameterError, TruncationBudget
 from .eisenstein import CONST, CUSP, bernoulli, sigma_majorant, sigma_table, tail_start
 from .eisenstein import _constant_mpf as _einf
 # int_eval is unused here, but bench/test_bench.py checks that the benchmark's
@@ -77,22 +77,15 @@ from .integrals import int_eval, word_eval  # noqa: F401
 _BASE = mpc(0, 1)  # all integrals in this module are anchored at tau = i
 
 
+_IPOW = (mpc(1), mpc(0, 1), mpc(-1), mpc(0, -1))  # exact at every precision
+
+
 def _ipow(n: int) -> mpc:
-    return (mpc(1), mpc(0, 1), mpc(-1), mpc(0, -1))[n % 4]
+    return _IPOW[n % 4]
 
 
-# -- memo for budget-heavy primitives; keyed on mp.prec too --------------------
-
+# R words by value, keyed on the budget and mp.prec
 _memo: dict[tuple, mpc] = {}
-
-
-def _memoized(key: tuple, fn):
-    full = key + (mp.prec,)
-    val = _memo.get(full)
-    if val is None:
-        val = fn()
-        _memo[full] = val
-    return val
 
 
 # -- T/R primitives -------------------------------------------------------------
@@ -144,7 +137,11 @@ def _r(word: tuple, alphas: tuple, budget: TruncationBudget) -> mpc:
                 )
         return +acc
 
-    return _memoized(("r", word, alphas, budget), compute)
+    key = (word, alphas, budget, mp.prec)
+    val = _memo.get(key)
+    if val is None:
+        val = _memo[key] = compute()
+    return val
 
 
 def r_iter(factors, alphas, budget: TruncationBudget = DEFAULT_BUDGET) -> mpc:
@@ -394,44 +391,19 @@ def e0_cocycle_S(k: int) -> BiPolynomial:
 
 
 def zeta_odd(s: int, budget: TruncationBudget = DEFAULT_BUDGET) -> mpf:
-    """zeta(s) for odd s >= 3 by Euler-Maclaurin: the direct sum to N-1, then
+    """zeta(s) for odd s >= 3 within budget.eps, rounded to the working precision.
 
-        N^{1-s}/(s-1) + N^{-s}/2 + sum_{i=1}^{p} b_{2i}/(2i)! s(s+1)...(s+2i-2) N^{1-s-2i},
-
-    with b_{2i} exact from `bernoulli`.  x^{-s} is completely monotone, so the
-    remainder is at most the first omitted term; p grows until that term is
-    below budget.eps, and N doubles (from 8) while the terms stop decreasing
-    first, which they do once s + 2i passes about 2 pi N.
+    mpmath's zeta (Borwein's algorithm, or an Euler product for large s) runs
+    10 digits above both the working precision and the digits eps needs.
+    mpmath caches integer zeta values itself, at the highest precision asked
+    so far; `clear_caches` does not reach that cache, and the guard digits
+    absorb the difference between a cached and a fresh value.
     """
     if s < 3 or s % 2 == 0:
         raise ValueError("s must be odd and >= 3")
-
-    def compute():
-        with mp.extradps(10):
-            eps = mpf(budget.eps)
-            n = 8
-            while True:
-                if n > budget.n_max:
-                    raise BudgetError(
-                        "the Euler-Maclaurin tail cannot certify this eps within n_max"
-                    )
-                corr, rising, i = [], s, 1  # rising = s (s+1) ... (s+2i-2)
-                while True:
-                    c = bernoulli(2 * i) * rising / factorial(2 * i)
-                    term = mpf(c.numerator) / c.denominator * mpf(n) ** (1 - s - 2 * i)
-                    if abs(term) < eps or (corr and abs(term) >= abs(corr[-1])):
-                        break
-                    corr.append(term)
-                    rising *= (s + 2 * i - 1) * (s + 2 * i)
-                    i += 1
-                if abs(term) < eps:
-                    break
-                n *= 2
-            acc = mp.fsum(mpf(j) ** (-s) for j in range(1, n))
-            acc += mpf(n) ** (1 - s) / (s - 1) + mpf(n) ** (-s) / 2 + mp.fsum(corr)
-        return +acc
-
-    return _memoized(("zeta", s, budget), compute)
+    with mp.workdps(max(mp.dps, int(mp.ceil(-mp.log10(budget.eps)))) + 10):
+        z = mp.zeta(s)
+    return +z
 
 
 def haberland_rhs(k: int, alpha: int, budget: TruncationBudget = DEFAULT_BUDGET) -> mpc:

@@ -170,15 +170,28 @@ def test_tail_start_screen_matches_mpf_loop():
     assert 0 < sum(outcomes) < len(outcomes)
 
 
-def test_tail_start_start_index_near_integer_ratio():
-    # power / (2 pi y) at or within a relative 1e-9 of an integer m: the float
-    # ceiling cannot decide there, so the start index comes from the mpf ln x
+def test_tail_start_certified_near_integer_ratio():
+    # power / (2 pi y) at or within a relative 1e-9 of an integer m, where the
+    # double start index may differ from the mpf one: whenever an N <= n_max
+    # comes back, the geometric bound at N holds in mpf
     rng = random.Random(20261019)
+    certified = 0
     for _ in range(400):
         power, m = rng.randint(2, 70), rng.randint(1, 120)
         delta = rng.choice((0, rng.uniform(-1e-9, 1e-9), rng.uniform(-1e-15, 1e-15)))
         y = power / (2 * mp.pi * m * (1 + mpf(delta)))
-        _same_outcome(power, y, mpf(10) ** -rng.randint(10, 60))
+        eps = mpf(10) ** -rng.randint(10, 60)
+        try:
+            n = tail_start(power, y, eps, 500)
+        except BudgetError:
+            continue
+        x = mp.exp(-2 * mp.pi * y)
+        rho = (mpf(n + 2) / (n + 1)) ** power * x
+        assert rho < 1, (power, y, eps)
+        log_tail = power * mp.log(n + 1) + (n + 1) * mp.log(x) - mp.log(1 - rho)
+        assert log_tail < mp.log(eps), (power, y, eps)
+        certified += 1
+    assert certified > 150  # 191 of the 400 cases fit in n_max = 500
 
 
 def test_eis_cusp_eval_cutoff_at_exact_im_tau(monkeypatch):

@@ -16,7 +16,7 @@ SMALL_REPORT_SHA256 = {
     "stuffle": "f7f802695a720485cef67bbdec9c66a438f270aee51fca7e4aff9bd2d8c3c323",
     "deriv": "ed1d50a387f1976bbd7b8eef79375db2ac5c41f060e1a1534faf62fd3c299b20",
     "fund": "c454f816933cb4f975532b2237a246011b036c8a47882c5b892a6e24fbd98c32",
-    "haberland": "ad08d10362ff3dee0ffe6c33f8f7d5663e9d27f43e191dad438b44feac6c4f83",
+    "haberland": "b6ca9204017e78fb2f738929f057837cd2806d353888b760694f6b7534292481",
     "symmetry": "4d878787d7e9ecc122454471ff70b9cf192099b8adf4a55e2d1239fa77b361c9",
     "firstdiff": "b2ada6832ea83650d805f5096d3293cb334a1a15d67a4a349483a0fd7175233a",
 }
@@ -31,7 +31,7 @@ FULL_REPORT_SHA256 = {
     "stuffle": "886ba02f9f23c7c7048018b536ae83f9bacc75297969bef04a074d1c4d1a5f95",
     "deriv": "49785c0f04a7954dbd6628ebcc8e464ed12f9134ec83598ddfd2df5dc55d8fe7",
     "fund": "68a30b7a3690937e39fc1e91b605a0471ca647e71c5bc8533c7feaa4dd204553",
-    "haberland": "2fb126432e6de8e8eaea8f60299140ce8e15adcbdf90794819ba6cd37b201405",
+    "haberland": "a14107346462dc0a84b796169538258b30d57c87158812c99ad68a2b6c9c2bf9",
     "symmetry": "26b6083f76622d59b403d146311fdc76ff4bbb7505f9c36384b349f00aa120d1",
     "firstdiff": "e3e5af68f7edd7f2df10f4247a1782577ec1bd9f922f6c5a918b2f5d631013ad",
 }
