@@ -25,9 +25,9 @@ and rounding), not on mpc objects:
 
 * `mul_qseries` multiplies by a q-series with integer coefficients (a cusp
   series sum_n sigma(n) e^{2 pi i n t}) and truncates at n_cut.  It forms only
-  the frequency pairs n1 + n2 <= n_cut and sums each output frequency in
-  place in ascending n1, so it rounds exactly as `ExpPoly.__mul__` followed by
-  `truncated`.
+  the frequency pairs n_lo < n1 + n2 <= n_cut and sums each output frequency
+  in place in ascending n1, so it rounds exactly as `ExpPoly.__mul__`
+  followed by `truncated`, whatever n_lo.
 * `ExpPoly.tail_integral` runs that recurrence, O(D) operations per frequency
   of degree D, and returns -R.  c = i b is exactly imaginary, so a division by
   c is two real divisions, (x + iy) / (ib) = (y - ix) / b, each rounded once;
@@ -41,19 +41,29 @@ zero halves of exactly real or imaginary coefficients) where skipping changes
 no bit.
 
 `ExpPoly.__call__` computes one q = e^{2 pi i t} and runs Horner in q from the
-highest frequency (at most n_max) down, each P_n(t) by Horner in t.
+highest frequency (at most n_max) down, each P_n(t) by Horner in t, on raw
+parts as mpc arithmetic rounds them, with two real products for a factor that
+has an exactly zero part (t = i; q wherever 2 Re t is an integer).
 
-Instances are treated as immutable: all operations return new values.
+Instances are treated as immutable: all operations return new values; only
+the folds of the kept stages of `integrals` gain frequencies in place.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_right
+from functools import partial
 
 from mpmath import mp, mpc
 from mpmath.libmp import (
     from_int,
     fzero,
+    mpc_add,
+    mpc_mul,
+    mpc_pos,
     mpf_add,
     mpf_div,
+    mpf_mul,
     mpf_mul_int,
     mpf_neg,
     mpf_sub,
@@ -98,13 +108,6 @@ def _pshift(a: Poly, m: int) -> Poly:
     if not a:
         return ()
     return (mpc(0),) * m + tuple(a)
-
-
-def _peval(a: Poly, t) -> mpc:
-    acc = mpc(0)
-    for c in reversed(a):
-        acc = acc * t + c
-    return acc
 
 
 class ExpPoly:
@@ -204,14 +207,19 @@ class ExpPoly:
         top = max((n for n in terms if n_max is None or n <= n_max), default=None)
         if top is None:
             return mpc(0)
-        q = mp.expjpi(2 * t)
-        acc = _peval(terms[top], t)
-        for n in range(top - 1, -1, -1):
-            acc *= q
+        prec, rnd = mp._prec_rounding
+        times_t = _times(t._mpc_, prec, rnd)
+        times_q = _times(mp.expjpi(2 * t)._mpc_, prec, rnd)
+        acc = (fzero, fzero)  # 0 * q + P_top(t) is P_top(t) exactly
+        for n in range(top, -1, -1):
+            acc = times_q(acc)
             p = terms.get(n)
             if p:
-                acc += _peval(p, t)
-        return acc
+                v = mpc_pos(p[-1]._mpc_, prec, rnd)  # 0 * t + c_D
+                for c in p[-2::-1]:
+                    v = mpc_add(times_t(v), c._mpc_, prec, rnd)
+                acc = mpc_add(acc, v, prec, rnd)
+        return mp.make_mpc(acc)
 
     def dump(self) -> str:
         """Debug format: one line per frequency, 'n; c0, c1, ...'."""
@@ -250,14 +258,25 @@ def _from_flat(parts: dict[int, list]) -> ExpPoly:
     return out
 
 
-def mul_qseries(g: ExpPoly, coeffs, n_cut: int) -> ExpPoly:
-    """(sum_{1<=n<=n_cut} coeffs[n] e^{2 pi i n t}) * g, truncated at frequency n_cut.
+def _times(w: tuple, prec: int, rnd: str):
+    """z -> z * w on raw parts as `mpc_mul` rounds it; a zero part of w adds an
+    exact zero to each part, so two real products round the same."""
+    c, d = w
+    if d == fzero:
+        return lambda z: (mpf_mul(z[0], c, prec, rnd), mpf_mul(z[1], c, prec, rnd))
+    if c == fzero:
+        return lambda z: (mpf_neg(mpf_mul(z[1], d), prec, rnd), mpf_mul(z[0], d, prec, rnd))
+    return partial(mpc_mul, w=w, prec=prec, rnd=rnd)
+
+
+def mul_qseries(g: ExpPoly, coeffs, n_cut: int, n_lo: int = 0) -> ExpPoly:
+    """(sum_{1<=n<=n_cut} coeffs[n] e^{2 pi i n t}) * g at the frequencies n_lo < n <= n_cut.
 
     `coeffs` holds Python integers (index 0 unused), e.g. a `sigma_table`.  The
-    value is bit-identical to `(ExpPoly.from_qseries(...) * g).truncated(n_cut)`:
-    each term coeffs[n1] * g_{n2} is rounded once as the mpc product is, and the
-    terms of each output frequency are summed in ascending n1; pairs beyond
-    n_cut are never formed.
+    value is bit-identical to `(ExpPoly.from_qseries(...) * g).truncated(n_cut)`
+    without its frequencies <= n_lo: each term coeffs[n1] * g_{n2} is rounded
+    once as the mpc product is, and the terms of each output frequency are
+    summed in ascending n1; pairs outside (n_lo, n_cut] are never formed.
     """
     prec, rnd = mp._prec_rounding
     src = []  # (n2, flat length, nonzero parts (k, x)) in ascending n2
@@ -265,6 +284,7 @@ def mul_qseries(g: ExpPoly, coeffs, n_cut: int) -> ExpPoly:
         if n2 < n_cut:
             flat = _flat(p)
             src.append((n2, len(flat), [(k, x) for k, x in enumerate(flat) if x != fzero]))
+    keys = [n2 for n2, _, _ in src]
     out: dict[int, list] = {}
     for n1 in range(1, n_cut + 1):
         a = coeffs[n1]
@@ -272,7 +292,7 @@ def mul_qseries(g: ExpPoly, coeffs, n_cut: int) -> ExpPoly:
             continue
         if a.bit_length() > prec:  # mpc(a) would round it first
             a = to_int(from_int(a, prec, rnd))
-        for n2, size, nonzero in src:
+        for n2, size, nonzero in src[bisect_right(keys, n_lo - n1):]:
             n = n1 + n2
             if n > n_cut:
                 break

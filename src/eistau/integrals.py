@@ -29,14 +29,18 @@ Truncation prefix: the fold's q-expansion does not depend on tau, only n_cut
 does, and the frequencies <= N' of the fold truncated at N >= N' are
 bit-identical to the fold truncated at N'.  A term at frequency n is built
 only from input frequencies below n; `mul_qseries` sums each output frequency
-in ascending n1; `tail_integral` works per frequency; and `ExpPoly.__call__`
-with n_max runs Horner in q from the highest frequency <= n_max down, a
-frequency both folds hold, and never reads one above it.  So one fold per
-word, kept at the largest n_cut computed so far, serves every tau, with the
-same bits as a fold made for that tau alone.  `int_eval` and `int_exppoly`
-keep that fold, keyed on (word, alphas, working precision), from a word's
-first evaluation on.  `word_eval` folds afresh and keeps nothing: its callers
-are the base-point words of `mmv`, which memoizes their values.
+in ascending n1, whatever its lower bound; `tail_integral` works per
+frequency; and `ExpPoly.__call__` with n_max runs Horner in q from the highest
+frequency <= n_max down, a frequency both folds hold, and never reads one
+above it.  So the fold is kept as a table of stages, each grown in place from
+its kept n by its new frequencies only, and read at any n_cut with the same
+bits as a fold made for that tau alone.  A stage is keyed on its chain,
+innermost out (per factor, the product with sigma_{2k-1} for a cusp factor,
+the innermost one's with 1, then a tail integral), and the working
+precision; words that share inner integrals share those stages.  `int_eval`
+and `int_exppoly` keep every stage of their word.  `word_eval` keeps the
+stages below its outermost tail integral and makes that one at its own n_cut:
+its callers are the base-point words of `mmv`, which memoizes their values.
 """
 
 from __future__ import annotations
@@ -62,12 +66,6 @@ from .eisenstein import (
 from .exppoly import ExpPoly, mul_qseries
 
 MAX_DEPTH = 6
-
-
-def cusp_exppoly(k: int, n_cut: int) -> ExpPoly:
-    """Truncated weight-2k cusp series sum_{n<=n_cut} sigma_{2k-1}(n) e^{2 pi i n t}."""
-    sig = sigma_table(2 * k - 1, n_cut)
-    return ExpPoly.from_qseries({n: sig[n] for n in range(1, n_cut + 1)})
 
 
 @lru_cache(maxsize=1024)
@@ -125,42 +123,76 @@ def freq_cutoff(word, alphas, tau: mpc, budget: TruncationBudget) -> int:
     return tail_start(power, tau.imag, mpf(budget.eps) / (2 * scale), budget.n_max)
 
 
-# (word, alphas, mp.prec) -> (n_cut, fold truncated at n_cut), the largest n_cut
-# computed so far, for the words of `int_eval` and `int_exppoly`.
-_folds: dict[tuple, tuple[int, ExpPoly]] = {}
+PRODUCT, TAIL = "product", "tail"
+_ONE = ExpPoly({0: (mpc(1),)})  # the innermost series is its product with 1
 
 
-def _fold(word, alphas, n_cut: int) -> ExpPoly:
-    """Innermost-out fold of the word at n_cut, its constants left out.
-
-    Works at the caller's precision; callers handle depth 0.
-    """
-    g: ExpPoly | None = None
+def _chain(word, alphas) -> tuple:
+    """The fold's stages innermost out: per factor, (PRODUCT, k) for a cusp
+    factor, then (TAIL, alpha).  A const factor adds a tail only: its Einf
+    multiplies the value at the end."""
+    chain = ()
     for (kind, k), alpha in zip(reversed(word), reversed(alphas)):
-        if g is None:
-            g = cusp_exppoly(k, n_cut)
-        elif kind == CUSP:
-            g = mul_qseries(g, sigma_table(2 * k - 1, n_cut), n_cut)
-        g = g.tail_integral(alpha)
-    return g
+        chain += ((PRODUCT, k), (TAIL, alpha)) if kind == CUSP else ((TAIL, alpha),)
+    return chain
+
+
+class _Stage:
+    """Frequencies 1..n of the fold of a stage chain at one working precision,
+    kept and grown; `inner` is the stage of the chain's prefix (None for the series)."""
+
+    __slots__ = ("op", "arg", "inner", "n", "fold")
+
+    def __init__(self, op: str, arg: int, inner: "_Stage | None"):
+        self.op, self.arg, self.inner = op, arg, inner
+        self.n, self.fold = 0, ExpPoly()
+
+    def grow(self, n: int) -> None:
+        """Extend the fold from the kept n to n, the inner stage first; by the
+        truncation prefix the new frequencies are those of a fold made at n."""
+        n0 = self.n
+        if n <= n0:
+            return
+        if self.inner is not None:
+            self.inner.grow(n)
+        inner = _ONE if self.inner is None else self.inner.fold
+        if self.op == PRODUCT:
+            new = mul_qseries(inner, sigma_table(2 * self.arg - 1, n), n, n0)
+        else:
+            new = ExpPoly({m: p for m, p in inner.terms.items() if n0 < m <= n})
+            new = new.tail_integral(self.arg)
+        self.fold.terms.update(new.terms)
+        self.n = n
+
+
+# (stage chain, mp.prec) -> its kept stage
+_stages: dict[tuple, _Stage] = {}
+
+
+def _stage(chain: tuple) -> _Stage:
+    """The kept stage of `chain` at the working precision; its inner stage is the
+    kept stage of the chain's prefix, shared by every chain that has it."""
+    key = (chain, mp.prec)
+    stage = _stages.get(key)
+    if stage is None:
+        inner = _stage(chain[:-1]) if len(chain) > 1 else None
+        stage = _stages[key] = _Stage(*chain[-1], inner)
+    return stage
 
 
 def _kept_fold(index: CompositeIndex, tau: mpc, budget: TruncationBudget) -> tuple[ExpPoly, int]:
-    """The n_cut certified at tau for the cusp word of `index` (depth >= 1), and
-    the kept fold, whose frequencies <= n_cut are the fold truncated at n_cut;
-    it may hold higher ones."""
+    """n_cut certified at tau for the cusp word of `index` (depth >= 1), and its
+    top stage's fold grown to n_cut; it may hold higher frequencies."""
     word = tuple((CUSP, k) for k in index.ks)
     n_cut = freq_cutoff(word, index.alphas, tau, budget)
-    key = (word, index.alphas, mp.prec)
-    hit = _folds.get(key)
-    if hit is None or hit[0] < n_cut:
-        hit = _folds[key] = (n_cut, _fold(word, index.alphas, n_cut))
-    return hit[1], n_cut
+    stage = _stage(_chain(word, index.alphas))
+    stage.grow(n_cut)
+    return stage.fold, n_cut
 
 
 def word_eval(word, alphas, tau, budget: TruncationBudget = DEFAULT_BUDGET) -> mpc:
-    """Iterated tail integral of a word at tau (see module docstring), from a
-    fold made for this call; nothing is kept.
+    """Iterated tail integral of a word at tau (see module docstring), from its
+    kept inner stages and an outermost tail integral made at n_cut, not kept.
 
     `word` is a tuple of (kind, k) pairs whose innermost factor is a cusp part,
     and `alphas` a tuple of exponents >= 1 of the same length >= 1.
@@ -170,7 +202,9 @@ def word_eval(word, alphas, tau, budget: TruncationBudget = DEFAULT_BUDGET) -> m
         raise ValueError("Im tau must be positive")
     with mp.extradps(15):
         n_cut = freq_cutoff(word, alphas, tau, budget)
-        val = _fold(word, alphas, n_cut)(tau, n_max=n_cut)
+        inner = _stage(_chain(word, alphas)[:-1])
+        inner.grow(n_cut)
+        val = inner.fold.truncated(n_cut).tail_integral(alphas[0])(tau)
         for kind, k in word:
             if kind == CONST:
                 val = _constant_mpf(k) * val
@@ -179,7 +213,8 @@ def word_eval(word, alphas, tau, budget: TruncationBudget = DEFAULT_BUDGET) -> m
 
 def int_eval(index: CompositeIndex, tau, budget: TruncationBudget = DEFAULT_BUDGET) -> mpc:
     """Iterated tail integral of the cusp parts of `index` at tau, from the kept
-    fold; depth 0 gives 1.  Raises ValueError for t != 0."""
+    stages of its fold, the outermost included; depth 0 gives 1.  Raises
+    ValueError for t != 0."""
     if index.t:
         raise ValueError(f"the tau-integral carries no tau^t factor, got t = {index.t}")
     if index.depth == 0:

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from mpmath import mp, mpc, mpf
+from mpmath.libmp import mpc_add, mpc_mul, mpc_mul_mpf
 
 from .algebra import CompositeIndex
 from .config import DEFAULT_BUDGET, TruncationBudget
@@ -214,13 +215,14 @@ def l_eval(index: CompositeIndex, tau, budget: TruncationBudget = DEFAULT_BUDGET
         table = _table(index.ks, index.alphas)
         table.grow(n_trunc)
         coeffs = table.mpf_values()
-        q = mp.expjpi(2 * tau)
-        qn = mpc(1)
-        acc = mpc(0)
+        # on raw parts, each step rounded as qn *= q and acc += c * qn round it
+        prec, rnd = mp._prec_rounding
+        q = mp.expjpi(2 * tau)._mpc_
+        qn, acc = mpc(1)._mpc_, mpc(0)._mpc_
         for m in range(1, n_trunc + 1):
-            qn *= q
+            qn = mpc_mul(qn, q, prec, rnd)
             c = coeffs[m - 1]
             if c is not None:
-                acc += c * qn
-        val = prefactor * acc
+                acc = mpc_add(acc, mpc_mul_mpf(qn, c._mpf_, prec, rnd), prec, rnd)
+        val = prefactor * mp.make_mpc(acc)
     return +val

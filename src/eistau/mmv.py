@@ -10,8 +10,8 @@ Every R word with exponents >= 1, const factors included, is the fold of
 `integrals.word_eval` at tau = i; the one R route local to this module is the
 gammainc sum for a single cusp factor with m <= 0.  The module memoizes these
 values, keyed on the budget and the working precision `mp.prec`, and
-assembles the formulas below from them.  `word_eval` keeps no fold, so this
-memo is the only cache of an R word.
+assembles the formulas below from them.  `word_eval` keeps the inner stages
+of a word's fold, not its outermost one: this memo alone keeps an R word.
 
 Closed forms and regularized values (every formula below is pinned by the
 verification suites; "regularized" means the analytic extension fixed by

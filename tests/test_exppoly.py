@@ -2,10 +2,15 @@ import pytest
 from mpmath import mp, mpc, mpf
 
 from eistau.eisenstein import sigma_table
-from eistau.exppoly import ExpPoly, _peval, elem_exp_tail, mul_qseries
-from eistau.integrals import cusp_exppoly
+from eistau.exppoly import ExpPoly, elem_exp_tail, mul_qseries
 
 I = mpc(0, 1)
+
+
+def cusp_exppoly(k: int, n_cut: int) -> ExpPoly:
+    """Truncated weight-2k cusp series sum_{n<=n_cut} sigma_{2k-1}(n) e^{2 pi i n t}."""
+    sig = sigma_table(2 * k - 1, n_cut)
+    return ExpPoly.from_qseries({n: sig[n] for n in range(1, n_cut + 1)})
 
 
 def test_elem_exp_tail_alpha1():
@@ -82,7 +87,6 @@ def test_tail_integral_inverts_derivative_symbolically():
 
 
 def test_tail_integral_of_cusp_series_matches_quadrature():
-    from eistau.integrals import cusp_exppoly
     from eistau.quadrature import default_path, quad_vertical
 
     g = cusp_exppoly(2, 30).tail_integral(2)
@@ -169,6 +173,27 @@ def test_mul_qseries_rounds_wide_integer_coefficients_as_mpc_does():
         assert _parts(got) == _parts(ref.truncated(4))
 
 
+@pytest.mark.parametrize("dps", [40, 70])
+def test_mul_qseries_lower_bound_is_the_slice_of_the_product(dps):
+    # every n_lo: the frequencies n_lo < n <= n_cut of product-then-truncation,
+    # bit for bit, and nothing at or below n_lo
+    with mp.workdps(dps + 30):
+        wide = _mixed_exppoly()
+    with mp.workdps(dps):
+        cases = [(sigma_table(2 * k - 1, n_cut), n_cut, g)
+                 for k, n_cut, g in [(3, 17, cusp_exppoly(2, 17).tail_integral(2)),
+                                     (5, 9, _mixed_exppoly()),
+                                     (3, 7, wide)]]
+    cases.append(([0, 3**90 + 1, 0, 7, 2**200 - 1], 4, _mixed_exppoly()))
+    for coeffs, n_cut, g in cases:
+        with mp.workdps(15 if n_cut == 4 else dps):
+            series = ExpPoly.from_qseries({n: coeffs[n] for n in range(1, n_cut + 1)})
+            ref = _parts((series * g).truncated(n_cut))
+            for n_lo in range(n_cut + 1):
+                got = mul_qseries(g, coeffs, n_cut, n_lo)
+                assert _parts(got) == {n: p for n, p in ref.items() if n > n_lo}
+
+
 def _tail_integral_recurrence(f: ExpPoly, alpha: int) -> ExpPoly:
     """The recurrence on mpc values: R = sum_j (-1)^j Q^(j) / c^{j+1} solves
     cR + R' = Q, so r_D = q_D / c and r_m = (q_m - (m+1) r_{m+1}) / c from the
@@ -225,6 +250,13 @@ def test_tail_integral_matches_per_derivative_formula(dps, alpha):
                 assert max(abs(a - c) for a, c in zip(g, p)) <= bound * scale
 
 
+def _peval(a, t) -> mpc:
+    acc = mpc(0)
+    for c in reversed(a):
+        acc = acc * t + c
+    return acc
+
+
 def _call_reference(f: ExpPoly, t, n_max=None) -> mpc:
     """The value as a sum over frequencies, one e^{2 pi i n t} each."""
     return sum((_peval(p, t) * mp.expjpi(2 * n * t) for n, p in sorted(f.terms.items())
@@ -251,3 +283,34 @@ def test_call_horner_matches_per_frequency_sum(dps):
                 bound = (2 * top + 2 * deg + 8) * mpf(2) ** -mp.prec * size
                 with mp.workdps(dps + 30):
                     assert abs(got - _call_reference(f, tau, n_max)) <= bound
+
+
+def _call_mpc_horner(f: ExpPoly, t, n_max=None) -> mpc:
+    """Horner in q on mpc values, from the highest frequency <= n_max down."""
+    t = mpc(t)
+    top = max((n for n in f.terms if n_max is None or n <= n_max), default=None)
+    if top is None:
+        return mpc(0)
+    q = mp.expjpi(2 * t)
+    acc = _peval(f.terms[top], t)
+    for n in range(top - 1, -1, -1):
+        acc *= q
+        if n in f.terms:
+            acc += _peval(f.terms[n], t)
+    return acc
+
+
+@pytest.mark.parametrize("dps", [40, 70])
+def test_call_is_the_mpc_horner_bit_for_bit(dps):
+    # t = i is exactly imaginary and q exactly real at i and at +-40 + 0.15i,
+    # where the raw loop takes the shorter products; 0.3 + 1.1i takes neither;
+    # n_max inside the gaps (3-4, 7-9); wide coefficients are rounded first
+    with mp.workdps(dps + 30):
+        wide = _mixed_exppoly()
+    with mp.workdps(dps):
+        extra = ExpPoly({0: (mpc("0.25"),), 10: (mpc(1), mpc(0, -2))})
+        fs = [_mixed_exppoly() + extra, wide, cusp_exppoly(3, 12).tail_integral(4)]
+        for f in fs:
+            for tau in (mpc(0, 1), mpc(40, "0.15"), mpc(-40, "0.15"), mpc("0.3", "1.1")):
+                for n_max in (None, 8, 6, 4, 1, 0):
+                    assert f(tau, n_max)._mpc_ == _call_mpc_horner(f, tau, n_max)._mpc_

@@ -9,7 +9,6 @@ from eistau import clear_caches, integrals, mmv
 from eistau.algebra import make_index
 from eistau.config import BudgetError, TruncationBudget
 from eistau.eisenstein import eis_constant, eis_cusp_eval
-from eistau.exppoly import _peval
 from eistau.integrals import int_eval, int_exppoly
 from eistau.lseries import l_eval
 from eistau.mmv import MonomialCoefficientRequest, r_iter, s_coeff
@@ -103,10 +102,11 @@ def test_fold_values_bit_identical():
     assert _mpc_digest(vals) == PINNED_FOLD_SHA256
 
 
-# -- the fold cache: one fold per (index, precision), reused across tau --------
+# -- the stage table: one kept stage per (stage chain, precision), reused ------
 
 FOLD_INDEX = make_index([3, 2, 2], [2, 1, 3])
 FOLD_WORD = tuple(("cusp", k) for k in FOLD_INDEX.ks)
+FOLD_CHAIN = integrals._chain(FOLD_WORD, FOLD_INDEX.alphas)
 FOLD_TAUS = [mpc("0.1", "0.7"), mpc(0, "0.9"), mpc("-0.4", "1.3"), mpc(0, 2)]  # Im tau ascending
 
 
@@ -122,23 +122,83 @@ def test_fold_cache_values_bit_identical_to_cold(taus):
     warm = [int_eval(FOLD_INDEX, tau, BUDGET)._mpc_ for tau in taus]
     warm += [int_eval(FOLD_INDEX, tau, BUDGET)._mpc_ for tau in taus]
     assert warm == cold + cold
-    # the kept fold is the one at the largest n_cut seen
+    # every stage of the chain is kept at the largest n_cut seen
     with mp.extradps(15):  # the precision int_eval folds at
         n_cut = max(integrals.freq_cutoff(FOLD_WORD, FOLD_INDEX.alphas, tau, BUDGET)
                     for tau in taus)
-        assert integrals._folds[(FOLD_WORD, FOLD_INDEX.alphas, mp.prec)][0] == n_cut
+        stages = [integrals._stages[(FOLD_CHAIN[:j], mp.prec)]
+                  for j in range(1, len(FOLD_CHAIN) + 1)]
+    assert [stage.n for stage in stages] == [n_cut] * len(FOLD_CHAIN)
+    assert len(integrals._stages) == len(FOLD_CHAIN)
 
 
-def test_fold_cache_holds_int_eval_words_only():
-    # int_eval keeps its word's fold from the first call on; the base-point
-    # words of mmv are memoized by value there and fold without the cache
+# R words at i (const factors too) and an int_eval chain sharing their inner
+# stages; Im tau rises, then falls, so stages grow and are then read below their n
+RISE_FALL = [(("cusp", 2), ("cusp", 3)), (1, 2), (("const", 4), ("cusp", 3)), (3, 2)]
+RISE_FALL_TAUS = [mpc(0, "1.3"), mpc("0.2", "0.9"), mpc(0, "0.7"), mpc("-0.3", "1.1"), mpc(0, 2)]
+
+
+def test_stages_grown_up_and_down_give_cold_bits():
+    (w1, a1, w2, a2), idx = RISE_FALL, make_index([2, 3], [1, 2])
+    calls = [lambda tau: integrals.word_eval(w1, a1, tau, BUDGET),
+             lambda tau: integrals.word_eval(w2, a2, tau, BUDGET),
+             lambda tau: int_eval(idx, tau, BUDGET)]
+    cold = []
+    for tau in RISE_FALL_TAUS:
+        for f in calls:
+            clear_caches()
+            cold.append(f(tau)._mpc_)
+    clear_caches()
+    warm = [f(tau)._mpc_ for tau in RISE_FALL_TAUS for f in calls]
+    assert warm == cold
+    assert integrals._stages
+
+
+def test_mmv_words_keep_inner_stages_never_their_last(monkeypatch):
+    # int_eval keeps every stage of its chain; a base-point word of mmv, whose
+    # value mmv memoizes, keeps the stages below its outermost tail integral
     clear_caches()
     int_eval(FOLD_INDEX, FOLD_TAUS[0], BUDGET)
-    assert [key[:2] for key in integrals._folds] == [(FOLD_WORD, FOLD_INDEX.alphas)]
+    assert {chain for chain, _ in integrals._stages} == {
+        FOLD_CHAIN[:j] for j in range(1, len(FOLD_CHAIN) + 1)}
     clear_caches()
+    words = []
+
+    def recording(word, alphas, tau, budget):
+        words.append(integrals._chain(word, alphas))
+        return integrals.word_eval(word, alphas, tau, budget)
+
+    monkeypatch.setattr(mmv, "word_eval", recording)
     r_iter([("const", 3), ("cusp", 2)], (2, 1), BUDGET)
     s_coeff(MonomialCoefficientRequest((2, 3), (1, 2)), budget=BUDGET)
-    assert not integrals._folds and mmv._memo
+    kept = {chain for chain, _ in integrals._stages}
+    assert words and mmv._memo
+    # a word's own chain is kept only as the inner stage of a longer word
+    assert kept == {chain[:j] for chain in words for j in range(1, len(chain))}
+    assert any(chain not in kept for chain in words)
+
+
+def test_s_coeff_sweep_builds_each_product_stage_once(monkeypatch):
+    # R(E0_1, E0_2; a1, a2) and R(E0_1, E0_2; 2k1 - a1, 2k2 - a2) for every a1
+    # share the product stage of (k2, a2, k1) and of (k2, 2k2 - a2, k1)
+    built = []
+
+    class Counted(integrals._Stage):
+        __slots__ = ()
+
+        def __init__(self, op, arg, inner):
+            built.append((op, arg))
+            super().__init__(op, arg, inner)
+
+    clear_caches()
+    monkeypatch.setattr(integrals, "_Stage", Counted)
+    for a1 in range(1, 6):
+        s_coeff(MonomialCoefficientRequest((3, 2), (a1, 1)), budget=BUDGET)
+    products = {chain for chain, _ in integrals._stages
+                if chain[-1][0] == integrals.PRODUCT and len(chain) > 1}
+    assert products == {(("product", 2), ("tail", a2), ("product", 3)) for a2 in (1, 3)}
+    # each built once, with the two series, five tails over E0_3 and two over E0_2
+    assert len(built) == len(integrals._stages) == 11
 
 
 def test_fold_cache_keys_on_precision():
@@ -152,8 +212,8 @@ def test_fold_cache_keys_on_precision():
         for dps in (30, 50):
             with mp.workdps(dps):
                 assert int_eval(FOLD_INDEX, tau, BUDGET)._mpc_ == values[dps]
-    assert len(integrals._folds) == 2
-    assert len({prec for _, _, prec in integrals._folds}) == 2
+    assert len(integrals._stages) == 2 * len(FOLD_CHAIN)
+    assert len({prec for _, prec in integrals._stages}) == 2
 
 
 # sha256 of int_exppoly([3, 2]; [2, 1]) at tau = 1.3i and 40 digits, .dump()
@@ -217,11 +277,13 @@ def test_fold_majorant_dominates_realized_frequencies():
             scale = sum(mpf(x.numerator) / x.denominator * u**d for d, x in enumerate(c))
             scale /= (2 * mp.pi) ** h
             n_cut = integrals.freq_cutoff(word, alphas, tau, BUDGET)
-            fold = integrals._fold(word, alphas, 2 * n_cut)
+            stage = integrals._stage(integrals._chain(word, alphas))
+            stage.grow(2 * n_cut)
+            fold = stage.fold
             assert fold.max_freq() > n_cut
             einf = _einf_product(word)
             for n, poly in fold.terms.items():
-                realized = abs(_peval(poly, tau)) * einf
+                realized = abs(mp.polyval(poly[::-1], tau)) * einf
                 assert realized <= scale * mpf(n) ** power, (word, alphas, tau, n)
 
 

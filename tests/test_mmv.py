@@ -356,11 +356,11 @@ def test_clear_caches_recomputes_bit_identical_values():
     before = [v._mpc_ for v in values()]
     assert len(eisenstein._bernoulli_even) > 1
     clear_caches()
-    caches = (mmv._memo, lseries._coeff_cache, eisenstein._sigma_tables, integrals._folds)
+    caches = (mmv._memo, lseries._coeff_cache, eisenstein._sigma_tables, integrals._stages)
     assert not any(caches)
     assert eisenstein._bernoulli_even == [Fraction(1)]
     assert [v._mpc_ for v in values()] == before
-    assert [v._mpc_ for v in values()] == before  # from the memo and the kept fold
+    assert [v._mpc_ for v in values()] == before  # from the memo and the kept stages
     assert all(caches)
 
 
