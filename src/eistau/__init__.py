@@ -57,11 +57,12 @@ def clear_caches() -> None:
     """Empty the engine's caches; values computed afterwards are bit-identical.
 
     Clears the memo of base-point integrals (`mmv`, R words keyed on
-    mp.prec), the table of fold stages and the fold majorants (`integrals`;
-    each stage, keyed on its chain and mp.prec, is grown in place to the
+    mp.prec), the table of fold stages (`integrals`; each stage, keyed on its
+    chain and mp.prec, carries its majorant and is grown in place to the
     largest n_cut so far; `int_eval` and `int_exppoly` keep every stage of a
     word, the R words of `mmv` all but the outermost), the L-series
-    coefficient tables of `l_eval` and `l_coeffs_dp` (`lseries`), the
+    coefficient tables of `l_eval` and `l_coeffs_dp` (`lseries`, each with
+    its majorant and its series at the last precision), the
     divisor-sum sieve and the Bernoulli table (`eisenstein`; the sieve and the
     table under their locks, the table back to b_0 alone), the Chebyshev rules
     of the quadrature oracles (`quadrature`) and the exact conversion tables
@@ -72,7 +73,6 @@ def clear_caches() -> None:
 
     mmv._memo.clear()
     integrals._stages.clear()
-    integrals.fold_majorant.cache_clear()
     lseries._coeff_cache.clear()
     quadrature._rules.clear()
     rewrite._int_to_l_table.cache_clear()

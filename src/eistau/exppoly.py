@@ -43,10 +43,11 @@ no bit.
 `ExpPoly.__call__` computes one q = e^{2 pi i t} and runs Horner in q from the
 highest frequency (at most n_max) down, each P_n(t) by Horner in t, on raw
 parts as mpc arithmetic rounds them, with two real products for a factor that
-has an exactly zero part (t = i; q wherever 2 Re t is an integer).
+has an exactly zero part (t = i; q wherever 2 Re t is an integer).  It reads
+every kept q-expansion: the folds of `integrals` and the L tables of `lseries`.
 
 Instances are treated as immutable: all operations return new values; only
-the folds of the kept stages of `integrals` gain frequencies in place.
+those kept q-expansions gain frequencies in place.
 """
 
 from __future__ import annotations

@@ -17,13 +17,14 @@ of a CompositeIndex, with 1 at depth 0.
 Frequency truncation: a cusp stage truncates its product at n_cut, and a
 product term at frequency n comes from input frequencies below n, so the
 truncated fold is the exact fold with its frequencies > n_cut dropped; the
-truncation error is the sum of those terms at tau.  `fold_majorant` carries a
-bound |P_n(t)| <= C(|t|) n^P through the fold, stage by stage: sigma_{2k-1}(n)
-<= zeta(2k-1) n^{2k-1} for a series, B(a+1, b+1) n^{a+b+1} plus a peak term
-for a product's convolution, |Einf_k| for a const stage, and 1/(2 pi n) per
-derivative for a tail integral, whose polynomial part is bounded at radius |t|.
-n_cut is an N that `tail_start` certifies to keep the sum over n > N of
-C n^P e^{-2 pi n Im tau} below eps/2 (`freq_cutoff`).
+truncation error is the sum of those terms at tau.  Each stage carries a
+bound |P_n(t)| <= C(|t|) n^P on its fold, computed once from its inner
+stage's (`_Stage`): sigma_{2k-1}(n) <= zeta(2k-1) n^{2k-1} for a series,
+B(a+1, b+1) n^{a+b+1} plus a peak term for a product's convolution, and
+1/(2 pi n) per derivative for a tail integral, whose polynomial part is
+bounded at radius |t|.  A word's bound is its top stage's times |Einf_k| per
+const factor.  n_cut is an N that `tail_start` certifies to keep the sum over
+n > N of C n^P e^{-2 pi n Im tau} below eps/2 (`freq_cutoff`).
 
 Truncation prefix: the fold's q-expansion does not depend on tau, only n_cut
 does, and the frequencies <= N' of the fold truncated at N >= N' are
@@ -37,22 +38,23 @@ its kept n by its new frequencies only, and read at any n_cut with the same
 bits as a fold made for that tau alone.  A stage is keyed on its chain,
 innermost out (per factor, the product with sigma_{2k-1} for a cusp factor,
 the innermost one's with 1, then a tail integral), and the working
-precision; words that share inner integrals share those stages.  `int_eval`
-and `int_exppoly` keep every stage of their word.  `word_eval` keeps the
-stages below its outermost tail integral and makes that one at its own n_cut:
-its callers are the base-point words of `mmv`, which memoizes their values.
+precision; words that share inner integrals share those stages.
+`int_eval`, `int_exppoly` and `word_eval` take one path: the top stage sizes
+n_cut, is grown to it and read at tau with n_max = n_cut.  `int_eval` and
+`int_exppoly` keep every stage of their word.  `word_eval`'s top is a stage
+over its kept inner stage, grown to its own n_cut and never kept: its callers
+are the base-point words of `mmv`, which memoizes their values.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
-from math import factorial
+from math import factorial, prod
 
 from mpmath import mp, mpc, mpf
 
 from .algebra import CompositeIndex
-from .config import DEFAULT_BUDGET, TruncationBudget
+from .config import DEFAULT_BUDGET, SingularParameterError, TruncationBudget
 from .eisenstein import (
     CONST,
     CUSP,
@@ -66,63 +68,6 @@ from .eisenstein import (
 from .exppoly import ExpPoly, mul_qseries
 
 MAX_DEPTH = 6
-
-
-@lru_cache(maxsize=1024)
-def fold_majorant(word, alphas) -> tuple[int, tuple[Fraction, ...], int]:
-    """(P, c, h) with |P_n(t)| prod |Einf_k| <= n^P (2 pi)^{-h} sum_d c_d (2 pi |t|)^d
-    for every frequency n >= 1 of the fold of `word` and every t, c_d >= 0.
-
-    Carried innermost out, stage by stage: the innermost series starts at
-    (sigma_majorant(k), 2k-1); a cusp stage convolves with sigma_{2k-1}, which
-    multiplies C by sigma_majorant(k) convolution_majorant(2k-1, P) and adds 2k
-    to P; a const stage multiplies C by |Einf_k|.  In the tail integral,
-    |P_n(s) s^{alpha-1}| <= q(|s|) for a polynomial q with nonnegative
-    coefficients, and |s| <= |t| + u on the ray s = t + iu, so the integral's
-    frequency-n polynomial is at most int_0^oo e^{-2 pi n u} q(|t| + u) du
-    = sum_j q^(j)(|t|) / (2 pi n)^{j+1} <= n^{-1} sum_j q^(j)(|t|) / (2 pi)^{j+1}:
-    P drops by one (not below 0, as n >= 1), and every derivative lowers the
-    degree in |t| by one and adds a factor 1/(2 pi), so the bound stays
-    homogeneous in 2 pi |t|.
-    """
-    power, c, h = 0, None, 0
-    for (kind, k), alpha in zip(reversed(word), reversed(alphas)):
-        if c is None:
-            power, c = 2 * k - 1, [sigma_majorant(k)]
-        elif kind == CUSP:
-            s = sigma_majorant(k) * convolution_majorant(2 * k - 1, power)
-            power, c = power + 2 * k, [x * s for x in c]
-        else:
-            e = abs(eis_constant(k))
-            c = [x * e for x in c]
-        q = [Fraction(0)] * (alpha - 1) + c
-        c = [sum(q[d] * (factorial(d) // factorial(e)) for d in range(e, len(q)))
-             for e in range(len(q))]
-        power, h = max(power - 1, 0), h + alpha
-    return power, tuple(c), h
-
-
-def freq_cutoff(word, alphas, tau: mpc, budget: TruncationBudget) -> int:
-    """Certified frequency cutoff of the fold of `word` at tau.
-
-    The truncated fold is the exact fold with its frequencies > n_cut dropped,
-    so the truncation error of `word_eval` is sum_{n > n_cut} of the dropped
-    terms, each at most C n^P e^{-2 pi n Im tau} (`fold_majorant`, with C
-    evaluated at |tau|).  n_cut keeps that sum below eps/2, which leaves the
-    other half of eps to rounding.
-    """
-    if len(word) > MAX_DEPTH:
-        raise ValueError(f"depth {len(word)} exceeds the supported cap {MAX_DEPTH}")
-    power, c, h = fold_majorant(word, alphas)
-    two_pi = 2 * mp.pi
-    u = two_pi * abs(tau)
-    scale = mpf(0)
-    for x in reversed(c):
-        scale = scale * u + mpf(x.numerator) / x.denominator
-    scale /= two_pi**h
-    return tail_start(power, tau.imag, mpf(budget.eps) / (2 * scale), budget.n_max)
-
-
 PRODUCT, TAIL = "product", "tail"
 _ONE = ExpPoly({0: (mpc(1),)})  # the innermost series is its product with 1
 
@@ -139,13 +84,45 @@ def _chain(word, alphas) -> tuple:
 
 class _Stage:
     """Frequencies 1..n of the fold of a stage chain at one working precision,
-    kept and grown; `inner` is the stage of the chain's prefix (None for the series)."""
+    kept and grown; `inner` is the stage of the chain's prefix (None for the series).
 
-    __slots__ = ("op", "arg", "inner", "n", "fold")
+    `majorant` is (P, c, h) with |P_n(t)| <= n^P (2 pi)^{-h} sum_d c_d (2 pi |t|)^d
+    for every frequency n >= 1 of the fold and every t, c_d >= 0, and `bound`
+    holds c_d (2 pi)^{-h} as mpf at the stage's precision, highest d first.
+    It is carried from the inner stage's: the series starts at
+    (2k-1, (sigma_majorant(k),), 0); a product convolves with sigma_{2k-1},
+    which multiplies c by sigma_majorant(k) convolution_majorant(2k-1, P) and
+    adds 2k to P.  In a tail integral, |P_n(s) s^{alpha-1}| <= q(|s|) for a
+    polynomial q with nonnegative coefficients, and |s| <= |t| + u on the ray
+    s = t + iu, so the integral's frequency-n polynomial is at most
+    int_0^oo e^{-2 pi n u} q(|t| + u) du = sum_j q^(j)(|t|) / (2 pi n)^{j+1}
+    <= n^{-1} sum_j q^(j)(|t|) / (2 pi)^{j+1}: P drops by one (not below 0, as
+    n >= 1), and every derivative lowers the degree in |t| by one and adds a
+    factor 1/(2 pi), so the bound stays homogeneous in 2 pi |t|.  A const
+    factor's Einf is left out, as it is of the chain: it multiplies the bound
+    of the word (`freq_cutoff`).
+    """
+
+    __slots__ = ("op", "arg", "inner", "n", "fold", "majorant", "bound")
 
     def __init__(self, op: str, arg: int, inner: "_Stage | None"):
         self.op, self.arg, self.inner = op, arg, inner
         self.n, self.fold = 0, ExpPoly()
+        if inner is None:
+            power, c, h = 2 * arg - 1, (sigma_majorant(arg),), 0
+        else:
+            power, c, h = inner.majorant
+            if op == PRODUCT:
+                s = sigma_majorant(arg) * convolution_majorant(2 * arg - 1, power)
+                power, c = power + 2 * arg, tuple(x * s for x in c)
+            else:
+                q = (Fraction(0),) * (arg - 1) + c
+                c = tuple(sum(q[d] * (factorial(d) // factorial(e)) for d in range(e, len(q)))
+                          for e in range(len(q)))
+                power, h = max(power - 1, 0), h + arg
+        self.majorant = power, c, h
+        two_pi_h = (2 * mp.pi) ** h
+        self.bound = tuple(mpf(x.numerator) / x.denominator / two_pi_h for x in reversed(c))
 
     def grow(self, n: int) -> None:
         """Extend the fold from the kept n to n, the inner stage first; by the
@@ -180,64 +157,93 @@ def _stage(chain: tuple) -> _Stage:
     return stage
 
 
-def _kept_fold(index: CompositeIndex, tau: mpc, budget: TruncationBudget) -> tuple[ExpPoly, int]:
-    """n_cut certified at tau for the cusp word of `index` (depth >= 1), and its
-    top stage's fold grown to n_cut; it may hold higher frequencies."""
-    word = tuple((CUSP, k) for k in index.ks)
-    n_cut = freq_cutoff(word, index.alphas, tau, budget)
-    stage = _stage(_chain(word, index.alphas))
-    stage.grow(n_cut)
-    return stage.fold, n_cut
+def freq_cutoff(stage: _Stage, tau: mpc, budget: TruncationBudget, einf=Fraction(1)) -> int:
+    """Certified frequency cutoff of the fold of `stage` at tau, for a word whose
+    const factors multiply its value by einf in modulus.
 
-
-def word_eval(word, alphas, tau, budget: TruncationBudget = DEFAULT_BUDGET) -> mpc:
-    """Iterated tail integral of a word at tau (see module docstring), from its
-    kept inner stages and an outermost tail integral made at n_cut, not kept.
-
-    `word` is a tuple of (kind, k) pairs whose innermost factor is a cusp part,
-    and `alphas` a tuple of exponents >= 1 of the same length >= 1.
+    The truncated fold is the exact fold with its frequencies > n_cut dropped,
+    so the truncation error of the word is sum_{n > n_cut} of the dropped
+    terms, each at most einf C n^P e^{-2 pi n Im tau} (the stage's majorant,
+    with C evaluated at |tau|).  n_cut keeps that sum below eps/2, which leaves
+    the other half of eps to rounding.
     """
-    tau = mpc(tau)
+    scale = mp.polyval(stage.bound, 2 * mp.pi * abs(tau))
+    if einf != 1:
+        scale *= mpf(einf.numerator) / einf.denominator
+    return tail_start(stage.majorant[0], tau.imag, mpf(budget.eps) / (2 * scale), budget.n_max)
+
+
+def _check(word, alphas) -> None:
+    """Raise for a word that has no fold, before any stage is made."""
+    if not 1 <= len(word) == len(alphas) <= MAX_DEPTH:
+        raise ValueError(f"need 1 <= len(word) == len(alphas) <= {MAX_DEPTH}: {word}, {alphas}")
+    for (kind, k), alpha in zip(word, alphas):
+        if kind not in (CUSP, CONST) or k < 2 or alpha < 1:
+            raise ValueError(f"factor ({kind!r}, {k}), exponent {alpha}: need cusp or const, "
+                             "k >= 2 and alpha >= 1")
+    if word[-1][0] != CUSP:
+        raise SingularParameterError(f"innermost factor {word[-1]}: the tail integral diverges")
+
+
+def _top(word, alphas, tau: mpc, budget: TruncationBudget, keep: bool = True) -> tuple[_Stage, int]:
+    """The top stage of the fold of `word`, grown to the n_cut certified at tau,
+    and n_cut; the kept stage, or without `keep` one over the kept inner stage."""
+    _check(word, alphas)
     if not tau.imag > 0:
         raise ValueError("Im tau must be positive")
+    chain = _chain(word, alphas)
+    stage = _stage(chain) if keep else _Stage(*chain[-1], _stage(chain[:-1]))
+    einf = prod((abs(eis_constant(k)) for kind, k in word if kind == CONST), start=Fraction(1))
+    n_cut = freq_cutoff(stage, tau, budget, einf)
+    stage.grow(n_cut)
+    return stage, n_cut
+
+
+def _value(word, alphas, tau, budget: TruncationBudget, keep: bool) -> mpc:
+    """The top stage read at tau up to n_cut, times the word's constants."""
+    tau = mpc(tau)
     with mp.extradps(15):
-        n_cut = freq_cutoff(word, alphas, tau, budget)
-        inner = _stage(_chain(word, alphas)[:-1])
-        inner.grow(n_cut)
-        val = inner.fold.truncated(n_cut).tail_integral(alphas[0])(tau)
+        stage, n_cut = _top(word, alphas, tau, budget, keep)
+        val = stage.fold(tau, n_max=n_cut)
         for kind, k in word:
             if kind == CONST:
                 val = _constant_mpf(k) * val
     return +val
 
 
+def word_eval(word, alphas, tau, budget: TruncationBudget = DEFAULT_BUDGET) -> mpc:
+    """Iterated tail integral of a word at tau (see module docstring), from its
+    kept inner stages and an outermost stage grown to n_cut, not kept.
+
+    `word` is a tuple of (kind, k) pairs, k >= 2, whose innermost (last)
+    factor is a cusp part, and `alphas` a tuple of exponents >= 1 of the same
+    length >= 1; other words raise ValueError, or SingularParameterError for
+    a const innermost factor.
+    """
+    return _value(word, alphas, tau, budget, keep=False)
+
+
+def _cusp_word(index: CompositeIndex) -> tuple:
+    if index.t:
+        raise ValueError(f"the tau-integral carries no tau^t factor, got t = {index.t}")
+    return tuple((CUSP, k) for k in index.ks)
+
+
 def int_eval(index: CompositeIndex, tau, budget: TruncationBudget = DEFAULT_BUDGET) -> mpc:
     """Iterated tail integral of the cusp parts of `index` at tau, from the kept
     stages of its fold, the outermost included; depth 0 gives 1.  Raises
     ValueError for t != 0."""
-    if index.t:
-        raise ValueError(f"the tau-integral carries no tau^t factor, got t = {index.t}")
-    if index.depth == 0:
-        return mpc(1)
-    tau = mpc(tau)
-    if not tau.imag > 0:
-        raise ValueError("Im tau must be positive")
-    with mp.extradps(15):
-        g, n_cut = _kept_fold(index, tau, budget)
-        val = g(tau, n_max=n_cut)
-    return +val
+    word = _cusp_word(index)
+    return _value(word, index.alphas, tau, budget, keep=True) if word else mpc(1)
 
 
 def int_exppoly(index: CompositeIndex, tau, budget: TruncationBudget = DEFAULT_BUDGET) -> ExpPoly:
     """The ExpPoly representing the iterated integral, with n_cut certified at
     tau.  Raises ValueError for t != 0."""
-    if index.t:
-        raise ValueError(f"the tau-integral carries no tau^t factor, got t = {index.t}")
-    if index.depth == 0:
+    word = _cusp_word(index)
+    if not word:
         return ExpPoly.from_qseries({0: 1})
     tau = mpc(tau)
-    if not tau.imag > 0:
-        raise ValueError("Im tau must be positive")
     with mp.extradps(15):
-        g, n_cut = _kept_fold(index, tau, budget)
-        return g.truncated(n_cut)
+        stage, n_cut = _top(word, index.alphas, tau, budget)
+        return stage.fold.truncated(n_cut)

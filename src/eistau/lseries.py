@@ -12,8 +12,10 @@ recursion in O(r N^2) exact operations, l_coeffs_bruteforce enumerates the
 compositions literally and exists as an oracle.  Evaluation converts to
 floating point only at the end, with a certified tail bound.  `l_coeffs_dp`
 and `l_eval` share one kept table of c per (ks, alphas) and extend it when a
-call needs more rows, so no row is computed twice; `l_eval` converts each row
-to mpf once per working precision.
+call needs more rows, so no row is computed twice.  A table carries the
+majorant of its c, computed once from its suffix table's, and its nonzero
+rows as an ExpPoly converted to mpf once per working precision, which
+`l_eval` reads by `ExpPoly.__call__` up to its own N.
 """
 
 from __future__ import annotations
@@ -23,11 +25,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from mpmath import mp, mpc, mpf
-from mpmath.libmp import mpc_add, mpc_mul, mpc_mul_mpf
 
 from .algebra import CompositeIndex
 from .config import DEFAULT_BUDGET, TruncationBudget
 from .eisenstein import convolution_majorant, sigma_majorant, sigma_table, tail_start
+from .exppoly import ExpPoly
 
 BRUTEFORCE_MAX_DEPTH = 4
 BRUTEFORCE_MAX_N = 200
@@ -72,19 +74,33 @@ def l_coeffs_dp(index: CompositeIndex, n: int) -> LCoefficients:
 
 class _LTable:
     """c(0..n) of one index (k, ...; alpha, ...), kept and grown (c(0) = 0
-    unused), and c(1..n) converted to mpf at one working precision (None for
-    c = 0).
+    unused), and its nonzero rows c(1..n) as the ExpPoly sum_m c(m) q^m,
+    `values`, converted to mpf at the last working precision.
 
     In the recursion of `l_coeffs_dp`, S_j is c of the suffix (k_j, ..., k_r;
     alpha_j, ..., alpha_r), so a table holds its first k and alpha and the
-    table of the suffix after them, `inner`, None at depth 1."""
+    table of the suffix after them, `inner`, None at depth 1.
 
-    __slots__ = ("k", "alpha", "inner", "rows", "prec", "values")
+    `majorant` is (P, C) with c(m) <= C m^P for every m >= 1, carried from the
+    suffix table's: sigma_{2k-1}(n) <= sigma_majorant(k) n^{2k-1}; a layer's
+    convolution sum_u sigma_{2k_j-1}(u) S_{j+1}(m-u) multiplies C by
+    sigma_majorant(k_j) convolution_majorant(2k_j-1, P) and adds 2k_j to P;
+    its denominator m^{alpha_j} lowers P by alpha_j, not below 0, as m >= 1.
+    Unclamped, P = sum (2k-1) + r - 1 - sum alpha: the inner denominators
+    lower it below the sum (2k-1) + r - 1 - alpha_1 of the leading
+    denominator alone."""
+
+    __slots__ = ("k", "alpha", "inner", "rows", "majorant", "prec", "n_values", "values")
 
     def __init__(self, k: int, alpha: int, inner: "_LTable | None"):
         self.k, self.alpha, self.inner = k, alpha, inner
         self.rows = [Fraction(0)]
-        self.prec, self.values = None, []
+        power, c = 2 * k - 1, sigma_majorant(k)
+        if inner is not None:
+            p, c_inner = inner.majorant
+            power, c = p + 2 * k, c * c_inner * convolution_majorant(2 * k - 1, p)
+        self.majorant = max(power - alpha, 0), c
+        self.prec, self.n_values, self.values = None, 0, ExpPoly()
 
     @property
     def n(self) -> int:
@@ -111,12 +127,16 @@ class _LTable:
                     acc += sig[u] * s
             self.rows.append(acc / m**a if acc else Fraction(0))
 
-    def mpf_values(self) -> list:
-        """c(1..n) as mpf at the working precision, converted once per row."""
+    def series(self) -> ExpPoly:
+        """`values` at the working precision, each row converted once."""
         if self.prec != mp.prec:
-            self.prec, self.values = mp.prec, []
-        self.values.extend(mpf(c.numerator) / c.denominator if c else None
-                           for c in self.rows[len(self.values) + 1:])
+            self.prec, self.n_values, self.values = mp.prec, 0, ExpPoly()
+        terms = self.values.terms
+        for m in range(self.n_values + 1, self.n + 1):
+            c = self.rows[m]
+            if c:
+                terms[m] = (mpc(mpf(c.numerator) / c.denominator),)
+        self.n_values = self.n
         return self.values
 
 
@@ -155,29 +175,6 @@ def l_coeffs_bruteforce(index: CompositeIndex, n: int) -> LCoefficients:
     return LCoefficients(index, tuple(out[1:]))
 
 
-def _coeff_majorant(index: CompositeIndex) -> tuple[int, Fraction]:
-    """(P, C) with c(m) <= C m^P for every m >= 1.
-
-    Carried innermost out along the recursion of `l_coeffs_dp`:
-    sigma_{2k-1}(n) <= sigma_majorant(k) n^{2k-1}; a layer's convolution
-    sum_u sigma_{2k_j-1}(u) S_{j+1}(m-u) multiplies C by sigma_majorant(k_j)
-    convolution_majorant(2k_j-1, P) and adds 2k_j to P; its denominator
-    m^{alpha_j} lowers P by alpha_j, not below 0, as m >= 1.  Unclamped,
-    P = sum (2k-1) + r - 1 - sum alpha: the inner denominators lower it below
-    the sum (2k-1) + r - 1 - alpha_1 of the leading denominator alone.
-    """
-    power, c = None, Fraction(1)
-    for k, alpha in zip(reversed(index.ks), reversed(index.alphas)):
-        c *= sigma_majorant(k)
-        if power is None:
-            power = 2 * k - 1
-        else:
-            c *= convolution_majorant(2 * k - 1, power)
-            power += 2 * k
-        power = max(power - alpha, 0)
-    return power, c
-
-
 _coeff_cache: dict[tuple[tuple[int, ...], tuple[int, ...]], _LTable] = {}
 
 
@@ -195,7 +192,10 @@ def _table(ks: tuple[int, ...], alphas: tuple[int, ...]) -> _LTable:
 def l_eval(index: CompositeIndex, tau, budget: TruncationBudget = DEFAULT_BUDGET) -> mpc:
     """Series value at tau with certified truncation; depth 0 returns 1.
 
-    N is certified by tail_start at Im tau for the majorant c(m) <= C m^P."""
+    N is certified by tail_start at Im tau for the table's majorant
+    c(m) <= C m^P, and the table's series is read by Horner in q from the
+    highest nonzero row <= N down: a table grown further for a lower Im tau
+    gives the bits of one grown to N."""
     if index.depth == 0:
         return mpc(1)
     tau = mpc(tau)
@@ -209,20 +209,10 @@ def l_eval(index: CompositeIndex, tau, budget: TruncationBudget = DEFAULT_BUDGET
     with mp.extradps(10):
         alpha_sum = sum(index.alphas)
         prefactor = (2 * mp.pi * mpc(0, 1)) ** (-alpha_sum) * tau**index.t
-        power, c = _coeff_majorant(index)
+        table = _table(index.ks, index.alphas)
+        power, c = table.majorant
         eps_series = mpf(budget.eps) / ((1 + abs(prefactor)) * (mpf(c.numerator) / c.denominator))
         n_trunc = tail_start(power, tau.imag, eps_series, budget.n_max)
-        table = _table(index.ks, index.alphas)
         table.grow(n_trunc)
-        coeffs = table.mpf_values()
-        # on raw parts, each step rounded as qn *= q and acc += c * qn round it
-        prec, rnd = mp._prec_rounding
-        q = mp.expjpi(2 * tau)._mpc_
-        qn, acc = mpc(1)._mpc_, mpc(0)._mpc_
-        for m in range(1, n_trunc + 1):
-            qn = mpc_mul(qn, q, prec, rnd)
-            c = coeffs[m - 1]
-            if c is not None:
-                acc = mpc_add(acc, mpc_mul_mpf(qn, c._mpf_, prec, rnd), prec, rnd)
-        val = prefactor * mp.make_mpc(acc)
+        val = prefactor * table.series()(tau, n_max=n_trunc)
     return +val

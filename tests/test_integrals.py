@@ -1,15 +1,16 @@
 import hashlib
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from mpmath import mp, mpc, mpf
 
 from eistau import clear_caches, integrals, mmv
 from eistau.algebra import make_index
-from eistau.config import BudgetError, TruncationBudget
-from eistau.eisenstein import eis_constant, eis_cusp_eval
-from eistau.integrals import int_eval, int_exppoly
+from eistau.config import BudgetError, SingularParameterError, TruncationBudget
+from eistau.eisenstein import convolution_majorant, eis_constant, eis_cusp_eval, sigma_majorant
+from eistau.integrals import int_eval, int_exppoly, word_eval
 from eistau.lseries import l_eval
 from eistau.mmv import MonomialCoefficientRequest, r_iter, s_coeff
 
@@ -102,6 +103,28 @@ def test_fold_values_bit_identical():
     assert _mpc_digest(vals) == PINNED_FOLD_SHA256
 
 
+# a malformed word raises before any stage is made: the zip of the two tuples
+# dropped an unmatched factor, and a const innermost factor folded to 0
+MALFORMED_WORDS = {
+    "empty": ((), (), ValueError),
+    "unequal-lengths": ((("cusp", 2), ("cusp", 3)), (1,), ValueError),
+    "unknown-kind": ((("full", 2), ("cusp", 3)), (1, 1), ValueError),
+    "k-below-2": ((("cusp", 2), ("cusp", 1)), (1, 1), ValueError),
+    "alpha-below-1": ((("cusp", 2), ("cusp", 3)), (1, 0), ValueError),
+    "const-innermost": ((("cusp", 2), ("const", 3)), (1, 1), SingularParameterError),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_WORDS)
+def test_word_eval_rejects_malformed_word(case):
+    word, alphas, error = MALFORMED_WORDS[case]
+    clear_caches()
+    with pytest.raises(ValueError) as info:
+        word_eval(word, alphas, mpc(0, 1), BUDGET)
+    assert info.type is error
+    assert not integrals._stages
+
+
 # -- the stage table: one kept stage per (stage chain, precision), reused ------
 
 FOLD_INDEX = make_index([3, 2, 2], [2, 1, 3])
@@ -124,10 +147,9 @@ def test_fold_cache_values_bit_identical_to_cold(taus):
     assert warm == cold + cold
     # every stage of the chain is kept at the largest n_cut seen
     with mp.extradps(15):  # the precision int_eval folds at
-        n_cut = max(integrals.freq_cutoff(FOLD_WORD, FOLD_INDEX.alphas, tau, BUDGET)
-                    for tau in taus)
         stages = [integrals._stages[(FOLD_CHAIN[:j], mp.prec)]
                   for j in range(1, len(FOLD_CHAIN) + 1)]
+        n_cut = max(integrals.freq_cutoff(stages[-1], tau, BUDGET) for tau in taus)
     assert [stage.n for stage in stages] == [n_cut] * len(FOLD_CHAIN)
     assert len(integrals._stages) == len(FOLD_CHAIN)
 
@@ -187,7 +209,7 @@ def test_s_coeff_sweep_builds_each_product_stage_once(monkeypatch):
         __slots__ = ()
 
         def __init__(self, op, arg, inner):
-            built.append((op, arg))
+            built.append(self)
             super().__init__(op, arg, inner)
 
     clear_caches()
@@ -197,8 +219,12 @@ def test_s_coeff_sweep_builds_each_product_stage_once(monkeypatch):
     products = {chain for chain, _ in integrals._stages
                 if chain[-1][0] == integrals.PRODUCT and len(chain) > 1}
     assert products == {(("product", 2), ("tail", a2), ("product", 3)) for a2 in (1, 3)}
-    # each built once, with the two series, five tails over E0_3 and two over E0_2
-    assert len(built) == len(integrals._stages) == 11
+    # each kept stage built once, with the two series, five tails over E0_3 and
+    # two over E0_2; the other stages built are the unkept tops, one per R word
+    kept = [stage for stage in built if stage in integrals._stages.values()]
+    assert len(kept) == len(integrals._stages) == 11
+    r_words = [key for key in mmv._memo if key[1][0] >= 1]
+    assert len(built) - len(kept) == len(r_words) > 0
 
 
 def test_fold_cache_keys_on_precision():
@@ -242,12 +268,11 @@ def test_exppoly_call_n_max_is_truncated_value():
 # -- the fold majorant: it dominates every realized frequency, and is sharp -----
 
 
-def _einf_product(word):
-    out = mpf(1)
+def _einf_product(word) -> Fraction:
+    out = Fraction(1)
     for kind, k in word:
         if kind == "const":
-            c = abs(eis_constant(k))
-            out *= mpf(c.numerator) / c.denominator
+            out *= abs(eis_constant(k))
     return out
 
 
@@ -269,19 +294,27 @@ def _majorant_words(seed=2019):
     yield (("const", 11), ("cusp", 11)), (1, 1), mpc(0, 1)
 
 
+def _word_majorant(word, alphas):
+    """The top stage's majorant (P, c, h) with c times the word's |Einf| product."""
+    power, c, h = integrals._stage(integrals._chain(word, alphas)).majorant
+    einf = _einf_product(word)
+    return power, tuple(x * einf for x in c), h
+
+
 def test_fold_majorant_dominates_realized_frequencies():
     for word, alphas, tau in _majorant_words():
         with mp.extradps(15):
-            power, c, h = integrals.fold_majorant(word, alphas)
+            power, c, h = _word_majorant(word, alphas)
             u = 2 * mp.pi * abs(tau)
             scale = sum(mpf(x.numerator) / x.denominator * u**d for d, x in enumerate(c))
             scale /= (2 * mp.pi) ** h
-            n_cut = integrals.freq_cutoff(word, alphas, tau, BUDGET)
             stage = integrals._stage(integrals._chain(word, alphas))
+            einf = _einf_product(word)
+            n_cut = integrals.freq_cutoff(stage, tau, BUDGET, einf)
             stage.grow(2 * n_cut)
             fold = stage.fold
             assert fold.max_freq() > n_cut
-            einf = _einf_product(word)
+            einf = mpf(einf.numerator) / einf.denominator
             for n, poly in fold.terms.items():
                 realized = abs(mp.polyval(poly[::-1], tau)) * einf
                 assert realized <= scale * mpf(n) ** power, (word, alphas, tau, n)
@@ -292,11 +325,39 @@ def test_fold_majorant_stage_constants():
     # K = B(4, 3) + 3^3 2^2 / 5^5, and one 1/(2 pi n) per alpha = 1 stage
     k32 = Fraction(1, 60) + Fraction(108, 3125)
     word = (("cusp", 2), ("cusp", 2))
-    assert integrals.fold_majorant(word, (1, 1)) == (5, (Fraction(9, 4) * k32,), 2)
+    assert _word_majorant(word, (1, 1)) == (5, (Fraction(9, 4) * k32,), 2)
     # const-cusp: |P_n(t)| <= |Einf_3| (3/2) n^2/(2 pi) (|t|/(2 pi n) + 1/(2 pi n)^2)
     #   <= n (2 pi)^{-3} (1 + 2 pi |t|) / 336, as |Einf_3| = 1/504
     word = (("const", 3), ("cusp", 2))
-    assert integrals.fold_majorant(word, (2, 1)) == (1, (Fraction(1, 336),) * 2, 3)
+    assert _word_majorant(word, (2, 1)) == (1, (Fraction(1, 336),) * 2, 3)
+
+
+def _fold_majorant_loop(word, alphas):
+    """The word-by-word majorant loop, |Einf| folded in at each const factor:
+    the reference for the majorants the stages carry."""
+    power, c, h = 0, None, 0
+    for (kind, k), alpha in zip(reversed(word), reversed(alphas)):
+        if c is None:
+            power, c = 2 * k - 1, [sigma_majorant(k)]
+        elif kind == "cusp":
+            s = sigma_majorant(k) * convolution_majorant(2 * k - 1, power)
+            power, c = power + 2 * k, [x * s for x in c]
+        else:
+            e = abs(eis_constant(k))
+            c = [x * e for x in c]
+        q = [Fraction(0)] * (alpha - 1) + c
+        c = [sum(q[d] * (factorial(d) // factorial(e)) for d in range(e, len(q)))
+             for e in range(len(q))]
+        power, h = max(power - 1, 0), h + alpha
+    return power, tuple(c), h
+
+
+def test_stage_majorants_equal_the_word_loop():
+    words = [(word, alphas) for word, alphas, _ in _majorant_words()]
+    words += [(tuple(("cusp", k) for k in ks), alphas) for ks, alphas in SHARPNESS_GRID]
+    clear_caches()
+    for word, alphas in words:
+        assert _word_majorant(word, alphas) == _fold_majorant_loop(word, alphas), (word, alphas)
 
 
 # certified / needed n_cut at Re tau = 0.3 and y = 0.7, 1, 2; "needed" is the
@@ -313,7 +374,8 @@ def test_freq_cutoff_sharp_on_grid():
     for (ks, alphas), (certified, needed) in SHARPNESS_GRID.items():
         word = tuple(("cusp", k) for k in ks)
         with mp.extradps(15):
-            got = tuple(integrals.freq_cutoff(word, alphas, mpc("0.3", y), BUDGET)
+            stage = integrals._stage(integrals._chain(word, alphas))
+            got = tuple(integrals.freq_cutoff(stage, mpc("0.3", y), BUDGET)
                         for y in ("0.7", "1", "2"))
         assert got == certified
         assert all(n <= 1.5 * m for n, m in zip(got, needed))

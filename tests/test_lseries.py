@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -7,8 +8,9 @@ from mpmath import mp, mpc, mpf
 
 from eistau.algebra import make_index
 from eistau.config import TruncationBudget
-from eistau.eisenstein import divisor_sigma
-from eistau.lseries import _coeff_majorant, l_coeffs_bruteforce, l_coeffs_dp, l_eval
+from eistau import clear_caches, lseries
+from eistau.eisenstein import convolution_majorant, divisor_sigma, sigma_majorant
+from eistau.lseries import _table, l_coeffs_bruteforce, l_coeffs_dp, l_eval
 
 BUDGET = TruncationBudget(1e-30, 100_000)
 
@@ -104,14 +106,14 @@ def test_l_eval_matches_coefficient_sum_depth2():
     assert abs(val - ref) < mpf("1e-28")
 
 
-@pytest.mark.parametrize(
-    "ks,alphas",
-    [((2,), (1,)), ((11,), (1,)), ((11, 11), (1, 1)), ((3, 4), (6, 1)),
-     ((2, 2, 2), (1, 1, 1)), ((5, 3, 2), (1, 4, 2))],
-)
+MAJORANT_INDICES = [((2,), (1,)), ((11,), (1,)), ((11, 11), (1, 1)), ((3, 4), (6, 1)),
+                    ((2, 2, 2), (1, 1, 1)), ((5, 3, 2), (1, 4, 2))]
+
+
+@pytest.mark.parametrize("ks,alphas", MAJORANT_INDICES)
 def test_coeff_majorant_dominates_exact_coefficients(ks, alphas):
     idx = make_index(ks, alphas)
-    power, c = _coeff_majorant(idx)
+    power, c = _table(ks, alphas).majorant
     coeffs = l_coeffs_dp(idx, 200)
     assert all(coeffs[m] <= c * m**power for m in range(1, 201))
 
@@ -120,14 +122,33 @@ def test_coeff_majorant_layer_constants():
     # c(m) = sum_{u} sigma_3(u) sigma_3(m-u) / ((m-u) m) with sigma_3(n) <= 3/2 n^3:
     # the inner layer is 3/2 n^2, the convolution K(3, 2) m^6 = (B(4, 3) + 3^3 2^2 / 5^5) m^6
     k32 = Fraction(1, 60) + Fraction(108, 3125)
-    assert _coeff_majorant(make_index([2, 2], [1, 1])) == (5, Fraction(9, 4) * k32)
+    assert _table((2, 2), (1, 1)).majorant == (5, Fraction(9, 4) * k32)
+
+
+def _coeff_majorant_loop(ks, alphas):
+    """The index-by-index majorant loop: the reference for the majorants the
+    tables carry."""
+    power, c = None, Fraction(1)
+    for k, alpha in zip(reversed(ks), reversed(alphas)):
+        c *= sigma_majorant(k)
+        if power is None:
+            power = 2 * k - 1
+        else:
+            c *= convolution_majorant(2 * k - 1, power)
+            power += 2 * k
+        power = max(power - alpha, 0)
+    return power, c
+
+
+def test_table_majorants_equal_the_index_loop():
+    clear_caches()
+    for ks, alphas in MAJORANT_INDICES + PINNED_L_INDICES:
+        assert _table(ks, alphas).majorant == _coeff_majorant_loop(ks, alphas), (ks, alphas)
 
 
 def test_l_eval_cutoff_certified_at_exact_im_tau():
     # N comes from tail_start at Im tau itself: rounding Im tau down to a
     # multiple of 1/8 gave tables of 22 and 13 for the same budget
-    from eistau import clear_caches, lseries
-
     idx = make_index([3, 4], [2, 3])
     for tau, n in ((mpc("0.3", "0.74"), 18), (mpc("0.3", "1.1"), 12)):
         clear_caches()
@@ -137,8 +158,6 @@ def test_l_eval_cutoff_certified_at_exact_im_tau():
 
 def test_l_coeffs_dp_grows_the_kept_table():
     # l_coeffs_dp and l_eval share one table per index: no second chain
-    from eistau import clear_caches, lseries
-
     idx = make_index([2, 3], [1, 2])
     clear_caches()
     l_eval(idx, mpc("0.1", "1.9"), BUDGET)
@@ -155,8 +174,6 @@ def test_l_table_grows_in_place_and_converts_once():
     # a larger N extends the kept rows of the table and of its suffix tables,
     # which are the cache's own, rather than rebuilding them; the rows equal
     # the enumeration oracle and their mpf values a fresh conversion
-    from eistau import clear_caches, lseries
-
     idx = make_index([2, 3, 2], [1, 2, 2])
     keys = [(idx.ks[j:], idx.alphas[j:]) for j in range(3)]
     clear_caches()
@@ -164,20 +181,64 @@ def test_l_table_grows_in_place_and_converts_once():
     l_eval(idx, mpc("0.1", "1.9"), BUDGET)
     tables = [lseries._coeff_cache[key] for key in keys]
     assert [t.inner for t in tables] == tables[1:] + [None]
-    n0, kept, values0 = tables[0].n, [list(t.rows) for t in tables], list(tables[0].values)
+    n0, kept = tables[0].n, [list(t.rows) for t in tables]
+    values0 = dict(tables[0].values.terms)
     l_eval(idx, mpc("0.1", "0.7"), BUDGET)
     assert [lseries._coeff_cache[key] for key in keys] == tables and tables[0].n > n0
     assert all(t.rows[m] is old[m] for t, old in zip(tables, kept) for m in range(n0 + 1))
-    assert all(a is b for a, b in zip(tables[0].values, values0))
+    assert all(tables[0].values.terms[m] is p for m, p in values0.items())
     for key, t in zip(keys, tables):
         assert tuple(t.rows[1:]) == l_coeffs_bruteforce(make_index(*key), t.n).coeffs
     with mp.extradps(10):  # the precision l_eval converts at
         assert tables[0].prec == mp.prec
-        assert [None if c is None else c._mpf_ for c in tables[0].values] == [
-            (mpf(c.numerator) / c.denominator)._mpf_ if c else None for c in tables[0].rows[1:]]
+        assert {m: p[0]._mpc_ for m, p in tables[0].values.terms.items()} == {
+            m: mpc(mpf(c.numerator) / c.denominator)._mpc_
+            for m, c in enumerate(tables[0].rows) if c}
     with mp.workdps(50):  # another precision converts afresh
         l_eval(idx, mpc("0.1", "1.9"), BUDGET)
         with mp.extradps(10):
-            assert tables[0].prec == mp.prec and len(tables[0].values) == tables[0].n
+            assert tables[0].prec == mp.prec and tables[0].n_values == tables[0].n
+            assert max(tables[0].values.terms) == tables[0].n
     clear_caches()
     assert not lseries._coeff_cache
+
+
+def test_l_table_read_below_its_kept_n_gives_cold_bits():
+    # a lower Im tau grows the table past what a higher one needs; the higher
+    # one then reads the kept series up to its own N only
+    idx = make_index([3, 2], [2, 1], 1)
+    taus = [mpc("0.2", "0.7"), mpc("-0.3", "1.6"), mpc(0, 2)]
+    cold = []
+    for tau in taus:
+        clear_caches()
+        cold.append(l_eval(idx, tau, BUDGET)._mpc_)
+    n_last = lseries._coeff_cache[(idx.ks, idx.alphas)].n
+    clear_caches()
+    assert [l_eval(idx, tau, BUDGET)._mpc_ for tau in taus] == cold
+    assert lseries._coeff_cache[(idx.ks, idx.alphas)].n > n_last
+
+
+def _mpc_digest(values) -> str:
+    """sha256 of the raw (sign, mantissa, exponent, bitcount) parts of mpc values."""
+    h = hashlib.sha256()
+    for v in values:
+        for part in v._mpc_:
+            h.update((",".join(str(int(x)) for x in part) + ";").encode())
+    return h.hexdigest()
+
+
+# L values at depth 1-3 with t = 0..2, on and off the imaginary axis, at 40
+# and 70 digits; every bit is pinned
+PINNED_L_INDICES = [((2,), (1,)), ((4,), (3,)), ((3, 2), (2, 1)), ((2, 3), (3, 2)),
+                    ((2, 2, 3), (1, 2, 1)), ((3, 2, 4), (2, 1, 3))]
+PINNED_L_TAUS = [("0", "1"), ("0.3", "0.8"), ("-0.45", "0.7")]  # parsed at the test's precision
+PINNED_L_SHA256 = "39698f8827bc79d9840c0fc2cbc6b79713adffc54b0c4a7de49b6435d9b56931"
+
+
+def test_l_values_bit_identical():
+    vals = []
+    for dps in (40, 70):
+        with mp.workdps(dps):
+            vals += [l_eval(make_index(ks, al, t), mpc(*tau)) for ks, al in PINNED_L_INDICES
+                     for t in range(3) for tau in PINNED_L_TAUS]
+    assert _mpc_digest(vals) == PINNED_L_SHA256
