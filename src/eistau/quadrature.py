@@ -3,7 +3,7 @@
 Integrands are evaluated strictly from truncated q-series (module eisenstein);
 paths are truncated vertical rays or the segment (0, i], and every truncation
 is covered by a crude certified tail bound.  These routines exist to check the
-closed forms and are tuned for reliability, not speed.
+closed forms; they share no code with them.
 
 Every integral is a sum of panel integrals computed by one kernel (`_panel`).
 On each panel the integrand is sampled at n first-kind Chebyshev nodes and
@@ -17,6 +17,15 @@ samples, through the Chebyshev coefficients of the interpolant (spectral
 integration), and panels are processed from the top of the path down so the
 inner integral above a panel is a running sum.
 
+The O(n^2) sums (the Fejér weights, and the cosine transform and the
+antiderivative sum of the spectral integration) run through one exact-integer
+dot (`_dots`): each vector becomes Python ints on one shared exponent, the
+least of its nonzero parts, the products are summed exactly and the sum is
+rounded once at `mp._prec_rounding`.  That is the correctly rounded dot
+product; `mp.fdot` gives the same bits whenever its `mpf_sum` keeps every
+term, i.e. unless terms lie more than 2^(2 mp.prec) apart.  The rule keeps
+cos(m pi / 2n) and 1 - cos(m pi / 2n) in that integer form.
+
 Near the origin the cusp part is evaluated through the weight-2k inversion
 E(tau) = tau^{-2k} E(-1/tau), which keeps the series argument high on the
 upper half-plane.
@@ -27,6 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from mpmath import mp, mpc, mpf
+from mpmath.libmp import fzero, from_man_exp
 
 from .config import DEFAULT_BUDGET, BudgetError, TruncationBudget
 from .eisenstein import CUSP, _constant_mpf, eis_cusp_eval, eis_eval
@@ -34,47 +44,85 @@ from .eisenstein import CUSP, _constant_mpf, eis_cusp_eval, eis_eval
 _N0 = 8  # nodes of the first level on every panel
 _N_CAP = 648  # _N0 * 3^4: the last level tried before BudgetError
 
-# (n, mp.prec) -> (nodes, Fejér weights, cos(m pi / 2n) for 0 <= m < 4n)
-_rules: dict[tuple[int, int], tuple[list, list, list]] = {}
+# (n, mp.prec) -> (nodes, Fejér weights, cos(m pi / 2n) and 1 - cos(m pi / 2n)
+# for 0 <= m < 4n, the last two as (ints, exponent) from `_ints`)
+_rules: dict[tuple[int, int], tuple[list, list, tuple, tuple]] = {}
+
+
+def _ints(parts) -> tuple[list[int], int]:
+    """Finite raw mpf parts as signed ints on their least nonzero exponent e: (ints, e)."""
+    e = min((x for _, m, x, _ in parts if m), default=0)
+    return [((-m if s else m) << (x - e)) if m else 0 for s, m, x, _ in parts], e
+
+
+def _dots(vals, rows, exponent: int) -> list:
+    """[sum_i vals_i row_i 2^exponent for each int row], each correctly rounded once.
+
+    vals are mpf or mpc; each row is as long as vals.  The real and imaginary
+    parts are exact integer sums rounded once at `mp._prec_rounding`: bit for
+    bit `mp.fdot`, unless its `mpf_sum` drops a term more than 2^(2 mp.prec)
+    from the rest.
+    """
+    if any(hasattr(v, "_mpc_") for v in vals):
+        raw = [v._mpc_ if hasattr(v, "_mpc_") else (v._mpf_, fzero) for v in vals]
+        parts = (_ints([r for r, _ in raw]), _ints([i for _, i in raw]))
+    else:
+        parts = (_ints([v._mpf_ for v in vals]),)
+    prec, rnd = mp._prec_rounding
+    out = []
+    for row in rows:
+        sums = [from_man_exp(sum(map(int.__mul__, a, row)), e + exponent, prec, rnd)
+                for a, e in parts]
+        out.append(mp.make_mpc(tuple(sums)) if len(sums) == 2 else mp.make_mpf(sums[0]))
+    return out
 
 
 def _rule(n: int):
     """First-kind Chebyshev nodes x_j = cos((2j+1) pi / 2n) and Fejér weights, at mp.prec.
 
     The angle is the rational (2j+1)/(2n) rounded once, so x_j of the n-node
-    rule equals x_{3j+1} of the 3n-node rule bit for bit.
+    rule equals x_{3j+1} of the 3n-node rule bit for bit.  The weight
+    w_j = (1 - 2 sum_k cos(2k (2j+1) pi / 2n) / (4k^2 - 1)) 2/n rounds its sum
+    once (`_dots`), so it equals the `mp.fdot` form bit for bit: for n <= 648
+    the nonzero terms lie between 2^-28 and 1, far within 2^(2 mp.prec).
     """
     key = (n, mp.prec)
     rule = _rules.get(key)
     if rule is None:
-        cos_tab = [mp.cospi(mpf(m) / (2 * n)) for m in range(4 * n)]
+        m4 = 4 * n
+        cos_tab = [mp.cospi(mpf(m) / (2 * n)) for m in range(m4)]
         nodes = [cos_tab[2 * j + 1] for j in range(n)]
+        cos, ec = _ints([c._mpf_ for c in cos_tab])
         recip = [mpf(1) / (4 * k * k - 1) for k in range(1, n // 2 + 1)]
-        first = [
-            (1 - 2 * mp.fdot(recip, [cos_tab[(2 * k * (2 * j + 1)) % (4 * n)]
-                                     for k in range(1, n // 2 + 1)])) * 2 / n
-            for j in range((n + 1) // 2)
-        ]
+        sums = _dots(recip, ([cos[(2 * k * (2 * j + 1)) % m4] for k in range(1, n // 2 + 1)]
+                             for j in range((n + 1) // 2)), ec)
+        first = [(1 - 2 * s) * 2 / n for s in sums]
         weights = first + first[: n // 2][::-1]  # w_j = w_{n-1-j}
-        rule = _rules[key] = (nodes, weights, cos_tab)
+        one_minus = _ints([(1 - c)._mpf_ for c in cos_tab])
+        rule = _rules[key] = (nodes, weights, (cos, ec), one_minus)
     return rule
 
 
-def _antiderivative(vals, cos_tab, n: int) -> list:
-    """int_{x_j}^1 of the degree-(n-1) interpolant of vals, at the n nodes x_j.
+def _antiderivative(vals, rule) -> list:
+    """int_{x_j}^1 of the degree-(n-1) interpolant of vals, at the n nodes x_j of rule.
 
     With the interpolant sum_k c_k T_k, its antiderivative has coefficients
     C_k = (c_{k-1} - c_{k+1}) / (2k) (c_0 doubled at k = 1), and
-    int_x^1 = sum_k C_k (1 - T_k(x)); T_k(x_j) = cos(k (2j+1) pi / 2n).
+    int_x^1 = sum_k C_k (1 - T_k(x)); T_k(x_j) = cos(k (2j+1) pi / 2n).  Both
+    sums over n terms are rounded once (`_dots`), so the result equals the
+    `mp.fdot` form bit for bit unless the terms of one sum lie more than
+    2^(2 mp.prec) apart.  rule must be `_rule(n)` at the current mp.prec.
     """
+    n = len(vals)
     m4 = 4 * n
-    c = [mp.fdot(vals, [cos_tab[(k * (2 * j + 1)) % m4] for j in range(n)]) * 2 / n
-         for k in range(n)]
+    (cos, ec), (one_minus, eo) = rule[2], rule[3]
+    c = [s * 2 / n for s in _dots(vals, ([cos[(k * (2 * j + 1)) % m4] for j in range(n)]
+                                         for k in range(n)), ec)]
     c[0] /= 2
     c += [0, 0]
     big_c = [(2 * c[0] - c[2]) / 2] + [(c[k - 1] - c[k + 1]) / (2 * k) for k in range(2, n + 1)]
-    return [mp.fdot(big_c, [1 - cos_tab[(k * (2 * j + 1)) % m4] for k in range(1, n + 1)])
-            for j in range(n)]
+    return _dots(big_c, ([one_minus[(k * (2 * j + 1)) % m4] for k in range(1, n + 1)]
+                         for j in range(n)), eo)
 
 
 def _panel(sample, reduce, lo, hi, tol) -> tuple:
@@ -258,10 +306,10 @@ def quad_vertical(factors, alphas, path: PathSpec, tol=1e-25,
         above = mpc(0)  # int of the inner integrand from the top of the panel to the span
 
         def reduce(half, rule, vals):
-            _, weights, cos_tab = rule
+            weights = rule[1]
             outer = [v[0] for v in vals]
             inner = [v[1] for v in vals]
-            tails = _antiderivative(inner, cos_tab, len(vals))
+            tails = _antiderivative(inner, rule)
             inner_at = [(half * s + above) * I for s in tails]  # i int_u^span at each node
             return (half * mp.fdot(weights, inner),
                     half * mp.fdot(weights, [o * s for o, s in zip(outer, inner_at)]))

@@ -1,8 +1,10 @@
 import ast
 import pathlib
+from fractions import Fraction
 
 import pytest
 from mpmath import mp, mpc, mpf
+from mpmath.libmp import from_rational
 
 import eistau
 from eistau import quadrature
@@ -13,6 +15,8 @@ from eistau.mmv import r_iter
 from eistau.quadrature import (
     PathSpec,
     _antiderivative,
+    _dots,
+    _ints,
     _rule,
     cusp_decay_const,
     default_path,
@@ -94,13 +98,14 @@ def test_quad_T_cusp_guard():
 
 @pytest.mark.parametrize("n", [8, 24, 72])
 def test_rule_exact_on_polynomials_below_n(n):
-    nodes, weights, cos_tab = _rule(n)
+    rule = _rule(n)
+    nodes, weights = rule[0], rule[1]
     tol = mpf(10) ** (5 - mp.dps)
     for d in range(n):
         exact = mpf(2) / (d + 1) if d % 2 == 0 else mpf(0)
         assert abs(mp.fdot(weights, [x**d for x in nodes]) - exact) < tol, d
     for d in (0, 1, n // 2, n - 1):
-        tails = _antiderivative([mpc(x**d, -x**d) for x in nodes], cos_tab, n)
+        tails = _antiderivative([mpc(x**d, -x**d) for x in nodes], rule)
         for x, got in zip(nodes, tails):
             exact = (1 - x ** (d + 1)) / (d + 1)
             assert abs(got - mpc(exact, -exact)) < tol, (d, x)
@@ -114,10 +119,108 @@ def test_rule_nodes_nest_under_tripling():
 def test_antiderivative_of_exponential_matches_closed_form():
     # int_x^1 e^{-a s} ds = (e^{-a x} - e^{-a}) / a; spectral accuracy at n = 72
     a = mpf(5)
-    nodes, _, cos_tab = _rule(72)
-    tails = _antiderivative([mp.exp(-a * x) for x in nodes], cos_tab, 72)
+    rule = _rule(72)
+    nodes = rule[0]
+    tails = _antiderivative([mp.exp(-a * x) for x in nodes], rule)
     worst = max(abs(g - (mp.exp(-a * x) - mp.exp(-a)) / a) for x, g in zip(nodes, tails))
     assert worst < mpf("1e-35")
+
+
+# -- the exact-integer dot against the mp.fdot forms it replaced ---------------------
+
+
+def _fdot_cos_tab(n):
+    return [mp.cospi(mpf(m) / (2 * n)) for m in range(4 * n)]
+
+
+def _fdot_weights(n):
+    """The Fejér weights as mp.fdot sums, the reference for `_rule`."""
+    cos_tab = _fdot_cos_tab(n)
+    recip = [mpf(1) / (4 * k * k - 1) for k in range(1, n // 2 + 1)]
+    first = [
+        (1 - 2 * mp.fdot(recip, [cos_tab[(2 * k * (2 * j + 1)) % (4 * n)]
+                                 for k in range(1, n // 2 + 1)])) * 2 / n
+        for j in range((n + 1) // 2)
+    ]
+    return first + first[: n // 2][::-1]
+
+
+def _fdot_antiderivative(vals, n):
+    """The spectral antiderivative as mp.fdot sums, the reference for `_antiderivative`."""
+    cos_tab = _fdot_cos_tab(n)
+    m4 = 4 * n
+    c = [mp.fdot(vals, [cos_tab[(k * (2 * j + 1)) % m4] for j in range(n)]) * 2 / n
+         for k in range(n)]
+    c[0] /= 2
+    c += [0, 0]
+    big_c = [(2 * c[0] - c[2]) / 2] + [(c[k - 1] - c[k + 1]) / (2 * k) for k in range(2, n + 1)]
+    return [mp.fdot(big_c, [1 - cos_tab[(k * (2 * j + 1)) % m4] for k in range(1, n + 1)])
+            for j in range(n)]
+
+
+def _raw(xs):
+    return [x._mpc_ if hasattr(x, "_mpc_") else x._mpf_ for x in xs]
+
+
+def _spread_samples(nodes):
+    """Complex samples whose magnitudes spread about 100 bits, with exact zeros."""
+    zero = mp.cospi(mpf(1) / 2)
+    assert zero == 0
+    vals = []
+    for j, x in enumerate(nodes):
+        scale = mpf(2) ** (-100 * j // len(nodes))
+        re, im = scale * mp.exp(3 * x), scale * mp.sin(7 * x + 1)
+        vals.append(mpc(zero if j % 5 == 2 else re, zero if j % 7 == 3 else im))
+    vals[len(vals) // 2] = mpc(zero, zero)
+    return vals
+
+
+@pytest.mark.parametrize("prec", [136, 200])
+@pytest.mark.parametrize("n", [8, 24, 72, 216])
+def test_antiderivative_bit_identical_to_fdot(n, prec):
+    mp.prec = prec
+    rule = _rule(n)
+    complex_vals = _spread_samples(rule[0])
+    real_vals = [v.real for v in complex_vals]
+    for vals in (complex_vals, real_vals):
+        got = _antiderivative(vals, rule)
+        assert _raw(got) == _raw(_fdot_antiderivative(vals, n))
+
+
+@pytest.mark.parametrize("prec", [136, 200])
+def test_rule_weights_bit_identical_to_fdot(prec):
+    mp.prec = prec
+    for n in (8, 24, 72, 216, 648):
+        assert _raw(_rule(n)[1]) == _raw(_fdot_weights(n)), n
+
+
+def _fraction(x):
+    sign, man, exp, _ = x._mpf_
+    return Fraction(-man if sign else man) * Fraction(2) ** exp
+
+
+def test_dots_round_the_exact_sum_once_where_fdot_drops_terms():
+    """Terms more than 2^(2 mp.prec) apart: the one place the kernel departs from fdot.
+
+    mp.fdot's mpf_sum drops a term that far from the running sum, so here it
+    loses the small terms between the two huge ones; the kernel keeps every
+    term and returns the exact sum rounded once.
+    """
+    mp.prec = 136
+    table = [mp.cospi(mpf(m) / 7) for m in range(6)]
+    huge = mpf(2) ** (4 * mp.prec)
+    vals = [mpc(huge, 1), mpf(1) / 3, mpc(mp.pi, -huge / 5), mpc(mp.e, 2) ** -40, mpc(-huge, huge / 5)]
+    rows = [[0, 1, 2, 3, 0], [5, 4, 1, 3, 5]]
+    ints, e = _ints([t._mpf_ for t in table])
+    got = _dots(vals, ([ints[i] for i in row] for row in rows), e)
+    for row, value in zip(rows, got):
+        exact = [sum(_fraction(getattr(v, part)) * _fraction(table[i]) for v, i in zip(vals, row))
+                 for part in ("real", "imag")]
+        want = [from_rational(e.numerator, e.denominator, *mp._prec_rounding) for e in exact]
+        assert value._mpc_ == tuple(want)
+    # the huge real parts of row 0 cancel; fdot has dropped every term between them
+    assert mp.fdot(vals, [table[i] for i in rows[0]]).real == 0
+    assert got[0].real > mpf("0.1")
 
 
 def test_segment_polynomial_exact_and_budget_error_near_pole():

@@ -36,8 +36,9 @@ FULL_REPORT_SHA256 = {
     "firstdiff": "e3e5af68f7edd7f2df10f4247a1782577ec1bd9f922f6c5a918b2f5d631013ad",
 }
 
-# sha256 of run_suite("oracle-cross", "small").to_json() with the Chebyshev panel oracles.
+# sha256 of run_suite("oracle-cross", grid).to_json() with the Chebyshev panel oracles.
 ORACLE_CROSS_SMALL_SHA256 = "54bd1e266c09a13f79346300588b516888d410535d44e09afb4c475baca9752e"
+ORACLE_CROSS_FULL_SHA256 = "f31ebe0020e705278579d373ae5c348b07000085790eed7a7c5d576d217b551b"
 
 
 def test_closed_suite_small_reports_byte_identical():
@@ -53,6 +54,11 @@ def test_closed_suite_small_reports_byte_identical():
 def test_full_report_byte_identical(suite):
     text = run_suite(suite, "full").to_json()
     assert hashlib.sha256(text.encode()).hexdigest() == FULL_REPORT_SHA256[suite]
+
+
+def test_oracle_cross_full_report_byte_identical():
+    text = run_suite("oracle-cross", "full").to_json()
+    assert hashlib.sha256(text.encode()).hexdigest() == ORACLE_CROSS_FULL_SHA256
 
 
 def test_run_suite_leaves_caller_precision():
