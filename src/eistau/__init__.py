@@ -15,8 +15,6 @@ from .algebra import (
     CompositeIndex,
     FormalSum,
     Generator,
-    fs_combine,
-    fs_equal,
     lseries_gen,
     make_index,
     parse_formal_sum,
@@ -63,11 +61,12 @@ def clear_caches() -> None:
     word, the R words of `mmv` all but the outermost), the L-series
     coefficient tables of `l_eval` and `l_coeffs_dp` (`lseries`, each with
     its majorant and its series at the last precision), the
-    divisor-sum sieve and the Bernoulli table (`eisenstein`; the sieve and the
-    table under their locks, the table back to b_0 alone), the Chebyshev rules
-    of the quadrature oracles (`quadrature`) and the exact conversion tables
-    of the rewrite algebra (`rewrite._int_to_l_table` and
-    `rewrite._l_to_int_table`).
+    divisor-sum sieve (`eisenstein`, under its lock) and the Eisenstein
+    constant terms as mpf (`eisenstein._constant_at`, keyed on k and
+    mp.prec), the Chebyshev rules of the quadrature oracles (`quadrature`)
+    and the exact conversion tables of the rewrite algebra
+    (`rewrite._int_to_l_table` and `rewrite._l_to_int_table`).  mpmath's own
+    caches (Bernoulli numbers, zeta values) are not reached.
     """
     from . import eisenstein, integrals, lseries, mmv, quadrature, rewrite
 
@@ -77,10 +76,9 @@ def clear_caches() -> None:
     quadrature._rules.clear()
     rewrite._int_to_l_table.cache_clear()
     rewrite._l_to_int_table.cache_clear()
+    eisenstein._constant_at.cache_clear()
     with eisenstein._sigma_lock:
         eisenstein._sigma_tables.clear()
-    with eisenstein._bernoulli_lock:
-        del eisenstein._bernoulli_even[1:]
 
 
 __all__ = [
@@ -107,8 +105,6 @@ __all__ = [
     "eis_eval",
     "elem_exp_tail",
     "emit",
-    "fs_combine",
-    "fs_equal",
     "i_coeff",
     "int0_reg",
     "int_eval",

@@ -217,16 +217,6 @@ class FormalSum:
     __repr__ = __str__
 
 
-def fs_combine(a: FormalSum, b: FormalSum, c) -> FormalSum:
-    """a + c*b with zero coefficients pruned."""
-    return a + b.scale(c)
-
-
-def fs_equal(a: FormalSum, b: FormalSum) -> bool:
-    """Exact equality of normalized term maps."""
-    return a == b
-
-
 def parse_formal_sum(text: str) -> FormalSum:
     """Inverse of str(FormalSum): 'p/q*GEN + p/q*GEN + ...' or '0'."""
     text = text.strip()

@@ -1,8 +1,10 @@
 """Command-line harness: evaluation, conversion, and verification suites.
 
-Subcommands: eval-l, eval-int, convert, stuffle, verify, selftest.  All
-numeric settings (--digits, --eps, --nmax) live in one config record that is
-echoed into every report, so any case can be rerun exactly.
+Subcommands: eval-l, eval-int, convert, stuffle, verify, selftest.  The
+numeric settings (--digits, --eps, --nmax) of eval-l, eval-int and verify live
+in one config record that is echoed into every report, so any case can be
+rerun exactly; selftest takes --digits alone, and convert and stuffle, which
+are exact, take none.
 """
 
 from __future__ import annotations
@@ -22,9 +24,13 @@ from .rewrite import int_to_l, l_to_int, stuffle_product
 from .verify import SUITES, run_suite
 
 
-def _add_engine_args(p: argparse.ArgumentParser):
+def _add_digits_arg(p: argparse.ArgumentParser):
     p.add_argument("--digits", type=int, default=DEFAULT_DIGITS,
                    help="working precision in decimal digits")
+
+
+def _add_engine_args(p: argparse.ArgumentParser):
+    _add_digits_arg(p)
     p.add_argument("--eps", type=float, default=DEFAULT_EPS, help="certified truncation target")
     p.add_argument("--nmax", type=int, default=DEFAULT_NMAX, help="hard cap on truncation indices")
 
@@ -54,12 +60,10 @@ def _parse_args(argv):
     p = sub.add_parser("convert", help="rewrite a generator in the other family")
     p.add_argument("--dir", required=True, choices=("int2l", "l2int"))
     p.add_argument("--index", required=True)
-    _add_engine_args(p)
 
     p = sub.add_parser("stuffle", help="series product of two t=0 L-series generators")
     p.add_argument("--left", required=True)
     p.add_argument("--right", required=True)
-    _add_engine_args(p)
 
     p = sub.add_parser("verify", help="run a verification suite and write a report")
     p.add_argument("--suite", required=True, choices=SUITES)
@@ -69,7 +73,7 @@ def _parse_args(argv):
     _add_engine_args(p)
 
     p = sub.add_parser("selftest", help="precision self-test and quick identity checks")
-    _add_engine_args(p)
+    _add_digits_arg(p)
 
     return ap.parse_args(argv)
 
@@ -116,7 +120,6 @@ def _cmd_eval_int(args) -> int:
 
 
 def _cmd_convert(args) -> int:
-    _config(args)
     gen = parse_generator(args.index)
     out = int_to_l(gen) if args.dir == "int2l" else l_to_int(gen)
     print(str(out))
@@ -124,7 +127,6 @@ def _cmd_convert(args) -> int:
 
 
 def _cmd_stuffle(args) -> int:
-    _config(args)
     left = parse_generator(args.left)
     right = parse_generator(args.right)
     print(str(stuffle_product(left, right)))
@@ -148,7 +150,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
-    config = _config(args)
+    config = configure(EngineConfig(digits=args.digits))
     resid = precision_selftest()
     print(f"weight-6 vanishing at i: |value| = {mp.nstr(resid, 8)} (pass)")
     report = run_suite("roundtrip", "small", config)

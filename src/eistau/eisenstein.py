@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import threading
 from fractions import Fraction
-from math import ceil, comb, expm1, factorial, log, log1p, pi
+from functools import lru_cache
+from math import ceil, expm1, factorial, log, log1p, pi
 
 from mpmath import mp, mpc, mpf
 
@@ -27,9 +28,6 @@ CONST = "const"
 
 _sigma_tables: dict[int, list[int]] = {}
 _sigma_lock = threading.Lock()
-
-_bernoulli_even: list[Fraction] = [Fraction(1)]  # b_0, b_2, b_4, ...
-_bernoulli_lock = threading.Lock()
 
 
 def divisor_sigma(w: int, n: int) -> int:
@@ -72,22 +70,10 @@ def sigma_table(w: int, n_max: int) -> list[int]:
 
 
 def bernoulli(m: int) -> Fraction:
-    """Bernoulli number b_m for even m >= 2, exact (b_2 = 1/6, b_4 = -1/30, ...).
-
-    Uses the even-index recurrence derived from sum_{r<=n} C(n+1, r) b_r = 0,
-    skipping the odd indices (zero for m >= 3; the b_1 = -1/2 term is folded in).
-    """
+    """Bernoulli number b_m for even m >= 2, exact (b_2 = 1/6, b_4 = -1/30, ...)."""
     if m < 2 or m % 2:
         raise ValueError("m must be even and >= 2")
-    k = m // 2
-    with _bernoulli_lock:
-        while len(_bernoulli_even) <= k:
-            j = len(_bernoulli_even)
-            n = 2 * j
-            acc = sum(Fraction(comb(n + 1, 2 * i)) * _bernoulli_even[i] for i in range(j))
-            acc += Fraction(-(n + 1), 2)  # C(n+1, 1) * b_1
-            _bernoulli_even.append(-acc / (n + 1))
-        return _bernoulli_even[k]
+    return Fraction(*mp.bernfrac(m))
 
 
 def eis_constant(k: int) -> Fraction:
@@ -99,8 +85,15 @@ def eis_constant(k: int) -> Fraction:
 
 def _constant_mpf(k: int) -> mpf:
     """eis_constant(k) as an mpf at the caller's working precision."""
+    return _constant_at(k, mp.prec)
+
+
+@lru_cache(maxsize=256)
+def _constant_at(k: int, prec: int) -> mpf:
+    """eis_constant(k) rounded once at precision `prec`, for _constant_mpf."""
     c = eis_constant(k)
-    return mpf(c.numerator) / c.denominator
+    with mp.workprec(prec):
+        return mpf(c.numerator) / c.denominator
 
 
 def sigma_majorant(k: int) -> Fraction:

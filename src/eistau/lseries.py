@@ -23,6 +23,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 from mpmath import mp, mpc, mpf
 
@@ -151,27 +152,17 @@ def l_coeffs_bruteforce(index: CompositeIndex, n: int) -> LCoefficients:
         )
     sig = [sigma_table(2 * k - 1, n) for k in index.ks]
     out = [Fraction(0)] * (n + 1)
-
-    def walk(pos: int, remaining: int, parts: list[int]):
-        if pos == r - 1:
-            parts.append(remaining)
+    for m in range(r, n + 1):
+        # the parts of m between the cuts 0 < c_1 < ... < c_{r-1} < m; the part
+        # after cut c_j (c_0 = 0) heads a tail of m - c_j
+        for cuts in combinations(range(1, m), r - 1):
+            bounds = (0, *cuts, m)
             num = 1
             den = 1
-            tail = 0
-            for j in range(r - 1, -1, -1):
-                num *= sig[j][parts[j]]
-                tail += parts[j]
-                den *= tail ** index.alphas[j]
-            out[sum(parts)] += Fraction(num, den)
-            parts.pop()
-            return
-        for v in range(1, remaining - (r - pos - 1) + 1):
-            parts.append(v)
-            walk(pos + 1, remaining - v, parts)
-            parts.pop()
-
-    for m in range(r, n + 1):
-        walk(0, m, [])
+            for j in range(r):
+                num *= sig[j][bounds[j + 1] - bounds[j]]
+                den *= (m - bounds[j]) ** index.alphas[j]
+            out[m] += Fraction(num, den)
     return LCoefficients(index, tuple(out[1:]))
 
 

@@ -470,7 +470,13 @@ def first_difference_sides(k1: int, k2: int, a1: int, a2: int,
 
 def fund_first_sides(k: int, alpha: int,
                      budget: TruncationBudget = DEFAULT_BUDGET) -> tuple[mpc, mpc]:
-    """(lhs, rhs) of R(E0;a) = (-1)^a [T(E0;2k-a) + T(Einf;2k-a)] + T(Einf;a)."""
+    """(lhs, rhs) of R(E0;a) = (-1)^a [T(E0;2k-a) + T(Einf;2k-a)] + T(Einf;a).
+
+    This holds by construction: t_cusp_reg(k, 2k-a) is defined from R(E0; a),
+    so the right-hand side reduces algebraically to the left-hand side and the
+    two differ only by rounding.  For m < 2k only a closed form of int0_reg in
+    Hecke L-values would check t_cusp_reg independently.
+    """
     lhs = _r(((CUSP, k),), (alpha,), budget)
     rhs = (-1) ** alpha * (
         t_cusp_reg(k, 2 * k - alpha, budget) + t_const_closed(k, 2 * k - alpha)

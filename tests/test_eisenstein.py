@@ -20,13 +20,17 @@ from eistau.eisenstein import (
 )
 
 
-def naive_bernoulli(m: int) -> Fraction:
-    """Oracle: b_m from sum_{j<=n} C(n+1, j) b_j = 0 with b_0 = 1."""
+def naive_bernoullis(m: int) -> list[Fraction]:
+    """Oracle: b_0..b_m from sum_{j<=n} C(n+1, j) b_j = 0 with b_0 = 1."""
     b = [Fraction(1)]
     for n in range(1, m + 1):
         s = sum(Fraction(comb(n + 1, j)) * b[j] for j in range(n))
         b.append(-s / (n + 1))
-    return b[m]
+    return b
+
+
+def naive_bernoulli(m: int) -> Fraction:
+    return naive_bernoullis(m)[m]
 
 
 def test_divisor_sigma_examples():
@@ -62,8 +66,21 @@ def test_bernoulli_frozen_values(m, expected):
 
 
 def test_bernoulli_against_oracle_range():
-    for m in range(2, 21, 2):
-        assert bernoulli(m) == naive_bernoulli(m)
+    naive = naive_bernoullis(100)
+    for m in range(2, 101, 2):
+        assert bernoulli(m) == naive[m]
+
+
+def test_constant_mpf_has_the_bits_of_one_division_at_each_precision():
+    from eistau.eisenstein import _constant_mpf
+
+    for prec in (53, 136, 200, 53):
+        with mp.workprec(prec):
+            for k in range(2, 16):
+                c = eis_constant(k)
+                got = _constant_mpf(k)
+                assert got == _constant_mpf(k)
+                assert got._mpf_ == (mpf(c.numerator) / c.denominator)._mpf_, (prec, k)
 
 
 def test_bernoulli_rejects_odd():

@@ -353,15 +353,21 @@ def test_clear_caches_recomputes_bit_identical_values():
                 int_eval(make_index([3, 2], [2, 1]), tau, BUDGET),
                 eisenstein.eis_cusp_eval(4, tau, BUDGET)]
 
+    def constants():
+        return [eisenstein._constant_mpf(k) for k in (2, 3, 4)]
+
     before = [v._mpc_ for v in values()]
-    assert len(eisenstein._bernoulli_even) > 1
+    assert eisenstein._constant_at.cache_info().currsize
+    constants_before = constants()
     clear_caches()
     caches = (mmv._memo, lseries._coeff_cache, eisenstein._sigma_tables, integrals._stages)
     assert not any(caches)
-    assert eisenstein._bernoulli_even == [Fraction(1)]
+    assert eisenstein._constant_at.cache_info().currsize == 0
     assert [v._mpc_ for v in values()] == before
     assert [v._mpc_ for v in values()] == before  # from the memo and the kept stages
     assert all(caches)
+    assert eisenstein._constant_at.cache_info().currsize
+    assert constants() == constants_before
 
 
 def test_clear_caches_empties_rewrite_tables_and_converts_equal():

@@ -93,6 +93,23 @@ def test_quad_T_cusp_guard():
         quad_T_cusp(2, 4)
 
 
+def test_quad_T_cusp_builds_each_constant_term_once_per_precision(monkeypatch):
+    # the integrand subtracts Einf at every node; the mpf is built once per precision
+    from eistau import eisenstein
+
+    precs = []
+    original = eisenstein.eis_constant
+
+    def counting(k):
+        precs.append(mp.prec)
+        return original(k)
+
+    monkeypatch.setattr(eisenstein, "eis_constant", counting)
+    eisenstein._constant_at.cache_clear()
+    quad_T_cusp(2, 5)
+    assert precs and len(precs) == len(set(precs))
+
+
 # -- the Chebyshev panel kernel ------------------------------------------------------
 
 
