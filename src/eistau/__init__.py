@@ -61,12 +61,13 @@ def clear_caches() -> None:
     word, the R words of `mmv` all but the outermost), the L-series
     coefficient tables of `l_eval` and `l_coeffs_dp` (`lseries`, each with
     its majorant and its series at the last precision), the
-    divisor-sum sieve (`eisenstein`, under its lock) and the Eisenstein
+    divisor-sum sieve (`eisenstein`, under its lock), the Eisenstein
     constant terms as mpf (`eisenstein._constant_at`, keyed on k and
-    mp.prec), the Chebyshev rules of the quadrature oracles (`quadrature`)
-    and the exact conversion tables of the rewrite algebra
-    (`rewrite._int_to_l_table` and `rewrite._l_to_int_table`).  mpmath's own
-    caches (Bernoulli numbers, zeta values) are not reached.
+    mp.prec) and cusp parts (`eisenstein._cusp_at`, keyed on k, tau, the
+    budget and mp.prec), the Chebyshev rules of the quadrature oracles
+    (`quadrature`) and the exact conversion tables of the rewrite algebra
+    (`rewrite._int_to_l_table` and `rewrite._l_to_int_table`, each bounded).
+    mpmath's own caches (Bernoulli numbers, zeta values) are not reached.
     """
     from . import eisenstein, integrals, lseries, mmv, quadrature, rewrite
 
@@ -77,6 +78,7 @@ def clear_caches() -> None:
     rewrite._int_to_l_table.cache_clear()
     rewrite._l_to_int_table.cache_clear()
     eisenstein._constant_at.cache_clear()
+    eisenstein._cusp_at.cache_clear()
     with eisenstein._sigma_lock:
         eisenstein._sigma_tables.clear()
 

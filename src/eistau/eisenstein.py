@@ -19,6 +19,7 @@ from functools import lru_cache
 from math import ceil, expm1, factorial, log, log1p, pi
 
 from mpmath import mp, mpc, mpf
+from mpmath.libmp import fone, fzero, mpc_add, mpc_mul, mpc_mul_int, mpc_pos
 
 from .config import DEFAULT_BUDGET, BudgetError, TruncationBudget
 
@@ -151,22 +152,38 @@ def eis_cusp_eval(k: int, tau, budget: TruncationBudget = DEFAULT_BUDGET) -> mpc
     The tail certificate uses sigma_{2k-1}(n) <= n^{2k}, with N from tail_start
     at Im tau itself.  Raises BudgetError if Im tau is too small for the
     requested eps within budget.n_max terms.
+
+    The sum runs on raw mpf parts (`_cusp_at`) and is remembered per
+    (k, tau, budget, mp.prec), so a repeated sample, such as the quadrature
+    oracles take at shared nodes, costs one lookup.
     """
     if k < 2:
         raise ValueError("k must be >= 2")
     tau = mpc(tau)
     if not tau.imag > 0:
         raise ValueError("Im tau must be positive")
+    return mp.make_mpc(_cusp_at(k, tau._mpc_, budget, mp.prec))
+
+
+@lru_cache(maxsize=4096)
+def _cusp_at(k: int, tau: tuple, budget: TruncationBudget, prec: int) -> tuple:
+    """Raw parts of eis_cusp_eval(k, tau, budget) at precision `prec`.
+
+    The mpc loop `qn *= q; acc += sig[n] * qn` at 10 extra digits, as
+    `mpc_mul`, `mpc_mul_int` and `mpc_add` round it, then rounded to `prec`:
+    the same operations in the same order, bit for bit.
+    """
     with mp.extradps(10):
+        tau = mp.make_mpc(tau)
         n_trunc = tail_start(2 * k, tau.imag, budget.eps, budget.n_max)
         sig = sigma_table(2 * k - 1, n_trunc)
-        q = mp.expjpi(2 * tau)
-        qn = mpc(1)
-        acc = mpc(0)
+        q = mp.expjpi(2 * tau)._mpc_
+        wprec, rnd = mp._prec_rounding
+        qn, acc = (fone, fzero), (fzero, fzero)
         for n in range(1, n_trunc + 1):
-            qn *= q
-            acc += sig[n] * qn
-    return +acc
+            qn = mpc_mul(qn, q, wprec, rnd)
+            acc = mpc_add(acc, mpc_mul_int(qn, sig[n], wprec, rnd), wprec, rnd)
+    return mpc_pos(acc, prec, rnd)
 
 
 def eis_eval(k: int, tau, budget: TruncationBudget = DEFAULT_BUDGET) -> mpc:

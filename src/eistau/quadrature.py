@@ -3,7 +3,10 @@
 Integrands are evaluated strictly from truncated q-series (module eisenstein);
 paths are truncated vertical rays or the segment (0, i], and every truncation
 is covered by a crude certified tail bound.  These routines exist to check the
-closed forms; they share no code with them.
+closed forms; they share no code with them.  Every series sample goes through
+`eis_cusp_eval`, which sums it on raw mpf parts and remembers it per
+(k, tau, budget, mp.prec): the two cusp factors of a depth-2 word at one node,
+and the nodes that checks of one weight share, are summed once.
 
 Every integral is a sum of panel integrals computed by one kernel (`_panel`).
 On each panel the integrand is sampled at n first-kind Chebyshev nodes and

@@ -80,7 +80,7 @@ def shuffle_product(u, v) -> FormalSum:
     )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def _int_to_l_table(alphas: tuple[int, ...]):
     """(1, ((i_vec, t_delta, integer coefficient), ...)): the integral -> series map."""
     out = []
@@ -101,7 +101,7 @@ def _int_to_l_table(alphas: tuple[int, ...]):
     return 1, tuple(out)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def _l_to_int_table(alphas: tuple[int, ...]):
     """(D, ((new_alphas, i_1, numerator), ...)): the series -> integral map over
     D = prod_j (alpha_j - 1)!, each coefficient being numerator / D."""

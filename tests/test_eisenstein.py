@@ -117,6 +117,58 @@ def test_eis_cusp_eval_weight6_small_truncation():
     assert abs(val - ref) < mpf("1e-30")
 
 
+def _mpc_loop_cusp(k, tau, budget):
+    """The cusp part as the mpc loop `_cusp_at` replaced: its reference, bit for bit."""
+    tau = mpc(tau)
+    with mp.extradps(10):
+        n_trunc = tail_start(2 * k, tau.imag, budget.eps, budget.n_max)
+        sig = sigma_table(2 * k - 1, n_trunc)
+        q = mp.expjpi(2 * tau)
+        qn = mpc(1)
+        acc = mpc(0)
+        for n in range(1, n_trunc + 1):
+            qn *= q
+            acc += sig[n] * qn
+    return +acc
+
+
+@pytest.mark.parametrize("prec", [53, 136, 200])
+def test_eis_cusp_eval_bit_identical_to_mpc_loop_cold_and_warm(prec):
+    from eistau.eisenstein import _cusp_at
+
+    budget = TruncationBudget(1e-30, 10_000)
+    mp.prec = prec
+    taus = [mpc(0, 1), mpc(0, 2), mpc("0.5", "1.1"), mpc("-0.25", "0.4")]
+    _cusp_at.cache_clear()
+    for warm in (False, True):
+        for k in range(2, 6):
+            for tau in taus:
+                misses = _cusp_at.cache_info().misses
+                got = eis_cusp_eval(k, tau, budget)
+                assert _cusp_at.cache_info().misses == misses + (not warm)
+                assert got._mpc_ == _mpc_loop_cusp(k, tau, budget)._mpc_, (warm, k, tau)
+
+
+def test_eis_cusp_eval_keys_on_precision_and_budget():
+    from eistau.eisenstein import _cusp_at
+
+    tau = mpc("0.5", "1.1")  # at 40 digits; exact at both precisions below
+    budgets = (TruncationBudget(1e-30, 10_000), TruncationBudget(1e-10, 10_000))
+    cold = {}
+    for prec in (136, 200):
+        mp.prec = prec
+        for budget in budgets:
+            _cusp_at.cache_clear()
+            cold[prec, budget] = eis_cusp_eval(2, tau, budget)._mpc_
+    assert len(set(cold.values())) == 4
+    _cusp_at.cache_clear()
+    for prec in (136, 200, 136):
+        mp.prec = prec
+        for budget in budgets:
+            assert eis_cusp_eval(2, tau, budget)._mpc_ == cold[prec, budget]
+    assert _cusp_at.cache_info().currsize == 4
+
+
 def test_eis_cusp_eval_budget_exhaustion():
     with pytest.raises(BudgetError):
         eis_cusp_eval(2, mpc(0, "0.001"), TruncationBudget(1e-30, 50))
@@ -221,6 +273,7 @@ def test_eis_cusp_eval_cutoff_at_exact_im_tau(monkeypatch):
         return tail_start(power, y, eps, n_max)
 
     monkeypatch.setattr(eisenstein, "tail_start", spy)
+    eisenstein._cusp_at.cache_clear()  # a remembered sum calls no tail_start
     tau = mpc("0.3", "0.74")
     budget = TruncationBudget(1e-30, 10_000)
     eis_cusp_eval(3, tau, budget)

@@ -357,16 +357,17 @@ def test_clear_caches_recomputes_bit_identical_values():
         return [eisenstein._constant_mpf(k) for k in (2, 3, 4)]
 
     before = [v._mpc_ for v in values()]
-    assert eisenstein._constant_at.cache_info().currsize
+    lru_caches = (eisenstein._constant_at, eisenstein._cusp_at)
+    assert all(c.cache_info().currsize for c in lru_caches)
     constants_before = constants()
     clear_caches()
     caches = (mmv._memo, lseries._coeff_cache, eisenstein._sigma_tables, integrals._stages)
     assert not any(caches)
-    assert eisenstein._constant_at.cache_info().currsize == 0
+    assert not any(c.cache_info().currsize for c in lru_caches)
     assert [v._mpc_ for v in values()] == before
     assert [v._mpc_ for v in values()] == before  # from the memo and the kept stages
     assert all(caches)
-    assert eisenstein._constant_at.cache_info().currsize
+    assert all(c.cache_info().currsize for c in lru_caches)
     assert constants() == constants_before
 
 
@@ -392,6 +393,14 @@ def test_clear_caches_empties_rewrite_tables_and_converts_equal():
     assert after == before
     assert after[1] == fs and after[2]
     assert all(t.cache_info().currsize for t in tables)
+
+
+def test_lru_caches_are_bounded():
+    from eistau import eisenstein, rewrite
+
+    for cache in (rewrite._int_to_l_table, rewrite._l_to_int_table,
+                  eisenstein._constant_at, eisenstein._cusp_at):
+        assert cache.cache_info().maxsize is not None, cache
 
 
 def test_gammainc_majorant_dominates_terms():

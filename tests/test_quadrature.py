@@ -110,6 +110,28 @@ def test_quad_T_cusp_builds_each_constant_term_once_per_precision(monkeypatch):
     assert precs and len(precs) == len(set(precs))
 
 
+def test_depth2_oracle_sums_each_node_once():
+    # both factors of (2,2;1,1) are the weight-4 cusp part at the same node
+    from eistau.eisenstein import _cusp_at
+
+    _cusp_at.cache_clear()
+    quad_vertical([("cusp", 2), ("cusp", 2)], (1, 1), default_path(mpc(0, 2), 1e-26, 2),
+                  tol=1e-22)
+    info = _cusp_at.cache_info()
+    assert (info.misses, info.hits) == (360, 360)
+
+
+def test_quad_T_cusp_reuses_the_samples_of_a_smaller_power():
+    # m enters only as the factor t^(m-1): m = 6 samples the series at nodes m = 5 took
+    from eistau.eisenstein import _cusp_at
+
+    _cusp_at.cache_clear()
+    quad_T_cusp(2, 5)
+    misses = _cusp_at.cache_info().misses
+    quad_T_cusp(2, 6)
+    assert _cusp_at.cache_info().misses == misses
+
+
 # -- the Chebyshev panel kernel ------------------------------------------------------
 
 
