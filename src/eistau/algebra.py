@@ -27,11 +27,22 @@ TAU_INTEGRAL = "I"
 
 @dataclass(frozen=True)
 class CompositeIndex:
-    """Index (k_1..k_r; alpha_1..alpha_r; t) with the validation of make_index."""
+    """Index (k_1..k_r; alpha_1..alpha_r; t) with every k >= 2, alpha >= 1 and
+    t >= 0, or ValueError; depth 0 (empty tuples) is the unit symbol."""
 
     ks: tuple[int, ...]
     alphas: tuple[int, ...]
     t: int = 0
+
+    def __post_init__(self):
+        if len(self.ks) != len(self.alphas):
+            raise ValueError("ks and alphas must have equal length")
+        if self.ks and min(self.ks) < 2:
+            raise ValueError("every k must be >= 2")
+        if self.alphas and min(self.alphas) < 1:
+            raise ValueError("every alpha must be >= 1")
+        if self.t < 0:
+            raise ValueError("t must be >= 0")
 
     @property
     def depth(self) -> int:
@@ -47,18 +58,8 @@ class CompositeIndex:
 
 
 def make_index(ks, alphas, t: int = 0) -> CompositeIndex:
-    """Validated index; depth 0 (empty lists) is the unit symbol."""
-    ks = tuple(int(k) for k in ks)
-    alphas = tuple(int(a) for a in alphas)
-    if len(ks) != len(alphas):
-        raise ValueError("ks and alphas must have equal length")
-    if any(k < 2 for k in ks):
-        raise ValueError("every k must be >= 2")
-    if any(a < 1 for a in alphas):
-        raise ValueError("every alpha must be >= 1")
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    return CompositeIndex(ks, alphas, int(t))
+    """CompositeIndex from any iterables of integers, validated by the type."""
+    return CompositeIndex(tuple(int(k) for k in ks), tuple(int(a) for a in alphas), int(t))
 
 
 @dataclass(frozen=True)

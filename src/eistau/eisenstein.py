@@ -9,6 +9,8 @@ Conventions, for weight 2k and q = e^{2 pi i tau}:
 with b_m the Bernoulli numbers (b_2 = 1/6, b_4 = -1/30, ...), so e.g. the
 weight-4 constant term is +1/240.  Divisor sums are computed by a shared
 sieve and stay exact integers until the final float conversion.
+The majorant rules and the one rounding of an exact rational to an mpf
+(`_as_mpf`) that every certified value rests on are defined here too.
 """
 
 from __future__ import annotations
@@ -94,7 +96,14 @@ def _constant_at(k: int, prec: int) -> mpf:
     """eis_constant(k) rounded once at precision `prec`, for _constant_mpf."""
     c = eis_constant(k)
     with mp.workprec(prec):
-        return mpf(c.numerator) / c.denominator
+        return _as_mpf(c)
+
+
+def _as_mpf(x: Fraction) -> mpf:
+    """The exact rational x as mpf(numerator) / denominator at the working
+    precision.  A numerator wider than the precision is rounded twice, one ulp
+    from the correctly rounded x at worst; the pinned values rest on this."""
+    return mpf(x.numerator) / x.denominator
 
 
 def sigma_majorant(k: int) -> Fraction:
@@ -112,6 +121,13 @@ def convolution_majorant(a: int, b: int) -> Fraction:
     """
     beta = Fraction(factorial(a) * factorial(b), factorial(a + b + 1))
     return beta + Fraction(a**a * b**b, (a + b) ** (a + b))
+
+
+def _product_majorant(k: int, power: int) -> tuple[int, Fraction]:
+    """(P + 2k, s) for one sigma-product step: |f_n| <= C n^P for all n >= 1 gives
+    |sum_{n1+n2=n} sigma_{2k-1}(n1) f_{n2}| <= s C n^{P+2k}, with
+    s = sigma_majorant(k) convolution_majorant(2k-1, P)."""
+    return power + 2 * k, sigma_majorant(k) * convolution_majorant(2 * k - 1, power)
 
 
 def tail_start(power: int, y, eps, n_max: int) -> int:

@@ -2,8 +2,8 @@
 
 An ExpPoly represents  f(t) = sum_n P_n(t) e^{2 pi i n t}  with nonnegative
 integer frequencies n and polynomial coefficients P_n over mpmath complex
-numbers.  The class is closed under addition, products, multiplication by
-powers of t, and the tail integral
+numbers.  The class is closed under addition, products (a power t^m is the
+frequency-0 term (0, ..., 0, 1)), and the tail integral
 
     g(t) = int_t^{i oo} f(s) s^{alpha-1} ds        (alpha >= 1),
 
@@ -104,13 +104,6 @@ def _pscale(a: Poly, c) -> Poly:
     return _ptrim(x * c for x in a)
 
 
-def _pshift(a: Poly, m: int) -> Poly:
-    """Multiply by t^m."""
-    if not a:
-        return ()
-    return (mpc(0),) * m + tuple(a)
-
-
 class ExpPoly:
     """Finite sum of polynomial-times-exponential terms; see module docstring."""
 
@@ -126,10 +119,6 @@ class ExpPoly:
                         raise ValueError("frequencies must be nonnegative")
                     clean[n] = p
         self.terms = clean
-
-    @classmethod
-    def zero(cls) -> "ExpPoly":
-        return cls()
 
     @classmethod
     def from_qseries(cls, coeffs: dict[int, object]) -> "ExpPoly":
@@ -153,11 +142,6 @@ class ExpPoly:
         if c == 0:
             return ExpPoly()
         return ExpPoly({n: _pscale(p, c) for n, p in self.terms.items()})
-
-    def mul_tpow(self, m: int) -> "ExpPoly":
-        if m < 0:
-            raise ValueError("only nonnegative powers of t")
-        return ExpPoly({n: _pshift(p, m) for n, p in self.terms.items()})
 
     def __mul__(self, other: "ExpPoly") -> "ExpPoly":
         out: dict[int, Poly] = {}

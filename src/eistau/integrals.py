@@ -58,8 +58,9 @@ from .config import DEFAULT_BUDGET, SingularParameterError, TruncationBudget
 from .eisenstein import (
     CONST,
     CUSP,
+    _as_mpf,
     _constant_mpf,
-    convolution_majorant,
+    _product_majorant,
     eis_constant,
     sigma_majorant,
     sigma_table,
@@ -90,11 +91,11 @@ class _Stage:
     for every frequency n >= 1 of the fold and every t, c_d >= 0, and `bound`
     holds c_d (2 pi)^{-h} as mpf at the stage's precision, highest d first.
     It is carried from the inner stage's: the series starts at
-    (2k-1, (sigma_majorant(k),), 0); a product convolves with sigma_{2k-1},
-    which multiplies c by sigma_majorant(k) convolution_majorant(2k-1, P) and
-    adds 2k to P.  In a tail integral, |P_n(s) s^{alpha-1}| <= q(|s|) for a
-    polynomial q with nonnegative coefficients, and |s| <= |t| + u on the ray
-    s = t + iu, so the integral's frequency-n polynomial is at most
+    (2k-1, (sigma_majorant(k),), 0), and a product is one step of
+    `eisenstein._product_majorant`, which gives P and the factor of c.
+    In a tail integral, |P_n(s) s^{alpha-1}| <= q(|s|) for a polynomial q
+    with nonnegative coefficients, and |s| <= |t| + u on the ray s = t + iu,
+    so the integral's frequency-n polynomial is at most
     int_0^oo e^{-2 pi n u} q(|t| + u) du = sum_j q^(j)(|t|) / (2 pi n)^{j+1}
     <= n^{-1} sum_j q^(j)(|t|) / (2 pi)^{j+1}: P drops by one (not below 0, as
     n >= 1), and every derivative lowers the degree in |t| by one and adds a
@@ -113,8 +114,8 @@ class _Stage:
         else:
             power, c, h = inner.majorant
             if op == PRODUCT:
-                s = sigma_majorant(arg) * convolution_majorant(2 * arg - 1, power)
-                power, c = power + 2 * arg, tuple(x * s for x in c)
+                power, s = _product_majorant(arg, power)
+                c = tuple(x * s for x in c)
             else:
                 q = (Fraction(0),) * (arg - 1) + c
                 c = tuple(sum(q[d] * (factorial(d) // factorial(e)) for d in range(e, len(q)))
@@ -122,7 +123,7 @@ class _Stage:
                 power, h = max(power - 1, 0), h + arg
         self.majorant = power, c, h
         two_pi_h = (2 * mp.pi) ** h
-        self.bound = tuple(mpf(x.numerator) / x.denominator / two_pi_h for x in reversed(c))
+        self.bound = tuple(_as_mpf(x) / two_pi_h for x in reversed(c))
 
     def grow(self, n: int) -> None:
         """Extend the fold from the kept n to n, the inner stage first; by the
@@ -169,7 +170,7 @@ def freq_cutoff(stage: _Stage, tau: mpc, budget: TruncationBudget, einf=Fraction
     """
     scale = mp.polyval(stage.bound, 2 * mp.pi * abs(tau))
     if einf != 1:
-        scale *= mpf(einf.numerator) / einf.denominator
+        scale *= _as_mpf(einf)
     return tail_start(stage.majorant[0], tau.imag, mpf(budget.eps) / (2 * scale), budget.n_max)
 
 

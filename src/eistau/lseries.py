@@ -29,7 +29,7 @@ from mpmath import mp, mpc, mpf
 
 from .algebra import CompositeIndex
 from .config import DEFAULT_BUDGET, TruncationBudget
-from .eisenstein import convolution_majorant, sigma_majorant, sigma_table, tail_start
+from .eisenstein import _as_mpf, _product_majorant, sigma_majorant, sigma_table, tail_start
 from .exppoly import ExpPoly
 
 BRUTEFORCE_MAX_DEPTH = 4
@@ -38,7 +38,8 @@ BRUTEFORCE_MAX_N = 200
 
 @dataclass(frozen=True)
 class LCoefficients:
-    """Exact coefficients c(1..N) of the q-expansion (without the prefactor)."""
+    """Exact coefficients c(1..N) of the q-expansion (without the prefactor);
+    `[m]` is c(m), 1-based, and iteration runs over c(1), ..., c(N)."""
 
     index: CompositeIndex
     coeffs: tuple[Fraction, ...]
@@ -51,6 +52,12 @@ class LCoefficients:
         if not 1 <= m <= self.n:
             raise IndexError(f"coefficient index {m} outside 1..{self.n}")
         return self.coeffs[m - 1]
+
+    def __len__(self) -> int:
+        return self.n
+
+    def __iter__(self):
+        return iter(self.coeffs)
 
     def csv_rows(self):
         for m, c in enumerate(self.coeffs, start=1):
@@ -84,9 +91,9 @@ class _LTable:
 
     `majorant` is (P, C) with c(m) <= C m^P for every m >= 1, carried from the
     suffix table's: sigma_{2k-1}(n) <= sigma_majorant(k) n^{2k-1}; a layer's
-    convolution sum_u sigma_{2k_j-1}(u) S_{j+1}(m-u) multiplies C by
-    sigma_majorant(k_j) convolution_majorant(2k_j-1, P) and adds 2k_j to P;
-    its denominator m^{alpha_j} lowers P by alpha_j, not below 0, as m >= 1.
+    convolution sum_u sigma_{2k_j-1}(u) S_{j+1}(m-u) is one step of
+    `eisenstein._product_majorant`; its denominator m^{alpha_j} lowers P by
+    alpha_j, not below 0, as m >= 1.
     Unclamped, P = sum (2k-1) + r - 1 - sum alpha: the inner denominators
     lower it below the sum (2k-1) + r - 1 - alpha_1 of the leading
     denominator alone."""
@@ -98,8 +105,8 @@ class _LTable:
         self.rows = [Fraction(0)]
         power, c = 2 * k - 1, sigma_majorant(k)
         if inner is not None:
-            p, c_inner = inner.majorant
-            power, c = p + 2 * k, c * c_inner * convolution_majorant(2 * k - 1, p)
+            power, s = _product_majorant(k, inner.majorant[0])
+            c = inner.majorant[1] * s
         self.majorant = max(power - alpha, 0), c
         self.prec, self.n_values, self.values = None, 0, ExpPoly()
 
@@ -136,7 +143,7 @@ class _LTable:
         for m in range(self.n_values + 1, self.n + 1):
             c = self.rows[m]
             if c:
-                terms[m] = (mpc(mpf(c.numerator) / c.denominator),)
+                terms[m] = (mpc(_as_mpf(c)),)
         self.n_values = self.n
         return self.values
 
@@ -202,7 +209,7 @@ def l_eval(index: CompositeIndex, tau, budget: TruncationBudget = DEFAULT_BUDGET
         prefactor = (2 * mp.pi * mpc(0, 1)) ** (-alpha_sum) * tau**index.t
         table = _table(index.ks, index.alphas)
         power, c = table.majorant
-        eps_series = mpf(budget.eps) / ((1 + abs(prefactor)) * (mpf(c.numerator) / c.denominator))
+        eps_series = mpf(budget.eps) / ((1 + abs(prefactor)) * _as_mpf(c))
         n_trunc = tail_start(power, tau.imag, eps_series, budget.n_max)
         table.grow(n_trunc)
         val = prefactor * table.series()(tau, n_max=n_trunc)

@@ -68,7 +68,7 @@ from mpmath import mp, mpc, mpf
 
 from .algebra import CompositeIndex
 from .config import DEFAULT_BUDGET, SingularParameterError, TruncationBudget
-from .eisenstein import CONST, CUSP, bernoulli, sigma_majorant, sigma_table, tail_start
+from .eisenstein import CONST, CUSP, _as_mpf, bernoulli, sigma_majorant, sigma_table, tail_start
 from .eisenstein import _constant_mpf as _einf
 # int_eval is unused here, but bench/test_bench.py checks that the benchmark's
 # tracer restores this binding.
@@ -108,8 +108,7 @@ def t_const_const(k1: int, k2: int, b1: int, b2: int) -> mpc:
 def _gammainc_majorant(k: int) -> tuple[int, mpf]:
     """(P, C) with |sigma_{2k-1}(n) (i / 2 pi n)^alpha Gamma(alpha, 2 pi n)| <= C n^P e^{-2 pi n}
     for alpha <= 1, where Gamma(alpha, x) <= x^{alpha-1} e^{-x}; sigma by sigma_majorant(k)."""
-    c = sigma_majorant(k)
-    return 2 * k - 2, mpf(c.numerator) / c.denominator / (2 * mp.pi)
+    return 2 * k - 2, _as_mpf(sigma_majorant(k)) / (2 * mp.pi)
 
 
 def _r(word: tuple, alphas: tuple, budget: TruncationBudget) -> mpc:
@@ -214,23 +213,6 @@ def t_mixed_reduce(kind: str, k_cusp: int, k_const: int, alpha: int, beta: int,
             )
         return einf / beta * t_cusp_reg(k_cusp, alpha + beta, budget)
     raise ValueError(f"unknown reduction kind {kind!r}")
-
-
-def r_const_cusp_identity(k1: int, k2: int, a1: int, a2: int,
-                          budget: TruncationBudget = DEFAULT_BUDGET) -> mpc:
-    """RHS of the inversion identity for R(Einf_1, E0_2; a1, a2) (see module doc).
-
-    Assembled purely from regularized T-values; the verification suite compares
-    it against the directly convergent r_iter value.
-    """
-    if a1 + a2 == 2 * k2:
-        raise SingularParameterError("a1 + a2 = 2 k2 is singular for this identity")
-    sgn = (-1) ** (a1 + a2)
-    return sgn * (
-        t_mixed_reduce(CUSP_THEN_CONST, k2, k1, 2 * k2 - a2, -a1, budget)
-        + t_const_const(k2, k1, 2 * k2 - a2, -a1)
-        - t_const_const(k2, k1, -a2, -a1)
-    )
 
 
 # -- Eichler coefficients -------------------------------------------------------
@@ -412,11 +394,11 @@ def haberland_rhs(k: int, alpha: int, budget: TruncationBudget = DEFAULT_BUDGET)
         raise ValueError("alpha out of range")
     poly = e0_cocycle_S(k)
     c = poly.coefficient(2 * k - alpha - 1, alpha - 1)
+    # the product with the numerator is rounded first; _as_mpf(c) would move 16 % an ulp
     val = (2 * mp.pi * mpc(0, 1)) ** (2 * k - 1) * mpf(c.numerator) / c.denominator
     delta = (1 if alpha == 1 else 0) - (1 if alpha == 2 * k - 1 else 0)
     if delta:
-        frac = Fraction(factorial(2 * k - 2), 2) * delta
-        val += mpf(frac.numerator) / frac.denominator * zeta_odd(2 * k - 1, budget)
+        val += _as_mpf(Fraction(factorial(2 * k - 2), 2) * delta) * zeta_odd(2 * k - 1, budget)
     return val
 
 
@@ -454,9 +436,9 @@ def first_difference_sides(k1: int, k2: int, a1: int, a2: int,
     braces = (
         int0_reg(CompositeIndex((k1, k2), (a1, a2)), budget)
         - int0_reg(CompositeIndex((k2, k1), (a2, a1)), budget)
-        + mpf(b2.numerator) / b2.denominator / (2 * k2 * a2)
+        + _as_mpf(b2) / (2 * k2 * a2)
         * int0_reg(CompositeIndex((k1,), (w,)), budget)
-        - mpf(b1.numerator) / b1.denominator / (2 * k1 * a1)
+        - _as_mpf(b1) / (2 * k1 * a1)
         * int0_reg(CompositeIndex((k2,), (w,)), budget)
     )
     pref = (
@@ -486,7 +468,14 @@ def fund_first_sides(k: int, alpha: int,
 
 def fund_second_sides(k1: int, k2: int, a1: int, a2: int,
                       budget: TruncationBudget = DEFAULT_BUDGET) -> tuple[mpc, mpc]:
-    """(lhs, rhs) of the inversion identity for R(Einf_1, E0_2; a1, a2)."""
+    """(lhs, rhs) of the inversion identity for R(Einf_1, E0_2; a1, a2) (see module
+    doc): the convergent R word against its assembly from regularized T-values."""
+    if a1 + a2 == 2 * k2:
+        raise SingularParameterError("a1 + a2 = 2 k2 is singular for this identity")
     lhs = _r(((CONST, k1), (CUSP, k2)), (a1, a2), budget)
-    rhs = r_const_cusp_identity(k1, k2, a1, a2, budget)
+    rhs = (-1) ** (a1 + a2) * (
+        t_mixed_reduce(CUSP_THEN_CONST, k2, k1, 2 * k2 - a2, -a1, budget)
+        + t_const_const(k2, k1, 2 * k2 - a2, -a1)
+        - t_const_const(k2, k1, -a2, -a1)
+    )
     return lhs, rhs

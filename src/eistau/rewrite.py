@@ -51,6 +51,7 @@ from .algebra import (
     tau_integral_gen,
 )
 from .config import DEFAULT_BUDGET, TruncationBudget
+from .eisenstein import _as_mpf
 from .integrals import int_eval
 from .lseries import l_eval
 
@@ -234,7 +235,7 @@ def numeric_value(fs: FormalSum, tau, budget: TruncationBudget = DEFAULT_BUDGET)
     tau = mpc(tau)
     acc = mpc(0)
     for g, c in fs:
-        scale = mpc(c.numerator) / c.denominator
+        scale = _as_mpf(c)
         if g.kind == LSERIES:
             acc += scale * l_eval(g.index(), tau, budget)
         else:

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eistau.algebra import (
+    CompositeIndex,
     FormalSum,
     lseries_gen,
     make_index,
@@ -38,6 +39,22 @@ def test_make_index_depth_zero():
 def test_make_index_rejects(ks, alphas, t):
     with pytest.raises(ValueError):
         make_index(ks, alphas, t)
+
+
+@pytest.mark.parametrize(
+    "ks,alphas,t",
+    [
+        ((2,), (1,), -1),
+        ((2,), (0,), 0),
+        ((1,), (1,), 0),
+        ((2,), (-1,), 0),
+        ((2, 3), (1,), 0),
+    ],
+)
+def test_composite_index_rejects_when_built(ks, alphas, t):
+    # l_eval reads its index unchecked, so an invalid one must not be buildable
+    with pytest.raises(ValueError):
+        CompositeIndex(ks, alphas, t)
 
 
 def test_make_index_round_trips_fields():

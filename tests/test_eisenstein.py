@@ -83,6 +83,49 @@ def test_constant_mpf_has_the_bits_of_one_division_at_each_precision():
                 assert got._mpf_ == (mpf(c.numerator) / c.denominator)._mpf_, (prec, k)
 
 
+def test_as_mpf_is_one_rounded_numerator_divided_by_the_denominator():
+    from eistau.algebra import make_index
+    from eistau.eisenstein import _as_mpf
+    from eistau.lseries import l_coeffs_dp
+
+    rows = [x for x in l_coeffs_dp(make_index([5, 4, 3], [1, 2, 4]), 40).coeffs if x]
+    assert max(x.numerator.bit_length() for x in rows) == 323
+    rows += [eis_constant(k) for k in range(2, 16)] + [Fraction(-7, 3), Fraction(1)]
+    for prec in (53, 136, 169, 200):
+        with mp.workprec(prec):
+            for x in rows:
+                assert _as_mpf(x)._mpf_ == (mpf(x.numerator) / x.denominator)._mpf_, (prec, x)
+
+
+def test_rational_rounding_and_product_majorant_defined_in_eisenstein_only():
+    """In src/eistau, mpf(x.numerator) / x.denominator (or mpc) is written only in
+    `eisenstein`, and `convolution_majorant` is called only there."""
+    import ast
+    import pathlib
+
+    import eistau
+
+    def numerator_over_denominator(node):
+        left, right = node.left, node.right
+        return (isinstance(left, ast.Call) and isinstance(left.func, ast.Name)
+                and left.func.id in ("mpf", "mpc") and len(left.args) == 1
+                and isinstance(left.args[0], ast.Attribute) and left.args[0].attr == "numerator"
+                and isinstance(right, ast.Attribute) and right.attr == "denominator")
+
+    found = []
+    for path in sorted(pathlib.Path(eistau.__file__).parent.glob("*.py")):
+        if path.stem == "eisenstein":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div)
+                    and numerator_over_denominator(node)):
+                found.append((path.stem, node.lineno, "rational rounding"))
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "convolution_majorant"):
+                found.append((path.stem, node.lineno, "convolution_majorant"))
+    assert not found, found
+
+
 def test_bernoulli_rejects_odd():
     with pytest.raises(ValueError):
         bernoulli(3)

@@ -20,6 +20,14 @@ def test_dp_depth1_examples():
     assert list(coeffs.coeffs) == [Fraction(1), Fraction(9, 2), Fraction(28, 3)]
 
 
+def test_l_coefficients_iterate_and_count_from_one():
+    coeffs = l_coeffs_dp(make_index([2], [1]), 3)
+    assert list(coeffs) == [Fraction(1), Fraction(9, 2), Fraction(28, 3)]
+    assert len(coeffs) == 3
+    assert Fraction(1) in coeffs and Fraction(0) not in coeffs
+    assert coeffs[1] == Fraction(1)
+
+
 def test_dp_depth2_single_composition():
     coeffs = l_coeffs_dp(make_index([2, 2], [1, 1]), 2)
     assert coeffs[2] == Fraction(1, 2)
