@@ -54,9 +54,12 @@ from .verify import SUITES, run_suite
 def clear_caches() -> None:
     """Empty the engine's caches; values computed afterwards are bit-identical.
 
-    Clears the memo of base-point integrals (`mmv`, R words keyed on
-    mp.prec), the table of fold stages (`integrals`; each stage, keyed on its
-    chain and mp.prec, carries its majorant and is grown in place to the
+    Clears every value memo (`config._MEMOS`, each of at most 4,096 values
+    keyed on the arguments, the budget and mp.prec: `lseries._l_memo` of
+    `l_eval`, `integrals._int_memo` of `int_eval`, and in `mmv` the R words
+    `_memo`, `_t_memo` of `t_cusp_reg` and `_i_memo` of `i_coeff`), the
+    table of fold stages (`integrals`; each stage, keyed on its chain and
+    mp.prec, carries its majorant and is grown in place to the
     largest n_cut so far; `int_eval` and `int_exppoly` keep every stage of a
     word, the R words of `mmv` all but the outermost), the L-series
     coefficient tables of `l_eval` and `l_coeffs_dp` (`lseries`, each with
@@ -69,9 +72,10 @@ def clear_caches() -> None:
     (`rewrite._int_to_l_table` and `rewrite._l_to_int_table`, each bounded).
     mpmath's own caches (Bernoulli numbers, zeta values) are not reached.
     """
-    from . import eisenstein, integrals, lseries, mmv, quadrature, rewrite
+    from . import config, eisenstein, integrals, lseries, mmv, quadrature, rewrite
 
-    mmv._memo.clear()
+    for memo in config._MEMOS:
+        memo.clear()
     integrals._stages.clear()
     lseries._coeff_cache.clear()
     quadrature._rules.clear()

@@ -41,7 +41,8 @@ the innermost one's with 1, then a tail integral), and the working
 precision; words that share inner integrals share those stages.
 `int_eval`, `int_exppoly` and `word_eval` take one path: the top stage sizes
 n_cut, is grown to it and read at tau with n_max = n_cut.  `int_eval` and
-`int_exppoly` keep every stage of their word.  `word_eval`'s top is a stage
+`int_exppoly` keep every stage of their word, and `int_eval` each value it
+returns (`_int_memo`).  `word_eval`'s top is a stage
 over its kept inner stage, grown to its own n_cut and never kept: its callers
 are the base-point words of `mmv`, which memoizes their values.
 """
@@ -54,7 +55,7 @@ from math import factorial, prod
 from mpmath import mp, mpc, mpf
 
 from .algebra import CompositeIndex
-from .config import DEFAULT_BUDGET, SingularParameterError, TruncationBudget
+from .config import DEFAULT_BUDGET, SingularParameterError, TruncationBudget, _Memo
 from .eisenstein import (
     CONST,
     CUSP,
@@ -145,6 +146,7 @@ class _Stage:
 
 # (stage chain, mp.prec) -> its kept stage
 _stages: dict[tuple, _Stage] = {}
+_int_memo = _Memo()  # int_eval values
 
 
 def _stage(chain: tuple) -> _Stage:
@@ -233,9 +235,15 @@ def _cusp_word(index: CompositeIndex) -> tuple:
 def int_eval(index: CompositeIndex, tau, budget: TruncationBudget = DEFAULT_BUDGET) -> mpc:
     """Iterated tail integral of the cusp parts of `index` at tau, from the kept
     stages of its fold, the outermost included; depth 0 gives 1.  Raises
-    ValueError for t != 0."""
+    ValueError for t != 0.  A value is kept per (word, alphas, tau, budget,
+    mp.prec) in `_int_memo`."""
     word = _cusp_word(index)
-    return _value(word, index.alphas, tau, budget, keep=True) if word else mpc(1)
+    if not word:
+        return mpc(1)
+    tau = mpc(tau)
+    alphas = tuple(index.alphas)
+    return _int_memo.value((word, alphas, tau._mpc_, budget),
+                           _value, word, alphas, tau, budget, True)
 
 
 def int_exppoly(index: CompositeIndex, tau, budget: TruncationBudget = DEFAULT_BUDGET) -> ExpPoly:

@@ -15,7 +15,8 @@ and `l_eval` share one kept table of c per (ks, alphas) and extend it when a
 call needs more rows, so no row is computed twice.  A table carries the
 majorant of its c, computed once from its suffix table's, and its nonzero
 rows as an ExpPoly converted to mpf once per working precision, which
-`l_eval` reads by `ExpPoly.__call__` up to its own N.
+`l_eval` reads by `ExpPoly.__call__` up to its own N, and keeps each value
+it returns (`_l_memo`).
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from itertools import combinations
 from mpmath import mp, mpc, mpf
 
 from .algebra import CompositeIndex
-from .config import DEFAULT_BUDGET, TruncationBudget
+from .config import DEFAULT_BUDGET, TruncationBudget, _Memo
 from .eisenstein import _as_mpf, _product_majorant, sigma_majorant, sigma_table, tail_start
 from .exppoly import ExpPoly
 
@@ -174,6 +175,7 @@ def l_coeffs_bruteforce(index: CompositeIndex, n: int) -> LCoefficients:
 
 
 _coeff_cache: dict[tuple[tuple[int, ...], tuple[int, ...]], _LTable] = {}
+_l_memo = _Memo()  # l_eval values
 
 
 def _table(ks: tuple[int, ...], alphas: tuple[int, ...]) -> _LTable:
@@ -193,7 +195,8 @@ def l_eval(index: CompositeIndex, tau, budget: TruncationBudget = DEFAULT_BUDGET
     N is certified by tail_start at Im tau for the table's majorant
     c(m) <= C m^P, and the table's series is read by Horner in q from the
     highest nonzero row <= N down: a table grown further for a lower Im tau
-    gives the bits of one grown to N."""
+    gives the bits of one grown to N.  A value is kept per (index, tau, budget,
+    mp.prec) in `_l_memo`; the checks and the warning come first on every call."""
     if index.depth == 0:
         return mpc(1)
     tau = mpc(tau)
@@ -204,6 +207,10 @@ def l_eval(index: CompositeIndex, tau, budget: TruncationBudget = DEFAULT_BUDGET
             f"Im tau = {mp.nstr(tau.imag, 6)} < 0.1: truncation grows like 1/Im tau",
             stacklevel=2,
         )
+    return _l_memo.value((index, tau._mpc_, budget), _l_value, index, tau, budget)
+
+
+def _l_value(index: CompositeIndex, tau: mpc, budget: TruncationBudget) -> mpc:
     with mp.extradps(10):
         alpha_sum = sum(index.alphas)
         prefactor = (2 * mp.pi * mpc(0, 1)) ** (-alpha_sum) * tau**index.t

@@ -9,9 +9,11 @@ weight-2k cusp/constant factors (E0 / Einf, Einf = -b_{2k}/(4k)):
 Every R word with exponents >= 1, const factors included, is the fold of
 `integrals.word_eval` at tau = i; the one R route local to this module is the
 gammainc sum for a single cusp factor with m <= 0.  The module memoizes these
-values, keyed on the budget and the working precision `mp.prec`, and
+values (`_memo`), keyed on the budget and the working precision `mp.prec`, and
 assembles the formulas below from them.  `word_eval` keeps the inner stages
 of a word's fold, not its outermost one: this memo alone keeps an R word.
+`t_cusp_reg` and `i_coeff` keep their values the same way (`_t_memo`,
+`_i_memo`), after their checks.
 
 Closed forms and regularized values (every formula below is pinned by the
 verification suites; "regularized" means the analytic extension fixed by
@@ -67,7 +69,7 @@ from math import comb, factorial
 from mpmath import mp, mpc, mpf
 
 from .algebra import CompositeIndex
-from .config import DEFAULT_BUDGET, SingularParameterError, TruncationBudget
+from .config import DEFAULT_BUDGET, SingularParameterError, TruncationBudget, _Memo
 from .eisenstein import CONST, CUSP, _as_mpf, bernoulli, sigma_majorant, sigma_table, tail_start
 from .eisenstein import _constant_mpf as _einf
 # int_eval is unused here, but bench/test_bench.py checks that the benchmark's
@@ -84,8 +86,8 @@ def _ipow(n: int) -> mpc:
     return _IPOW[n % 4]
 
 
-# R words by value, keyed on the budget and mp.prec
-_memo: dict[tuple, mpc] = {}
+# values by (arguments, budget, mp.prec): R words, t_cusp_reg and i_coeff
+_memo, _t_memo, _i_memo = _Memo(), _Memo(), _Memo()
 
 
 # -- T/R primitives -------------------------------------------------------------
@@ -136,11 +138,7 @@ def _r(word: tuple, alphas: tuple, budget: TruncationBudget) -> mpc:
                 )
         return +acc
 
-    key = (word, alphas, budget, mp.prec)
-    val = _memo.get(key)
-    if val is None:
-        val = _memo[key] = compute()
-    return val
+    return _memo.value((word, alphas, budget), compute)
 
 
 def r_iter(factors, alphas, budget: TruncationBudget = DEFAULT_BUDGET) -> mpc:
@@ -174,6 +172,10 @@ def t_cusp_reg(k: int, m: int, budget: TruncationBudget = DEFAULT_BUDGET) -> mpc
     """
     if m in (0, 2 * k):
         raise SingularParameterError(f"T(E0; m) is singular at m = {m} for weight {2 * k}")
+    return _t_memo.value((k, m, budget), _t_cusp_reg, k, m, budget)
+
+
+def _t_cusp_reg(k: int, m: int, budget: TruncationBudget) -> mpc:
     return (
         (-1) ** m * (_r(((CUSP, k),), (2 * k - m,), budget) - t_const_closed(k, 2 * k - m))
         - t_const_closed(k, m)
@@ -226,6 +228,9 @@ class MonomialCoefficientRequest:
     alphas: tuple[int, ...]
 
     def __post_init__(self):
+        # int tuples, so that a request is a memo key of i_coeff
+        object.__setattr__(self, "ks", tuple(int(k) for k in self.ks))
+        object.__setattr__(self, "alphas", tuple(int(a) for a in self.alphas))
         if not 1 <= len(self.ks) <= 2 or len(self.ks) != len(self.alphas):
             raise ValueError("requests carry one or two (k, alpha) pairs")
         for k, a in zip(self.ks, self.alphas):
@@ -244,6 +249,10 @@ def _as_request(ks, alphas) -> MonomialCoefficientRequest:
 def i_coeff(ks, alphas=None, budget: TruncationBudget = DEFAULT_BUDGET) -> mpc:
     """Length-1 or length-2 coefficient of the base-point-i iterated integral."""
     req = _as_request(ks, alphas)
+    return _i_memo.value((req, budget), _i_coeff, req, budget)
+
+
+def _i_coeff(req: MonomialCoefficientRequest, budget: TruncationBudget) -> mpc:
     if len(req.ks) == 1:
         (k,), (a,) = req.ks, req.alphas
         body = _r(((CUSP, k),), (a,), budget) - t_const_closed(k, a)

@@ -35,10 +35,9 @@ def parse_complex(text: str) -> mpc:
             split = pos
             break
     re_part, im_part = body[:split], body[split:]
-    if not re_part:
-        im = mpf(im_part if im_part not in ("", "+", "-") else im_part + "1")
-        return mpc(0, im)
-    return mpc(mpf(re_part), mpf(im_part))
+    if im_part in ("", "+", "-"):  # a bare i carries the unit
+        im_part += "1"
+    return mpc(mpf(re_part) if re_part else 0, mpf(im_part))
 
 
 def format_real(x) -> str:

@@ -45,6 +45,14 @@ def test_eval_l_value_and_coeffs(tmp_path, capsys):
     assert rows[3] == "3,28/3"
 
 
+def test_eval_l_tau_with_unit_imaginary_part(capsys):
+    argv = ["eval-l", "--index", "L{ks=[2];alphas=[1];t=0}", "--tau"]
+    assert main(argv + ["0.5+i"]) == 0
+    unit = capsys.readouterr().out
+    assert main(argv + ["0.5+1i"]) == 0
+    assert unit == capsys.readouterr().out
+
+
 def test_eval_int_dump(capsys):
     code = main(
         [

@@ -340,7 +340,7 @@ def test_zeta_odd_rejects_even():
 
 
 def test_clear_caches_recomputes_bit_identical_values():
-    from eistau import clear_caches, eisenstein, integrals, lseries, mmv
+    from eistau import clear_caches, config, eisenstein, integrals, lseries, mmv
     from eistau.integrals import int_eval
     from eistau.lseries import l_eval
 
@@ -351,22 +351,34 @@ def test_clear_caches_recomputes_bit_identical_values():
                 r_iter([("const", 3), ("cusp", 2)], (2, 1), BUDGET),
                 l_eval(make_index([2, 3], [1, 2]), tau, BUDGET),
                 int_eval(make_index([3, 2], [2, 1]), tau, BUDGET),
-                eisenstein.eis_cusp_eval(4, tau, BUDGET)]
+                eisenstein.eis_cusp_eval(4, tau, BUDGET),
+                t_cusp_reg(3, 7, BUDGET)]
 
     def constants():
         return [eisenstein._constant_mpf(k) for k in (2, 3, 4)]
 
+    memos = (mmv._memo, mmv._t_memo, mmv._i_memo, lseries._l_memo, integrals._int_memo)
+    assert sorted(map(id, memos)) == sorted(map(id, config._MEMOS))  # every value memo
+
+    def kept():
+        return [{key: v._mpc_ for key, v in memo.items()} for memo in memos]
+
     before = [v._mpc_ for v in values()]
+    assert all(memos)
     lru_caches = (eisenstein._constant_at, eisenstein._cusp_at)
     assert all(c.cache_info().currsize for c in lru_caches)
     constants_before = constants()
     clear_caches()
     caches = (mmv._memo, lseries._coeff_cache, eisenstein._sigma_tables, integrals._stages)
     assert not any(caches)
+    assert not any(memos)
     assert not any(c.cache_info().currsize for c in lru_caches)
     assert [v._mpc_ for v in values()] == before
+    kept_cold = kept()
+    assert all(kept_cold)
     assert [v._mpc_ for v in values()] == before  # from the memo and the kept stages
     assert all(caches)
+    assert kept() == kept_cold
     assert all(c.cache_info().currsize for c in lru_caches)
     assert constants() == constants_before
 
@@ -396,11 +408,16 @@ def test_clear_caches_empties_rewrite_tables_and_converts_equal():
 
 
 def test_lru_caches_are_bounded():
-    from eistau import eisenstein, rewrite
+    from eistau import config, eisenstein, integrals, lseries, mmv, rewrite
 
     for cache in (rewrite._int_to_l_table, rewrite._l_to_int_table,
                   eisenstein._constant_at, eisenstein._cusp_at):
         assert cache.cache_info().maxsize is not None, cache
+    memos = (mmv._memo, mmv._t_memo, mmv._i_memo, lseries._l_memo, integrals._int_memo)
+    assert sorted(map(id, memos)) == sorted(map(id, config._MEMOS))
+    for memo in memos:
+        assert isinstance(memo, config._Memo) and memo.maxsize == 4096
+        assert len(memo) <= memo.maxsize
 
 
 def test_gammainc_majorant_dominates_terms():

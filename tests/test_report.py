@@ -28,6 +28,16 @@ def test_complex_round_trip():
     assert parse_complex("3.25") == mpc("3.25", 0)
 
 
+def test_parse_complex_unit_imaginary_after_real_part():
+    # a bare sign before the i is +-1, after a real part as on its own
+    assert parse_complex("0.5+i") == mpc("0.5", 1)
+    assert parse_complex("0.5-i") == mpc("0.5", -1)
+    assert parse_complex("-0.5-i") == mpc("-0.5", -1)
+    assert parse_complex("1e-3+i") == mpc("1e-3", 1)
+    assert parse_complex("i") == mpc(0, 1) and parse_complex("-i") == mpc(0, -1)
+    assert parse_complex("0.5+1i") == parse_complex("0.5+i")
+
+
 def test_summary_counts():
     rep = _sample_report()
     s = rep.summary

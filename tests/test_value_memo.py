@@ -1,0 +1,124 @@
+"""The value memos of l_eval, int_eval, i_coeff, t_cusp_reg and the R words.
+
+Each evaluator keeps the values it returns, keyed on its normalized arguments,
+the budget and `mp.prec`, in a bounded `config._Memo`.  A raise is not kept,
+and `l_eval`'s small-Im-tau warning fires on hits too.
+"""
+
+import pytest
+from mpmath import mp, mpc
+
+from eistau import clear_caches, config, eisenstein, integrals, lseries, mmv
+from eistau.algebra import CompositeIndex, make_index
+from eistau.config import BudgetError, SingularParameterError, TruncationBudget
+from eistau.exppoly import ExpPoly
+from eistau.integrals import int_eval
+from eistau.lseries import l_eval
+from eistau.mmv import MonomialCoefficientRequest, i_coeff, t_cusp_reg
+
+BUDGET = TruncationBudget(1e-30, 100_000)
+LOOSE = TruncationBudget(1e-20, 100_000)
+TAU = mpc("0.2", "1.1")
+
+EVALUATORS = {
+    "l_eval": lambda budget: l_eval(make_index([2, 3], [1, 2], 1), TAU, budget),
+    "int_eval": lambda budget: int_eval(make_index([3, 2], [2, 1]), TAU, budget),
+    "i_coeff": lambda budget: i_coeff((2, 3), (1, 2), budget),
+    "t_cusp_reg": lambda budget: t_cusp_reg(3, 7, budget),
+}
+
+
+@pytest.fixture
+def reached(monkeypatch):
+    """Names of the computing steps reached: a cutoff search, a series read at
+    tau, or an R word of `mmv`."""
+    calls = []
+
+    def spy(name, fn):
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return counted
+
+    for mod in (eisenstein, integrals, lseries, mmv):
+        monkeypatch.setattr(mod, "tail_start", spy("tail_start", mod.tail_start))
+    monkeypatch.setattr(ExpPoly, "__call__", spy("ExpPoly.__call__", ExpPoly.__call__))
+    monkeypatch.setattr(mmv, "_r", spy("_r", mmv._r))
+    return calls
+
+
+@pytest.mark.parametrize("name", EVALUATORS)
+def test_second_call_with_the_same_key_computes_nothing(name, reached):
+    clear_caches()
+    first = EVALUATORS[name](BUDGET)
+    assert reached
+    reached.clear()
+    again = EVALUATORS[name](BUDGET)
+    assert reached == []
+    assert again._mpc_ == first._mpc_
+
+
+@pytest.mark.parametrize("name", EVALUATORS)
+def test_memo_keys_on_precision_and_budget(name):
+    settings = [(dps, budget) for dps in (40, 50, 40) for budget in (BUDGET, LOOSE)]
+    clear_caches()
+    warm = []
+    for dps, budget in settings:
+        with mp.workdps(dps):
+            warm.append(EVALUATORS[name](budget)._mpc_)
+    assert len(set(warm)) == 4  # two precisions by two budgets, each its own value
+    for (dps, budget), value in zip(settings, warm):
+        clear_caches()
+        with mp.workdps(dps):
+            assert EVALUATORS[name](budget)._mpc_ == value
+
+
+def test_l_eval_warns_on_a_hit():
+    idx, tau = make_index([2], [1]), mpc("0.1", "0.08")
+    with pytest.warns(UserWarning, match="< 0.1") as cold:
+        first = l_eval(idx, tau, BUDGET)
+    with pytest.warns(UserWarning, match="< 0.1") as hit:
+        assert l_eval(idx, tau, BUDGET) is first
+    assert cold[0].filename == hit[0].filename == __file__
+
+
+@pytest.mark.parametrize("name", EVALUATORS)
+def test_a_raise_is_not_kept(name):
+    tiny = TruncationBudget(1e-30, 3)
+    for _ in range(2):
+        with pytest.raises(BudgetError):
+            EVALUATORS[name](tiny)
+    assert not any(tiny in key for memo in config._MEMOS for key in memo)
+
+
+def test_argument_raises_repeat():
+    for _ in range(2):
+        with pytest.raises(SingularParameterError):
+            t_cusp_reg(3, 6, BUDGET)
+        with pytest.raises(ValueError, match="t = 1"):
+            int_eval(make_index([2], [1], 1), TAU, BUDGET)
+        with pytest.raises(ValueError, match="Im tau"):
+            l_eval(make_index([2], [1]), mpc(0, -1), BUDGET)
+        with pytest.raises(ValueError, match="alpha = 4"):
+            i_coeff((2,), (4,), BUDGET)
+
+
+def test_keys_are_normalized_to_tuples():
+    clear_caches()
+    value = i_coeff((2, 3), (1, 2), BUDGET)
+    assert i_coeff(MonomialCoefficientRequest([2, 3], [1, 2]), budget=BUDGET) is value
+    assert len(mmv._i_memo) == 1
+    value = int_eval(make_index([3, 2], [2, 1]), TAU, BUDGET)
+    assert int_eval(CompositeIndex([3, 2], [2, 1]), TAU, BUDGET) is value
+    assert len(integrals._int_memo) == 1
+
+
+def test_memo_drops_its_oldest_entry_past_maxsize(monkeypatch):
+    monkeypatch.setattr(config, "_MEMOS", [])
+    memo = config._Memo()
+    memo.maxsize = 3
+    assert config._MEMOS == [memo]
+    for n in range(5):
+        assert memo.value((n,), lambda n: 10 * n, n) == 10 * n
+    assert memo == {(2, mp.prec): 20, (3, mp.prec): 30, (4, mp.prec): 40}
+    assert memo.value((3,), lambda: pytest.fail("a kept value is not recomputed")) == 30
