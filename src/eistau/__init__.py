@@ -61,7 +61,10 @@ def clear_caches() -> None:
     table of fold stages (`integrals`; each stage, keyed on its chain and
     mp.prec, carries its majorant and is grown in place to the
     largest n_cut so far; `int_eval` and `int_exppoly` keep every stage of a
-    word, the R words of `mmv` all but the outermost), the L-series
+    word, the R words of `mmv` all but the outermost), the J tables of
+    elementary tail integrals that `word_eval` reads its outermost tail
+    integral from (`integrals._tails`, one per tau and mp.prec, at most 8,
+    each grown in place in n and in the power of s), the L-series
     coefficient tables of `l_eval` and `l_coeffs_dp` (`lseries`, each with
     its majorant and its series at the last precision), the
     divisor-sum sieve (`eisenstein`, under its lock), the Eisenstein
@@ -77,6 +80,7 @@ def clear_caches() -> None:
     for memo in config._MEMOS:
         memo.clear()
     integrals._stages.clear()
+    integrals._tails.cache_clear()
     lseries._coeff_cache.clear()
     quadrature._rules.clear()
     rewrite._int_to_l_table.cache_clear()

@@ -10,7 +10,8 @@ innermost factor is a cusp part.  At tau on the upper half-plane
 is a fold on frequency-truncated ExpPolys: the innermost cusp series, then,
 outward, a cusp stage multiplies by its series (re-truncated) and a const
 stage does not, and each stage applies the tail integral.  So every stage
-sees frequencies >= 1 only.  The final ExpPoly is evaluated at tau, and the
+sees frequencies >= 1 only.  The final ExpPoly is evaluated at tau (or, in
+`word_eval`, the last tail integral is evaluated there directly), and the
 word's constants multiply that value once.  `int_eval` is the all-cusp word
 of a CompositeIndex, with 1 at depth 0.
 
@@ -19,12 +20,13 @@ product term at frequency n comes from input frequencies below n, so the
 truncated fold is the exact fold with its frequencies > n_cut dropped; the
 truncation error is the sum of those terms at tau.  Each stage carries a
 bound |P_n(t)| <= C(|t|) n^P on its fold, computed once from its inner
-stage's (`_Stage`): sigma_{2k-1}(n) <= zeta(2k-1) n^{2k-1} for a series,
+stage's (`_majorant`): sigma_{2k-1}(n) <= zeta(2k-1) n^{2k-1} for a series,
 B(a+1, b+1) n^{a+b+1} plus a peak term for a product's convolution, and
 1/(2 pi n) per derivative for a tail integral, whose polynomial part is
-bounded at radius |t|.  A word's bound is its top stage's times |Einf_k| per
-const factor.  n_cut is an N that `tail_start` certifies to keep the sum over
-n > N of C n^P e^{-2 pi n Im tau} below eps/2 (`freq_cutoff`).
+bounded at radius |t|.  A word's bound is that of its outermost tail
+integral times |Einf_k| per const factor.  n_cut is an N that `tail_start`
+certifies to keep the sum over n > N of C n^P e^{-2 pi n Im tau} below
+eps/2 (`freq_cutoff`).
 
 Truncation prefix: the fold's q-expansion does not depend on tau, only n_cut
 does, and the frequencies <= N' of the fold truncated at N >= N' are
@@ -39,20 +41,46 @@ bits as a fold made for that tau alone.  A stage is keyed on its chain,
 innermost out (per factor, the product with sigma_{2k-1} for a cusp factor,
 the innermost one's with 1, then a tail integral), and the working
 precision; words that share inner integrals share those stages.
-`int_eval`, `int_exppoly` and `word_eval` take one path: the top stage sizes
-n_cut, is grown to it and read at tau with n_max = n_cut.  `int_eval` and
-`int_exppoly` keep every stage of their word, and `int_eval` each value it
-returns (`_int_memo`).  `word_eval`'s top is a stage
-over its kept inner stage, grown to its own n_cut and never kept: its callers
-are the base-point words of `mmv`, which memoizes their values.
+`int_eval` and `int_exppoly` keep every stage of their word: the top stage
+sizes n_cut, is grown to it and read at tau with n_max = n_cut, and
+`int_eval` keeps each value it returns (`_int_memo`).  Its top is read again
+at every new tau, so it is kept.
+
+`word_eval`'s callers are the base-point words of `mmv`, which memoizes
+their values, so a word's top stage would be read once.  It builds none: the
+majorant of its outermost tail integral (`_majorant`) sizes n_cut, its kept
+inner stage g is grown to n_cut, and the value is
+
+    int_tau^{i oo} g(s) s^{alpha-1} ds = sum_{n <= n_cut} sum_m g_{n,m} J_{n,m+alpha-1}(tau),
+    J_{n,e}(tau) = int_tau^{i oo} e^{2 pi i n s} s^e ds,
+
+one dot of exact products summed exactly and rounded once at the fold's
+precision (`_tail_dot`).  J comes from a table kept per tau and working
+precision and grown in place (`_Tails`): at tau = i every R word of `mmv`
+at one precision reads the same table.  The dot and the Horner read of a
+materialized top stage differ only in their roundings at the fold's
+precision, 15 digits above the returned one; on the tests' seeded words, at
+30, 40 and 50 digits, the returned values are equal to the last bit.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, prod
+from functools import lru_cache
+from math import prod
 
 from mpmath import mp, mpc, mpf
+from mpmath.libmp import (
+    fone,
+    from_man_exp,
+    fzero,
+    mpc_mul,
+    mpf_add,
+    mpf_div,
+    mpf_mul,
+    mpf_mul_int,
+    mpf_neg,
+)
 
 from .algebra import CompositeIndex
 from .config import DEFAULT_BUDGET, SingularParameterError, TruncationBudget, _Memo
@@ -84,25 +112,52 @@ def _chain(word, alphas) -> tuple:
     return chain
 
 
-class _Stage:
-    """Frequencies 1..n of the fold of a stage chain at one working precision,
-    kept and grown; `inner` is the stage of the chain's prefix (None for the series).
+def _majorant(op: str, arg: int, inner: tuple | None) -> tuple:
+    """The majorant (P, c, h) of the stage (op, arg) over a stage whose
+    majorant is `inner` (None for the series); see `_Stage`.
 
-    `majorant` is (P, c, h) with |P_n(t)| <= n^P (2 pi)^{-h} sum_d c_d (2 pi |t|)^d
-    for every frequency n >= 1 of the fold and every t, c_d >= 0, and `bound`
-    holds c_d (2 pi)^{-h} as mpf at the stage's precision, highest d first.
-    It is carried from the inner stage's: the series starts at
-    (2k-1, (sigma_majorant(k),), 0), and a product is one step of
-    `eisenstein._product_majorant`, which gives P and the factor of c.
+    The series starts at (2k-1, (sigma_majorant(k),), 0), and a product is one
+    step of `eisenstein._product_majorant`, which gives P and the factor of c.
     In a tail integral, |P_n(s) s^{alpha-1}| <= q(|s|) for a polynomial q
     with nonnegative coefficients, and |s| <= |t| + u on the ray s = t + iu,
     so the integral's frequency-n polynomial is at most
     int_0^oo e^{-2 pi n u} q(|t| + u) du = sum_j q^(j)(|t|) / (2 pi n)^{j+1}
     <= n^{-1} sum_j q^(j)(|t|) / (2 pi)^{j+1}: P drops by one (not below 0, as
     n >= 1), and every derivative lowers the degree in |t| by one and adds a
-    factor 1/(2 pi), so the bound stays homogeneous in 2 pi |t|.  A const
-    factor's Einf is left out, as it is of the chain: it multiplies the bound
-    of the word (`freq_cutoff`).
+    factor 1/(2 pi), so the bound stays homogeneous in 2 pi |t|.  Its
+    coefficients c_e = sum_{d >= e} q_d d!/e! follow from the top one down,
+    c_e = q_e + (e+1) c_{e+1}.  A const factor's Einf is left out, as it is
+    of the chain: it multiplies the bound of the word (`freq_cutoff`).
+    """
+    if inner is None:
+        return 2 * arg - 1, (sigma_majorant(arg),), 0
+    power, c, h = inner
+    if op == PRODUCT:
+        power, s = _product_majorant(arg, power)
+        return power, tuple(x * s for x in c), h
+    q = (Fraction(0),) * (arg - 1) + c
+    out = [q[-1]]
+    for e in range(len(q) - 2, -1, -1):
+        out.append(q[e] + (e + 1) * out[-1])
+    return max(power - 1, 0), tuple(reversed(out)), h + arg
+
+
+def _bound(majorant: tuple) -> tuple:
+    """c_d (2 pi)^{-h} of a majorant (P, c, h) as mpf at the working precision,
+    highest d first."""
+    _, c, h = majorant
+    two_pi_h = (2 * mp.pi) ** h
+    return tuple(_as_mpf(x) / two_pi_h for x in reversed(c))
+
+
+class _Stage:
+    """Frequencies 1..n of the fold of a stage chain at one working precision,
+    kept and grown; `inner` is the stage of the chain's prefix (None for the series).
+
+    `majorant` is (P, c, h) with |P_n(t)| <= n^P (2 pi)^{-h} sum_d c_d (2 pi |t|)^d
+    for every frequency n >= 1 of the fold and every t, c_d >= 0, carried
+    from the inner stage's (`_majorant`), and `bound` holds it as mpf at the
+    stage's precision (`_bound`).
     """
 
     __slots__ = ("op", "arg", "inner", "n", "fold", "majorant", "bound")
@@ -110,21 +165,8 @@ class _Stage:
     def __init__(self, op: str, arg: int, inner: "_Stage | None"):
         self.op, self.arg, self.inner = op, arg, inner
         self.n, self.fold = 0, ExpPoly()
-        if inner is None:
-            power, c, h = 2 * arg - 1, (sigma_majorant(arg),), 0
-        else:
-            power, c, h = inner.majorant
-            if op == PRODUCT:
-                power, s = _product_majorant(arg, power)
-                c = tuple(x * s for x in c)
-            else:
-                q = (Fraction(0),) * (arg - 1) + c
-                c = tuple(sum(q[d] * (factorial(d) // factorial(e)) for d in range(e, len(q)))
-                          for e in range(len(q)))
-                power, h = max(power - 1, 0), h + arg
-        self.majorant = power, c, h
-        two_pi_h = (2 * mp.pi) ** h
-        self.bound = tuple(_as_mpf(x) / two_pi_h for x in reversed(c))
+        self.majorant = _majorant(op, arg, None if inner is None else inner.majorant)
+        self.bound = _bound(self.majorant)
 
     def grow(self, n: int) -> None:
         """Extend the fold from the kept n to n, the inner stage first; by the
@@ -160,20 +202,109 @@ def _stage(chain: tuple) -> _Stage:
     return stage
 
 
-def freq_cutoff(stage: _Stage, tau: mpc, budget: TruncationBudget, einf=Fraction(1)) -> int:
-    """Certified frequency cutoff of the fold of `stage` at tau, for a word whose
-    const factors multiply its value by einf in modulus.
+def freq_cutoff(majorant: tuple, bound: tuple, tau: mpc, budget: TruncationBudget,
+                einf=Fraction(1)) -> int:
+    """Certified frequency cutoff at tau of a fold with this majorant (P, c, h)
+    and its `bound`, for a word whose const factors multiply its value by
+    einf in modulus.
 
     The truncated fold is the exact fold with its frequencies > n_cut dropped,
     so the truncation error of the word is sum_{n > n_cut} of the dropped
-    terms, each at most einf C n^P e^{-2 pi n Im tau} (the stage's majorant,
-    with C evaluated at |tau|).  n_cut keeps that sum below eps/2, which leaves
-    the other half of eps to rounding.
+    terms, each at most einf C n^P e^{-2 pi n Im tau} (the majorant, with C
+    evaluated at |tau|).  n_cut keeps that sum below eps/2, which leaves the
+    other half of eps to rounding.
     """
-    scale = mp.polyval(stage.bound, 2 * mp.pi * abs(tau))
+    scale = mp.polyval(bound, 2 * mp.pi * abs(tau))
     if einf != 1:
         scale *= _as_mpf(einf)
-    return tail_start(stage.majorant[0], tau.imag, mpf(budget.eps) / (2 * scale), budget.n_max)
+    return tail_start(majorant[0], tau.imag, mpf(budget.eps) / (2 * scale), budget.n_max)
+
+
+class _Tails:
+    """J_{n,e}(tau) = int_tau^{i oo} e^{2 pi i n s} s^e ds at one tau and working
+    precision, as raw parts: rows[n][e] for 1 <= n < len(rows), grown in place.
+
+    By parts, J_{n,0} = -q^n / c_n and J_{n,e} = -(q^n tau^e + e J_{n,e-1}) / c_n
+    with c_n = 2 pi i n = i b_n, so a division by c_n is two real divisions,
+    as in `ExpPoly.tail_integral`; q^n and tau^e are the last power times q and
+    tau, each rounded once.
+    """
+
+    __slots__ = ("tau", "q", "q_pows", "tau_pows", "rows")
+
+    def __init__(self, tau: mpc):
+        self.tau, self.q = tau._mpc_, mp.expjpi(2 * tau)._mpc_
+        self.q_pows, self.tau_pows = [(fone, fzero)], [(fone, fzero)]
+        self.rows = [None]
+
+    def grow(self, n: int, e: int) -> None:
+        """Rows 1..n, each with J_{m,0..e} at least."""
+        prec, rnd = mp._prec_rounding
+        q_pows, tau_pows, rows = self.q_pows, self.tau_pows, self.rows
+        while len(tau_pows) <= e:
+            tau_pows.append(mpc_mul(tau_pows[-1], self.tau, prec, rnd))
+        while len(rows) <= n:
+            q_pows.append(mpc_mul(q_pows[-1], self.q, prec, rnd))
+            rows.append([])
+        two_pi = (2 * mp.pi)._mpf_
+        for m in range(1, n + 1):
+            row, q_m = rows[m], q_pows[m]
+            if len(row) > e:
+                continue
+            b = mpf_mul_int(two_pi, m, prec, rnd)
+            for j in range(len(row), e + 1):
+                if j:  # w = q^m tau^j + j J_{m,j-1}
+                    x, y = row[-1]
+                    wx, wy = mpc_mul(q_m, tau_pows[j], prec, rnd)
+                    wx = mpf_add(wx, mpf_mul_int(x, j, prec, rnd), prec, rnd)
+                    wy = mpf_add(wy, mpf_mul_int(y, j, prec, rnd), prec, rnd)
+                else:
+                    wx, wy = q_m
+                # J = -w / (i b) = (-Im w + i Re w) / b
+                row.append((mpf_div(mpf_neg(wy), b, prec, rnd), mpf_div(wx, b, prec, rnd)))
+
+
+@lru_cache(maxsize=8)
+def _tails(tau: tuple, prec: int) -> _Tails:
+    """The J table at tau (raw parts) and working precision prec, shared by
+    every word read there and grown in place."""
+    return _Tails(mp.make_mpc(tau))
+
+
+def _round_sum(parts: list, prec: int, rnd: str) -> tuple:
+    """The exact sum of nonzero raw mpf values, rounded once."""
+    if not parts:
+        return fzero
+    e = min(x for _, _, x, _ in parts)
+    return from_man_exp(sum((-m if s else m) << (x - e) for s, m, x, _ in parts), e, prec, rnd)
+
+
+def _tail_dot(fold: ExpPoly, alpha: int, tau: mpc, n_cut: int) -> mpc:
+    """int_tau^{i oo} g(s) s^{alpha-1} ds for g the frequencies <= n_cut of
+    `fold`: sum_n sum_m g_{n,m} J_{n,m+alpha-1}(tau), each product exact, the
+    sum rounded once."""
+    terms = [(n, p) for n, p in fold.terms.items() if n <= n_cut]
+    if not terms:
+        return mpc(0)
+    prec, rnd = mp._prec_rounding
+    table = _tails(tau._mpc_, prec)
+    table.grow(max(n for n, _ in terms), max(len(p) for _, p in terms) + alpha - 2)
+    re, im = [], []  # the nonzero products; at tau = i one of each four
+    for n, p in terms:
+        row = table.rows[n]
+        for m, z in enumerate(p, alpha - 1):
+            (zx, zy), (jx, jy) = z._mpc_, row[m]
+            if zx[1]:
+                if jx[1]:
+                    re.append(mpf_mul(zx, jx))
+                if jy[1]:
+                    im.append(mpf_mul(zx, jy))
+            if zy[1]:
+                if jy[1]:
+                    re.append(mpf_neg(mpf_mul(zy, jy)))
+                if jx[1]:
+                    im.append(mpf_mul(zy, jx))
+    return mp.make_mpc((_round_sum(re, prec, rnd), _round_sum(im, prec, rnd)))
 
 
 def _check(word, alphas) -> None:
@@ -188,48 +319,61 @@ def _check(word, alphas) -> None:
         raise SingularParameterError(f"innermost factor {word[-1]}: the tail integral diverges")
 
 
-def _top(word, alphas, tau: mpc, budget: TruncationBudget, keep: bool = True) -> tuple[_Stage, int]:
-    """The top stage of the fold of `word`, grown to the n_cut certified at tau,
-    and n_cut; the kept stage, or without `keep` one over the kept inner stage."""
+def _checked_chain(word, alphas, tau: mpc) -> tuple:
+    """The stage chain of a word with a fold, at tau on the upper half-plane."""
     _check(word, alphas)
     if not tau.imag > 0:
         raise ValueError("Im tau must be positive")
-    chain = _chain(word, alphas)
-    stage = _stage(chain) if keep else _Stage(*chain[-1], _stage(chain[:-1]))
-    einf = prod((abs(eis_constant(k)) for kind, k in word if kind == CONST), start=Fraction(1))
-    n_cut = freq_cutoff(stage, tau, budget, einf)
+    return _chain(word, alphas)
+
+
+def _top(word, alphas, tau: mpc, budget: TruncationBudget) -> tuple[_Stage, int]:
+    """The kept top stage of the fold of the all-cusp `word`, grown to the n_cut
+    certified at tau, and n_cut."""
+    stage = _stage(_checked_chain(word, alphas, tau))
+    n_cut = freq_cutoff(stage.majorant, stage.bound, tau, budget)
     stage.grow(n_cut)
     return stage, n_cut
 
 
-def _value(word, alphas, tau, budget: TruncationBudget, keep: bool) -> mpc:
-    """The top stage read at tau up to n_cut, times the word's constants."""
-    tau = mpc(tau)
-    with mp.extradps(15):
-        stage, n_cut = _top(word, alphas, tau, budget, keep)
-        val = stage.fold(tau, n_max=n_cut)
-        for kind, k in word:
-            if kind == CONST:
-                val = _constant_mpf(k) * val
-    return +val
-
-
 def word_eval(word, alphas, tau, budget: TruncationBudget = DEFAULT_BUDGET) -> mpc:
-    """Iterated tail integral of a word at tau (see module docstring), from its
-    kept inner stages and an outermost stage grown to n_cut, not kept.
+    """Iterated tail integral of a word at tau (see module docstring): the
+    outermost tail integral of its kept inner stage, grown to n_cut, as one
+    dot against the J table at tau (`_tail_dot`), times the word's constants.
 
     `word` is a tuple of (kind, k) pairs, k >= 2, whose innermost (last)
     factor is a cusp part, and `alphas` a tuple of exponents >= 1 of the same
     length >= 1; other words raise ValueError, or SingularParameterError for
     a const innermost factor.
     """
-    return _value(word, alphas, tau, budget, keep=False)
+    tau = mpc(tau)
+    chain = _checked_chain(word, alphas, tau)
+    einf = prod((abs(eis_constant(k)) for kind, k in word if kind == CONST), start=Fraction(1))
+    op, alpha = chain[-1]
+    with mp.extradps(15):
+        inner = _stage(chain[:-1])
+        top = _majorant(op, alpha, inner.majorant)
+        n_cut = freq_cutoff(top, _bound(top), tau, budget, einf)
+        inner.grow(n_cut)
+        val = _tail_dot(inner.fold, alpha, tau, n_cut)
+        for kind, k in word:
+            if kind == CONST:
+                val = _constant_mpf(k) * val
+    return +val
 
 
 def _cusp_word(index: CompositeIndex) -> tuple:
     if index.t:
         raise ValueError(f"the tau-integral carries no tau^t factor, got t = {index.t}")
     return tuple((CUSP, k) for k in index.ks)
+
+
+def _int_value(word, alphas, tau: mpc, budget: TruncationBudget) -> mpc:
+    """The kept top stage read at tau up to n_cut."""
+    with mp.extradps(15):
+        stage, n_cut = _top(word, alphas, tau, budget)
+        val = stage.fold(tau, n_max=n_cut)
+    return +val
 
 
 def int_eval(index: CompositeIndex, tau, budget: TruncationBudget = DEFAULT_BUDGET) -> mpc:
@@ -242,8 +386,7 @@ def int_eval(index: CompositeIndex, tau, budget: TruncationBudget = DEFAULT_BUDG
         return mpc(1)
     tau = mpc(tau)
     alphas = tuple(index.alphas)
-    return _int_memo.value((word, alphas, tau._mpc_, budget),
-                           _value, word, alphas, tau, budget, True)
+    return _int_memo.value((word, alphas, tau._mpc_, budget), _int_value, word, alphas, tau, budget)
 
 
 def int_exppoly(index: CompositeIndex, tau, budget: TruncationBudget = DEFAULT_BUDGET) -> ExpPoly:

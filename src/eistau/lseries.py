@@ -24,6 +24,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 
 from mpmath import mp, mpc, mpf
@@ -178,6 +179,15 @@ _coeff_cache: dict[tuple[tuple[int, ...], tuple[int, ...]], _LTable] = {}
 _l_memo = _Memo()  # l_eval values
 
 
+@lru_cache(maxsize=64)
+def _small_im(prec: int) -> mpf:
+    """0.1 as `mpf("0.1")` parses it at precision prec: `l_eval` warns below it.
+    Kept per precision, as one constant made at import would round 0.1 at 53
+    bits, above the working precision's, and warn at Im tau = 0.1."""
+    with mp.workprec(prec):
+        return mpf("0.1")
+
+
 def _table(ks: tuple[int, ...], alphas: tuple[int, ...]) -> _LTable:
     """The kept table of (ks, alphas), whose inner table is the kept one of
     its suffix: a suffix shared by several indices is grown once."""
@@ -200,11 +210,12 @@ def l_eval(index: CompositeIndex, tau, budget: TruncationBudget = DEFAULT_BUDGET
     if index.depth == 0:
         return mpc(1)
     tau = mpc(tau)
-    if not tau.imag > 0:
+    im = tau.imag
+    if not im > 0:
         raise ValueError("Im tau must be positive")
-    if tau.imag < mpf("0.1"):
+    if im < _small_im(mp.prec):
         warnings.warn(
-            f"Im tau = {mp.nstr(tau.imag, 6)} < 0.1: truncation grows like 1/Im tau",
+            f"Im tau = {mp.nstr(im, 6)} < 0.1: truncation grows like 1/Im tau",
             stacklevel=2,
         )
     return _l_memo.value((index, tau._mpc_, budget), _l_value, index, tau, budget)

@@ -11,7 +11,9 @@ Every R word with exponents >= 1, const factors included, is the fold of
 gammainc sum for a single cusp factor with m <= 0.  The module memoizes these
 values (`_memo`), keyed on the budget and the working precision `mp.prec`, and
 assembles the formulas below from them.  `word_eval` keeps the inner stages
-of a word's fold, not its outermost one: this memo alone keeps an R word.
+of a word's fold and forms its outermost tail integral as one dot against a
+table of elementary tail integrals at i, shared by every R word at one
+precision: this memo alone keeps an R word's value.
 `t_cusp_reg` and `i_coeff` keep their values the same way (`_t_memo`,
 `_i_memo`), after their checks.
 

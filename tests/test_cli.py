@@ -84,8 +84,8 @@ def test_eval_int_dump_certified_at_tau_off_axis(capsys):
     assert "\n".join(dump) == carrier.dump()
     with mp.extradps(15):
         stage = _stage(_chain(((CUSP, 3), (CUSP, 4)), (2, 3)))
-        n_cut = freq_cutoff(stage, tau, budget)
-        assert freq_cutoff(stage, mpc(0, 1), budget) == 14
+        n_cut = freq_cutoff(stage.majorant, stage.bound, tau, budget)
+        assert freq_cutoff(stage.majorant, stage.bound, mpc(0, 1), budget) == 14
     assert int(dump[-1].split(";")[0]) == carrier.max_freq() == n_cut == 16
     ref = int_eval(idx, tau, TruncationBudget(budget.eps * 1e-10, budget.n_max))
     assert abs(carrier(tau) - ref) <= budget.eps

@@ -9,7 +9,9 @@ from mpmath import mp, mpc, mpf
 from eistau import clear_caches, integrals, mmv
 from eistau.algebra import make_index
 from eistau.config import BudgetError, SingularParameterError, TruncationBudget
+from eistau.eisenstein import _constant_mpf as eis_constant_mpf
 from eistau.eisenstein import convolution_majorant, eis_constant, eis_cusp_eval, sigma_majorant
+from eistau.exppoly import elem_exp_tail
 from eistau.integrals import int_eval, int_exppoly, word_eval
 from eistau.lseries import l_eval
 from eistau.mmv import MonomialCoefficientRequest, r_iter, s_coeff
@@ -149,7 +151,8 @@ def test_fold_cache_values_bit_identical_to_cold(taus):
     with mp.extradps(15):  # the precision int_eval folds at
         stages = [integrals._stages[(FOLD_CHAIN[:j], mp.prec)]
                   for j in range(1, len(FOLD_CHAIN) + 1)]
-        n_cut = max(integrals.freq_cutoff(stages[-1], tau, BUDGET) for tau in taus)
+        top = stages[-1]
+        n_cut = max(integrals.freq_cutoff(top.majorant, top.bound, tau, BUDGET) for tau in taus)
     assert [stage.n for stage in stages] == [n_cut] * len(FOLD_CHAIN)
     assert len(integrals._stages) == len(FOLD_CHAIN)
 
@@ -220,11 +223,12 @@ def test_s_coeff_sweep_builds_each_product_stage_once(monkeypatch):
                 if chain[-1][0] == integrals.PRODUCT and len(chain) > 1}
     assert products == {(("product", 2), ("tail", a2), ("product", 3)) for a2 in (1, 3)}
     # each kept stage built once, with the two series, five tails over E0_3 and
-    # two over E0_2; the other stages built are the unkept tops, one per R word
+    # two over E0_2; no other stage is built: an R word's outermost tail
+    # integral is a dot against the J table, not a stage
     kept = [stage for stage in built if stage in integrals._stages.values()]
     assert len(kept) == len(integrals._stages) == 11
-    r_words = [key for key in mmv._memo if key[1][0] >= 1]
-    assert len(built) - len(kept) == len(r_words) > 0
+    assert [key for key in mmv._memo if key[1][0] >= 1]
+    assert len(built) == len(kept)
 
 
 def test_fold_cache_keys_on_precision():
@@ -263,6 +267,93 @@ def test_exppoly_call_n_max_is_truncated_value():
     for n_max in (0, 1, 5, g.max_freq() - 1, g.max_freq(), g.max_freq() + 3):
         assert g(t, n_max=n_max)._mpc_ == g.truncated(n_max)(t)._mpc_
     assert g(t, n_max=None)._mpc_ == g(t)._mpc_
+
+
+# -- word_eval's outermost tail integral: one dot against the J table ----------
+
+DOT_TAUS = [mpc(0, 1), mpc("0.3", "0.8"), mpc("-0.45", "1.7")]
+
+
+@pytest.mark.parametrize("dps", [30, 40, 50])
+def test_tail_table_rows_equal_elem_exp_tail(dps):
+    # J_{n,e}(tau) = int_tau^{i oo} e^{2 pi i n s} s^e ds = elem_exp_tail(n, e + 1, tau)
+    with mp.workdps(dps):
+        for tau in DOT_TAUS:
+            table = integrals._tails(tau._mpc_, mp.prec)
+            table.grow(20, 12)
+            table.grow(8, 16)  # grows the first rows in e only
+            assert [len(row) for row in table.rows[1:]] == [17] * 8 + [13] * 12
+            for n, row in enumerate(table.rows[1:], 1):
+                for e, parts in enumerate(row):
+                    with mp.extradps(30):
+                        ref = elem_exp_tail(n, e + 1, tau)
+                    err = abs(mp.make_mpc(parts) - ref) / abs(ref)
+                    assert err <= mpf(2) ** (4 - mp.prec), (tau, n, e, err * 2**mp.prec)
+
+
+def _dot_words(seed=2121):
+    """Seeded words of depth 1-3, const factors outside the innermost, with
+    exponents up to 2k-1."""
+    rng = random.Random(seed)
+    for _ in range(12):
+        depth = rng.randint(1, 3)
+        word = [(rng.choice(["cusp", "const"]), rng.randint(2, 7)) for _ in range(depth - 1)]
+        word = tuple(word + [("cusp", rng.randint(2, 7))])
+        yield word, tuple(rng.randint(1, 2 * k - 1) for _, k in word)
+
+
+def _materialized_top(word, alphas, tau):
+    """word_eval with its outermost tail integral as a stage over the kept inner
+    stage, grown to n_cut and read by Horner: the reference for the dot."""
+    tau = mpc(tau)
+    chain = integrals._chain(word, alphas)
+    with mp.extradps(15):
+        top = integrals._Stage(*chain[-1], integrals._stage(chain[:-1]))
+        n_cut = integrals.freq_cutoff(top.majorant, top.bound, tau, BUDGET, _einf_product(word))
+        top.grow(n_cut)
+        val = top.fold(tau, n_max=n_cut)
+        for kind, k in word:
+            if kind == "const":
+                val = eis_constant_mpf(k) * val
+    return +val
+
+
+@pytest.mark.parametrize("dps", [30, 40, 50])
+def test_word_eval_dot_equals_materialized_top(dps):
+    mismatches = []
+    with mp.workdps(dps):
+        clear_caches()
+        for word, alphas in _dot_words():
+            for tau in DOT_TAUS:
+                got = word_eval(word, alphas, tau, BUDGET)
+                ref = _materialized_top(word, alphas, tau)
+                if got._mpc_ != ref._mpc_:
+                    mismatches.append((word, alphas, tau, abs(got - ref) / abs(ref)))
+    assert not mismatches
+
+
+def test_word_eval_builds_no_stage_beyond_the_kept_ones(monkeypatch):
+    built = []
+
+    class Counted(integrals._Stage):
+        __slots__ = ()
+
+        def __init__(self, op, arg, inner):
+            built.append(self)
+            super().__init__(op, arg, inner)
+
+    clear_caches()
+    monkeypatch.setattr(integrals, "_Stage", Counted)
+    for word, alphas in _dot_words():
+        for tau in DOT_TAUS:
+            word_eval(word, alphas, tau, BUDGET)
+    assert built and all(stage in integrals._stages.values() for stage in built)
+    assert len(built) == len(integrals._stages)
+    chains = {integrals._chain(word, alphas) for word, alphas in _dot_words()}
+    # kept: the inner stages of each word, never a word's own chain unless it
+    # is the inner chain of another word
+    assert {chain for chain, _ in integrals._stages} == {
+        chain[:j] for chain in chains for j in range(1, len(chain))}
 
 
 # -- the fold majorant: it dominates every realized frequency, and is sharp -----
@@ -310,7 +401,7 @@ def test_fold_majorant_dominates_realized_frequencies():
             scale /= (2 * mp.pi) ** h
             stage = integrals._stage(integrals._chain(word, alphas))
             einf = _einf_product(word)
-            n_cut = integrals.freq_cutoff(stage, tau, BUDGET, einf)
+            n_cut = integrals.freq_cutoff(stage.majorant, stage.bound, tau, BUDGET, einf)
             stage.grow(2 * n_cut)
             fold = stage.fold
             assert fold.max_freq() > n_cut
@@ -375,7 +466,7 @@ def test_freq_cutoff_sharp_on_grid():
         word = tuple(("cusp", k) for k in ks)
         with mp.extradps(15):
             stage = integrals._stage(integrals._chain(word, alphas))
-            got = tuple(integrals.freq_cutoff(stage, mpc("0.3", y), BUDGET)
+            got = tuple(integrals.freq_cutoff(stage.majorant, stage.bound, mpc("0.3", y), BUDGET)
                         for y in ("0.7", "1", "2"))
         assert got == certified
         assert all(n <= 1.5 * m for n, m in zip(got, needed))

@@ -365,7 +365,7 @@ def test_clear_caches_recomputes_bit_identical_values():
 
     before = [v._mpc_ for v in values()]
     assert all(memos)
-    lru_caches = (eisenstein._constant_at, eisenstein._cusp_at)
+    lru_caches = (eisenstein._constant_at, eisenstein._cusp_at, integrals._tails)
     assert all(c.cache_info().currsize for c in lru_caches)
     constants_before = constants()
     clear_caches()
@@ -411,7 +411,7 @@ def test_lru_caches_are_bounded():
     from eistau import config, eisenstein, integrals, lseries, mmv, rewrite
 
     for cache in (rewrite._int_to_l_table, rewrite._l_to_int_table,
-                  eisenstein._constant_at, eisenstein._cusp_at):
+                  eisenstein._constant_at, eisenstein._cusp_at, integrals._tails):
         assert cache.cache_info().maxsize is not None, cache
     memos = (mmv._memo, mmv._t_memo, mmv._i_memo, lseries._l_memo, integrals._int_memo)
     assert sorted(map(id, memos)) == sorted(map(id, config._MEMOS))
