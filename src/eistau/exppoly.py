@@ -40,11 +40,22 @@ Both skip exact zeros (the parts below s^{alpha-1} after the shift, and the
 zero halves of exactly real or imaginary coefficients) where skipping changes
 no bit.
 
-`ExpPoly.__call__` computes one q = e^{2 pi i t} and runs Horner in q from the
-highest frequency (at most n_max) down, each P_n(t) by Horner in t, on raw
-parts as mpc arithmetic rounds them, with two real products for a factor that
-has an exactly zero part (t = i; q wherever 2 Re t is an integer).  It reads
-every kept q-expansion: the folds of `integrals` and the L tables of `lseries`.
+`ExpPoly.__call__` reads every kept q-expansion, the folds of `integrals` and
+the L tables of `lseries`, as one dot: the value at t is
+
+    sum_{n <= n_max} q^n sum_d c_{n,d} t^d,    q = e^{2 pi i t} at the working precision,
+
+with q^n and t^d from power chains on Python integers (`_powers`): complex
+block floats (a + ib) 2^e, each power the last times the base exactly, then
+cut back to prec + GUARD_BITS bits, round half up.  Every product
+c_{n,d} q^n t^d is exact, the real and the imaginary sum are exact, and each is
+rounded once (the single-rounding dot of Ogita, Rump and Oishi, SIAM J. Sci.
+Comput. 2005).  A cut moves a power by at most 2^-(prec + 7.5) of it, so the
+read is within sum_n sum_d |c_{n,d}| |q|^n |t|^d (n + d) 2^-(prec + 7) of the
+exact sum over that q, plus its one final rounding.  The tests pin it bit for
+bit to that statement summed in Fractions.  A power depends only on its
+exponent, not on how far a chain runs, so a read with n_max gives the bits of
+`truncated(n_max)` whatever lies above n_max.
 
 Instances are treated as immutable: all operations return new values; only
 those kept q-expansions gain frequencies in place.
@@ -53,18 +64,15 @@ those kept q-expansions gain frequencies in place.
 from __future__ import annotations
 
 from bisect import bisect_right
-from functools import partial
+from itertools import islice
 
 from mpmath import mp, mpc
 from mpmath.libmp import (
     from_int,
+    from_man_exp,
     fzero,
-    mpc_add,
-    mpc_mul,
-    mpc_pos,
     mpf_add,
     mpf_div,
-    mpf_mul,
     mpf_mul_int,
     mpf_neg,
     mpf_sub,
@@ -72,6 +80,7 @@ from mpmath.libmp import (
 )
 
 Poly = tuple  # coefficient tuple, index = power of t
+GUARD_BITS = 8  # bits the power chains of `ExpPoly.__call__` keep beyond the working precision
 
 
 def _ptrim(coeffs) -> Poly:
@@ -185,26 +194,40 @@ class ExpPoly:
         return _from_flat(out)
 
     def __call__(self, t, n_max: int | None = None) -> mpc:
-        """Value at t by Horner in q = e^{2 pi i t}, from the highest frequency
-        (<= n_max) down; with n_max, of `self.truncated(n_max)`, bit for bit."""
+        """Value at t: sum_{n <= n_max} q^n sum_d c_{n,d} t^d, q = e^{2 pi i t},
+        over the power chains of q and t (`_powers`), as one dot of exact
+        products whose real and imaginary sums are each rounded once; with
+        n_max, of `self.truncated(n_max)`, bit for bit."""
         t = mpc(t)
-        terms = self.terms
-        top = max((n for n in terms if n_max is None or n <= n_max), default=None)
-        if top is None:
+        terms = [(n, p) for n, p in self.terms.items() if n_max is None or n <= n_max]
+        if not terms:
             return mpc(0)
         prec, rnd = mp._prec_rounding
-        times_t = _times(t._mpc_, prec, rnd)
-        times_q = _times(mp.expjpi(2 * t)._mpc_, prec, rnd)
-        acc = (fzero, fzero)  # 0 * q + P_top(t) is P_top(t) exactly
-        for n in range(top, -1, -1):
-            acc = times_q(acc)
-            p = terms.get(n)
-            if p:
-                v = mpc_pos(p[-1]._mpc_, prec, rnd)  # 0 * t + c_D
-                for c in p[-2::-1]:
-                    v = mpc_add(times_t(v), c._mpc_, prec, rnd)
-                acc = mpc_add(acc, v, prec, rnd)
-        return mp.make_mpc(acc)
+        q_pows = list(islice(_powers(mp.expjpi(2 * t)._mpc_, prec), max(n for n, _ in terms) + 1))
+        t_pows = list(islice(_powers(t._mpc_, prec), max(len(p) for _, p in terms)))
+        re = im = e = None  # the exact sum, (re + i im) 2^e
+        for n, p in terms:
+            sa = sb = se = None  # sum_d c_{n,d} t^d exactly, (sa + i sb) 2^se
+            for c, (ta, tb, te) in zip(p, t_pows):
+                ca, cb, ce = _block(c._mpc_)
+                if not (ca or cb):
+                    continue
+                a, b, x = ca * ta - cb * tb, ca * tb + cb * ta, ce + te
+                if se is None:
+                    sa, sb, se = a, b, x
+                elif x >= se:
+                    sa, sb = sa + (a << (x - se)), sb + (b << (x - se))
+                else:
+                    sa, sb, se = (sa << (se - x)) + a, (sb << (se - x)) + b, x
+            qa, qb, qe = q_pows[n]  # se is set: a kept polynomial ends in a nonzero
+            a, b, x = sa * qa - sb * qb, sa * qb + sb * qa, se + qe
+            if e is None:
+                re, im, e = a, b, x
+            elif x >= e:
+                re, im = re + (a << (x - e)), im + (b << (x - e))
+            else:
+                re, im, e = (re << (e - x)) + a, (im << (e - x)) + b, x
+        return mp.make_mpc((from_man_exp(re, e, prec, rnd), from_man_exp(im, e, prec, rnd)))
 
     def dump(self) -> str:
         """Debug format: one line per frequency, 'n; c0, c1, ...'."""
@@ -243,15 +266,36 @@ def _from_flat(parts: dict[int, list]) -> ExpPoly:
     return out
 
 
-def _times(w: tuple, prec: int, rnd: str):
-    """z -> z * w on raw parts as `mpc_mul` rounds it; a zero part of w adds an
-    exact zero to each part, so two real products round the same."""
-    c, d = w
-    if d == fzero:
-        return lambda z: (mpf_mul(z[0], c, prec, rnd), mpf_mul(z[1], c, prec, rnd))
-    if c == fzero:
-        return lambda z: (mpf_neg(mpf_mul(z[1], d), prec, rnd), mpf_mul(z[0], d, prec, rnd))
-    return partial(mpc_mul, w=w, prec=prec, rnd=rnd)
+def _block(z: tuple) -> tuple:
+    """The raw mpc z as a complex block float (a, b, e), z = (a + ib) 2^e exactly."""
+    (xs, xm, xe, _), (ys, ym, ye, _) = z
+    if not ym:
+        return (-xm if xs else xm), 0, xe
+    if not xm:
+        return 0, (-ym if ys else ym), ye
+    e = min(xe, ye)
+    return (-xm if xs else xm) << (xe - e), (-ym if ys else ym) << (ye - e), e
+
+
+def _powers(z: tuple, prec: int):
+    """z^0, z^1, ... of the raw mpc z as complex block floats (a, b, e), value
+    (a + ib) 2^e: z^{j+1} is z^j times z exactly, its mantissas then cut back
+    to prec + GUARD_BITS bits (the wider of a and b), round half up.
+
+    Each cut moves each part by at most 2^-(prec + GUARD_BITS) |z^{j+1}|, so
+    z^j is within j 2^-(prec + GUARD_BITS - 1/2) of the exact power of z,
+    relatively, to first order, and z^j never depends on how far the chain is
+    taken."""
+    a, b, e = _block(z)
+    keep = prec + GUARD_BITS
+    pa, pb, pe = 1, 0, 0
+    while True:
+        yield pa, pb, pe
+        pa, pb, pe = pa * a - pb * b, pa * b + pb * a, pe + e
+        s = max(pa.bit_length(), pb.bit_length()) - keep
+        if s > 0:
+            half = 1 << (s - 1)
+            pa, pb, pe = (pa + half) >> s, (pb + half) >> s, pe + s
 
 
 def mul_qseries(g: ExpPoly, coeffs, n_cut: int, n_lo: int = 0) -> ExpPoly:

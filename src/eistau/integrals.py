@@ -33,9 +33,9 @@ does, and the frequencies <= N' of the fold truncated at N >= N' are
 bit-identical to the fold truncated at N'.  A term at frequency n is built
 only from input frequencies below n; `mul_qseries` sums each output frequency
 in ascending n1, whatever its lower bound; `tail_integral` works per
-frequency; and `ExpPoly.__call__` with n_max runs Horner in q from the highest
-frequency <= n_max down, a frequency both folds hold, and never reads one
-above it.  So the fold is kept as a table of stages, each grown in place from
+frequency; and `ExpPoly.__call__` with n_max reads the frequencies <= n_max
+only, each against a power q^n that does not depend on how far the fold has
+grown.  So the fold is kept as a table of stages, each grown in place from
 its kept n by its new frequencies only, and read at any n_cut with the same
 bits as a fold made for that tau alone.  A stage is keyed on its chain,
 innermost out (per factor, the product with sigma_{2k-1} for a cusp factor,
@@ -57,10 +57,11 @@ inner stage g is grown to n_cut, and the value is
 one dot of exact products summed exactly and rounded once at the fold's
 precision (`_tail_dot`).  J comes from a table kept per tau and working
 precision and grown in place (`_Tails`): at tau = i every R word of `mmv`
-at one precision reads the same table.  The dot and the Horner read of a
-materialized top stage differ only in their roundings at the fold's
-precision, 15 digits above the returned one; on the tests' seeded words, at
-30, 40 and 50 digits, the returned values are equal to the last bit.
+at one precision reads the same table.  This dot and a read of a
+materialized top stage (by `ExpPoly.__call__`, or by Horner in q as the tests
+keep it) differ only in their roundings at the fold's precision, 15 digits
+above the returned one; on the tests' seeded words, at 30, 40 and 50 digits,
+the returned values are equal to the last bit.
 """
 
 from __future__ import annotations
@@ -71,10 +72,8 @@ from math import prod
 
 from mpmath import mp, mpc, mpf
 from mpmath.libmp import (
-    fone,
     from_man_exp,
     fzero,
-    mpc_mul,
     mpf_add,
     mpf_div,
     mpf_mul,
@@ -95,7 +94,7 @@ from .eisenstein import (
     sigma_table,
     tail_start,
 )
-from .exppoly import ExpPoly, mul_qseries
+from .exppoly import ExpPoly, _powers, mul_qseries
 
 MAX_DEPTH = 6
 PRODUCT, TAIL = "product", "tail"
@@ -226,15 +225,17 @@ class _Tails:
 
     By parts, J_{n,0} = -q^n / c_n and J_{n,e} = -(q^n tau^e + e J_{n,e-1}) / c_n
     with c_n = 2 pi i n = i b_n, so a division by c_n is two real divisions,
-    as in `ExpPoly.tail_integral`; q^n and tau^e are the last power times q and
-    tau, each rounded once.
+    as in `ExpPoly.tail_integral`.  q^n and tau^e come from the power chains
+    of `ExpPoly.__call__` (`exppoly._powers`), and q^n tau^e is their exact
+    product, rounded once.
     """
 
-    __slots__ = ("tau", "q", "q_pows", "tau_pows", "rows")
+    __slots__ = ("q_chain", "tau_chain", "q_pows", "tau_pows", "rows")
 
-    def __init__(self, tau: mpc):
-        self.tau, self.q = tau._mpc_, mp.expjpi(2 * tau)._mpc_
-        self.q_pows, self.tau_pows = [(fone, fzero)], [(fone, fzero)]
+    def __init__(self, tau: mpc, prec: int):
+        self.q_chain = _powers(mp.expjpi(2 * tau)._mpc_, prec)
+        self.tau_chain = _powers(tau._mpc_, prec)
+        self.q_pows, self.tau_pows = [next(self.q_chain)], [next(self.tau_chain)]
         self.rows = [None]
 
     def grow(self, n: int, e: int) -> None:
@@ -242,24 +243,24 @@ class _Tails:
         prec, rnd = mp._prec_rounding
         q_pows, tau_pows, rows = self.q_pows, self.tau_pows, self.rows
         while len(tau_pows) <= e:
-            tau_pows.append(mpc_mul(tau_pows[-1], self.tau, prec, rnd))
+            tau_pows.append(next(self.tau_chain))
         while len(rows) <= n:
-            q_pows.append(mpc_mul(q_pows[-1], self.q, prec, rnd))
+            q_pows.append(next(self.q_chain))
             rows.append([])
         two_pi = (2 * mp.pi)._mpf_
         for m in range(1, n + 1):
-            row, q_m = rows[m], q_pows[m]
+            row, (qa, qb, qe) = rows[m], q_pows[m]
             if len(row) > e:
                 continue
             b = mpf_mul_int(two_pi, m, prec, rnd)
             for j in range(len(row), e + 1):
-                if j:  # w = q^m tau^j + j J_{m,j-1}
+                ta, tb, te = tau_pows[j]  # w = q^m tau^j + j J_{m,j-1}
+                wx = from_man_exp(qa * ta - qb * tb, qe + te, prec, rnd)
+                wy = from_man_exp(qa * tb + qb * ta, qe + te, prec, rnd)
+                if j:
                     x, y = row[-1]
-                    wx, wy = mpc_mul(q_m, tau_pows[j], prec, rnd)
                     wx = mpf_add(wx, mpf_mul_int(x, j, prec, rnd), prec, rnd)
                     wy = mpf_add(wy, mpf_mul_int(y, j, prec, rnd), prec, rnd)
-                else:
-                    wx, wy = q_m
                 # J = -w / (i b) = (-Im w + i Re w) / b
                 row.append((mpf_div(mpf_neg(wy), b, prec, rnd), mpf_div(wx, b, prec, rnd)))
 
@@ -268,7 +269,7 @@ class _Tails:
 def _tails(tau: tuple, prec: int) -> _Tails:
     """The J table at tau (raw parts) and working precision prec, shared by
     every word read there and grown in place."""
-    return _Tails(mp.make_mpc(tau))
+    return _Tails(mp.make_mpc(tau), prec)
 
 
 def _round_sum(parts: list, prec: int, rnd: str) -> tuple:

@@ -15,8 +15,9 @@ and `l_eval` share one kept table of c per (ks, alphas) and extend it when a
 call needs more rows, so no row is computed twice.  A table carries the
 majorant of its c, computed once from its suffix table's, and its nonzero
 rows as an ExpPoly converted to mpf once per working precision, which
-`l_eval` reads by `ExpPoly.__call__` up to its own N, and keeps each value
-it returns (`_l_memo`).
+`l_eval` reads by `ExpPoly.__call__` up to its own N, as one exact dot
+against the powers of q rounded once, and keeps each value it returns
+(`_l_memo`).
 """
 
 from __future__ import annotations
@@ -203,10 +204,12 @@ def l_eval(index: CompositeIndex, tau, budget: TruncationBudget = DEFAULT_BUDGET
     """Series value at tau with certified truncation; depth 0 returns 1.
 
     N is certified by tail_start at Im tau for the table's majorant
-    c(m) <= C m^P, and the table's series is read by Horner in q from the
-    highest nonzero row <= N down: a table grown further for a lower Im tau
-    gives the bits of one grown to N.  A value is kept per (index, tau, budget,
-    mp.prec) in `_l_memo`; the checks and the warning come first on every call."""
+    c(m) <= C m^P, and the table's series is read by `ExpPoly.__call__`: the
+    rows m <= N against the power chain of q, summed exactly and rounded once.
+    q^m does not depend on how far the chain runs, so a table grown further
+    for a lower Im tau gives the bits of one grown to N.  A value is kept per
+    (index, tau, budget, mp.prec) in `_l_memo`; the checks and the warning come
+    first on every call."""
     if index.depth == 0:
         return mpc(1)
     tau = mpc(tau)

@@ -1,8 +1,13 @@
+from fractions import Fraction
+from itertools import islice
+from math import floor
+
 import pytest
 from mpmath import mp, mpc, mpf
+from mpmath.libmp import from_man_exp
 
 from eistau.eisenstein import sigma_table
-from eistau.exppoly import ExpPoly, elem_exp_tail, mul_qseries
+from eistau.exppoly import GUARD_BITS, ExpPoly, _powers, elem_exp_tail, mul_qseries
 
 I = mpc(0, 1)
 
@@ -268,7 +273,8 @@ def _call_reference(f: ExpPoly, t, n_max=None) -> mpc:
 def test_call_horner_matches_per_frequency_sum(dps):
     # gaps in frequency (3-4, 7-9), a constant term, n_max inside the gaps; the
     # per-frequency sum at 30 more digits, within Horner's error bound
-    # (2 top + 2 deg + 8) 2^-prec sum_n |q|^n sum_j |c_nj| |t|^j (measured worst: 2.5)
+    # (2 top + 2 deg + 8) 2^-prec sum_n |q|^n sum_j |c_nj| |t|^j, kept for the dot
+    # read (measured worst |error| / (2^-prec sum ...): 2.5 by Horner, 0.94 by the dot)
     with mp.workdps(dps):
         f = _mixed_exppoly() + ExpPoly({0: (mpc("0.25"),), 10: (mpc(1), mpc(0, -2))})
         for tau in (mpc(40, "0.15"), mpc(-40, "0.15"), mpc("0.3", "1.1")):
@@ -301,11 +307,57 @@ def _call_mpc_horner(f: ExpPoly, t, n_max=None) -> mpc:
     return acc
 
 
+def _fraction(x: mpf) -> Fraction:
+    sign, man, exp, _ = x._mpf_
+    return (-man if sign else man) * Fraction(2) ** exp
+
+
+def _block_fraction(z: tuple) -> tuple:
+    """A complex block float (a, b, e) as the Fractions (a 2^e, b 2^e)."""
+    a, b, e = z
+    scale = Fraction(2) ** e
+    return a * scale, b * scale
+
+
+def _round_fraction(x: Fraction, prec: int, rnd: str) -> tuple:
+    """x, whose denominator is a power of 2, rounded once to prec bits."""
+    return from_man_exp(x.numerator, 1 - x.denominator.bit_length(), prec, rnd)
+
+
+def _dot_fractions(f: ExpPoly, t, n_max=None) -> tuple:
+    """sum_{n <= n_max} q^n sum_d c_{n,d} t^d over the power chains of q and t,
+    as the exact Fractions (real part, imaginary part)."""
+    t = mpc(t)
+    terms = {n: p for n, p in f.terms.items() if n_max is None or n <= n_max}
+    re = im = Fraction(0)
+    if not terms:
+        return re, im
+    q_pows = [_block_fraction(z) for z in
+              islice(_powers(mp.expjpi(2 * t)._mpc_, mp.prec), max(terms) + 1)]
+    t_pows = [_block_fraction(z) for z in
+              islice(_powers(t._mpc_, mp.prec), max(len(p) for p in terms.values()))]
+    for n, p in terms.items():
+        qa, qb = q_pows[n]
+        for c, (ta, tb) in zip(p, t_pows):
+            ca, cb = _fraction(c.real), _fraction(c.imag)
+            wa, wb = qa * ta - qb * tb, qa * tb + qb * ta
+            re += ca * wa - cb * wb
+            im += ca * wb + cb * wa
+    return re, im
+
+
+def _call_dot_reference(f: ExpPoly, t, n_max=None) -> mpc:
+    """The exact dot over the power chains, each part rounded once."""
+    prec, rnd = mp._prec_rounding
+    re, im = _dot_fractions(f, t, n_max)
+    return mp.make_mpc((_round_fraction(re, prec, rnd), _round_fraction(im, prec, rnd)))
+
+
 @pytest.mark.parametrize("dps", [40, 70])
-def test_call_is_the_mpc_horner_bit_for_bit(dps):
-    # t = i is exactly imaginary and q exactly real at i and at +-40 + 0.15i,
-    # where the raw loop takes the shorter products; 0.3 + 1.1i takes neither;
-    # n_max inside the gaps (3-4, 7-9); wide coefficients are rounded first
+def test_call_is_the_exact_dot_rounded_once(dps):
+    # t = i is exactly imaginary and q exactly real at i and at +-40 + 0.15i, so
+    # half the products are exact zeros; 0.3 + 1.1i has none; n_max inside the
+    # gaps (3-4, 7-9); wide coefficients enter the dot unrounded
     with mp.workdps(dps + 30):
         wide = _mixed_exppoly()
     with mp.workdps(dps):
@@ -314,4 +366,76 @@ def test_call_is_the_mpc_horner_bit_for_bit(dps):
         for f in fs:
             for tau in (mpc(0, 1), mpc(40, "0.15"), mpc(-40, "0.15"), mpc("0.3", "1.1")):
                 for n_max in (None, 8, 6, 4, 1, 0):
-                    assert f(tau, n_max)._mpc_ == _call_mpc_horner(f, tau, n_max)._mpc_
+                    assert f(tau, n_max)._mpc_ == _call_dot_reference(f, tau, n_max)._mpc_
+
+
+@pytest.mark.parametrize("dps", [40, 70])
+def test_call_within_its_own_bound(dps):
+    # against the sum at 30 more digits over the q rounded at the working
+    # precision: q^n and t^d are within n and d times 2^-(prec + 7.5) of their
+    # exact powers, relatively, so the exact dot over them is within
+    # sum_n sum_d |c_nd| |q|^n |t|^d (n + d) 2^-(prec + 7) (measured worst: 0.09 of
+    # it), and the read, that dot rounded once, within that plus 2^-prec |value|
+    # (measured worst: 0.96, where the final rounding is the whole error)
+    with mp.workdps(dps):
+        f = _mixed_exppoly() + ExpPoly({0: (mpc("0.25"),), 10: (mpc(1), mpc(0, -2))})
+        for tau in (mpc(0, 1), mpc(40, "0.15"), mpc(-40, "0.15"), mpc("0.3", "1.1")):
+            q = mp.expjpi(2 * tau)
+            for n_max in (None, 8, 6, 4, 1):
+                got = f(tau, n_max)
+                exact = _dot_fractions(f, tau, n_max)
+                sub = f.truncated(10 if n_max is None else n_max).terms
+                size = sum(abs(q) ** n * abs(c) * abs(tau) ** d * (n + d)
+                           for n, p in sub.items() for d, c in enumerate(p))
+                ulp = mpf(2) ** -mp.prec
+                with mp.workdps(dps + 30):
+                    ref = sum((c * q**n * tau**d for n, p in sub.items() for d, c in enumerate(p)),
+                              mpc(0))
+                    dot = mpc(*(mpf(x.numerator) / x.denominator for x in exact))
+                    assert abs(dot - ref) <= size * ulp / 2**7
+                    assert abs(got - ref) <= size * ulp / 2**7 + abs(ref) * ulp
+
+
+def _cut_reference(xa: Fraction, xb: Fraction, keep: int) -> tuple:
+    """xa + i xb with both parts rounded half up to a multiple of 2^(f + 1 - keep),
+    2^f <= max(|xa|, |xb|) < 2^(f + 1): the largest unit that keeps the larger
+    part's exact bits when it has at most keep of them."""
+    top = max(abs(xa), abs(xb))
+    if not top:
+        return xa, xb
+    f = top.numerator.bit_length() - top.denominator.bit_length()
+    if Fraction(2) ** f > top:
+        f -= 1
+    unit = Fraction(2) ** (f + 1 - keep)
+    return (floor(xa / unit + Fraction(1, 2)) * unit, floor(xb / unit + Fraction(1, 2)) * unit)
+
+
+@pytest.mark.parametrize("dps", [30, 40, 70])
+def test_powers_are_cut_back_to_the_guard_bits(dps):
+    # z^{j+1} is z^j z cut back to prec + GUARD_BITS bits, round half up, bit for
+    # bit; a prefix of any longer chain, no wider than that plus a carry, exact
+    # while the product fits (the Gaussian integers), and within
+    # j 2^-(prec + GUARD_BITS - 1/2) of z^j relatively (to first order)
+    with mp.workdps(dps):
+        prec = mp.prec
+        keep = prec + GUARD_BITS
+        zs = [mpc(0, 1), mpc(1, 1), mpc(2, -3), mpc("0.3", "1.1"), mpc(40, "0.15"),
+              mpc("1e-30", 1), mpc(-1, "1e-30"), mp.expjpi(2 * mpc("-0.45", "0.7"))]
+        for z in zs:
+            pows = list(islice(_powers(z._mpc_, prec), 40))
+            assert pows[:7] == list(islice(_powers(z._mpc_, prec), 7))
+            za, zb = _fraction(z.real), _fraction(z.imag)
+            xa, xb = Fraction(1), Fraction(0)  # z^j exactly
+            ra, rb = Fraction(1), Fraction(0)  # z^j by the reference chain
+            for j, p in enumerate(pows):
+                assert max(p[0].bit_length(), p[1].bit_length()) <= keep + 1
+                pa, pb = _block_fraction(p)
+                assert (pa, pb) == (ra, rb)
+                err2 = (pa - xa) ** 2 + (pb - xb) ** 2
+                if za.denominator == zb.denominator == 1:
+                    assert err2 == 0
+                # (1.01 j 2^-(keep - 1/2))^2 |z^j|^2
+                bound2 = Fraction(101, 100) ** 2 * j**2 * 2 / Fraction(4) ** keep
+                assert err2 <= bound2 * (xa**2 + xb**2)
+                xa, xb = xa * za - xb * zb, xa * zb + xb * za
+                ra, rb = _cut_reference(ra * za - rb * zb, ra * zb + rb * za, keep)

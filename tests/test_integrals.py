@@ -11,10 +11,11 @@ from eistau.algebra import make_index
 from eistau.config import BudgetError, SingularParameterError, TruncationBudget
 from eistau.eisenstein import _constant_mpf as eis_constant_mpf
 from eistau.eisenstein import convolution_majorant, eis_constant, eis_cusp_eval, sigma_majorant
-from eistau.exppoly import elem_exp_tail
+from eistau.exppoly import ExpPoly, elem_exp_tail
 from eistau.integrals import int_eval, int_exppoly, word_eval
 from eistau.lseries import l_eval
 from eistau.mmv import MonomialCoefficientRequest, r_iter, s_coeff
+from test_exppoly import _call_mpc_horner
 
 BUDGET = TruncationBudget(1e-30, 100_000)
 
@@ -103,6 +104,56 @@ def test_fold_values_bit_identical():
     vals = [int_eval(make_index(ks, al), mpc(*tau)) for ks, al in PINNED_INDICES for tau in PINNED_TAUS]
     vals.append(r_iter([("const", 3), ("cusp", 2)], (2, 1)))
     assert _mpc_digest(vals) == PINNED_FOLD_SHA256
+
+
+def _tau_cases(seed: int, count: int, re_max: float):
+    """Seeded (ks, alphas, t, dps, tau) of depth 1-3 at 30, 40 or 50 digits,
+    tau = x + iy as decimal strings with 0 < |x| < re_max, x never a multiple
+    of 1/2 (so neither tau nor q has an exactly zero part) and y log-uniform on
+    [0.15, 2]."""
+    rng = random.Random(seed)
+    for j in range(count):
+        depth = 1 + j % 3
+        ks = tuple(rng.randint(2, 5) for _ in range(depth))
+        alphas = tuple(rng.randint(1, 4) for _ in range(depth))
+        x = rng.choice((-1, 1)) * rng.randint(1, int(re_max * 10**4) - 1)
+        if x % 5000 == 0:
+            x += 1
+        y = 0.15 * (2 / 0.15) ** rng.random()
+        yield (ks, alphas, rng.randint(0, 2), rng.choice((30, 40, 50)),
+               (f"{x / 10**4:.4f}", f"{y:.4f}"))
+
+
+def _int_and_l_values(cases) -> list:
+    vals = []
+    for ks, alphas, t, dps, tau in cases:
+        with mp.workdps(dps):
+            tau = mpc(*tau)
+            vals += [int_eval(make_index(ks, alphas), tau), l_eval(make_index(ks, alphas, t), tau)]
+    return vals
+
+
+# 100 int_eval and 100 l_eval values off the axes (Re tau in [-1/2, 1/2]);
+# every bit is pinned
+PINNED_GENERAL_TAU_SHA256 = "ae98359a4a14599942dc4492b7caae69541189fbc59475c819a897fc30f8b433"
+
+
+def test_general_tau_values_bit_identical():
+    assert _mpc_digest(_int_and_l_values(_tau_cases(2222, 100, 0.5))) == PINNED_GENERAL_TAU_SHA256
+
+
+def test_returned_values_equal_the_horner_read(monkeypatch):
+    # the dot and Horner in q on mpc values differ only in their roundings at the
+    # fold's precision, 15 digits (an L table's: 10) above the returned one
+    cases = list(_tau_cases(2223, 60, 3))
+    clear_caches()
+    got = _int_and_l_values(cases)
+    clear_caches()
+    with monkeypatch.context() as patch:
+        patch.setattr(ExpPoly, "__call__", _call_mpc_horner)
+        ref = _int_and_l_values(cases)
+    clear_caches()  # no Horner-read value stays in the value memos
+    assert [v._mpc_ for v in got] == [v._mpc_ for v in ref]
 
 
 # a malformed word raises before any stage is made: the zip of the two tuples
@@ -304,14 +355,15 @@ def _dot_words(seed=2121):
 
 def _materialized_top(word, alphas, tau):
     """word_eval with its outermost tail integral as a stage over the kept inner
-    stage, grown to n_cut and read by Horner: the reference for the dot."""
+    stage, grown to n_cut and read by Horner on mpc values: the reference for
+    the dot."""
     tau = mpc(tau)
     chain = integrals._chain(word, alphas)
     with mp.extradps(15):
         top = integrals._Stage(*chain[-1], integrals._stage(chain[:-1]))
         n_cut = integrals.freq_cutoff(top.majorant, top.bound, tau, BUDGET, _einf_product(word))
         top.grow(n_cut)
-        val = top.fold(tau, n_max=n_cut)
+        val = _call_mpc_horner(top.fold, tau, n_max=n_cut)
         for kind, k in word:
             if kind == "const":
                 val = eis_constant_mpf(k) * val
