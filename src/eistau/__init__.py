@@ -11,6 +11,8 @@ form.
 
 __version__ = "0.1.0"
 
+import sys
+
 from .algebra import (
     CompositeIndex,
     FormalSum,
@@ -54,39 +56,20 @@ from .verify import SUITES, run_suite
 def clear_caches() -> None:
     """Empty the engine's caches; values computed afterwards are bit-identical.
 
-    Clears every value memo (`config._MEMOS`, each of at most 4,096 values
-    keyed on the arguments, the budget and mp.prec: `lseries._l_memo` of
-    `l_eval`, `integrals._int_memo` of `int_eval`, and in `mmv` the R words
-    `_memo`, `_t_memo` of `t_cusp_reg` and `_i_memo` of `i_coeff`), the
-    table of fold stages (`integrals`; each stage, keyed on its chain and
-    mp.prec, carries its majorant and is grown in place to the
-    largest n_cut so far; `int_eval` and `int_exppoly` keep every stage of a
-    word, the R words of `mmv` all but the outermost), the J tables of
-    elementary tail integrals that `word_eval` reads its outermost tail
-    integral from (`integrals._tails`, one per tau and mp.prec, at most 8,
-    each grown in place in n and in the power of s), the L-series
-    coefficient tables of `l_eval` and `l_coeffs_dp` (`lseries`, each with
-    its majorant and its series at the last precision), the
-    divisor-sum sieve (`eisenstein`, under its lock), the Eisenstein
-    constant terms as mpf (`eisenstein._constant_at`, keyed on k and
-    mp.prec) and cusp parts (`eisenstein._cusp_at`, keyed on k, tau, the
-    budget and mp.prec), the Chebyshev rules of the quadrature oracles
-    (`quadrature`) and the exact conversion tables of the rewrite algebra
-    (`rewrite._int_to_l_table` and `rewrite._l_to_int_table`, each bounded).
-    mpmath's own caches (Bernoulli numbers, zeta values) are not reached.
+    Every value and table the engine keeps is a bounded `functools.lru_cache`
+    on the private function that makes it, keyed on its arguments, mp.prec
+    among them wherever the value depends on it; each is found here by its
+    `cache_clear`.  The divisor-sum sieve, one table per weight grown in
+    place, is cleared under its lock.  mpmath's own caches (Bernoulli numbers,
+    zeta values) are not reached.
     """
-    from . import config, eisenstein, integrals, lseries, mmv, quadrature, rewrite
+    from . import eisenstein
 
-    for memo in config._MEMOS:
-        memo.clear()
-    integrals._stages.clear()
-    integrals._tails.cache_clear()
-    lseries._coeff_cache.clear()
-    quadrature._rules.clear()
-    rewrite._int_to_l_table.cache_clear()
-    rewrite._l_to_int_table.cache_clear()
-    eisenstein._constant_at.cache_clear()
-    eisenstein._cusp_at.cache_clear()
+    for name, module in list(sys.modules.items()):
+        if name.startswith(__name__ + "."):
+            for obj in vars(module).values():
+                if hasattr(obj, "cache_clear"):
+                    obj.cache_clear()
     with eisenstein._sigma_lock:
         eisenstein._sigma_tables.clear()
 

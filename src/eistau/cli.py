@@ -4,7 +4,10 @@ Subcommands: eval-l, eval-int, convert, stuffle, verify, selftest.  The
 numeric settings (--digits, --eps, --nmax) of eval-l, eval-int and verify live
 in one config record that is echoed into every report, so any case can be
 rerun exactly; selftest takes --digits alone, and convert and stuffle, which
-are exact, take none.
+are exact, take none.  A ValueError or BudgetError of eval-l, eval-int,
+convert or stuffle is bad input: it prints "eistau: error: <message>" and
+exits 2.  In verify and selftest an exception is an engine fault and keeps its
+traceback.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import sys
 from mpmath import mp
 
 from .algebra import LSERIES, TAU_INTEGRAL, parse_generator
-from .config import DEFAULT_DIGITS, DEFAULT_EPS, DEFAULT_NMAX, EngineConfig, configure
+from .config import DEFAULT_DIGITS, DEFAULT_EPS, DEFAULT_NMAX, BudgetError, EngineConfig, configure
 from .eisenstein import precision_selftest
 from .integrals import int_eval, int_exppoly
 from .lseries import l_coeffs_dp, l_eval
@@ -171,7 +174,13 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     args = _parse_args(argv if argv is not None else sys.argv[1:])
-    return _COMMANDS[args.command](args)
+    if args.command in ("verify", "selftest"):
+        return _COMMANDS[args.command](args)
+    try:
+        return _COMMANDS[args.command](args)
+    except (ValueError, BudgetError) as exc:
+        print(f"eistau: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

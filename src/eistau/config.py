@@ -60,28 +60,3 @@ def configure(config: EngineConfig) -> EngineConfig:
 
 
 DEFAULT_BUDGET = TruncationBudget()
-
-
-_MEMOS: list["_Memo"] = []  # every value memo, for `clear_caches`
-
-
-class _Memo(dict):
-    """Values of one evaluator keyed on its normalized arguments and `mp.prec`,
-    at most `maxsize` of them: past that the oldest entry goes.  Unlocked."""
-
-    maxsize = 4096
-
-    def __init__(self):
-        super().__init__()
-        _MEMOS.append(self)
-
-    def value(self, key: tuple, compute, *args):
-        """The value kept at key + (mp.prec,), or compute(*args) kept there; a
-        raise of compute is not kept."""
-        key += (mp.prec,)
-        val = self.get(key)
-        if val is None:
-            val = self[key] = compute(*args)
-            if len(self) > self.maxsize:
-                del self[next(iter(self))]
-        return val

@@ -40,14 +40,16 @@ its kept n by its new frequencies only, and read at any n_cut with the same
 bits as a fold made for that tau alone.  A stage is keyed on its chain,
 innermost out (per factor, the product with sigma_{2k-1} for a cusp factor,
 the innermost one's with 1, then a tail integral), and the working
-precision; words that share inner integrals share those stages.
+precision (`_stage`, a bounded `lru_cache`); words that share inner
+integrals share those stages.  An evicted stage lives on as the inner stage
+of a kept one, and a rebuilt one has the same bits by the truncation prefix.
 `int_eval` and `int_exppoly` keep every stage of their word: the top stage
 sizes n_cut, is grown to it and read at tau with n_max = n_cut, and
-`int_eval` keeps each value it returns (`_int_memo`).  Its top is read again
+`int_eval` keeps each value it returns (`_int_value`).  Its top is read again
 at every new tau, so it is kept.
 
-`word_eval`'s callers are the base-point words of `mmv`, which memoizes
-their values, so a word's top stage would be read once.  It builds none: the
+`word_eval`'s callers are the base-point words of `mmv`, which keeps their
+values, so a word's top stage would be read once.  It builds none: the
 majorant of its outermost tail integral (`_majorant`) sizes n_cut, its kept
 inner stage g is grown to n_cut, and the value is
 
@@ -82,7 +84,7 @@ from mpmath.libmp import (
 )
 
 from .algebra import CompositeIndex
-from .config import DEFAULT_BUDGET, SingularParameterError, TruncationBudget, _Memo
+from .config import DEFAULT_BUDGET, SingularParameterError, TruncationBudget
 from .eisenstein import (
     CONST,
     CUSP,
@@ -185,20 +187,12 @@ class _Stage:
         self.n = n
 
 
-# (stage chain, mp.prec) -> its kept stage
-_stages: dict[tuple, _Stage] = {}
-_int_memo = _Memo()  # int_eval values
-
-
-def _stage(chain: tuple) -> _Stage:
-    """The kept stage of `chain` at the working precision; its inner stage is the
-    kept stage of the chain's prefix, shared by every chain that has it."""
-    key = (chain, mp.prec)
-    stage = _stages.get(key)
-    if stage is None:
-        inner = _stage(chain[:-1]) if len(chain) > 1 else None
-        stage = _stages[key] = _Stage(*chain[-1], inner)
-    return stage
+@lru_cache(maxsize=1024)
+def _stage(chain: tuple, prec: int) -> _Stage:
+    """The kept stage of `chain` at the working precision prec = mp.prec; its
+    inner stage is the kept stage of the chain's prefix, shared by every chain
+    that has it."""
+    return _Stage(*chain[-1], _stage(chain[:-1], prec) if len(chain) > 1 else None)
 
 
 def freq_cutoff(majorant: tuple, bound: tuple, tau: mpc, budget: TruncationBudget,
@@ -331,7 +325,7 @@ def _checked_chain(word, alphas, tau: mpc) -> tuple:
 def _top(word, alphas, tau: mpc, budget: TruncationBudget) -> tuple[_Stage, int]:
     """The kept top stage of the fold of the all-cusp `word`, grown to the n_cut
     certified at tau, and n_cut."""
-    stage = _stage(_checked_chain(word, alphas, tau))
+    stage = _stage(_checked_chain(word, alphas, tau), mp.prec)
     n_cut = freq_cutoff(stage.majorant, stage.bound, tau, budget)
     stage.grow(n_cut)
     return stage, n_cut
@@ -352,7 +346,7 @@ def word_eval(word, alphas, tau, budget: TruncationBudget = DEFAULT_BUDGET) -> m
     einf = prod((abs(eis_constant(k)) for kind, k in word if kind == CONST), start=Fraction(1))
     op, alpha = chain[-1]
     with mp.extradps(15):
-        inner = _stage(chain[:-1])
+        inner = _stage(chain[:-1], mp.prec)
         top = _majorant(op, alpha, inner.majorant)
         n_cut = freq_cutoff(top, _bound(top), tau, budget, einf)
         inner.grow(n_cut)
@@ -369,8 +363,11 @@ def _cusp_word(index: CompositeIndex) -> tuple:
     return tuple((CUSP, k) for k in index.ks)
 
 
-def _int_value(word, alphas, tau: mpc, budget: TruncationBudget) -> mpc:
-    """The kept top stage read at tau up to n_cut."""
+@lru_cache(maxsize=4096)
+def _int_value(word, alphas, tau: tuple, budget: TruncationBudget, prec: int) -> mpc:
+    """The kept top stage read at tau (raw parts) up to n_cut, at the working
+    precision prec = mp.prec."""
+    tau = mp.make_mpc(tau)
     with mp.extradps(15):
         stage, n_cut = _top(word, alphas, tau, budget)
         val = stage.fold(tau, n_max=n_cut)
@@ -381,13 +378,11 @@ def int_eval(index: CompositeIndex, tau, budget: TruncationBudget = DEFAULT_BUDG
     """Iterated tail integral of the cusp parts of `index` at tau, from the kept
     stages of its fold, the outermost included; depth 0 gives 1.  Raises
     ValueError for t != 0.  A value is kept per (word, alphas, tau, budget,
-    mp.prec) in `_int_memo`."""
+    mp.prec) by `_int_value`."""
     word = _cusp_word(index)
     if not word:
         return mpc(1)
-    tau = mpc(tau)
-    alphas = tuple(index.alphas)
-    return _int_memo.value((word, alphas, tau._mpc_, budget), _int_value, word, alphas, tau, budget)
+    return _int_value(word, tuple(index.alphas), mpc(tau)._mpc_, budget, mp.prec)
 
 
 def int_exppoly(index: CompositeIndex, tau, budget: TruncationBudget = DEFAULT_BUDGET) -> ExpPoly:

@@ -17,7 +17,8 @@ majorant of its c, computed once from its suffix table's, and its nonzero
 rows as an ExpPoly converted to mpf once per working precision, which
 `l_eval` reads by `ExpPoly.__call__` up to its own N, as one exact dot
 against the powers of q rounded once, and keeps each value it returns
-(`_l_memo`).
+(`_l_value`).  Tables and values are bounded `lru_cache`s; an evicted table
+lives on as the suffix table of a kept one.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from itertools import combinations
 from mpmath import mp, mpc, mpf
 
 from .algebra import CompositeIndex
-from .config import DEFAULT_BUDGET, TruncationBudget, _Memo
+from .config import DEFAULT_BUDGET, TruncationBudget
 from .eisenstein import _as_mpf, _product_majorant, sigma_majorant, sigma_table, tail_start
 from .exppoly import ExpPoly
 
@@ -176,10 +177,6 @@ def l_coeffs_bruteforce(index: CompositeIndex, n: int) -> LCoefficients:
     return LCoefficients(index, tuple(out[1:]))
 
 
-_coeff_cache: dict[tuple[tuple[int, ...], tuple[int, ...]], _LTable] = {}
-_l_memo = _Memo()  # l_eval values
-
-
 @lru_cache(maxsize=64)
 def _small_im(prec: int) -> mpf:
     """0.1 as `mpf("0.1")` parses it at precision prec: `l_eval` warns below it.
@@ -189,15 +186,11 @@ def _small_im(prec: int) -> mpf:
         return mpf("0.1")
 
 
+@lru_cache(maxsize=1024)
 def _table(ks: tuple[int, ...], alphas: tuple[int, ...]) -> _LTable:
     """The kept table of (ks, alphas), whose inner table is the kept one of
     its suffix: a suffix shared by several indices is grown once."""
-    key = (ks, alphas)
-    table = _coeff_cache.get(key)
-    if table is None:
-        inner = _table(ks[1:], alphas[1:]) if len(ks) > 1 else None
-        table = _coeff_cache[key] = _LTable(ks[0], alphas[0], inner)
-    return table
+    return _LTable(ks[0], alphas[0], _table(ks[1:], alphas[1:]) if len(ks) > 1 else None)
 
 
 def l_eval(index: CompositeIndex, tau, budget: TruncationBudget = DEFAULT_BUDGET) -> mpc:
@@ -208,8 +201,8 @@ def l_eval(index: CompositeIndex, tau, budget: TruncationBudget = DEFAULT_BUDGET
     rows m <= N against the power chain of q, summed exactly and rounded once.
     q^m does not depend on how far the chain runs, so a table grown further
     for a lower Im tau gives the bits of one grown to N.  A value is kept per
-    (index, tau, budget, mp.prec) in `_l_memo`; the checks and the warning come
-    first on every call."""
+    (index, tau, budget, mp.prec) by `_l_value`; the checks and the warning
+    come first on every call."""
     if index.depth == 0:
         return mpc(1)
     tau = mpc(tau)
@@ -221,10 +214,13 @@ def l_eval(index: CompositeIndex, tau, budget: TruncationBudget = DEFAULT_BUDGET
             f"Im tau = {mp.nstr(im, 6)} < 0.1: truncation grows like 1/Im tau",
             stacklevel=2,
         )
-    return _l_memo.value((index, tau._mpc_, budget), _l_value, index, tau, budget)
+    return _l_value(index, tau._mpc_, budget, mp.prec)
 
 
-def _l_value(index: CompositeIndex, tau: mpc, budget: TruncationBudget) -> mpc:
+@lru_cache(maxsize=4096)
+def _l_value(index: CompositeIndex, tau: tuple, budget: TruncationBudget, prec: int) -> mpc:
+    """The series value at tau (raw parts) at the working precision prec = mp.prec."""
+    tau = mp.make_mpc(tau)
     with mp.extradps(10):
         alpha_sum = sum(index.alphas)
         prefactor = (2 * mp.pi * mpc(0, 1)) ** (-alpha_sum) * tau**index.t

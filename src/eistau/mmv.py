@@ -8,14 +8,14 @@ weight-2k cusp/constant factors (E0 / Einf, Einf = -b_{2k}/(4k)):
 
 Every R word with exponents >= 1, const factors included, is the fold of
 `integrals.word_eval` at tau = i; the one R route local to this module is the
-gammainc sum for a single cusp factor with m <= 0.  The module memoizes these
-values (`_memo`), keyed on the budget and the working precision `mp.prec`, and
-assembles the formulas below from them.  `word_eval` keeps the inner stages
-of a word's fold and forms its outermost tail integral as one dot against a
-table of elementary tail integrals at i, shared by every R word at one
-precision: this memo alone keeps an R word's value.
-`t_cusp_reg` and `i_coeff` keep their values the same way (`_t_memo`,
-`_i_memo`), after their checks.
+gammainc sum for a single cusp factor with m <= 0.  The module keeps these
+values (`_r_value`, a bounded `lru_cache` keyed on the word, the budget and
+the working precision `mp.prec`), and assembles the formulas below from them.
+`word_eval` keeps the inner stages of a word's fold and forms its outermost
+tail integral as one dot against a table of elementary tail integrals at i,
+shared by every R word at one precision: `_r_value` alone keeps an R word's
+value.  `t_cusp_reg` and `i_coeff` keep their values the same way
+(`_t_cusp_reg`, `_i_coeff`), after their checks.
 
 Closed forms and regularized values (every formula below is pinned by the
 verification suites; "regularized" means the analytic extension fixed by
@@ -66,12 +66,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, factorial
 
 from mpmath import mp, mpc, mpf
 
 from .algebra import CompositeIndex
-from .config import DEFAULT_BUDGET, SingularParameterError, TruncationBudget, _Memo
+from .config import DEFAULT_BUDGET, SingularParameterError, TruncationBudget
 from .eisenstein import CONST, CUSP, _as_mpf, bernoulli, sigma_majorant, sigma_table, tail_start
 from .eisenstein import _constant_mpf as _einf
 # int_eval is unused here, but bench/test_bench.py checks that the benchmark's
@@ -86,10 +87,6 @@ _IPOW = (mpc(1), mpc(0, 1), mpc(-1), mpc(0, -1))  # exact at every precision
 
 def _ipow(n: int) -> mpc:
     return _IPOW[n % 4]
-
-
-# values by (arguments, budget, mp.prec): R words, t_cusp_reg and i_coeff
-_memo, _t_memo, _i_memo = _Memo(), _Memo(), _Memo()
 
 
 # -- T/R primitives -------------------------------------------------------------
@@ -116,31 +113,34 @@ def _gammainc_majorant(k: int) -> tuple[int, mpf]:
 
 
 def _r(word: tuple, alphas: tuple, budget: TruncationBudget) -> mpc:
-    """R(word; alphas), memoized by value: the `integrals` fold of the word, or
-    for one cusp factor with alpha <= 0 (convergent too) the gammainc sum."""
+    """R(word; alphas), kept by value (`_r_value`)."""
     if len(word) > 1 and min(alphas) < 1:
         error = SingularParameterError if word[0][0] == CONST else ValueError
         raise error(f"R words of depth 2 require positive exponents, got {alphas}")
+    return _r_value(word, alphas, budget, mp.prec)
 
-    def compute():
-        if alphas[0] >= 1:
-            return word_eval(word, alphas, _BASE, budget)
-        # sum_n sigma(n) (i / 2 pi n)^alpha Gamma(alpha, 2 pi n)
-        ((_, k),), (alpha,) = word, alphas
-        with mp.extradps(10):
-            power, c = _gammainc_majorant(k)
-            n_trunc = tail_start(power, 1, mpf(budget.eps) / c, budget.n_max)
-            sig = sigma_table(2 * k - 1, n_trunc)
-            acc = mpc(0)
-            for n in range(1, n_trunc + 1):
-                acc += (
-                    sig[n]
-                    * (mpc(0, 1) / (2 * mp.pi * n)) ** alpha
-                    * mp.gammainc(alpha, 2 * mp.pi * n)
-                )
-        return +acc
 
-    return _memo.value((word, alphas, budget), compute)
+@lru_cache(maxsize=4096)
+def _r_value(word: tuple, alphas: tuple, budget: TruncationBudget, prec: int) -> mpc:
+    """R(word; alphas) at the working precision prec = mp.prec: the `integrals`
+    fold of the word, or for one cusp factor with alpha <= 0 (convergent too)
+    the gammainc sum."""
+    if alphas[0] >= 1:
+        return word_eval(word, alphas, _BASE, budget)
+    # sum_n sigma(n) (i / 2 pi n)^alpha Gamma(alpha, 2 pi n)
+    ((_, k),), (alpha,) = word, alphas
+    with mp.extradps(10):
+        power, c = _gammainc_majorant(k)
+        n_trunc = tail_start(power, 1, mpf(budget.eps) / c, budget.n_max)
+        sig = sigma_table(2 * k - 1, n_trunc)
+        acc = mpc(0)
+        for n in range(1, n_trunc + 1):
+            acc += (
+                sig[n]
+                * (mpc(0, 1) / (2 * mp.pi * n)) ** alpha
+                * mp.gammainc(alpha, 2 * mp.pi * n)
+            )
+    return +acc
 
 
 def r_iter(factors, alphas, budget: TruncationBudget = DEFAULT_BUDGET) -> mpc:
@@ -174,10 +174,12 @@ def t_cusp_reg(k: int, m: int, budget: TruncationBudget = DEFAULT_BUDGET) -> mpc
     """
     if m in (0, 2 * k):
         raise SingularParameterError(f"T(E0; m) is singular at m = {m} for weight {2 * k}")
-    return _t_memo.value((k, m, budget), _t_cusp_reg, k, m, budget)
+    return _t_cusp_reg(k, m, budget, mp.prec)
 
 
-def _t_cusp_reg(k: int, m: int, budget: TruncationBudget) -> mpc:
+@lru_cache(maxsize=4096)
+def _t_cusp_reg(k: int, m: int, budget: TruncationBudget, prec: int) -> mpc:
+    """t_cusp_reg at the working precision prec = mp.prec."""
     return (
         (-1) ** m * (_r(((CUSP, k),), (2 * k - m,), budget) - t_const_closed(k, 2 * k - m))
         - t_const_closed(k, m)
@@ -230,7 +232,7 @@ class MonomialCoefficientRequest:
     alphas: tuple[int, ...]
 
     def __post_init__(self):
-        # int tuples, so that a request is a memo key of i_coeff
+        # int tuples, so that equal requests are one cache key of i_coeff
         object.__setattr__(self, "ks", tuple(int(k) for k in self.ks))
         object.__setattr__(self, "alphas", tuple(int(a) for a in self.alphas))
         if not 1 <= len(self.ks) <= 2 or len(self.ks) != len(self.alphas):
@@ -251,10 +253,12 @@ def _as_request(ks, alphas) -> MonomialCoefficientRequest:
 def i_coeff(ks, alphas=None, budget: TruncationBudget = DEFAULT_BUDGET) -> mpc:
     """Length-1 or length-2 coefficient of the base-point-i iterated integral."""
     req = _as_request(ks, alphas)
-    return _i_memo.value((req, budget), _i_coeff, req, budget)
+    return _i_coeff(req, budget, mp.prec)
 
 
-def _i_coeff(req: MonomialCoefficientRequest, budget: TruncationBudget) -> mpc:
+@lru_cache(maxsize=4096)
+def _i_coeff(req: MonomialCoefficientRequest, budget: TruncationBudget, prec: int) -> mpc:
+    """i_coeff at the working precision prec = mp.prec."""
     if len(req.ks) == 1:
         (k,), (a,) = req.ks, req.alphas
         body = _r(((CUSP, k),), (a,), budget) - t_const_closed(k, a)

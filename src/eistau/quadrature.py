@@ -37,6 +37,7 @@ upper half-plane.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from mpmath import mp, mpc, mpf
 from mpmath.libmp import fzero, from_man_exp
@@ -46,10 +47,6 @@ from .eisenstein import CUSP, _constant_mpf, eis_cusp_eval, eis_eval
 
 _N0 = 8  # nodes of the first level on every panel
 _N_CAP = 648  # _N0 * 3^4: the last level tried before BudgetError
-
-# (n, mp.prec) -> (nodes, Fejér weights, cos(m pi / 2n) and 1 - cos(m pi / 2n)
-# for 0 <= m < 4n, the last two as (ints, exponent) from `_ints`)
-_rules: dict[tuple[int, int], tuple[list, list, tuple, tuple]] = {}
 
 
 def _ints(parts) -> tuple[list[int], int]:
@@ -80,8 +77,11 @@ def _dots(vals, rows, exponent: int) -> list:
     return out
 
 
-def _rule(n: int):
-    """First-kind Chebyshev nodes x_j = cos((2j+1) pi / 2n) and Fejér weights, at mp.prec.
+@lru_cache(maxsize=64)
+def _rule(n: int, prec: int) -> tuple[list, list, tuple, tuple]:
+    """First-kind Chebyshev nodes x_j = cos((2j+1) pi / 2n) and Fejér weights at
+    the working precision prec = mp.prec, and cos(m pi / 2n) and
+    1 - cos(m pi / 2n) for 0 <= m < 4n as (ints, exponent) from `_ints`.
 
     The angle is the rational (2j+1)/(2n) rounded once, so x_j of the n-node
     rule equals x_{3j+1} of the 3n-node rule bit for bit.  The weight
@@ -89,21 +89,16 @@ def _rule(n: int):
     once (`_dots`), so it equals the `mp.fdot` form bit for bit: for n <= 648
     the nonzero terms lie between 2^-28 and 1, far within 2^(2 mp.prec).
     """
-    key = (n, mp.prec)
-    rule = _rules.get(key)
-    if rule is None:
-        m4 = 4 * n
-        cos_tab = [mp.cospi(mpf(m) / (2 * n)) for m in range(m4)]
-        nodes = [cos_tab[2 * j + 1] for j in range(n)]
-        cos, ec = _ints([c._mpf_ for c in cos_tab])
-        recip = [mpf(1) / (4 * k * k - 1) for k in range(1, n // 2 + 1)]
-        sums = _dots(recip, ([cos[(2 * k * (2 * j + 1)) % m4] for k in range(1, n // 2 + 1)]
-                             for j in range((n + 1) // 2)), ec)
-        first = [(1 - 2 * s) * 2 / n for s in sums]
-        weights = first + first[: n // 2][::-1]  # w_j = w_{n-1-j}
-        one_minus = _ints([(1 - c)._mpf_ for c in cos_tab])
-        rule = _rules[key] = (nodes, weights, (cos, ec), one_minus)
-    return rule
+    m4 = 4 * n
+    cos_tab = [mp.cospi(mpf(m) / (2 * n)) for m in range(m4)]
+    nodes = [cos_tab[2 * j + 1] for j in range(n)]
+    cos, ec = _ints([c._mpf_ for c in cos_tab])
+    recip = [mpf(1) / (4 * k * k - 1) for k in range(1, n // 2 + 1)]
+    sums = _dots(recip, ([cos[(2 * k * (2 * j + 1)) % m4] for k in range(1, n // 2 + 1)]
+                         for j in range((n + 1) // 2)), ec)
+    first = [(1 - 2 * s) * 2 / n for s in sums]
+    weights = first + first[: n // 2][::-1]  # w_j = w_{n-1-j}
+    return nodes, weights, (cos, ec), _ints([(1 - c)._mpf_ for c in cos_tab])
 
 
 def _antiderivative(vals, rule) -> list:
@@ -114,7 +109,7 @@ def _antiderivative(vals, rule) -> list:
     int_x^1 = sum_k C_k (1 - T_k(x)); T_k(x_j) = cos(k (2j+1) pi / 2n).  Both
     sums over n terms are rounded once (`_dots`), so the result equals the
     `mp.fdot` form bit for bit unless the terms of one sum lie more than
-    2^(2 mp.prec) apart.  rule must be `_rule(n)` at the current mp.prec.
+    2^(2 mp.prec) apart.  rule must be `_rule(n, mp.prec)`.
     """
     n = len(vals)
     m4 = 4 * n
@@ -138,7 +133,7 @@ def _panel(sample, reduce, lo, hi, tol) -> tuple:
     mid, half = (hi + lo) / 2, (hi - lo) / 2
     n, vals, prev = _N0, [], None
     while n <= _N_CAP:
-        rule = _rule(n)
+        rule = _rule(n, mp.prec)
         old, vals = vals, [None] * n
         if old:
             vals[1::3] = old  # the n/3 nodes of the previous level

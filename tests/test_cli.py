@@ -83,7 +83,7 @@ def test_eval_int_dump_certified_at_tau_off_axis(capsys):
     carrier = int_exppoly(idx, tau, budget)  # at the CLI's 40 digits
     assert "\n".join(dump) == carrier.dump()
     with mp.extradps(15):
-        stage = _stage(_chain(((CUSP, 3), (CUSP, 4)), (2, 3)))
+        stage = _stage(_chain(((CUSP, 3), (CUSP, 4)), (2, 3)), mp.prec)
         n_cut = freq_cutoff(stage.majorant, stage.bound, tau, budget)
         assert freq_cutoff(stage.majorant, stage.bound, mpc(0, 1), budget) == 14
     assert int(dump[-1].split(";")[0]) == carrier.max_freq() == n_cut == 16
@@ -185,3 +185,28 @@ def test_verify_corrupted_sign_fails(monkeypatch, tmp_path):
 def test_verify_unknown_suite_rejected():
     with pytest.raises(SystemExit):
         main(["verify", "--suite", "nonsense"])
+
+
+# bad input to eval-l, eval-int, convert and stuffle: one error line and exit 2
+BAD_INPUT = {
+    "tau-below-the-axis": (["eval-l", "--index", "L{ks=[2];alphas=[1];t=0}", "--tau", "0.1-1i"],
+                           "Im tau must be positive"),
+    "budget-exhausted": (["eval-int", "--index", "I{ks=[2];alphas=[1];taupow=0}",
+                          "--tau", "0+0.001i", "--nmax", "10"], "truncation index cap 10"),
+    "k-below-2": (["eval-l", "--index", "L{ks=[1];alphas=[1];t=0}", "--tau", "0+1i"],
+                  "every k must be >= 2"),
+    "convert-wrong-family": (["convert", "--dir", "int2l", "--index", "L{ks=[2];alphas=[1];t=0}"],
+                             "expects a tau-integral generator"),
+    "stuffle-tau-power": (["stuffle", "--left", "L{ks=[2];alphas=[1];t=1}",
+                           "--right", "L{ks=[3];alphas=[2];t=0}"], "expects t = 0"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_INPUT)
+def test_bad_input_prints_one_error_line_and_exits_2(case, capsys):
+    argv, message = BAD_INPUT[case]
+    assert main(argv) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("eistau: error: ") and message in out.err
+    assert out.err.count("\n") == 1

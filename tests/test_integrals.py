@@ -175,10 +175,31 @@ def test_word_eval_rejects_malformed_word(case):
     with pytest.raises(ValueError) as info:
         word_eval(word, alphas, mpc(0, 1), BUDGET)
     assert info.type is error
-    assert not integrals._stages
+    assert integrals._stage.cache_info().misses == 0
 
 
 # -- the stage table: one kept stage per (stage chain, precision), reused ------
+
+
+def _fold_prec() -> int:
+    """The working precision of a fold at the current one (`extradps(15)`)."""
+    with mp.extradps(15):
+        return mp.prec
+
+
+def _kept_stages(keys) -> list:
+    """The kept stages at `keys`, distinct (chain, prec) pairs, asserting that
+    they are all the kept stages: the cache holds as many, and each is a hit."""
+    before = integrals._stage.cache_info()
+    stages = [integrals._stage(*key) for key in keys]
+    after = integrals._stage.cache_info()
+    assert after.hits - before.hits == len(keys) == before.currsize == after.currsize
+    return stages
+
+
+def _chain_of(stage) -> tuple:
+    """The stage chain of a stage, read back through its inner stages."""
+    return () if stage is None else _chain_of(stage.inner) + ((stage.op, stage.arg),)
 
 FOLD_INDEX = make_index([3, 2, 2], [2, 1, 3])
 FOLD_WORD = tuple(("cusp", k) for k in FOLD_INDEX.ks)
@@ -198,14 +219,12 @@ def test_fold_cache_values_bit_identical_to_cold(taus):
     warm = [int_eval(FOLD_INDEX, tau, BUDGET)._mpc_ for tau in taus]
     warm += [int_eval(FOLD_INDEX, tau, BUDGET)._mpc_ for tau in taus]
     assert warm == cold + cold
-    # every stage of the chain is kept at the largest n_cut seen
+    # every stage of the chain is kept, and only those, at the largest n_cut seen
+    stages = _kept_stages([(FOLD_CHAIN[:j], _fold_prec()) for j in range(1, len(FOLD_CHAIN) + 1)])
     with mp.extradps(15):  # the precision int_eval folds at
-        stages = [integrals._stages[(FOLD_CHAIN[:j], mp.prec)]
-                  for j in range(1, len(FOLD_CHAIN) + 1)]
         top = stages[-1]
         n_cut = max(integrals.freq_cutoff(top.majorant, top.bound, tau, BUDGET) for tau in taus)
     assert [stage.n for stage in stages] == [n_cut] * len(FOLD_CHAIN)
-    assert len(integrals._stages) == len(FOLD_CHAIN)
 
 
 # R words at i (const factors too) and an int_eval chain sharing their inner
@@ -227,7 +246,7 @@ def test_stages_grown_up_and_down_give_cold_bits():
     clear_caches()
     warm = [f(tau)._mpc_ for tau in RISE_FALL_TAUS for f in calls]
     assert warm == cold
-    assert integrals._stages
+    assert integrals._stage.cache_info().currsize
 
 
 def test_mmv_words_keep_inner_stages_never_their_last(monkeypatch):
@@ -235,8 +254,7 @@ def test_mmv_words_keep_inner_stages_never_their_last(monkeypatch):
     # value mmv memoizes, keeps the stages below its outermost tail integral
     clear_caches()
     int_eval(FOLD_INDEX, FOLD_TAUS[0], BUDGET)
-    assert {chain for chain, _ in integrals._stages} == {
-        FOLD_CHAIN[:j] for j in range(1, len(FOLD_CHAIN) + 1)}
+    _kept_stages([(FOLD_CHAIN[:j], _fold_prec()) for j in range(1, len(FOLD_CHAIN) + 1)])
     clear_caches()
     words = []
 
@@ -247,10 +265,10 @@ def test_mmv_words_keep_inner_stages_never_their_last(monkeypatch):
     monkeypatch.setattr(mmv, "word_eval", recording)
     r_iter([("const", 3), ("cusp", 2)], (2, 1), BUDGET)
     s_coeff(MonomialCoefficientRequest((2, 3), (1, 2)), budget=BUDGET)
-    kept = {chain for chain, _ in integrals._stages}
-    assert words and mmv._memo
+    assert words and mmv._r_value.cache_info().currsize
     # a word's own chain is kept only as the inner stage of a longer word
-    assert kept == {chain[:j] for chain in words for j in range(1, len(chain))}
+    kept = {chain[:j] for chain in words for j in range(1, len(chain))}
+    _kept_stages([(chain, _fold_prec()) for chain in kept])
     assert any(chain not in kept for chain in words)
 
 
@@ -270,16 +288,16 @@ def test_s_coeff_sweep_builds_each_product_stage_once(monkeypatch):
     monkeypatch.setattr(integrals, "_Stage", Counted)
     for a1 in range(1, 6):
         s_coeff(MonomialCoefficientRequest((3, 2), (a1, 1)), budget=BUDGET)
-    products = {chain for chain, _ in integrals._stages
+    chains = [_chain_of(stage) for stage in built]
+    products = {chain for chain in chains
                 if chain[-1][0] == integrals.PRODUCT and len(chain) > 1}
     assert products == {(("product", 2), ("tail", a2), ("product", 3)) for a2 in (1, 3)}
     # each kept stage built once, with the two series, five tails over E0_3 and
     # two over E0_2; no other stage is built: an R word's outermost tail
     # integral is a dot against the J table, not a stage
-    kept = [stage for stage in built if stage in integrals._stages.values()]
-    assert len(kept) == len(integrals._stages) == 11
-    assert [key for key in mmv._memo if key[1][0] >= 1]
-    assert len(built) == len(kept)
+    assert len(set(chains)) == len(chains) == 11
+    assert _kept_stages([(chain, _fold_prec()) for chain in chains]) == built
+    assert mmv._r_value.cache_info().currsize
 
 
 def test_fold_cache_keys_on_precision():
@@ -293,8 +311,11 @@ def test_fold_cache_keys_on_precision():
         for dps in (30, 50):
             with mp.workdps(dps):
                 assert int_eval(FOLD_INDEX, tau, BUDGET)._mpc_ == values[dps]
-    assert len(integrals._stages) == 2 * len(FOLD_CHAIN)
-    assert len({prec for _, prec in integrals._stages}) == 2
+    keys = []
+    for dps in (30, 50):
+        with mp.workdps(dps):
+            keys += [(FOLD_CHAIN[:j], _fold_prec()) for j in range(1, len(FOLD_CHAIN) + 1)]
+    _kept_stages(keys)
 
 
 # sha256 of int_exppoly([3, 2]; [2, 1]) at tau = 1.3i and 40 digits, .dump()
@@ -360,7 +381,7 @@ def _materialized_top(word, alphas, tau):
     tau = mpc(tau)
     chain = integrals._chain(word, alphas)
     with mp.extradps(15):
-        top = integrals._Stage(*chain[-1], integrals._stage(chain[:-1]))
+        top = integrals._Stage(*chain[-1], integrals._stage(chain[:-1], mp.prec))
         n_cut = integrals.freq_cutoff(top.majorant, top.bound, tau, BUDGET, _einf_product(word))
         top.grow(n_cut)
         val = _call_mpc_horner(top.fold, tau, n_max=n_cut)
@@ -399,13 +420,12 @@ def test_word_eval_builds_no_stage_beyond_the_kept_ones(monkeypatch):
     for word, alphas in _dot_words():
         for tau in DOT_TAUS:
             word_eval(word, alphas, tau, BUDGET)
-    assert built and all(stage in integrals._stages.values() for stage in built)
-    assert len(built) == len(integrals._stages)
     chains = {integrals._chain(word, alphas) for word, alphas in _dot_words()}
-    # kept: the inner stages of each word, never a word's own chain unless it
-    # is the inner chain of another word
-    assert {chain for chain, _ in integrals._stages} == {
-        chain[:j] for chain in chains for j in range(1, len(chain))}
+    # kept, and built once each: the inner stages of each word, never a word's
+    # own chain unless it is the inner chain of another word
+    kept = {chain[:j] for chain in chains for j in range(1, len(chain))}
+    stages = _kept_stages([(chain, _fold_prec()) for chain in kept])
+    assert built and sorted(map(id, built)) == sorted(map(id, stages))
 
 
 # -- the fold majorant: it dominates every realized frequency, and is sharp -----
@@ -439,7 +459,7 @@ def _majorant_words(seed=2019):
 
 def _word_majorant(word, alphas):
     """The top stage's majorant (P, c, h) with c times the word's |Einf| product."""
-    power, c, h = integrals._stage(integrals._chain(word, alphas)).majorant
+    power, c, h = integrals._stage(integrals._chain(word, alphas), mp.prec).majorant
     einf = _einf_product(word)
     return power, tuple(x * einf for x in c), h
 
@@ -451,7 +471,7 @@ def test_fold_majorant_dominates_realized_frequencies():
             u = 2 * mp.pi * abs(tau)
             scale = sum(mpf(x.numerator) / x.denominator * u**d for d, x in enumerate(c))
             scale /= (2 * mp.pi) ** h
-            stage = integrals._stage(integrals._chain(word, alphas))
+            stage = integrals._stage(integrals._chain(word, alphas), mp.prec)
             einf = _einf_product(word)
             n_cut = integrals.freq_cutoff(stage.majorant, stage.bound, tau, BUDGET, einf)
             stage.grow(2 * n_cut)
@@ -517,7 +537,7 @@ def test_freq_cutoff_sharp_on_grid():
     for (ks, alphas), (certified, needed) in SHARPNESS_GRID.items():
         word = tuple(("cusp", k) for k in ks)
         with mp.extradps(15):
-            stage = integrals._stage(integrals._chain(word, alphas))
+            stage = integrals._stage(integrals._chain(word, alphas), mp.prec)
             got = tuple(integrals.freq_cutoff(stage.majorant, stage.bound, mpc("0.3", y), BUDGET)
                         for y in ("0.7", "1", "2"))
         assert got == certified

@@ -8,7 +8,7 @@ from mpmath import mp, mpc, mpf
 
 from eistau.algebra import make_index
 from eistau.config import TruncationBudget
-from eistau import clear_caches, lseries
+from eistau import clear_caches
 from eistau.eisenstein import convolution_majorant, divisor_sigma, sigma_majorant
 from eistau.lseries import _table, l_coeffs_bruteforce, l_coeffs_dp, l_eval
 
@@ -161,7 +161,7 @@ def test_l_eval_cutoff_certified_at_exact_im_tau():
     for tau, n in ((mpc("0.3", "0.74"), 18), (mpc("0.3", "1.1"), 12)):
         clear_caches()
         l_eval(idx, tau, BUDGET)
-        assert lseries._coeff_cache[(idx.ks, idx.alphas)].n == n
+        assert _table(idx.ks, idx.alphas).n == n
 
 
 def test_l_coeffs_dp_grows_the_kept_table():
@@ -169,12 +169,13 @@ def test_l_coeffs_dp_grows_the_kept_table():
     idx = make_index([2, 3], [1, 2])
     clear_caches()
     l_eval(idx, mpc("0.1", "1.9"), BUDGET)
-    table = lseries._coeff_cache[(idx.ks, idx.alphas)]
+    table = _table(idx.ks, idx.alphas)
     rows, n0 = table.rows, table.n
     assert n0 < 30
     coeffs = l_coeffs_dp(idx, 30).coeffs
-    assert lseries._coeff_cache[(idx.ks, idx.alphas)] is table and table.rows is rows
-    assert table.n == 30 and table.inner is lseries._coeff_cache[((3,), (2,))]
+    assert _table(idx.ks, idx.alphas) is table and table.rows is rows
+    assert table.n == 30 and table.inner is _table((3,), (2,))
+    assert _table.cache_info().currsize == 2
     assert l_coeffs_dp(idx, n0).coeffs == coeffs[:n0] and table.n == 30
 
 
@@ -187,12 +188,14 @@ def test_l_table_grows_in_place_and_converts_once():
     clear_caches()
     l_eval(make_index([3, 2], [2, 2]), mpc("0.1", "1.9"), BUDGET)  # the suffix first
     l_eval(idx, mpc("0.1", "1.9"), BUDGET)
-    tables = [lseries._coeff_cache[key] for key in keys]
+    assert _table.cache_info().currsize == 3  # the table and its two suffix tables
+    tables = [_table(*key) for key in keys]
+    assert _table.cache_info().currsize == 3  # each a hit
     assert [t.inner for t in tables] == tables[1:] + [None]
     n0, kept = tables[0].n, [list(t.rows) for t in tables]
     values0 = dict(tables[0].values.terms)
     l_eval(idx, mpc("0.1", "0.7"), BUDGET)
-    assert [lseries._coeff_cache[key] for key in keys] == tables and tables[0].n > n0
+    assert [_table(*key) for key in keys] == tables and tables[0].n > n0
     assert all(t.rows[m] is old[m] for t, old in zip(tables, kept) for m in range(n0 + 1))
     assert all(tables[0].values.terms[m] is p for m, p in values0.items())
     for key, t in zip(keys, tables):
@@ -208,7 +211,7 @@ def test_l_table_grows_in_place_and_converts_once():
             assert tables[0].prec == mp.prec and tables[0].n_values == tables[0].n
             assert max(tables[0].values.terms) == tables[0].n
     clear_caches()
-    assert not lseries._coeff_cache
+    assert _table.cache_info().currsize == 0
 
 
 def test_l_table_read_below_its_kept_n_gives_cold_bits():
@@ -220,10 +223,10 @@ def test_l_table_read_below_its_kept_n_gives_cold_bits():
     for tau in taus:
         clear_caches()
         cold.append(l_eval(idx, tau, BUDGET)._mpc_)
-    n_last = lseries._coeff_cache[(idx.ks, idx.alphas)].n
+    n_last = _table(idx.ks, idx.alphas).n
     clear_caches()
     assert [l_eval(idx, tau, BUDGET)._mpc_ for tau in taus] == cold
-    assert lseries._coeff_cache[(idx.ks, idx.alphas)].n > n_last
+    assert _table(idx.ks, idx.alphas).n > n_last
 
 
 def _mpc_digest(values) -> str:

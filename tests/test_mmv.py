@@ -1,9 +1,12 @@
 import hashlib
+import importlib
+import pkgutil
 from fractions import Fraction
 
 import pytest
 from mpmath import mp, mpc, mpf
 
+import eistau
 from eistau.algebra import CompositeIndex, make_index
 from eistau.config import SingularParameterError, TruncationBudget
 from eistau.mmv import (
@@ -339,8 +342,21 @@ def test_zeta_odd_rejects_even():
         zeta_odd(4, ZETA_BUDGET)
 
 
+def _engine_modules() -> list:
+    return [importlib.import_module(f"eistau.{info.name}")
+            for info in pkgutil.iter_modules(eistau.__path__)]
+
+
+def _engine_caches() -> dict:
+    """Every cache of the engine, found as an object with `cache_clear` in one
+    of its modules, by module and name."""
+    return {f"{module.__name__.removeprefix('eistau.')}.{attr}": obj
+            for module in _engine_modules()
+            for attr, obj in vars(module).items() if hasattr(obj, "cache_clear")}
+
+
 def test_clear_caches_recomputes_bit_identical_values():
-    from eistau import clear_caches, config, eisenstein, integrals, lseries, mmv
+    from eistau import clear_caches, eisenstein
     from eistau.integrals import int_eval
     from eistau.lseries import l_eval
 
@@ -357,29 +373,29 @@ def test_clear_caches_recomputes_bit_identical_values():
     def constants():
         return [eisenstein._constant_mpf(k) for k in (2, 3, 4)]
 
-    memos = (mmv._memo, mmv._t_memo, mmv._i_memo, lseries._l_memo, integrals._int_memo)
-    assert sorted(map(id, memos)) == sorted(map(id, config._MEMOS))  # every value memo
+    # the caches these values reach: every value cache, the fold stages and J
+    # tables, the L tables, the Eisenstein samples and constants
+    reached = ("mmv._r_value", "mmv._t_cusp_reg", "mmv._i_coeff", "lseries._l_value",
+               "integrals._int_value", "integrals._stage", "integrals._tails",
+               "lseries._table", "lseries._small_im", "eisenstein._cusp_at",
+               "eisenstein._constant_at")
+    caches = _engine_caches()
 
-    def kept():
-        return [{key: v._mpc_ for key, v in memo.items()} for memo in memos]
+    def sizes():
+        return {name: caches[name].cache_info().currsize for name in reached}
 
     before = [v._mpc_ for v in values()]
-    assert all(memos)
-    lru_caches = (eisenstein._constant_at, eisenstein._cusp_at, integrals._tails)
-    assert all(c.cache_info().currsize for c in lru_caches)
     constants_before = constants()
+    assert all(sizes().values()) and eisenstein._sigma_tables
     clear_caches()
-    caches = (mmv._memo, lseries._coeff_cache, eisenstein._sigma_tables, integrals._stages)
-    assert not any(caches)
-    assert not any(memos)
-    assert not any(c.cache_info().currsize for c in lru_caches)
+    assert not any(c.cache_info().currsize for c in caches.values())
+    assert not eisenstein._sigma_tables
     assert [v._mpc_ for v in values()] == before
-    kept_cold = kept()
-    assert all(kept_cold)
-    assert [v._mpc_ for v in values()] == before  # from the memo and the kept stages
-    assert all(caches)
-    assert kept() == kept_cold
-    assert all(c.cache_info().currsize for c in lru_caches)
+    kept_cold, misses = sizes(), {name: c.cache_info().misses for name, c in caches.items()}
+    assert all(kept_cold.values())
+    assert [v._mpc_ for v in values()] == before  # from the value caches
+    assert {name: c.cache_info().misses for name, c in caches.items()} == misses
+    assert sizes() == kept_cold
     assert constants() == constants_before
 
 
@@ -407,17 +423,41 @@ def test_clear_caches_empties_rewrite_tables_and_converts_equal():
     assert all(t.cache_info().currsize for t in tables)
 
 
-def test_lru_caches_are_bounded():
-    from eistau import config, eisenstein, integrals, lseries, mmv, rewrite
+def test_every_cache_is_bounded_and_cleared():
+    # every kept value or table is a bounded lru_cache that clear_caches
+    # empties; the one other state, the divisor-sum sieve, is the only
+    # module-level container that an evaluation grows
+    from eistau import clear_caches, eisenstein, rewrite
+    from eistau.algebra import lseries_gen, tau_integral_gen
+    from eistau.integrals import int_eval
+    from eistau.lseries import l_eval
+    from eistau.quadrature import quad_segment
 
-    for cache in (rewrite._int_to_l_table, rewrite._l_to_int_table,
-                  eisenstein._constant_at, eisenstein._cusp_at, integrals._tails):
-        assert cache.cache_info().maxsize is not None, cache
-    memos = (mmv._memo, mmv._t_memo, mmv._i_memo, lseries._l_memo, integrals._int_memo)
-    assert sorted(map(id, memos)) == sorted(map(id, config._MEMOS))
-    for memo in memos:
-        assert isinstance(memo, config._Memo) and memo.maxsize == 4096
-        assert len(memo) <= memo.maxsize
+    containers = {(module.__name__, attr): obj for module in _engine_modules()
+                  for attr, obj in vars(module).items()
+                  if not attr.startswith("__") and isinstance(obj, (dict, list, set))}
+    clear_caches()
+    lengths = {key: len(obj) for key, obj in containers.items()}
+    tau = mpc("0.2", "1.1")
+    s_coeff(MonomialCoefficientRequest((2, 3), (1, 2)), budget=BUDGET)
+    r_iter([("const", 3), ("cusp", 2)], (2, 1), BUDGET)
+    t_cusp_reg(3, 7, BUDGET)
+    l_eval(make_index([2, 3], [1, 2]), tau, BUDGET)
+    int_eval(make_index([3, 2], [2, 1]), tau, BUDGET)
+    eisenstein.eis_cusp_eval(4, tau, BUDGET)
+    quad_segment(lambda t: t, mpc(0), mpc(1))
+    rewrite.l_to_int(lseries_gen([2, 2], [2, 3], 1))
+    rewrite.int_to_l(tau_integral_gen([2, 3], [3, 1], 1))
+    caches = _engine_caches()
+    for name, cache in caches.items():
+        info = cache.cache_info()
+        assert info.maxsize is not None and info.currsize, (name, info)
+    grown = {key for key, obj in containers.items() if len(obj) != lengths[key]}
+    assert grown == {("eistau.eisenstein", "_sigma_tables")}
+    clear_caches()
+    for name, cache in caches.items():
+        assert cache.cache_info().currsize == 0, name
+    assert not eisenstein._sigma_tables
 
 
 def test_gammainc_majorant_dominates_terms():

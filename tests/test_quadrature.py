@@ -137,7 +137,7 @@ def test_quad_T_cusp_reuses_the_samples_of_a_smaller_power():
 
 @pytest.mark.parametrize("n", [8, 24, 72])
 def test_rule_exact_on_polynomials_below_n(n):
-    rule = _rule(n)
+    rule = _rule(n, mp.prec)
     nodes, weights = rule[0], rule[1]
     tol = mpf(10) ** (5 - mp.dps)
     for d in range(n):
@@ -151,14 +151,14 @@ def test_rule_exact_on_polynomials_below_n(n):
 
 
 def test_rule_nodes_nest_under_tripling():
-    small, big = _rule(8)[0], _rule(24)[0]
+    small, big = _rule(8, mp.prec)[0], _rule(24, mp.prec)[0]
     assert small == big[1::3]
 
 
 def test_antiderivative_of_exponential_matches_closed_form():
     # int_x^1 e^{-a s} ds = (e^{-a x} - e^{-a}) / a; spectral accuracy at n = 72
     a = mpf(5)
-    rule = _rule(72)
+    rule = _rule(72, mp.prec)
     nodes = rule[0]
     tails = _antiderivative([mp.exp(-a * x) for x in nodes], rule)
     worst = max(abs(g - (mp.exp(-a * x) - mp.exp(-a)) / a) for x, g in zip(nodes, tails))
@@ -218,7 +218,7 @@ def _spread_samples(nodes):
 @pytest.mark.parametrize("n", [8, 24, 72, 216])
 def test_antiderivative_bit_identical_to_fdot(n, prec):
     mp.prec = prec
-    rule = _rule(n)
+    rule = _rule(n, mp.prec)
     complex_vals = _spread_samples(rule[0])
     real_vals = [v.real for v in complex_vals]
     for vals in (complex_vals, real_vals):
@@ -230,7 +230,7 @@ def test_antiderivative_bit_identical_to_fdot(n, prec):
 def test_rule_weights_bit_identical_to_fdot(prec):
     mp.prec = prec
     for n in (8, 24, 72, 216, 648):
-        assert _raw(_rule(n)[1]) == _raw(_fdot_weights(n)), n
+        assert _raw(_rule(n, mp.prec)[1]) == _raw(_fdot_weights(n)), n
 
 
 def _fraction(x):
@@ -308,6 +308,6 @@ def test_quadrature_imports_no_closed_form_module():
 
 def test_clear_caches_empties_rule_cache():
     quad_segment(lambda t: t, mpc(0), mpc(1))
-    assert quadrature._rules
+    assert quadrature._rule.cache_info().currsize
     eistau.clear_caches()
-    assert not quadrature._rules
+    assert quadrature._rule.cache_info().currsize == 0

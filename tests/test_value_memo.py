@@ -1,20 +1,26 @@
-"""The value memos of l_eval, int_eval, i_coeff, t_cusp_reg and the R words.
+"""The value caches of l_eval, int_eval, i_coeff, t_cusp_reg and the R words.
 
 Each evaluator keeps the values it returns, keyed on its normalized arguments,
-the budget and `mp.prec`, in a bounded `config._Memo`.  A raise is not kept,
-and `l_eval`'s small-Im-tau warning fires on hits too.
+the budget and `mp.prec`, in a bounded `lru_cache` on the private function
+that computes them.  A raise is not kept, and `l_eval`'s small-Im-tau warning
+fires on hits too.
 """
+
+import hashlib
+import sys
+from functools import lru_cache
 
 import pytest
 from mpmath import mp, mpc
 
-from eistau import clear_caches, config, eisenstein, integrals, lseries, mmv
+from eistau import clear_caches, eisenstein, integrals, lseries, mmv
 from eistau.algebra import CompositeIndex, make_index
 from eistau.config import BudgetError, SingularParameterError, TruncationBudget
 from eistau.exppoly import ExpPoly
 from eistau.integrals import int_eval
 from eistau.lseries import l_eval
 from eistau.mmv import MonomialCoefficientRequest, i_coeff, t_cusp_reg
+from eistau.verify import run_suite
 
 BUDGET = TruncationBudget(1e-30, 100_000)
 LOOSE = TruncationBudget(1e-20, 100_000)
@@ -26,6 +32,9 @@ EVALUATORS = {
     "i_coeff": lambda budget: i_coeff((2, 3), (1, 2), budget),
     "t_cusp_reg": lambda budget: t_cusp_reg(3, 7, budget),
 }
+# the function whose cache keeps each evaluator's values
+VALUE_CACHES = {"l_eval": lseries._l_value, "int_eval": integrals._int_value,
+                "i_coeff": mmv._i_coeff, "t_cusp_reg": mmv._t_cusp_reg, "R words": mmv._r_value}
 
 
 @pytest.fixture
@@ -85,10 +94,12 @@ def test_l_eval_warns_on_a_hit():
 @pytest.mark.parametrize("name", EVALUATORS)
 def test_a_raise_is_not_kept(name):
     tiny = TruncationBudget(1e-30, 3)
-    for _ in range(2):
+    clear_caches()
+    for calls in (1, 2):
         with pytest.raises(BudgetError):
             EVALUATORS[name](tiny)
-    assert not any(tiny in key for memo in config._MEMOS for key in memo)
+        assert VALUE_CACHES[name].cache_info().misses == calls  # computed afresh
+    assert not any(cache.cache_info().currsize for cache in VALUE_CACHES.values())
 
 
 def test_argument_raises_repeat():
@@ -107,18 +118,36 @@ def test_keys_are_normalized_to_tuples():
     clear_caches()
     value = i_coeff((2, 3), (1, 2), BUDGET)
     assert i_coeff(MonomialCoefficientRequest([2, 3], [1, 2]), budget=BUDGET) is value
-    assert len(mmv._i_memo) == 1
+    assert mmv._i_coeff.cache_info().currsize == 1
     value = int_eval(make_index([3, 2], [2, 1]), TAU, BUDGET)
     assert int_eval(CompositeIndex([3, 2], [2, 1]), TAU, BUDGET) is value
-    assert len(integrals._int_memo) == 1
+    assert integrals._int_value.cache_info().currsize == 1
 
 
-def test_memo_drops_its_oldest_entry_past_maxsize(monkeypatch):
-    monkeypatch.setattr(config, "_MEMOS", [])
-    memo = config._Memo()
-    memo.maxsize = 3
-    assert config._MEMOS == [memo]
-    for n in range(5):
-        assert memo.value((n,), lambda n: 10 * n, n) == 10 * n
-    assert memo == {(2, mp.prec): 20, (3, mp.prec): 30, (4, mp.prec): 40}
-    assert memo.value((3,), lambda: pytest.fail("a kept value is not recomputed")) == 30
+@pytest.fixture
+def two_entry_caches(monkeypatch):
+    """The stage and L-table caches and the five value caches cut to two entries."""
+    caches = []
+    for fn in (integrals._stage, lseries._table, *VALUE_CACHES.values()):
+        caches.append(lru_cache(maxsize=2)(fn.__wrapped__))
+        monkeypatch.setattr(sys.modules[fn.__module__], fn.__name__, caches[-1])
+    clear_caches()
+    return caches
+
+
+def test_evicted_entries_recompute_the_same_bits(two_entry_caches):
+    # an evicted stage or table lives on inside the outer one that holds it, a
+    # rebuilt one has the same bits by the truncation prefix, and an evicted
+    # value is recomputed from either
+    from test_integrals import test_fold_values_bit_identical
+    from test_lseries import test_l_values_bit_identical
+    from test_verify import SMALL_REPORT_SHA256
+
+    for suite in ("stuffle", "shuffle", "symmetry", "fund"):
+        text = run_suite(suite, "small").to_json()
+        assert hashlib.sha256(text.encode()).hexdigest() == SMALL_REPORT_SHA256[suite], suite
+    test_fold_values_bit_identical()  # PINNED_FOLD_SHA256
+    test_l_values_bit_identical()  # PINNED_L_SHA256
+    for cache in two_entry_caches:
+        info = cache.cache_info()
+        assert info.misses > info.maxsize, (cache.__name__, info)  # it evicted
