@@ -25,9 +25,12 @@ and rounding), not on mpc objects:
 
 * `mul_qseries` multiplies by a q-series with integer coefficients (a cusp
   series sum_n sigma(n) e^{2 pi i n t}) and truncates at n_cut.  It forms only
-  the frequency pairs n_lo < n1 + n2 <= n_cut and sums each output frequency
-  in place in ascending n1, so it rounds exactly as `ExpPoly.__mul__`
-  followed by `truncated`, whatever n_lo.
+  the frequency pairs n_lo < n1 + n2 <= n_cut, on Python integers: each part
+  of an output frequency is the exact convolution of the integer
+  coefficients (sigma wider than the precision included) with that part of
+  the input's coefficients, summed exactly and rounded once, so no bit
+  depends on n_lo or n_cut.  The tests pin it bit for bit to that statement
+  summed in Fractions.
 * `ExpPoly.tail_integral` runs that recurrence, O(D) operations per frequency
   of degree D, and returns -R.  c = i b is exactly imaginary, so a division by
   c is two real divisions, (x + iy) / (ib) = (y - ix) / b, each rounded once;
@@ -36,12 +39,13 @@ and rounding), not on mpc objects:
   within 2^(4-prec) of each frequency's largest coefficient to the sum over
   derivatives at 30 more digits.
 
-Both skip exact zeros (the parts below s^{alpha-1} after the shift, and the
-zero halves of exactly real or imaginary coefficients) where skipping changes
-no bit.
+`tail_integral` skips exact zeros (the parts below s^{alpha-1} after the
+shift, and the zero halves of exactly real or imaginary coefficients) where
+skipping changes no bit.
 
-`ExpPoly.__call__` reads every kept q-expansion, the folds of `integrals` and
-the L tables of `lseries`, as one dot: the value at t is
+`ExpPoly.__call__` reads every kept fold of `integrals` as one dot (and the
+fixed-point L tables of `lseries` read their integer rows the same way, on
+the same power chains): the value at t is
 
     sum_{n <= n_max} q^n sum_d c_{n,d} t^d,    q = e^{2 pi i t} at the working precision,
 
@@ -63,21 +67,11 @@ those kept q-expansions gain frequencies in place.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from itertools import islice
+from operator import mul
 
 from mpmath import mp, mpc
-from mpmath.libmp import (
-    from_int,
-    from_man_exp,
-    fzero,
-    mpf_add,
-    mpf_div,
-    mpf_mul_int,
-    mpf_neg,
-    mpf_sub,
-    to_int,
-)
+from mpmath.libmp import from_man_exp, fzero, mpf_div, mpf_mul_int, mpf_neg, mpf_sub
 
 Poly = tuple  # coefficient tuple, index = power of t
 GUARD_BITS = 8  # bits the power chains of `ExpPoly.__call__` keep beyond the working precision
@@ -242,9 +236,7 @@ class ExpPoly:
 
 
 # The kernels work on flat lists of raw mpf parts, re and im of each coefficient
-# side by side.  Every sum in them adds values already rounded at the working
-# precision, so adding an exact zero, or a product with one, changes nothing
-# and is skipped.
+# side by side.
 
 
 def _flat(p: Poly) -> list:
@@ -301,37 +293,34 @@ def _powers(z: tuple, prec: int):
 def mul_qseries(g: ExpPoly, coeffs, n_cut: int, n_lo: int = 0) -> ExpPoly:
     """(sum_{1<=n<=n_cut} coeffs[n] e^{2 pi i n t}) * g at the frequencies n_lo < n <= n_cut.
 
-    `coeffs` holds Python integers (index 0 unused), e.g. a `sigma_table`.  The
-    value is bit-identical to `(ExpPoly.from_qseries(...) * g).truncated(n_cut)`
-    without its frequencies <= n_lo: each term coeffs[n1] * g_{n2} is rounded
-    once as the mpc product is, and the terms of each output frequency are
-    summed in ascending n1; pairs outside (n_lo, n_cut] are never formed.
+    `coeffs` holds Python integers (index 0 unused), e.g. a `sigma_table`.
+    Each part (re or im of a coefficient) of an output frequency n is the exact
+    convolution sum_{n1 + n2 = n} coeffs[n1] g_{n2}, rounded once: each part
+    position of g becomes a column of integers over n2 on that position's
+    least exponent, so every product and the sum are exact integers.  The
+    value does not depend on n_lo or n_cut beyond which frequencies it holds;
+    pairs outside (n_lo, n_cut] are never formed.
     """
     prec, rnd = mp._prec_rounding
-    src = []  # (n2, flat length, nonzero parts (k, x)) in ascending n2
-    for n2, p in sorted(g.terms.items()):
-        if n2 < n_cut:
-            flat = _flat(p)
-            src.append((n2, len(flat), [(k, x) for k, x in enumerate(flat) if x != fzero]))
-    keys = [n2 for n2, _, _ in src]
+    src = [(n2, _flat(p)) for n2, p in g.terms.items() if n2 < n_cut]
+    size = max((len(flat) for _, flat in src), default=0)
+    a = coeffs[1:n_cut + 1]
     out: dict[int, list] = {}
-    for n1 in range(1, n_cut + 1):
-        a = coeffs[n1]
-        if not a:
+    for k in range(size):
+        nonzero = [(n2, flat[k]) for n2, flat in src if k < len(flat) and flat[k][1]]
+        if not nonzero:
             continue
-        if a.bit_length() > prec:  # mpc(a) would round it first
-            a = to_int(from_int(a, prec, rnd))
-        for n2, size, nonzero in src[bisect_right(keys, n_lo - n1):]:
-            n = n1 + n2
-            if n > n_cut:
-                break
-            acc = out.setdefault(n, [])
-            if len(acc) < size:
-                acc.extend([fzero] * (size - len(acc)))
-            for k, x in nonzero:
-                x = mpf_mul_int(x, a, prec, rnd)
-                y = acc[k]
-                acc[k] = x if y == fzero else mpf_add(y, x, prec, rnd)
+        e = min(x[2] for _, x in nonzero)
+        col = [0] * n_cut  # g_{n2} at position k is col[n2] 2^e exactly
+        for n2, (sign, man, x, _) in nonzero:
+            col[n2] = (-man if sign else man) << (x - e)
+        lo = min(n2 for n2, _ in nonzero)
+        stop = lo - 1 if lo else None
+        for n in range(max(n_lo, lo) + 1, n_cut + 1):
+            # coeffs[n1] col[n - n1] for n1 = 1 .. n - lo
+            acc = sum(map(mul, a[:n - lo], col[n - 1:stop:-1]))
+            if acc:
+                out.setdefault(n, [fzero] * size)[k] = from_man_exp(acc, e, prec, rnd)
     return _from_flat(out)
 
 

@@ -31,8 +31,8 @@ eps/2 (`freq_cutoff`).
 Truncation prefix: the fold's q-expansion does not depend on tau, only n_cut
 does, and the frequencies <= N' of the fold truncated at N >= N' are
 bit-identical to the fold truncated at N'.  A term at frequency n is built
-only from input frequencies below n; `mul_qseries` sums each output frequency
-in ascending n1, whatever its lower bound; `tail_integral` works per
+only from input frequencies below n; `mul_qseries` sums each output part
+exactly and rounds it once, whatever its lower bound; `tail_integral` works per
 frequency; and `ExpPoly.__call__` with n_max reads the frequencies <= n_max
 only, each against a power q^n that does not depend on how far the fold has
 grown.  So the fold is kept as a table of stages, each grown in place from

@@ -9,16 +9,19 @@ For an index (k_1..k_r; alpha_1..alpha_r; t) the series is
 
 Coefficients c(m) are exact rationals; l_coeffs_dp computes them by a backward
 recursion in O(r N^2) exact operations, l_coeffs_bruteforce enumerates the
-compositions literally and exists as an oracle.  Evaluation converts to
-floating point only at the end, with a certified tail bound.  `l_coeffs_dp`
-and `l_eval` share one kept table of c per (ks, alphas) and extend it when a
-call needs more rows, so no row is computed twice.  A table carries the
-majorant of its c, computed once from its suffix table's, and its nonzero
-rows as an ExpPoly converted to mpf once per working precision, which
-`l_eval` reads by `ExpPoly.__call__` up to its own N, as one exact dot
-against the powers of q rounded once, and keeps each value it returns
-(`_l_value`).  Tables and values are bounded `lru_cache`s; an evicted table
-lives on as the suffix table of a kept one.
+compositions literally and exists as an oracle.  The recursion runs in one
+of two rings (`_LTable`): exact `Fraction`s for `l_coeffs_dp`, and for
+`l_eval` certified fixed point, Python ints R(m) that approximate c(m) 2^B
+from below by floor division, whose deficit c(m) 2^B - R(m) has a majorant of
+the table's own shape.  `l_eval` reads the fixed-point rows up to its N
+against the power chain of q that `ExpPoly.__call__` reads folds with, as
+one exact dot rounded once, with B chosen so that the deficit moves the
+value by at most eps 2^-24, inside the truncation budget, and below the
+rounding at the working precision (`_fixed_bits`).  A table per (ks, alphas,
+ring) is kept and extended when a call needs more rows, so no row is
+computed twice, and `l_eval` keeps each value it returns (`_l_value`).
+Tables and values are bounded `lru_cache`s; an evicted table lives on as the
+suffix table of a kept one.
 """
 
 from __future__ import annotations
@@ -27,17 +30,23 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, islice
+from math import prod
+from operator import floordiv, mul, truediv
 
 from mpmath import mp, mpc, mpf
+from mpmath.libmp import from_man_exp
 
 from .algebra import CompositeIndex
 from .config import DEFAULT_BUDGET, TruncationBudget
 from .eisenstein import _as_mpf, _product_majorant, sigma_majorant, sigma_table, tail_start
-from .exppoly import ExpPoly
+from .exppoly import GUARD_BITS, _powers
 
 BRUTEFORCE_MAX_DEPTH = 4
 BRUTEFORCE_MAX_N = 200
+# Every N below 64 takes the bits of 64 (`_fixed_bits`), so reads at moderate Im tau
+# (N <= 24 at Im tau >= 0.7 and eps 1e-30) share one table per index and precision.
+_MIN_N_BITS = 6
 
 
 @dataclass(frozen=True)
@@ -85,13 +94,14 @@ def l_coeffs_dp(index: CompositeIndex, n: int) -> LCoefficients:
 
 
 class _LTable:
-    """c(0..n) of one index (k, ...; alpha, ...), kept and grown (c(0) = 0
-    unused), and its nonzero rows c(1..n) as the ExpPoly sum_m c(m) q^m,
-    `values`, converted to mpf at the last working precision.
+    """Rows c(0..n) of one index (k, ...; alpha, ...) in one ring, kept and
+    grown (row 0 unused): exact `Fraction`s for `bits` None, and for an int
+    `bits` = B the fixed-point rows R(m) of c(m) 2^B, Python ints built with
+    floor division.
 
     In the recursion of `l_coeffs_dp`, S_j is c of the suffix (k_j, ..., k_r;
     alpha_j, ..., alpha_r), so a table holds its first k and alpha and the
-    table of the suffix after them, `inner`, None at depth 1.
+    table of the suffix after them in the same ring, `inner`, None at depth 1.
 
     `majorant` is (P, C) with c(m) <= C m^P for every m >= 1, carried from the
     suffix table's: sigma_{2k-1}(n) <= sigma_majorant(k) n^{2k-1}; a layer's
@@ -100,19 +110,27 @@ class _LTable:
     alpha_j, not below 0, as m >= 1.
     Unclamped, P = sum (2k-1) + r - 1 - sum alpha: the inner denominators
     lower it below the sum (2k-1) + r - 1 - alpha_1 of the leading
-    denominator alone."""
+    denominator alone.
 
-    __slots__ = ("k", "alpha", "inner", "rows", "majorant", "prec", "n_values", "values")
+    `deficit` is (P, C) with d(m) = c(m) 2^B - R(m) <= C m^P.  Every term of
+    the recursion is >= 0, so a floor only lowers a row: d(m) >= 0, d(m) < 1
+    at depth 1, and a layer's d(m) < 1 + sum_u sigma(u) d_inner(m-u) / m^alpha.
+    That is the majorant's recursion seeded at (0, 1), plus 1 per layer
+    (1 <= m^P)."""
 
-    def __init__(self, k: int, alpha: int, inner: "_LTable | None"):
-        self.k, self.alpha, self.inner = k, alpha, inner
-        self.rows = [Fraction(0)]
-        power, c = 2 * k - 1, sigma_majorant(k)
-        if inner is not None:
+    __slots__ = ("k", "alpha", "inner", "bits", "rows", "majorant", "deficit")
+
+    def __init__(self, k: int, alpha: int, inner: "_LTable | None", bits: int | None):
+        self.k, self.alpha, self.inner, self.bits = k, alpha, inner, bits
+        self.rows = [Fraction(0) if bits is None else 0]
+        if inner is None:
+            self.majorant = max(2 * k - 1 - alpha, 0), sigma_majorant(k)
+            self.deficit = 0, Fraction(1)
+        else:
             power, s = _product_majorant(k, inner.majorant[0])
-            c = inner.majorant[1] * s
-        self.majorant = max(power - alpha, 0), c
-        self.prec, self.n_values, self.values = None, 0, ExpPoly()
+            self.majorant = max(power - alpha, 0), inner.majorant[1] * s
+            power, s = _product_majorant(k, inner.deficit[0])
+            self.deficit = max(power - alpha, 0), inner.deficit[1] * s + 1
 
     @property
     def n(self) -> int:
@@ -120,36 +138,36 @@ class _LTable:
 
     def grow(self, n: int) -> None:
         """Extend the rows from the kept n to n, the inner table first: row m
-        needs the inner rows below m only."""
+        needs the inner rows below m only.  Exact rows divide as Fractions,
+        fixed-point rows scale by 2^B and floor."""
         n0 = self.n
         if n <= n0:
             return
         sig = sigma_table(2 * self.k - 1, n)
         a = self.alpha
+        zero = self.rows[0]  # starts each sum, so that an empty one stays in the ring
+        quo, one = (truediv, Fraction(1)) if self.bits is None else (floordiv, 1 << self.bits)
         if self.inner is None:
-            self.rows.extend(Fraction(sig[m], m**a) for m in range(n0 + 1, n + 1))
+            self.rows.extend(quo(sig[m] * one, m**a) for m in range(n0 + 1, n + 1))
             return
         self.inner.grow(n)
         inner = self.inner.rows
         for m in range(n0 + 1, n + 1):
-            acc = Fraction(0)
-            for u in range(1, m):
-                s = inner[m - u]
-                if s:
-                    acc += sig[u] * s
-            self.rows.append(acc / m**a if acc else Fraction(0))
+            self.rows.append(quo(sum(map(mul, sig[1:m], inner[m - 1:0:-1]), zero), m**a))
 
-    def series(self) -> ExpPoly:
-        """`values` at the working precision, each row converted once."""
-        if self.prec != mp.prec:
-            self.prec, self.n_values, self.values = mp.prec, 0, ExpPoly()
-        terms = self.values.terms
-        for m in range(self.n_values + 1, self.n + 1):
-            c = self.rows[m]
-            if c:
-                terms[m] = (mpc(_as_mpf(c)),)
-        self.n_values = self.n
-        return self.values
+    def read(self, tau: mpc, n: int) -> mpc:
+        """sum_{m <= n} R(m) 2^-B q^m of a fixed-point table grown to n, at the
+        working precision, as `ExpPoly.__call__` reads a q-expansion: q^m from
+        the power chain of q (`exppoly._powers`), each product exact, the real
+        and the imaginary sum each rounded once."""
+        prec, rnd = mp._prec_rounding
+        q_pows = list(islice(_powers(mp.expjpi(2 * tau)._mpc_, prec), 1, n + 1))
+        e = min(x for _, _, x in q_pows)
+        rows = self.rows[1:n + 1]
+        re = sum((r * a) << (x - e) for r, (a, _, x) in zip(rows, q_pows))
+        im = sum((r * b) << (x - e) for r, (_, b, x) in zip(rows, q_pows))
+        e -= self.bits
+        return mp.make_mpc((from_man_exp(re, e, prec, rnd), from_man_exp(im, e, prec, rnd)))
 
 
 def l_coeffs_bruteforce(index: CompositeIndex, n: int) -> LCoefficients:
@@ -187,22 +205,69 @@ def _small_im(prec: int) -> mpf:
 
 
 @lru_cache(maxsize=1024)
-def _table(ks: tuple[int, ...], alphas: tuple[int, ...]) -> _LTable:
-    """The kept table of (ks, alphas), whose inner table is the kept one of
-    its suffix: a suffix shared by several indices is grown once."""
-    return _LTable(ks[0], alphas[0], _table(ks[1:], alphas[1:]) if len(ks) > 1 else None)
+def _table(ks: tuple[int, ...], alphas: tuple[int, ...], bits: int | None = None) -> _LTable:
+    """The kept table of (ks, alphas) in the ring `bits`, whose inner table is
+    the kept one of its suffix in the same ring: a suffix shared by several
+    indices is grown once.  The exact ring is always asked for as
+    `_table(ks, alphas)`, without a third argument, which the cache would
+    key apart."""
+    if len(ks) == 1:
+        inner = None
+    elif bits is None:
+        inner = _table(ks[1:], alphas[1:])
+    else:
+        inner = _table(ks[1:], alphas[1:], bits)
+    return _LTable(ks[0], alphas[0], inner, bits)
+
+
+def _fixed_bits(index: CompositeIndex, n: int, scale: mpf, eps) -> int:
+    """B for the fixed-point rows of `index` read up to N = n with prefactor
+    modulus `scale`, at the working precision.
+
+    The deficit term of the read, scale 2^-B sum_{m <= n} d(m) |q|^m, is at
+    most scale 2^-B C n^{P+1} |q|^r for the deficit majorant (P, C), as
+    d(m) = 0 below the depth r, and n^{P+1} < 2^{(P+1) b} for b the bit length
+    of n, taken at least _MIN_N_BITS.  B makes that at most eps 2^-24
+    (certified, with |q|^r <= 1), and at most 2^-(prec + GUARD_BITS) times
+    the first term scale c(r) |q|^r, below the rounding of the read at the
+    working precision: c(r) = 1 / prod_j (r - j + 1)^{alpha_j} is the first
+    nonzero row (every part 1).  B depends only on the index, n's bit length,
+    scale, eps and the precision."""
+    power, c = _table(index.ks, index.alphas).deficit
+    log2_c = c.numerator.bit_length() - c.denominator.bit_length() + 1  # >= log2 C
+    spread = log2_c + (power + 1) * max(n.bit_length(), _MIN_N_BITS)
+    r = index.depth
+    lead = prod((r - j) ** a for j, a in enumerate(index.alphas)).bit_length()  # log2 1/c(r)
+    certified = 24 + mp.mag(scale) + 1 - mp.mag(eps)  # scale / eps < 2^(certified - 24)
+    return spread + max(mp.prec + GUARD_BITS + lead, certified)
+
+
+def _l_read(index: CompositeIndex, tau: mpc, budget: TruncationBudget) -> tuple:
+    """(prefactor, table, N) of the series at tau and the working precision:
+    N certified by tail_start at Im tau for the majorant c(m) <= C m^P, and
+    the kept fixed-point table for `_fixed_bits`, grown to N."""
+    prefactor = (2 * mp.pi * mpc(0, 1)) ** (-sum(index.alphas)) * tau**index.t
+    power, c = _table(index.ks, index.alphas).majorant
+    scale = abs(prefactor)
+    eps_series = mpf(budget.eps) / ((1 + scale) * _as_mpf(c))
+    n = tail_start(power, tau.imag, eps_series, budget.n_max)
+    table = _table(index.ks, index.alphas, _fixed_bits(index, n, scale, budget.eps))
+    table.grow(n)
+    return prefactor, table, n
 
 
 def l_eval(index: CompositeIndex, tau, budget: TruncationBudget = DEFAULT_BUDGET) -> mpc:
     """Series value at tau with certified truncation; depth 0 returns 1.
 
-    N is certified by tail_start at Im tau for the table's majorant
-    c(m) <= C m^P, and the table's series is read by `ExpPoly.__call__`: the
-    rows m <= N against the power chain of q, summed exactly and rounded once.
-    q^m does not depend on how far the chain runs, so a table grown further
-    for a lower Im tau gives the bits of one grown to N.  A value is kept per
-    (index, tau, budget, mp.prec) by `_l_value`; the checks and the warning
-    come first on every call."""
+    The fixed-point table of `_l_read` is read by `_LTable.read`: the rows
+    m <= N against the power chain of q, summed exactly and rounded once.
+    The truncation tail of the value is below eps s / (1 + s) e^-mu, s the
+    prefactor's modulus and mu >= 1e-6 tail_start's margin in the log, which
+    leaves more than 9e-7 eps for the deficit term of at most eps 2^-24
+    (6e-8 eps).  q^m does not depend on how far the chain runs, so a table
+    grown further for a lower Im tau gives the bits of one grown to N.  A
+    value is kept per (index, tau, budget, mp.prec) by `_l_value`; the checks
+    and the warning come first on every call."""
     if index.depth == 0:
         return mpc(1)
     tau = mpc(tau)
@@ -222,12 +287,6 @@ def _l_value(index: CompositeIndex, tau: tuple, budget: TruncationBudget, prec: 
     """The series value at tau (raw parts) at the working precision prec = mp.prec."""
     tau = mp.make_mpc(tau)
     with mp.extradps(10):
-        alpha_sum = sum(index.alphas)
-        prefactor = (2 * mp.pi * mpc(0, 1)) ** (-alpha_sum) * tau**index.t
-        table = _table(index.ks, index.alphas)
-        power, c = table.majorant
-        eps_series = mpf(budget.eps) / ((1 + abs(prefactor)) * _as_mpf(c))
-        n_trunc = tail_start(power, tau.imag, eps_series, budget.n_max)
-        table.grow(n_trunc)
-        val = prefactor * table.series()(tau, n_max=n_trunc)
+        prefactor, table, n = _l_read(index, tau, budget)
+        val = prefactor * table.read(tau, n)
     return +val

@@ -156,48 +156,82 @@ def _mixed_exppoly() -> ExpPoly:
     })
 
 
-@pytest.mark.parametrize("dps", [40, 70])
-def test_mul_qseries_matches_product_then_truncation(dps):
+def _dyadic(x: tuple) -> Fraction:
+    """The raw mpf x as an exact Fraction."""
+    sign, man, exp, _ = x
+    v = Fraction(man) * Fraction(2) ** exp
+    return -v if sign else v
+
+
+def _mul_qseries_reference(g: ExpPoly, coeffs, n_cut: int, n_lo: int = 0) -> dict:
+    """Raw parts of each output frequency n_lo < n <= n_cut: per part, the
+    convolution sum_{n1 + n2 = n} coeffs[n1] g_{n2} summed in Fractions and
+    rounded once at the working precision, trimmed as ExpPoly trims."""
+    prec, rnd = mp._prec_rounding
+    out = {}
+    for n in range(n_lo + 1, n_cut + 1):
+        sums = []
+        for n2, p in g.terms.items():
+            if 1 <= n - n2 <= n_cut and coeffs[n - n2]:
+                flat = [x for z in p for x in z._mpc_]
+                sums += [Fraction(0)] * (len(flat) - len(sums))
+                for k, x in enumerate(flat):
+                    sums[k] += coeffs[n - n2] * _dyadic(x)
+        parts = [from_man_exp(c.numerator, 1 - c.denominator.bit_length(), prec, rnd)
+                 for c in sums]
+        poly = list(zip(parts[::2], parts[1::2]))
+        while poly and not (poly[-1][0][1] or poly[-1][1][1]):
+            poly.pop()
+        if poly:
+            out[n] = tuple(poly)
+    return out
+
+
+def _mul_qseries_cases(dps):
     with mp.workdps(dps + 30):
         wide = _mixed_exppoly()  # coefficients wider than the working precision
     with mp.workdps(dps):
-        for k, n_cut, g in [(3, 17, cusp_exppoly(2, 17).tail_integral(2)),
-                            (5, 9, _mixed_exppoly()),
-                            (2, 4, _mixed_exppoly()),
-                            (3, 7, wide)]:
-            ref = (cusp_exppoly(k, n_cut) * g).truncated(n_cut)
-            got = mul_qseries(g, sigma_table(2 * k - 1, n_cut), n_cut)
-            assert _parts(got) == _parts(ref)
+        return [(sigma_table(2 * k - 1, n_cut), n_cut, g)
+                for k, n_cut, g in [(3, 17, cusp_exppoly(2, 17).tail_integral(2)),
+                                    (5, 9, _mixed_exppoly()),
+                                    (2, 4, _mixed_exppoly()),
+                                    (3, 7, wide)]]
 
 
-def test_mul_qseries_rounds_wide_integer_coefficients_as_mpc_does():
-    coeffs = [0, 3**90 + 1, 0, 7, 2**200 - 1]  # wider than 53 bits, and a zero
-    g = _mixed_exppoly()
+@pytest.mark.parametrize("dps", [40, 70])
+def test_mul_qseries_is_the_exact_convolution_rounded_once(dps):
+    with mp.workdps(dps):
+        for coeffs, n_cut, g in _mul_qseries_cases(dps):
+            got = _parts(mul_qseries(g, coeffs, n_cut))
+            assert got == _mul_qseries_reference(g, coeffs, n_cut)
+
+
+def test_mul_qseries_takes_wide_integer_coefficients_exactly():
+    # coefficients wider than the 53 bits of 15 digits enter the products
+    # unrounded: at frequency 3, (2^100 + 1) g_2 + 2^100 g_1 is exactly -1,
+    # where the coefficients rounded first would give 0
+    g = ExpPoly({1: (mpc(1),), 2: (mpc(-1), mpc(0, 3))})
     with mp.workdps(15):
-        ref = ExpPoly.from_qseries({n: coeffs[n] for n in range(1, 5)}) * g
-        got = mul_qseries(g, coeffs, 4)
-        assert _parts(got) == _parts(ref.truncated(4))
+        got = mul_qseries(g, [0, 2**100 + 1, 2**100, 0], 3)
+        assert got.terms[3] == (mpc(-1), mpc(0, 3 * (2**100 + 1)))
+        for coeffs in ([0, 2**100 + 1, 2**100, 0], [0, 3**90 + 1, 0, 7, 2**200 - 1, 5]):
+            n_cut = len(coeffs) - 1
+            assert _parts(mul_qseries(g, coeffs, n_cut)) == _mul_qseries_reference(g, coeffs, n_cut)
 
 
 @pytest.mark.parametrize("dps", [40, 70])
 def test_mul_qseries_lower_bound_is_the_slice_of_the_product(dps):
-    # every n_lo: the frequencies n_lo < n <= n_cut of product-then-truncation,
-    # bit for bit, and nothing at or below n_lo
-    with mp.workdps(dps + 30):
-        wide = _mixed_exppoly()
-    with mp.workdps(dps):
-        cases = [(sigma_table(2 * k - 1, n_cut), n_cut, g)
-                 for k, n_cut, g in [(3, 17, cusp_exppoly(2, 17).tail_integral(2)),
-                                     (5, 9, _mixed_exppoly()),
-                                     (3, 7, wide)]]
+    # every n_lo: the frequencies n_lo < n <= n_cut of the full product, bit
+    # for bit, and nothing at or below n_lo
+    cases = _mul_qseries_cases(dps)
     cases.append(([0, 3**90 + 1, 0, 7, 2**200 - 1], 4, _mixed_exppoly()))
     for coeffs, n_cut, g in cases:
         with mp.workdps(15 if n_cut == 4 else dps):
-            series = ExpPoly.from_qseries({n: coeffs[n] for n in range(1, n_cut + 1)})
-            ref = _parts((series * g).truncated(n_cut))
+            full = _parts(mul_qseries(g, coeffs, n_cut))
+            assert full == _mul_qseries_reference(g, coeffs, n_cut)
             for n_lo in range(n_cut + 1):
                 got = mul_qseries(g, coeffs, n_cut, n_lo)
-                assert _parts(got) == {n: p for n, p in ref.items() if n > n_lo}
+                assert _parts(got) == {n: p for n, p in full.items() if n > n_lo}
 
 
 def _tail_integral_recurrence(f: ExpPoly, alpha: int) -> ExpPoly:

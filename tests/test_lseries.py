@@ -1,16 +1,20 @@
 import hashlib
+import random
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpc, mpf
+from mpmath.libmp import from_man_exp
 
 from eistau.algebra import make_index
 from eistau.config import TruncationBudget
 from eistau import clear_caches
-from eistau.eisenstein import convolution_majorant, divisor_sigma, sigma_majorant
-from eistau.lseries import _table, l_coeffs_bruteforce, l_coeffs_dp, l_eval
+from eistau.eisenstein import convolution_majorant, divisor_sigma, sigma_majorant, sigma_table
+from eistau.exppoly import _powers
+from eistau.lseries import _l_read, _table, l_coeffs_bruteforce, l_coeffs_dp, l_eval
 
 BUDGET = TruncationBudget(1e-30, 100_000)
 
@@ -154,6 +158,26 @@ def test_table_majorants_equal_the_index_loop():
         assert _table(ks, alphas).majorant == _coeff_majorant_loop(ks, alphas), (ks, alphas)
 
 
+def test_table_deficits_equal_the_index_loop():
+    # the deficit majorant is the coefficient majorant's loop seeded at (0, 1)
+    # at depth 1, plus 1 per layer: (2, 2; 1, 1) has C = 3/2 K(3, 0) + 1
+    clear_caches()
+    assert _table((2, 2), (1, 1)).deficit == (3, Fraction(3, 2) * (Fraction(1, 4) + 1) + 1)
+    for ks, alphas in MAJORANT_INDICES + PINNED_L_INDICES:
+        power, c = 0, Fraction(1)
+        for k, alpha in zip(reversed(ks[:-1]), reversed(alphas[:-1])):
+            c = c * sigma_majorant(k) * convolution_majorant(2 * k - 1, power) + 1
+            power = max(power + 2 * k - alpha, 0)
+        assert _table(ks, alphas).deficit == (power, c), (ks, alphas)
+
+
+def _read(idx, tau, budget=BUDGET):
+    """(prefactor, fixed-point table, N) of l_eval's read at tau, at the
+    precision l_eval reads at."""
+    with mp.extradps(10):
+        return _l_read(idx, mpc(tau), budget)
+
+
 def test_l_eval_cutoff_certified_at_exact_im_tau():
     # N comes from tail_start at Im tau itself: rounding Im tau down to a
     # multiple of 1/8 gave tables of 22 and 13 for the same budget
@@ -161,55 +185,81 @@ def test_l_eval_cutoff_certified_at_exact_im_tau():
     for tau, n in ((mpc("0.3", "0.74"), 18), (mpc("0.3", "1.1"), 12)):
         clear_caches()
         l_eval(idx, tau, BUDGET)
-        assert _table(idx.ks, idx.alphas).n == n
+        _, table, n_read = _read(idx, tau)
+        assert n_read == n and table.n == n
 
 
 def test_l_coeffs_dp_grows_the_kept_table():
-    # l_coeffs_dp and l_eval share one table per index: no second chain
+    # l_coeffs_dp grows the kept exact table in place, with its suffix table;
+    # l_eval reads the fixed-point ring and takes only the majorants of the
+    # exact table, whose rows it never grows
     idx = make_index([2, 3], [1, 2])
     clear_caches()
     l_eval(idx, mpc("0.1", "1.9"), BUDGET)
     table = _table(idx.ks, idx.alphas)
-    rows, n0 = table.rows, table.n
-    assert n0 < 30
+    rows = table.rows
+    assert table.n == 0 and table.inner is _table((3,), (2,)) and table.inner.n == 0
+    _, fixed, n0 = _read(idx, mpc("0.1", "1.9"))
+    assert fixed.n == n0 < 30 and fixed.inner is _table((3,), (2,), fixed.bits)
+    assert _table.cache_info().currsize == 4  # the two exact tables and the two fixed ones
     coeffs = l_coeffs_dp(idx, 30).coeffs
     assert _table(idx.ks, idx.alphas) is table and table.rows is rows
-    assert table.n == 30 and table.inner is _table((3,), (2,))
-    assert _table.cache_info().currsize == 2
+    assert table.n == 30 and table.inner.n == 30 and fixed.n == n0
+    assert _table.cache_info().currsize == 4
     assert l_coeffs_dp(idx, n0).coeffs == coeffs[:n0] and table.n == 30
 
 
+def _deficits(table, n):
+    """d(m) = c(m) 2^B - R(m) for m = 1..n of a fixed-point table, from the
+    exact rows of the same index."""
+    ks, alphas = [], []
+    t = table
+    while t is not None:
+        ks.append(t.k)
+        alphas.append(t.alpha)
+        t = t.inner
+    exact = l_coeffs_dp(make_index(ks, alphas), n).coeffs
+    return [0] + [c * 2**table.bits - r for c, r in zip(exact, table.rows[1:n + 1])]
+
+
 def test_l_table_grows_in_place_and_converts_once():
-    # a larger N extends the kept rows of the table and of its suffix tables,
-    # which are the cache's own, rather than rebuilding them; the rows equal
-    # the enumeration oracle and their mpf values a fresh conversion
+    # a larger N extends the kept fixed-point rows of the table and of its
+    # suffix tables, which are the cache's own, rather than rebuilding them;
+    # the rows lie at most their deficit majorant below the exact rows of the
+    # enumeration oracle, and a read is the exact dot of the rows with the
+    # power chain of q, each part rounded once
     idx = make_index([2, 3, 2], [1, 2, 2])
-    keys = [(idx.ks[j:], idx.alphas[j:]) for j in range(3)]
     clear_caches()
-    l_eval(make_index([3, 2], [2, 2]), mpc("0.1", "1.9"), BUDGET)  # the suffix first
     l_eval(idx, mpc("0.1", "1.9"), BUDGET)
-    assert _table.cache_info().currsize == 3  # the table and its two suffix tables
+    _, table, n0 = _read(idx, mpc("0.1", "1.9"))
+    keys = [(idx.ks[j:], idx.alphas[j:], table.bits) for j in range(3)]
+    size = _table.cache_info().currsize
     tables = [_table(*key) for key in keys]
-    assert _table.cache_info().currsize == 3  # each a hit
-    assert [t.inner for t in tables] == tables[1:] + [None]
-    n0, kept = tables[0].n, [list(t.rows) for t in tables]
-    values0 = dict(tables[0].values.terms)
-    l_eval(idx, mpc("0.1", "0.7"), BUDGET)
-    assert [_table(*key) for key in keys] == tables and tables[0].n > n0
+    assert _table.cache_info().currsize == size  # each a hit
+    assert tables[0] is table and [t.inner for t in tables] == tables[1:] + [None]
+    kept = [list(t.rows) for t in tables]
+    tau = mpc("0.1", "0.7")
+    l_eval(idx, tau, BUDGET)
+    _, again, n1 = _read(idx, tau)
+    assert again is table and n1 > n0 and all(t.n == n1 for t in tables)
     assert all(t.rows[m] is old[m] for t, old in zip(tables, kept) for m in range(n0 + 1))
-    assert all(tables[0].values.terms[m] is p for m, p in values0.items())
-    for key, t in zip(keys, tables):
-        assert tuple(t.rows[1:]) == l_coeffs_bruteforce(make_index(*key), t.n).coeffs
-    with mp.extradps(10):  # the precision l_eval converts at
-        assert tables[0].prec == mp.prec
-        assert {m: p[0]._mpc_ for m, p in tables[0].values.terms.items()} == {
-            m: mpc(mpf(c.numerator) / c.denominator)._mpc_
-            for m, c in enumerate(tables[0].rows) if c}
-    with mp.workdps(50):  # another precision converts afresh
+    for (ks, alphas, _), t in zip(keys, tables):
+        exact = l_coeffs_bruteforce(make_index(ks, alphas), t.n).coeffs
+        power, c = _table(ks, alphas).deficit
+        assert all(0 <= e * 2**t.bits - r <= c * m**power
+                   for m, (e, r) in enumerate(zip(exact, t.rows[1:]), 1))
+    with mp.extradps(10):  # the precision l_eval reads at
+        prec, rnd = mp._prec_rounding
+        q_pows = list(islice(_powers(mp.expjpi(2 * tau)._mpc_, prec), 1, n0 + 1))
+        sums = [sum(Fraction(r * q[j], 2**table.bits) * Fraction(2) ** q[2]
+                    for r, q in zip(table.rows[1:], q_pows))
+                for j in (0, 1)]
+        assert table.read(tau, n0)._mpc_ == tuple(
+            from_man_exp(v.numerator, 1 - v.denominator.bit_length(), prec, rnd) for v in sums)
+    with mp.workdps(50):  # another precision reads a table of more bits
         l_eval(idx, mpc("0.1", "1.9"), BUDGET)
-        with mp.extradps(10):
-            assert tables[0].prec == mp.prec and tables[0].n_values == tables[0].n
-            assert max(tables[0].values.terms) == tables[0].n
+        _, wider, _ = _read(idx, mpc("0.1", "1.9"))
+    assert wider.bits > table.bits and table.n == n1
     clear_caches()
     assert _table.cache_info().currsize == 0
 
@@ -223,10 +273,100 @@ def test_l_table_read_below_its_kept_n_gives_cold_bits():
     for tau in taus:
         clear_caches()
         cold.append(l_eval(idx, tau, BUDGET)._mpc_)
-    n_last = _table(idx.ks, idx.alphas).n
+    n_last = _read(idx, taus[-1])[2]
     clear_caches()
     assert [l_eval(idx, tau, BUDGET)._mpc_ for tau in taus] == cold
-    assert _table(idx.ks, idx.alphas).n > n_last
+    table = _read(idx, taus[-1])[1]
+    assert table is _read(idx, taus[0])[1] and table.n > n_last
+
+
+def _seeded_indices(seed, depths):
+    """Indices of the given depths with k in 2..4 and alpha in 1..4, drawn from
+    a seeded generator."""
+    rng = random.Random(seed)
+    return [tuple(zip(*[(rng.randint(2, 4), rng.randint(1, 4)) for _ in range(r)]))
+            for r in depths]
+
+
+DEFICIT_INDICES = _seeded_indices(2404, (1, 1, 2, 2, 3))
+
+
+def _layer_excess(table, deficits):
+    """d(m) - sum_u sigma(u) d_inner(m-u) / m^alpha for m = 1..n, the realized
+    deficit of one layer over its share from the inner layer (none at depth
+    1).  The sum is 2^B c(m) - S(m) / m^alpha for the exact row c(m) and
+    S(m) = sum_u sigma(u) R_inner(m-u) over the inner fixed-point rows."""
+    n = len(deficits) - 1
+    sig = sigma_table(2 * table.k - 1, n)
+    out = []
+    for m in range(1, n + 1):
+        share = 0
+        if table.inner is not None:
+            inner = table.inner.rows
+            exact = deficits[m] + table.rows[m]  # c(m) 2^B
+            share = exact - Fraction(sum(sig[u] * inner[m - u] for u in range(1, m)),
+                                     m**table.alpha)
+        out.append(deficits[m] - share)
+    return out
+
+
+@pytest.mark.parametrize("ks,alphas", DEFICIT_INDICES)
+def test_fixed_point_rows_within_their_certified_deficit(ks, alphas):
+    # 0 <= c(m) 2^B - R(m) <= C m^P for the deficit majorant (P, C), and each
+    # layer's deficit obeys d(m) < 1 + sum_u sigma(u) d_inner(m-u) / m^alpha;
+    # negative controls: without the 1 that recursion fails, and a row raised
+    # by one unit breaks 0 <= d
+    n = 400
+    table = _table(ks, alphas, 200)
+    table.grow(n)
+    d = _deficits(table, n)
+    power, c = _table(ks, alphas).deficit
+    assert all(0 <= d[m] <= c * m**power for m in range(1, n + 1))
+    layer = table
+    while layer is not None:
+        dl = _deficits(layer, n)
+        excess = _layer_excess(layer, dl)
+        assert all(x < 1 for x in excess)
+        assert any(x > 0 for x in excess)  # the 1 of each layer is needed
+        layer = layer.inner
+    low, m = min((d[j], j) for j in range(1, n + 1) if table.rows[j])
+    assert low < 1
+    raised = list(table.rows)
+    raised[m] += 1
+    exact = l_coeffs_dp(make_index(ks, alphas), n).coeffs
+    assert not all(0 <= e * 2**table.bits - r for e, r in zip(exact, raised[1:]))
+
+
+@pytest.mark.parametrize("ks,alphas,t,tau,eps", [
+    (ks, alphas, t, tau, eps) for (ks, alphas), t, tau, eps in zip(
+        _seeded_indices(2405, (1, 2, 3, 3, 2)), (2, 0, 1, 0, 1),
+        (("0.3", "0.1"), ("-0.45", "0.7"), ("0.2", "0.3"), ("0", "1"), ("0.1", "0.4")),
+        (1e-30, 1e-30, 1e-30, 1e-30, 1e-70))])
+def test_fixed_point_read_within_its_certified_term(ks, alphas, t, tau, eps):
+    # the read of the fixed-point rows and that of the exact rows, both at 70
+    # more digits than l_eval reads at (enough to resolve the difference,
+    # which lies below its precision), differ by at most the deficit term
+    # 2^-B sum_{m <= N} C m^P |q|^m, which times the prefactor is at most
+    # eps 2^-24 (at eps 1e-70, below the 40 digits, that bound sets B); the
+    # value l_eval returns is within eps of the exact read, or within its own
+    # rounding where that is larger
+    idx, budget = make_index(ks, alphas, t), TruncationBudget(eps, BUDGET.n_max)
+    clear_caches()
+    value = l_eval(idx, mpc(*tau), budget)
+    prefactor, table, n = _read(idx, mpc(*tau), budget)
+    power, c = _table(ks, alphas).deficit
+    exact = l_coeffs_dp(idx, n).coeffs
+    with mp.extradps(70):
+        q = mp.expjpi(2 * mpc(*tau))
+        scale = mpf(2) ** -table.bits
+        fixed = mp.fsum(table.rows[m] * scale * q**m for m in range(1, n + 1))
+        ref = mp.fsum(mpf(e.numerator) / e.denominator * q**m for m, e in enumerate(exact, 1))
+        term = mp.fsum(c.numerator * m**power * scale / c.denominator * abs(q) ** m
+                       for m in range(1, n + 1))
+        assert 0 < abs(fixed - ref) <= term
+        assert abs(prefactor) * term <= eps * mpf(2) ** -24
+        ref *= prefactor
+    assert abs(value - ref) <= max(eps, abs(ref) * 2 ** (4 - mp.prec))
 
 
 def _mpc_digest(values) -> str:
