@@ -67,13 +67,16 @@ those kept q-expansions gain frequencies in place.
 
 from __future__ import annotations
 
-from itertools import islice
-from operator import mul
+from itertools import islice, repeat
+from operator import add, mul
 
 from mpmath import mp, mpc
 from mpmath.libmp import from_man_exp, fzero, mpf_div, mpf_mul_int, mpf_neg, mpf_sub
 
 Poly = tuple  # coefficient tuple, index = power of t
+# `mul_qseries` adds each entry of a column into the sums in turn where the column has
+# fewer than 1/_SCATTER of its span nonzero, and reads each sum as one dot otherwise.
+_SCATTER = 4
 GUARD_BITS = 8  # bits the power chains of `ExpPoly.__call__` keep beyond the working precision
 
 
@@ -311,14 +314,25 @@ def mul_qseries(g: ExpPoly, coeffs, n_cut: int, n_lo: int = 0) -> ExpPoly:
         if not nonzero:
             continue
         e = min(x[2] for _, x in nonzero)
-        col = [0] * n_cut  # g_{n2} at position k is col[n2] 2^e exactly
-        for n2, (sign, man, x, _) in nonzero:
-            col[n2] = (-man if sign else man) << (x - e)
-        lo = min(n2 for n2, _ in nonzero)
-        stop = lo - 1 if lo else None
-        for n in range(max(n_lo, lo) + 1, n_cut + 1):
+        # g_{n2} at position k is v 2^e exactly for each (n2, v)
+        ints = [(n2, (-man if sign else man) << (x - e)) for n2, (sign, man, x, _) in nonzero]
+        lo = min(n2 for n2, _ in ints)
+        start = max(n_lo, lo) + 1
+        if _SCATTER * len(ints) < n_cut - lo:
+            # few entries: add coeffs[n - n2] v to each sum n > n2 in turn
+            sums = [0] * (n_cut + 1 - start)
+            for n2, v in ints:
+                i = max(start, n2 + 1)
+                terms = map(mul, a[i - n2 - 1:n_cut - n2], repeat(v))
+                sums[i - start:] = map(add, sums[i - start:], terms)
+        else:
+            col = [0] * n_cut
+            for n2, v in ints:
+                col[n2] = v
+            stop = lo - 1 if lo else None
             # coeffs[n1] col[n - n1] for n1 = 1 .. n - lo
-            acc = sum(map(mul, a[:n - lo], col[n - 1:stop:-1]))
+            sums = (sum(map(mul, a[:n - lo], col[n - 1:stop:-1])) for n in range(start, n_cut + 1))
+        for n, acc in enumerate(sums, start):
             if acc:
                 out.setdefault(n, [fzero] * size)[k] = from_man_exp(acc, e, prec, rnd)
     return _from_flat(out)

@@ -13,15 +13,17 @@ compositions literally and exists as an oracle.  The recursion runs in one
 of two rings (`_LTable`): exact `Fraction`s for `l_coeffs_dp`, and for
 `l_eval` certified fixed point, Python ints R(m) that approximate c(m) 2^B
 from below by floor division, whose deficit c(m) 2^B - R(m) has a majorant of
-the table's own shape.  `l_eval` reads the fixed-point rows up to its N
-against the power chain of q that `ExpPoly.__call__` reads folds with, as
-one exact dot rounded once, with B chosen so that the deficit moves the
+the table's own shape (`_bounds`).  `l_eval` reads the fixed-point rows up to
+its N against the power chain of q that `ExpPoly.__call__` reads folds with,
+as one exact dot rounded once, with B chosen so that the deficit moves the
 value by at most eps 2^-24, inside the truncation budget, and below the
-rounding at the working precision (`_fixed_bits`).  A table per (ks, alphas,
-ring) is kept and extended when a call needs more rows, so no row is
-computed twice, and `l_eval` keeps each value it returns (`_l_value`).
-Tables and values are bounded `lru_cache`s; an evicted table lives on as the
-suffix table of a kept one.
+rounding at the working precision (`_fixed_bits`).  B is rounded up to a
+coarse grid above the working precision, so the indices read at one
+precision share a B and with it the tables of their common suffixes.  A
+table per (ks, alphas, ring) is kept and extended when a call needs more
+rows, so no row is computed twice, and `l_eval` keeps each value it returns
+(`_l_value`).  Tables and values are bounded `lru_cache`s; an evicted table
+lives on as the suffix table of a kept one.
 """
 
 from __future__ import annotations
@@ -47,6 +49,10 @@ BRUTEFORCE_MAX_N = 200
 # Every N below 64 takes the bits of 64 (`_fixed_bits`), so reads at moderate Im tau
 # (N <= 24 at Im tau >= 0.7 and eps 1e-30) share one table per index and precision.
 _MIN_N_BITS = 6
+# B is the working precision plus a multiple of this (`_fixed_bits`): the bits an
+# index needs above the precision, 16 to 118 on the benchmark's workloads, differ
+# between indices, and one step holds them all, so that they share their suffix tables.
+_BITS_STEP = 128
 
 
 @dataclass(frozen=True)
@@ -88,7 +94,7 @@ def l_coeffs_dp(index: CompositeIndex, n: int) -> LCoefficients:
         raise ValueError("depth must be >= 1")
     if n < 1:
         raise ValueError("n must be >= 1")
-    table = _table(index.ks, index.alphas)
+    table = _table(index.ks, index.alphas, None)
     table.grow(n)
     return LCoefficients(index, tuple(table.rows[1:n + 1]))
 
@@ -103,34 +109,15 @@ class _LTable:
     alpha_j, ..., alpha_r), so a table holds its first k and alpha and the
     table of the suffix after them in the same ring, `inner`, None at depth 1.
 
-    `majorant` is (P, C) with c(m) <= C m^P for every m >= 1, carried from the
-    suffix table's: sigma_{2k-1}(n) <= sigma_majorant(k) n^{2k-1}; a layer's
-    convolution sum_u sigma_{2k_j-1}(u) S_{j+1}(m-u) is one step of
-    `eisenstein._product_majorant`; its denominator m^{alpha_j} lowers P by
-    alpha_j, not below 0, as m >= 1.
-    Unclamped, P = sum (2k-1) + r - 1 - sum alpha: the inner denominators
-    lower it below the sum (2k-1) + r - 1 - alpha_1 of the leading
-    denominator alone.
+    The certificate of the fixed-point rows is the deficit majorant of
+    `_bounds`: every term of the recursion is >= 0, so a floor only lowers a
+    row."""
 
-    `deficit` is (P, C) with d(m) = c(m) 2^B - R(m) <= C m^P.  Every term of
-    the recursion is >= 0, so a floor only lowers a row: d(m) >= 0, d(m) < 1
-    at depth 1, and a layer's d(m) < 1 + sum_u sigma(u) d_inner(m-u) / m^alpha.
-    That is the majorant's recursion seeded at (0, 1), plus 1 per layer
-    (1 <= m^P)."""
-
-    __slots__ = ("k", "alpha", "inner", "bits", "rows", "majorant", "deficit")
+    __slots__ = ("k", "alpha", "inner", "bits", "rows")
 
     def __init__(self, k: int, alpha: int, inner: "_LTable | None", bits: int | None):
         self.k, self.alpha, self.inner, self.bits = k, alpha, inner, bits
         self.rows = [Fraction(0) if bits is None else 0]
-        if inner is None:
-            self.majorant = max(2 * k - 1 - alpha, 0), sigma_majorant(k)
-            self.deficit = 0, Fraction(1)
-        else:
-            power, s = _product_majorant(k, inner.majorant[0])
-            self.majorant = max(power - alpha, 0), inner.majorant[1] * s
-            power, s = _product_majorant(k, inner.deficit[0])
-            self.deficit = max(power - alpha, 0), inner.deficit[1] * s + 1
 
     @property
     def n(self) -> int:
@@ -205,19 +192,41 @@ def _small_im(prec: int) -> mpf:
 
 
 @lru_cache(maxsize=1024)
-def _table(ks: tuple[int, ...], alphas: tuple[int, ...], bits: int | None = None) -> _LTable:
-    """The kept table of (ks, alphas) in the ring `bits`, whose inner table is
-    the kept one of its suffix in the same ring: a suffix shared by several
-    indices is grown once.  The exact ring is always asked for as
-    `_table(ks, alphas)`, without a third argument, which the cache would
-    key apart."""
-    if len(ks) == 1:
-        inner = None
-    elif bits is None:
-        inner = _table(ks[1:], alphas[1:])
-    else:
-        inner = _table(ks[1:], alphas[1:], bits)
+def _table(ks: tuple[int, ...], alphas: tuple[int, ...], bits: int | None) -> _LTable:
+    """The kept table of (ks, alphas) in the ring `bits` (None for exact
+    rows), whose inner table is the kept one of its suffix in the same ring:
+    a suffix shared by several indices is grown once."""
+    inner = _table(ks[1:], alphas[1:], bits) if len(ks) > 1 else None
     return _LTable(ks[0], alphas[0], inner, bits)
+
+
+@lru_cache(maxsize=1024)
+def _bounds(ks: tuple[int, ...], alphas: tuple[int, ...]) -> tuple:
+    """(majorant, deficit) of the rows of (ks, alphas), each a pair (P, C),
+    carried from its suffix's as the recursion of `l_coeffs_dp` carries the
+    rows.
+
+    The majorant has c(m) <= C m^P for every m >= 1: sigma_{2k-1}(n) <=
+    sigma_majorant(k) n^{2k-1}; a layer's convolution sum_u sigma_{2k_j-1}(u)
+    S_{j+1}(m-u) is one step of `eisenstein._product_majorant`; its
+    denominator m^{alpha_j} lowers P by alpha_j, not below 0, as m >= 1.
+    Unclamped, P = sum (2k-1) + r - 1 - sum alpha: the inner denominators
+    lower it below the sum (2k-1) + r - 1 - alpha_1 of the leading
+    denominator alone.
+
+    The deficit has d(m) = c(m) 2^B - R(m) <= C m^P for the fixed-point rows
+    R at any B.  Every term of the recursion is >= 0, so a floor only lowers
+    a row: d(m) >= 0, d(m) < 1 at depth 1, and a layer's d(m) < 1 + sum_u
+    sigma(u) d_inner(m-u) / m^alpha.  That is the majorant's recursion seeded
+    at (0, 1), plus 1 per layer (1 <= m^P)."""
+    k, alpha = ks[0], alphas[0]
+    if len(ks) == 1:
+        return (max(2 * k - 1 - alpha, 0), sigma_majorant(k)), (0, Fraction(1))
+    (m_power, m_c), (d_power, d_c) = _bounds(ks[1:], alphas[1:])
+    power, s = _product_majorant(k, m_power)
+    majorant = max(power - alpha, 0), m_c * s
+    power, s = _product_majorant(k, d_power)
+    return majorant, (max(power - alpha, 0), d_c * s + 1)
 
 
 def _fixed_bits(index: CompositeIndex, n: int, scale: mpf, eps) -> int:
@@ -231,15 +240,18 @@ def _fixed_bits(index: CompositeIndex, n: int, scale: mpf, eps) -> int:
     (certified, with |q|^r <= 1), and at most 2^-(prec + GUARD_BITS) times
     the first term scale c(r) |q|^r, below the rounding of the read at the
     working precision: c(r) = 1 / prod_j (r - j + 1)^{alpha_j} is the first
-    nonzero row (every part 1).  B depends only on the index, n's bit length,
-    scale, eps and the precision."""
-    power, c = _table(index.ks, index.alphas).deficit
+    nonzero row (every part 1).  B is that rounded up to the working
+    precision plus a multiple of _BITS_STEP: it depends only on the index,
+    n's bit length, scale, eps and the precision, and indices whose needs
+    lie in one step share it."""
+    power, c = _bounds(index.ks, index.alphas)[1]
     log2_c = c.numerator.bit_length() - c.denominator.bit_length() + 1  # >= log2 C
     spread = log2_c + (power + 1) * max(n.bit_length(), _MIN_N_BITS)
     r = index.depth
     lead = prod((r - j) ** a for j, a in enumerate(index.alphas)).bit_length()  # log2 1/c(r)
     certified = 24 + mp.mag(scale) + 1 - mp.mag(eps)  # scale / eps < 2^(certified - 24)
-    return spread + max(mp.prec + GUARD_BITS + lead, certified)
+    need = spread + max(mp.prec + GUARD_BITS + lead, certified) - mp.prec
+    return mp.prec + -(-need // _BITS_STEP) * _BITS_STEP
 
 
 def _l_read(index: CompositeIndex, tau: mpc, budget: TruncationBudget) -> tuple:
@@ -247,7 +259,7 @@ def _l_read(index: CompositeIndex, tau: mpc, budget: TruncationBudget) -> tuple:
     N certified by tail_start at Im tau for the majorant c(m) <= C m^P, and
     the kept fixed-point table for `_fixed_bits`, grown to N."""
     prefactor = (2 * mp.pi * mpc(0, 1)) ** (-sum(index.alphas)) * tau**index.t
-    power, c = _table(index.ks, index.alphas).majorant
+    power, c = _bounds(index.ks, index.alphas)[0]
     scale = abs(prefactor)
     eps_series = mpf(budget.eps) / ((1 + scale) * _as_mpf(c))
     n = tail_start(power, tau.imag, eps_series, budget.n_max)

@@ -6,6 +6,7 @@ import pytest
 from mpmath import mp, mpc, mpf
 from mpmath.libmp import from_man_exp
 
+from eistau import exppoly
 from eistau.eisenstein import sigma_table
 from eistau.exppoly import GUARD_BITS, ExpPoly, _powers, elem_exp_tail, mul_qseries
 
@@ -232,6 +233,26 @@ def test_mul_qseries_lower_bound_is_the_slice_of_the_product(dps):
             for n_lo in range(n_cut + 1):
                 got = mul_qseries(g, coeffs, n_cut, n_lo)
                 assert _parts(got) == {n: p for n, p in full.items() if n > n_lo}
+
+
+@pytest.mark.parametrize("scatter", [0, exppoly._SCATTER, 10**9])
+def test_mul_qseries_sparse_and_dense_columns_agree(monkeypatch, scatter):
+    # a column with few nonzero entries is added into the sums entry by entry
+    # and a dense one read as one dot per sum (a rule of 0 scatters every
+    # column, 10^9 none): either way each part is the exact convolution
+    # rounded once, at every n_lo
+    monkeypatch.setattr(exppoly, "_SCATTER", scatter)
+    sparse = ExpPoly({3: (mpc("0.25", -3), mpc(0, "1e-9")), 11: (mpc("-1.5"),),
+                      12: (mpc(0), mpc(7, 2))})
+    cases = [(sigma_table(3, 30), 30, ExpPoly({0: (mpc(1),)})),
+             (sigma_table(5, 40), 40, sparse),
+             (sigma_table(9, 9), 9, _mixed_exppoly())]
+    for coeffs, n_cut, g in cases:
+        full = _parts(mul_qseries(g, coeffs, n_cut))
+        assert full == _mul_qseries_reference(g, coeffs, n_cut)
+        for n_lo in (1, 5, 12, n_cut - 1, n_cut):
+            got = mul_qseries(g, coeffs, n_cut, n_lo)
+            assert _parts(got) == {n: p for n, p in full.items() if n > n_lo}
 
 
 def _tail_integral_recurrence(f: ExpPoly, alpha: int) -> ExpPoly:

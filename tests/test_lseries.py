@@ -11,10 +11,10 @@ from mpmath.libmp import from_man_exp
 
 from eistau.algebra import make_index
 from eistau.config import TruncationBudget
-from eistau import clear_caches
+from eistau import clear_caches, lseries
 from eistau.eisenstein import convolution_majorant, divisor_sigma, sigma_majorant, sigma_table
 from eistau.exppoly import _powers
-from eistau.lseries import _l_read, _table, l_coeffs_bruteforce, l_coeffs_dp, l_eval
+from eistau.lseries import _bounds, _l_read, _table, l_coeffs_bruteforce, l_coeffs_dp, l_eval
 
 BUDGET = TruncationBudget(1e-30, 100_000)
 
@@ -125,7 +125,7 @@ MAJORANT_INDICES = [((2,), (1,)), ((11,), (1,)), ((11, 11), (1, 1)), ((3, 4), (6
 @pytest.mark.parametrize("ks,alphas", MAJORANT_INDICES)
 def test_coeff_majorant_dominates_exact_coefficients(ks, alphas):
     idx = make_index(ks, alphas)
-    power, c = _table(ks, alphas).majorant
+    power, c = _bounds(ks, alphas)[0]
     coeffs = l_coeffs_dp(idx, 200)
     assert all(coeffs[m] <= c * m**power for m in range(1, 201))
 
@@ -134,12 +134,12 @@ def test_coeff_majorant_layer_constants():
     # c(m) = sum_{u} sigma_3(u) sigma_3(m-u) / ((m-u) m) with sigma_3(n) <= 3/2 n^3:
     # the inner layer is 3/2 n^2, the convolution K(3, 2) m^6 = (B(4, 3) + 3^3 2^2 / 5^5) m^6
     k32 = Fraction(1, 60) + Fraction(108, 3125)
-    assert _table((2, 2), (1, 1)).majorant == (5, Fraction(9, 4) * k32)
+    assert _bounds((2, 2), (1, 1))[0] == (5, Fraction(9, 4) * k32)
 
 
 def _coeff_majorant_loop(ks, alphas):
     """The index-by-index majorant loop: the reference for the majorants the
-    tables carry."""
+    tables are read with."""
     power, c = None, Fraction(1)
     for k, alpha in zip(reversed(ks), reversed(alphas)):
         c *= sigma_majorant(k)
@@ -155,20 +155,20 @@ def _coeff_majorant_loop(ks, alphas):
 def test_table_majorants_equal_the_index_loop():
     clear_caches()
     for ks, alphas in MAJORANT_INDICES + PINNED_L_INDICES:
-        assert _table(ks, alphas).majorant == _coeff_majorant_loop(ks, alphas), (ks, alphas)
+        assert _bounds(ks, alphas)[0] == _coeff_majorant_loop(ks, alphas), (ks, alphas)
 
 
 def test_table_deficits_equal_the_index_loop():
     # the deficit majorant is the coefficient majorant's loop seeded at (0, 1)
     # at depth 1, plus 1 per layer: (2, 2; 1, 1) has C = 3/2 K(3, 0) + 1
     clear_caches()
-    assert _table((2, 2), (1, 1)).deficit == (3, Fraction(3, 2) * (Fraction(1, 4) + 1) + 1)
+    assert _bounds((2, 2), (1, 1))[1] == (3, Fraction(3, 2) * (Fraction(1, 4) + 1) + 1)
     for ks, alphas in MAJORANT_INDICES + PINNED_L_INDICES:
         power, c = 0, Fraction(1)
         for k, alpha in zip(reversed(ks[:-1]), reversed(alphas[:-1])):
             c = c * sigma_majorant(k) * convolution_majorant(2 * k - 1, power) + 1
             power = max(power + 2 * k - alpha, 0)
-        assert _table(ks, alphas).deficit == (power, c), (ks, alphas)
+        assert _bounds(ks, alphas)[1] == (power, c), (ks, alphas)
 
 
 def _read(idx, tau, budget=BUDGET):
@@ -190,23 +190,24 @@ def test_l_eval_cutoff_certified_at_exact_im_tau():
 
 
 def test_l_coeffs_dp_grows_the_kept_table():
-    # l_coeffs_dp grows the kept exact table in place, with its suffix table;
-    # l_eval reads the fixed-point ring and takes only the majorants of the
-    # exact table, whose rows it never grows
+    # l_eval grows fixed-point tables only, with the majorants of `_bounds`;
+    # l_coeffs_dp grows the kept exact table in place, with its suffix table,
+    # and leaves the fixed-point ones as they are
     idx = make_index([2, 3], [1, 2])
     clear_caches()
     l_eval(idx, mpc("0.1", "1.9"), BUDGET)
-    table = _table(idx.ks, idx.alphas)
-    rows = table.rows
-    assert table.n == 0 and table.inner is _table((3,), (2,)) and table.inner.n == 0
     _, fixed, n0 = _read(idx, mpc("0.1", "1.9"))
     assert fixed.n == n0 < 30 and fixed.inner is _table((3,), (2,), fixed.bits)
-    assert _table.cache_info().currsize == 4  # the two exact tables and the two fixed ones
-    coeffs = l_coeffs_dp(idx, 30).coeffs
-    assert _table(idx.ks, idx.alphas) is table and table.rows is rows
+    assert _table.cache_info().currsize == 2  # the table and its suffix table, no exact one
+    coeffs = l_coeffs_dp(idx, n0).coeffs
+    table = _table(idx.ks, idx.alphas, None)
+    rows = table.rows
+    assert table.n == n0 and table.inner is _table((3,), (2,), None)
+    assert _table.cache_info().currsize == 4
+    assert l_coeffs_dp(idx, 30).coeffs[:n0] == coeffs
+    assert _table(idx.ks, idx.alphas, None) is table and table.rows is rows
     assert table.n == 30 and table.inner.n == 30 and fixed.n == n0
     assert _table.cache_info().currsize == 4
-    assert l_coeffs_dp(idx, n0).coeffs == coeffs[:n0] and table.n == 30
 
 
 def _deficits(table, n):
@@ -227,15 +228,17 @@ def test_l_table_grows_in_place_and_converts_once():
     # suffix tables, which are the cache's own, rather than rebuilding them;
     # the rows lie at most their deficit majorant below the exact rows of the
     # enumeration oracle, and a read is the exact dot of the rows with the
-    # power chain of q, each part rounded once
+    # power chain of q, each part rounded once; an index whose suffix was
+    # read first as an index of its own grows on that suffix's tables
     idx = make_index([2, 3, 2], [1, 2, 2])
     clear_caches()
+    l_eval(make_index([3, 2], [2, 2]), mpc("0.1", "1.9"), BUDGET)  # the suffix first
     l_eval(idx, mpc("0.1", "1.9"), BUDGET)
+    assert _table.cache_info().currsize == 3  # the table and its two suffix tables
     _, table, n0 = _read(idx, mpc("0.1", "1.9"))
     keys = [(idx.ks[j:], idx.alphas[j:], table.bits) for j in range(3)]
-    size = _table.cache_info().currsize
     tables = [_table(*key) for key in keys]
-    assert _table.cache_info().currsize == size  # each a hit
+    assert _table.cache_info().currsize == 3  # each a hit
     assert tables[0] is table and [t.inner for t in tables] == tables[1:] + [None]
     kept = [list(t.rows) for t in tables]
     tau = mpc("0.1", "0.7")
@@ -245,7 +248,7 @@ def test_l_table_grows_in_place_and_converts_once():
     assert all(t.rows[m] is old[m] for t, old in zip(tables, kept) for m in range(n0 + 1))
     for (ks, alphas, _), t in zip(keys, tables):
         exact = l_coeffs_bruteforce(make_index(ks, alphas), t.n).coeffs
-        power, c = _table(ks, alphas).deficit
+        power, c = _bounds(ks, alphas)[1]
         assert all(0 <= e * 2**t.bits - r <= c * m**power
                    for m, (e, r) in enumerate(zip(exact, t.rows[1:]), 1))
     with mp.extradps(10):  # the precision l_eval reads at
@@ -262,6 +265,33 @@ def test_l_table_grows_in_place_and_converts_once():
     assert wider.bits > table.bits and table.n == n1
     clear_caches()
     assert _table.cache_info().currsize == 0
+
+
+SHARED_SUFFIX_INDICES = [((2,), (2,)), ((3, 2), (2, 2)), ((2, 3, 2), (1, 2, 2)),
+                         ((4, 3, 2), (3, 2, 2)), ((5, 2), (1, 2)), ((2, 2, 5, 2), (4, 1, 1, 2))]
+
+
+@pytest.mark.parametrize("step", [None, 1])
+def test_indices_at_one_precision_share_their_suffix_tables(monkeypatch, step):
+    # B is the working precision plus a multiple of _BITS_STEP, so indices
+    # whose needs differ read at one B, and each chain, a suffix of several
+    # indices included, has one fixed-point table; negative control: at a
+    # step of 1 bit the needs differ, and shared suffixes are kept per B
+    if step is not None:
+        monkeypatch.setattr(lseries, "_BITS_STEP", step)
+    tau = mpc("0.25", "0.9")
+    clear_caches()
+    for ks, alphas in SHARED_SUFFIX_INDICES:
+        l_eval(make_index(ks, alphas), tau, BUDGET)
+    bits = {_read(make_index(ks, alphas), tau)[1].bits for ks, alphas in SHARED_SUFFIX_INDICES}
+    chains = {(ks[j:], alphas[j:]) for ks, alphas in SHARED_SUFFIX_INDICES for j in range(len(ks))}
+    shared = _table.cache_info().currsize == len(chains)
+    if step is None:
+        with mp.extradps(10):
+            assert len(bits) == 1 and (bits.pop() - mp.prec) % lseries._BITS_STEP == 0
+        assert shared
+    else:
+        assert len(bits) > 2 and not shared
 
 
 def test_l_table_read_below_its_kept_n_gives_cold_bits():
@@ -320,7 +350,7 @@ def test_fixed_point_rows_within_their_certified_deficit(ks, alphas):
     table = _table(ks, alphas, 200)
     table.grow(n)
     d = _deficits(table, n)
-    power, c = _table(ks, alphas).deficit
+    power, c = _bounds(ks, alphas)[1]
     assert all(0 <= d[m] <= c * m**power for m in range(1, n + 1))
     layer = table
     while layer is not None:
@@ -347,14 +377,14 @@ def test_fixed_point_read_within_its_certified_term(ks, alphas, t, tau, eps):
     # more digits than l_eval reads at (enough to resolve the difference,
     # which lies below its precision), differ by at most the deficit term
     # 2^-B sum_{m <= N} C m^P |q|^m, which times the prefactor is at most
-    # eps 2^-24 (at eps 1e-70, below the 40 digits, that bound sets B); the
-    # value l_eval returns is within eps of the exact read, or within its own
-    # rounding where that is larger
+    # eps 2^-24 (at eps 1e-70, below the 40 digits, that bound sets the bits
+    # B is rounded up from); the value l_eval returns is within eps of the
+    # exact read, or within its own rounding where that is larger
     idx, budget = make_index(ks, alphas, t), TruncationBudget(eps, BUDGET.n_max)
     clear_caches()
     value = l_eval(idx, mpc(*tau), budget)
     prefactor, table, n = _read(idx, mpc(*tau), budget)
-    power, c = _table(ks, alphas).deficit
+    power, c = _bounds(ks, alphas)[1]
     exact = l_coeffs_dp(idx, n).coeffs
     with mp.extradps(70):
         q = mp.expjpi(2 * mpc(*tau))
