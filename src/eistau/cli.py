@@ -92,7 +92,7 @@ def _cmd_eval_l(args) -> int:
     config = _config(args)
     gen = parse_generator(args.index)
     if gen.kind != LSERIES:
-        raise SystemExit("eval-l expects an L-series generator")
+        raise ValueError("eval-l expects an L-series generator")
     tau = parse_complex(args.tau)
     value = l_eval(gen.index(), tau, config.budget())
     print(f"value = {format_complex(value)}")
@@ -111,7 +111,7 @@ def _cmd_eval_int(args) -> int:
     config = _config(args)
     gen = parse_generator(args.index)
     if gen.kind != TAU_INTEGRAL:
-        raise SystemExit("eval-int expects a tau-integral generator")
+        raise ValueError("eval-int expects a tau-integral generator")
     tau = parse_complex(args.tau)
     value = tau**gen.power * int_eval(gen.index(), tau, config.budget())
     print(f"value = {format_complex(value)}")

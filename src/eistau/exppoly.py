@@ -28,7 +28,8 @@ and rounding), not on mpc objects:
   the frequency pairs n_lo < n1 + n2 <= n_cut, on Python integers: each part
   of an output frequency is the exact convolution of the integer
   coefficients (sigma wider than the precision included) with that part of
-  the input's coefficients, summed exactly and rounded once, so no bit
+  the input's coefficients, one integer dot per output part on one path
+  whatever the input's sparsity, summed exactly and rounded once, so no bit
   depends on n_lo or n_cut.  The tests pin it bit for bit to that statement
   summed in Fractions.
 * `ExpPoly.tail_integral` runs that recurrence, O(D) operations per frequency
@@ -43,23 +44,28 @@ and rounding), not on mpc objects:
 shift, and the zero halves of exactly real or imaginary coefficients) where
 skipping changes no bit.
 
-`ExpPoly.__call__` reads every kept fold of `integrals` as one dot (and the
-fixed-point L tables of `lseries` read their integer rows the same way, on
-the same power chains): the value at t is
+Every q-expansion the engine reads at t is one exact dot of complex block
+floats (a + ib) 2^e, and the dot has one home, `_dot`, with `_round` to round
+its sum: `ExpPoly.__call__` for every kept fold of `integrals`, the
+fixed-point L tables of `lseries` for their integer rows, and the tail
+integral of `integrals` against its table of J_{n,e}.  For a fold the value
+at t is
 
     sum_{n <= n_max} q^n sum_d c_{n,d} t^d,    q = e^{2 pi i t} at the working precision,
 
-with q^n and t^d from power chains on Python integers (`_powers`): complex
-block floats (a + ib) 2^e, each power the last times the base exactly, then
-cut back to prec + GUARD_BITS bits, round half up.  Every product
-c_{n,d} q^n t^d is exact, the real and the imaginary sum are exact, and each is
-rounded once (the single-rounding dot of Ogita, Rump and Oishi, SIAM J. Sci.
-Comput. 2005).  A cut moves a power by at most 2^-(prec + 7.5) of it, so the
-read is within sum_n sum_d |c_{n,d}| |q|^n |t|^d (n + d) 2^-(prec + 7) of the
-exact sum over that q, plus its one final rounding.  The tests pin it bit for
-bit to that statement summed in Fractions.  A power depends only on its
-exponent, not on how far a chain runs, so a read with n_max gives the bits of
-`truncated(n_max)` whatever lies above n_max.
+with q^n and t^d from power chains on Python integers (`_powers`, and
+`_q_powers` for the chain of q that every read shares): block floats, each
+power the last times the base exactly, then cut back to prec + GUARD_BITS
+bits, round half up.  Every product c_{n,d} q^n t^d is exact, the real and
+the imaginary sum are exact, and each is rounded once (the single-rounding
+dot of Ogita, Rump and Oishi, SIAM J. Sci. Comput. 2005); as the sum is
+exact, its grouping (per degree, then over the degrees) moves no bit.  A
+cut moves a power by at most 2^-(prec + 7.5) of it, so the read is within
+sum_n sum_d |c_{n,d}| |q|^n |t|^d (n + d) 2^-(prec + 7) of the exact sum
+over that q, plus its one final rounding.  The tests pin `_dot` and the
+read bit for bit to those statements summed in Fractions.  A power depends
+only on its exponent, not on how far a chain runs, so a read with n_max
+gives the bits of `truncated(n_max)` whatever lies above n_max.
 
 Instances are treated as immutable: all operations return new values; only
 those kept q-expansions gain frequencies in place.
@@ -67,22 +73,28 @@ those kept q-expansions gain frequencies in place.
 
 from __future__ import annotations
 
-from itertools import islice, repeat
-from operator import add, mul
+from itertools import islice, zip_longest
+from operator import mul
 
 from mpmath import mp, mpc
-from mpmath.libmp import from_man_exp, fzero, mpf_div, mpf_mul_int, mpf_neg, mpf_sub
+from mpmath.libmp import (
+    from_man_exp,
+    fzero,
+    mpc_expjpi,
+    mpc_mul_int,
+    mpf_div,
+    mpf_mul_int,
+    mpf_neg,
+    mpf_sub,
+)
 
 Poly = tuple  # coefficient tuple, index = power of t
-# `mul_qseries` adds each entry of a column into the sums in turn where the column has
-# fewer than 1/_SCATTER of its span nonzero, and reads each sum as one dot otherwise.
-_SCATTER = 4
 GUARD_BITS = 8  # bits the power chains of `ExpPoly.__call__` keep beyond the working precision
 
 
 def _ptrim(coeffs) -> Poly:
     cs = list(coeffs)
-    while cs and cs[-1] == 0:
+    while cs and not cs[-1]:
         cs.pop()
     return tuple(cs)
 
@@ -192,39 +204,22 @@ class ExpPoly:
 
     def __call__(self, t, n_max: int | None = None) -> mpc:
         """Value at t: sum_{n <= n_max} q^n sum_d c_{n,d} t^d, q = e^{2 pi i t},
-        over the power chains of q and t (`_powers`), as one dot of exact
-        products whose real and imaginary sums are each rounded once; with
-        n_max, of `self.truncated(n_max)`, bit for bit."""
+        over the power chains of q and t (`_powers`), as one exact sum (a `_dot`
+        per degree, then one over the degrees) whose real and imaginary parts
+        are each rounded once; with n_max, of `self.truncated(n_max)`, bit for
+        bit."""
         t = mpc(t)
         terms = [(n, p) for n, p in self.terms.items() if n_max is None or n <= n_max]
         if not terms:
             return mpc(0)
         prec, rnd = mp._prec_rounding
-        q_pows = list(islice(_powers(mp.expjpi(2 * t)._mpc_, prec), max(n for n, _ in terms) + 1))
-        t_pows = list(islice(_powers(t._mpc_, prec), max(len(p) for _, p in terms)))
-        re = im = e = None  # the exact sum, (re + i im) 2^e
-        for n, p in terms:
-            sa = sb = se = None  # sum_d c_{n,d} t^d exactly, (sa + i sb) 2^se
-            for c, (ta, tb, te) in zip(p, t_pows):
-                ca, cb, ce = _block(c._mpc_)
-                if not (ca or cb):
-                    continue
-                a, b, x = ca * ta - cb * tb, ca * tb + cb * ta, ce + te
-                if se is None:
-                    sa, sb, se = a, b, x
-                elif x >= se:
-                    sa, sb = sa + (a << (x - se)), sb + (b << (x - se))
-                else:
-                    sa, sb, se = (sa << (se - x)) + a, (sb << (se - x)) + b, x
-            qa, qb, qe = q_pows[n]  # se is set: a kept polynomial ends in a nonzero
-            a, b, x = sa * qa - sb * qb, sa * qb + sb * qa, se + qe
-            if e is None:
-                re, im, e = a, b, x
-            elif x >= e:
-                re, im = re + (a << (x - e)), im + (b << (x - e))
-            else:
-                re, im, e = (re << (e - x)) + a, (im << (e - x)) + b, x
-        return mp.make_mpc((from_man_exp(re, e, prec, rnd), from_man_exp(im, e, prec, rnd)))
+        q_pows = list(islice(_q_powers(t._mpc_, prec, rnd), max(n for n, _ in terms) + 1))
+        qs = [q_pows[n] for n, _ in terms]
+        # sum_d t^d sum_n c_{n,d} q^n: a dot per degree over the frequencies, a
+        # shorter polynomial padded with zeros, then one over the degrees
+        cols = zip_longest(*[p for _, p in terms], fillvalue=mp.make_mpc((fzero, fzero)))
+        sums = [_dot([_block(c._mpc_) for c in col], qs) for col in cols]
+        return mp.make_mpc(_round(_dot(sums, _powers(t._mpc_, prec)), prec, rnd))
 
     def dump(self) -> str:
         """Debug format: one line per frequency, 'n; c0, c1, ...'."""
@@ -272,6 +267,35 @@ def _block(z: tuple) -> tuple:
     return (-xm if xs else xm) << (xe - e), (-ym if ys else ym) << (ye - e), e
 
 
+def _dot(zs, ws) -> tuple:
+    """The exact sum_j z_j w_j of complex block floats (a, b, e), value
+    (a + ib) 2^e, as one block: every product exact, the sum kept on the least
+    exponent so far; (0, 0, 0) for no terms.  A real z (b = 0, as every row
+    of an L table) costs two products."""
+    re = im = 0
+    e = None
+    for (za, zb, ze), (wa, wb, we) in zip(zs, ws):
+        if zb:
+            a, b = za * wa - zb * wb, za * wb + zb * wa
+        else:
+            a, b = za * wa, za * wb
+        x = ze + we
+        if e is None:
+            re, im, e = a, b, x
+        elif x >= e:
+            re += a << (x - e)
+            im += b << (x - e)
+        else:
+            re, im, e = (re << (e - x)) + a, (im << (e - x)) + b, x
+    return re, im, e or 0
+
+
+def _round(z: tuple, prec: int, rnd: str) -> tuple:
+    """The block z = (a + ib) 2^e as raw mpc parts, each rounded once."""
+    a, b, e = z
+    return from_man_exp(a, e, prec, rnd), from_man_exp(b, e, prec, rnd)
+
+
 def _powers(z: tuple, prec: int):
     """z^0, z^1, ... of the raw mpc z as complex block floats (a, b, e), value
     (a + ib) 2^e: z^{j+1} is z^j times z exactly, its mantissas then cut back
@@ -291,6 +315,12 @@ def _powers(z: tuple, prec: int):
         if s > 0:
             half = 1 << (s - 1)
             pa, pb, pe = (pa + half) >> s, (pb + half) >> s, pe + s
+
+
+def _q_powers(t: tuple, prec: int, rnd: str):
+    """The power chain (`_powers`) of q = e^{2 pi i t} for the raw mpc t, q
+    rounded as mp.expjpi(2 * t) rounds it at prec and rnd."""
+    return _powers(mpc_expjpi(mpc_mul_int(t, 2, prec, rnd), prec, rnd), prec)
 
 
 def mul_qseries(g: ExpPoly, coeffs, n_cut: int, n_lo: int = 0) -> ExpPoly:
@@ -314,25 +344,14 @@ def mul_qseries(g: ExpPoly, coeffs, n_cut: int, n_lo: int = 0) -> ExpPoly:
         if not nonzero:
             continue
         e = min(x[2] for _, x in nonzero)
-        # g_{n2} at position k is v 2^e exactly for each (n2, v)
-        ints = [(n2, (-man if sign else man) << (x - e)) for n2, (sign, man, x, _) in nonzero]
-        lo = min(n2 for n2, _ in ints)
-        start = max(n_lo, lo) + 1
-        if _SCATTER * len(ints) < n_cut - lo:
-            # few entries: add coeffs[n - n2] v to each sum n > n2 in turn
-            sums = [0] * (n_cut + 1 - start)
-            for n2, v in ints:
-                i = max(start, n2 + 1)
-                terms = map(mul, a[i - n2 - 1:n_cut - n2], repeat(v))
-                sums[i - start:] = map(add, sums[i - start:], terms)
-        else:
-            col = [0] * n_cut
-            for n2, v in ints:
-                col[n2] = v
-            stop = lo - 1 if lo else None
+        col = [0] * n_cut  # g_{n2} at position k is col[n2] 2^e exactly
+        for n2, (sign, man, x, _) in nonzero:
+            col[n2] = (-man if sign else man) << (x - e)
+        lo = min(n2 for n2, _ in nonzero)
+        stop = lo - 1 if lo else None
+        for n in range(max(n_lo, lo) + 1, n_cut + 1):
             # coeffs[n1] col[n - n1] for n1 = 1 .. n - lo
-            sums = (sum(map(mul, a[:n - lo], col[n - 1:stop:-1])) for n in range(start, n_cut + 1))
-        for n, acc in enumerate(sums, start):
+            acc = sum(map(mul, a[:n - lo], col[n - 1:stop:-1]))
             if acc:
                 out.setdefault(n, [fzero] * size)[k] = from_man_exp(acc, e, prec, rnd)
     return _from_flat(out)

@@ -7,13 +7,14 @@ innermost factor is a cusp part.  At tau on the upper half-plane
     word_eval = int_{tau < t_1 < ... < t_r < i oo}
                 f_1(t_1) t_1^{alpha_1 - 1} ... f_r(t_r) t_r^{alpha_r - 1} dt_r ... dt_1
 
-is a fold on frequency-truncated ExpPolys: the innermost cusp series, then,
-outward, a cusp stage multiplies by its series (re-truncated) and a const
-stage does not, and each stage applies the tail integral.  So every stage
-sees frequencies >= 1 only.  The final ExpPoly is evaluated at tau (or, in
-`word_eval`, the last tail integral is evaluated there directly), and the
-word's constants multiply that value once.  `int_eval` is the all-cusp word
-of a CompositeIndex, with 1 at depth 0.
+is a fold on frequency-truncated ExpPolys: the innermost cusp series, read
+from the divisor-sum sieve, then, outward, a cusp stage multiplies by its
+series (re-truncated) and a const stage does not, and each stage applies the
+tail integral.  So every stage sees frequencies >= 1 only.  The final
+ExpPoly is evaluated at tau (or, in `word_eval`, the last tail integral is
+evaluated there directly), and the word's constants multiply that value
+once.  `int_eval` is the all-cusp word of a CompositeIndex, with 1 at
+depth 0.
 
 Frequency truncation: a cusp stage truncates its product at n_cut, and a
 product term at frequency n comes from input frequencies below n, so the
@@ -39,7 +40,7 @@ grown.  So the fold is kept as a table of stages, each grown in place from
 its kept n by its new frequencies only, and read at any n_cut with the same
 bits as a fold made for that tau alone.  A stage is keyed on its chain,
 innermost out (per factor, the product with sigma_{2k-1} for a cusp factor,
-the innermost one's with 1, then a tail integral), and the working
+the innermost one sigma_{2k-1} itself, then a tail integral), and the working
 precision (`_stage`, a bounded `lru_cache`); words that share inner
 integrals share those stages.  An evicted stage lives on as the inner stage
 of a kept one, and a rebuilt one has the same bits by the truncation prefix.
@@ -56,14 +57,14 @@ inner stage g is grown to n_cut, and the value is
     int_tau^{i oo} g(s) s^{alpha-1} ds = sum_{n <= n_cut} sum_m g_{n,m} J_{n,m+alpha-1}(tau),
     J_{n,e}(tau) = int_tau^{i oo} e^{2 pi i n s} s^e ds,
 
-one dot of exact products summed exactly and rounded once at the fold's
-precision (`_tail_dot`).  J comes from a table kept per tau and working
-precision and grown in place (`_Tails`): at tau = i every R word of `mmv`
-at one precision reads the same table.  This dot and a read of a
-materialized top stage (by `ExpPoly.__call__`, or by Horner in q as the tests
-keep it) differ only in their roundings at the fold's precision, 15 digits
-above the returned one; on the tests' seeded words, at 30, 40 and 50 digits,
-the returned values are equal to the last bit.
+one exact dot rounded once at the fold's precision (`_tail_dot`, by the
+kernel that reads every q-expansion, `exppoly._dot`).  J comes from a table
+kept per tau and working precision and grown in place (`_Tails`): at tau = i
+every R word of `mmv` at one precision reads the same table.  This dot and a
+read of a materialized top stage (by `ExpPoly.__call__`, or by Horner in q
+as the tests keep it) differ only in their roundings at the fold's
+precision, 15 digits above the returned one; on the tests' seeded words, at
+30, 40 and 50 digits, the returned values are equal to the last bit.
 """
 
 from __future__ import annotations
@@ -73,15 +74,7 @@ from functools import lru_cache
 from math import prod
 
 from mpmath import mp, mpc, mpf
-from mpmath.libmp import (
-    from_man_exp,
-    fzero,
-    mpf_add,
-    mpf_div,
-    mpf_mul,
-    mpf_mul_int,
-    mpf_neg,
-)
+from mpmath.libmp import mpf_add, mpf_div, mpf_mul_int, mpf_neg
 
 from .algebra import CompositeIndex
 from .config import DEFAULT_BUDGET, SingularParameterError, TruncationBudget
@@ -96,16 +89,16 @@ from .eisenstein import (
     sigma_table,
     tail_start,
 )
-from .exppoly import ExpPoly, _powers, mul_qseries
+from .exppoly import ExpPoly, _block, _dot, _powers, _q_powers, _round, mul_qseries
 
 MAX_DEPTH = 6
 PRODUCT, TAIL = "product", "tail"
-_ONE = ExpPoly({0: (mpc(1),)})  # the innermost series is its product with 1
 
 
 def _chain(word, alphas) -> tuple:
     """The fold's stages innermost out: per factor, (PRODUCT, k) for a cusp
-    factor, then (TAIL, alpha).  A const factor adds a tail only: its Einf
+    factor, then (TAIL, alpha); the innermost (PRODUCT, k) is the series
+    sigma_{2k-1} itself.  A const factor adds a tail only: its Einf
     multiplies the value at the end."""
     chain = ()
     for (kind, k), alpha in zip(reversed(word), reversed(alphas)):
@@ -175,14 +168,17 @@ class _Stage:
         n0 = self.n
         if n <= n0:
             return
-        if self.inner is not None:
-            self.inner.grow(n)
-        inner = _ONE if self.inner is None else self.inner.fold
-        if self.op == PRODUCT:
-            new = mul_qseries(inner, sigma_table(2 * self.arg - 1, n), n, n0)
+        if self.inner is None:  # the series: each sigma_{2k-1}(m) rounded once
+            sig = sigma_table(2 * self.arg - 1, n)
+            new = ExpPoly.from_qseries({m: sig[m] for m in range(n0 + 1, n + 1)})
         else:
-            new = ExpPoly({m: p for m, p in inner.terms.items() if n0 < m <= n})
-            new = new.tail_integral(self.arg)
+            self.inner.grow(n)
+            inner = self.inner.fold
+            if self.op == PRODUCT:
+                new = mul_qseries(inner, sigma_table(2 * self.arg - 1, n), n, n0)
+            else:
+                new = ExpPoly({m: p for m, p in inner.terms.items() if n0 < m <= n})
+                new = new.tail_integral(self.arg)
         self.fold.terms.update(new.terms)
         self.n = n
 
@@ -220,14 +216,14 @@ class _Tails:
     By parts, J_{n,0} = -q^n / c_n and J_{n,e} = -(q^n tau^e + e J_{n,e-1}) / c_n
     with c_n = 2 pi i n = i b_n, so a division by c_n is two real divisions,
     as in `ExpPoly.tail_integral`.  q^n and tau^e come from the power chains
-    of `ExpPoly.__call__` (`exppoly._powers`), and q^n tau^e is their exact
-    product, rounded once.
+    of `ExpPoly.__call__` (`exppoly._q_powers`, `_powers`), and q^n tau^e is
+    their exact product (`exppoly._dot`), rounded once (`exppoly._round`).
     """
 
     __slots__ = ("q_chain", "tau_chain", "q_pows", "tau_pows", "rows")
 
     def __init__(self, tau: mpc, prec: int):
-        self.q_chain = _powers(mp.expjpi(2 * tau)._mpc_, prec)
+        self.q_chain = _q_powers(tau._mpc_, prec, mp._prec_rounding[1])
         self.tau_chain = _powers(tau._mpc_, prec)
         self.q_pows, self.tau_pows = [next(self.q_chain)], [next(self.tau_chain)]
         self.rows = [None]
@@ -243,14 +239,13 @@ class _Tails:
             rows.append([])
         two_pi = (2 * mp.pi)._mpf_
         for m in range(1, n + 1):
-            row, (qa, qb, qe) = rows[m], q_pows[m]
+            row, q = rows[m], q_pows[m]
             if len(row) > e:
                 continue
             b = mpf_mul_int(two_pi, m, prec, rnd)
             for j in range(len(row), e + 1):
-                ta, tb, te = tau_pows[j]  # w = q^m tau^j + j J_{m,j-1}
-                wx = from_man_exp(qa * ta - qb * tb, qe + te, prec, rnd)
-                wy = from_man_exp(qa * tb + qb * ta, qe + te, prec, rnd)
+                # w = q^m tau^j + j J_{m,j-1}, the product exact and rounded once
+                wx, wy = _round(_dot((q,), (tau_pows[j],)), prec, rnd)
                 if j:
                     x, y = row[-1]
                     wx = mpf_add(wx, mpf_mul_int(x, j, prec, rnd), prec, rnd)
@@ -266,40 +261,20 @@ def _tails(tau: tuple, prec: int) -> _Tails:
     return _Tails(mp.make_mpc(tau), prec)
 
 
-def _round_sum(parts: list, prec: int, rnd: str) -> tuple:
-    """The exact sum of nonzero raw mpf values, rounded once."""
-    if not parts:
-        return fzero
-    e = min(x for _, _, x, _ in parts)
-    return from_man_exp(sum((-m if s else m) << (x - e) for s, m, x, _ in parts), e, prec, rnd)
-
-
 def _tail_dot(fold: ExpPoly, alpha: int, tau: mpc, n_cut: int) -> mpc:
     """int_tau^{i oo} g(s) s^{alpha-1} ds for g the frequencies <= n_cut of
-    `fold`: sum_n sum_m g_{n,m} J_{n,m+alpha-1}(tau), each product exact, the
-    sum rounded once."""
+    `fold`: sum_n sum_m g_{n,m} J_{n,m+alpha-1}(tau), one exact dot (`_dot`)
+    whose real and imaginary sums are each rounded once."""
     terms = [(n, p) for n, p in fold.terms.items() if n <= n_cut]
     if not terms:
         return mpc(0)
     prec, rnd = mp._prec_rounding
     table = _tails(tau._mpc_, prec)
     table.grow(max(n for n, _ in terms), max(len(p) for _, p in terms) + alpha - 2)
-    re, im = [], []  # the nonzero products; at tau = i one of each four
-    for n, p in terms:
-        row = table.rows[n]
-        for m, z in enumerate(p, alpha - 1):
-            (zx, zy), (jx, jy) = z._mpc_, row[m]
-            if zx[1]:
-                if jx[1]:
-                    re.append(mpf_mul(zx, jx))
-                if jy[1]:
-                    im.append(mpf_mul(zx, jy))
-            if zy[1]:
-                if jy[1]:
-                    re.append(mpf_neg(mpf_mul(zy, jy)))
-                if jx[1]:
-                    im.append(mpf_mul(zy, jx))
-    return mp.make_mpc((_round_sum(re, prec, rnd), _round_sum(im, prec, rnd)))
+    rows = table.rows
+    gs = (_block(z._mpc_) for _, p in terms for z in p)
+    js = (_block(j) for n, p in terms for j in rows[n][alpha - 1:alpha - 1 + len(p)])
+    return mp.make_mpc(_round(_dot(gs, js), prec, rnd))
 
 
 def _check(word, alphas) -> None:

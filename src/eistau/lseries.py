@@ -15,9 +15,10 @@ of two rings (`_LTable`): exact `Fraction`s for `l_coeffs_dp`, and for
 from below by floor division, whose deficit c(m) 2^B - R(m) has a majorant of
 the table's own shape (`_bounds`).  `l_eval` reads the fixed-point rows up to
 its N against the power chain of q that `ExpPoly.__call__` reads folds with,
-as one exact dot rounded once, with B chosen so that the deficit moves the
-value by at most eps 2^-24, inside the truncation budget, and below the
-rounding at the working precision (`_fixed_bits`).  B is rounded up to a
+as one exact dot rounded once by the kernel that reads every q-expansion
+(`exppoly._dot`), with B chosen so that the deficit moves the value by at
+most eps 2^-24, inside the truncation budget, and below the rounding at the
+working precision (`_fixed_bits`).  B is rounded up to a
 coarse grid above the working precision, so the indices read at one
 precision share a B and with it the tables of their common suffixes.  A
 table per (ks, alphas, ring) is kept and extended when a call needs more
@@ -32,17 +33,16 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, islice
+from itertools import combinations, islice, repeat
 from math import prod
 from operator import floordiv, mul, truediv
 
 from mpmath import mp, mpc, mpf
-from mpmath.libmp import from_man_exp
 
 from .algebra import CompositeIndex
 from .config import DEFAULT_BUDGET, TruncationBudget
 from .eisenstein import _as_mpf, _product_majorant, sigma_majorant, sigma_table, tail_start
-from .exppoly import GUARD_BITS, _powers
+from .exppoly import GUARD_BITS, _dot, _q_powers, _round
 
 BRUTEFORCE_MAX_DEPTH = 4
 BRUTEFORCE_MAX_N = 200
@@ -145,16 +145,13 @@ class _LTable:
     def read(self, tau: mpc, n: int) -> mpc:
         """sum_{m <= n} R(m) 2^-B q^m of a fixed-point table grown to n, at the
         working precision, as `ExpPoly.__call__` reads a q-expansion: q^m from
-        the power chain of q (`exppoly._powers`), each product exact, the real
-        and the imaginary sum each rounded once."""
+        the power chain of q (`exppoly._q_powers`), the rows as real blocks
+        (R(m), 0, -B), one exact dot (`exppoly._dot`) whose real and imaginary
+        sums are each rounded once."""
         prec, rnd = mp._prec_rounding
-        q_pows = list(islice(_powers(mp.expjpi(2 * tau)._mpc_, prec), 1, n + 1))
-        e = min(x for _, _, x in q_pows)
-        rows = self.rows[1:n + 1]
-        re = sum((r * a) << (x - e) for r, (a, _, x) in zip(rows, q_pows))
-        im = sum((r * b) << (x - e) for r, (_, b, x) in zip(rows, q_pows))
-        e -= self.bits
-        return mp.make_mpc((from_man_exp(re, e, prec, rnd), from_man_exp(im, e, prec, rnd)))
+        rows = zip(islice(self.rows, 1, n + 1), repeat(0), repeat(-self.bits))
+        q_pows = islice(_q_powers(tau._mpc_, prec, rnd), 1, n + 1)
+        return mp.make_mpc(_round(_dot(rows, q_pows), prec, rnd))
 
 
 def l_coeffs_bruteforce(index: CompositeIndex, n: int) -> LCoefficients:

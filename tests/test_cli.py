@@ -199,6 +199,10 @@ BAD_INPUT = {
                              "expects a tau-integral generator"),
     "stuffle-tau-power": (["stuffle", "--left", "L{ks=[2];alphas=[1];t=1}",
                            "--right", "L{ks=[3];alphas=[2];t=0}"], "expects t = 0"),
+    "eval-l-of-an-integral": (["eval-l", "--index", "I{ks=[2];alphas=[1];taupow=0}",
+                               "--tau", "0+1i"], "eval-l expects an L-series generator"),
+    "eval-int-of-an-l-series": (["eval-int", "--index", "L{ks=[2];alphas=[1];t=0}",
+                                 "--tau", "0+1i"], "eval-int expects a tau-integral generator"),
 }
 
 

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from itertools import islice
 from math import floor
@@ -6,9 +7,16 @@ import pytest
 from mpmath import mp, mpc, mpf
 from mpmath.libmp import from_man_exp
 
-from eistau import exppoly
 from eistau.eisenstein import sigma_table
-from eistau.exppoly import GUARD_BITS, ExpPoly, _powers, elem_exp_tail, mul_qseries
+from eistau.exppoly import (
+    GUARD_BITS,
+    ExpPoly,
+    _dot,
+    _powers,
+    _round,
+    elem_exp_tail,
+    mul_qseries,
+)
 
 I = mpc(0, 1)
 
@@ -235,13 +243,10 @@ def test_mul_qseries_lower_bound_is_the_slice_of_the_product(dps):
                 assert _parts(got) == {n: p for n, p in full.items() if n > n_lo}
 
 
-@pytest.mark.parametrize("scatter", [0, exppoly._SCATTER, 10**9])
-def test_mul_qseries_sparse_and_dense_columns_agree(monkeypatch, scatter):
-    # a column with few nonzero entries is added into the sums entry by entry
-    # and a dense one read as one dot per sum (a rule of 0 scatters every
-    # column, 10^9 none): either way each part is the exact convolution
-    # rounded once, at every n_lo
-    monkeypatch.setattr(exppoly, "_SCATTER", scatter)
+def test_mul_qseries_sparse_and_dense_columns_agree():
+    # columns with one or a few nonzero entries (a frequency-0 input among
+    # them) and a dense one: each part is the exact convolution rounded once,
+    # at every n_lo
     sparse = ExpPoly({3: (mpc("0.25", -3), mpc(0, "1e-9")), 11: (mpc("-1.5"),),
                       12: (mpc(0), mpc(7, 2))})
     cases = [(sigma_table(3, 30), 30, ExpPoly({0: (mpc(1),)})),
@@ -449,6 +454,51 @@ def test_call_within_its_own_bound(dps):
                     dot = mpc(*(mpf(x.numerator) / x.denominator for x in exact))
                     assert abs(dot - ref) <= size * ulp / 2**7
                     assert abs(got - ref) <= size * ulp / 2**7 + abs(ref) * ulp
+
+
+def _dot_cases() -> list:
+    """(zs, ws) pairs of complex block floats: mixed signs, exponents and widths,
+    real and imaginary z and w, zero terms, a partial sum that cancels to
+    exactly 0 before a term of higher exponent, and no terms."""
+    rng = random.Random(2501)
+
+    def block():
+        a, b = rng.getrandbits(rng.choice((1, 9, 80, 300))), rng.getrandbits(90)
+        kind = rng.randrange(4)  # both parts, real only, imaginary only, both again
+        return (0 if kind == 2 else rng.choice((1, -1)) * a,
+                0 if kind == 1 else rng.choice((1, -1)) * b, rng.randint(-400, 60))
+
+    mixed = [block() for _ in range(40)], [block() for _ in range(40)]
+    zeros = [(0, 0, 0), (3, -5, -7), (0, 0, -900), (0, 0, 50)], [(1, 1, 2)] * 4
+    cancel = [(5, 3, -40), (-5, -3, -40), (7, -2, 30), (1, 0, -100)], [(1, 0, 0)] * 4
+    cancel_then_high = [(1, 0, -10), (-1, 0, -10), (3, 5, 20)], [(2, 0, 1)] * 3
+    return [mixed, zeros, cancel, cancel_then_high, ([], []), ([(0, 0, 0)], [(9, 9, 9)])]
+
+
+def _dot_fraction(zs, ws) -> tuple:
+    """sum_j z_j w_j summed in Fractions: (real part, imaginary part)."""
+    re = im = Fraction(0)
+    for z, w in zip(zs, ws):
+        (za, zb), (wa, wb) = _block_fraction(z), _block_fraction(w)
+        re += za * wa - zb * wb
+        im += za * wb + zb * wa
+    return re, im
+
+
+@pytest.mark.parametrize("dps", [15, 40, 70])
+def test_dot_is_the_exact_sum_rounded_once(dps):
+    # the kernel of every q-expansion read: the block it returns is the exact
+    # sum, and `_round` rounds each part of it once, bit for bit against the
+    # Fraction sum rounded once
+    with mp.workdps(dps):
+        prec, rnd = mp._prec_rounding
+        for zs, ws in _dot_cases():
+            got = _dot(iter(zs), iter(ws))
+            re, im = _dot_fraction(zs, ws)
+            assert _block_fraction(got) == (re, im)
+            assert _round(got, prec, rnd) == (_round_fraction(re, prec, rnd),
+                                              _round_fraction(im, prec, rnd))
+        assert _dot([], []) == (0, 0, 0)
 
 
 def _cut_reference(xa: Fraction, xb: Fraction, keep: int) -> tuple:

@@ -5,13 +5,20 @@ from math import factorial
 
 import pytest
 from mpmath import mp, mpc, mpf
+from mpmath.libmp import from_man_exp, fzero
 
 from eistau import clear_caches, integrals, mmv
 from eistau.algebra import make_index
 from eistau.config import BudgetError, SingularParameterError, TruncationBudget
 from eistau.eisenstein import _constant_mpf as eis_constant_mpf
-from eistau.eisenstein import convolution_majorant, eis_constant, eis_cusp_eval, sigma_majorant
-from eistau.exppoly import ExpPoly, elem_exp_tail
+from eistau.eisenstein import (
+    convolution_majorant,
+    eis_constant,
+    eis_cusp_eval,
+    sigma_majorant,
+    sigma_table,
+)
+from eistau.exppoly import ExpPoly, elem_exp_tail, mul_qseries
 from eistau.integrals import int_eval, int_exppoly, word_eval
 from eistau.lseries import l_eval
 from eistau.mmv import MonomialCoefficientRequest, r_iter, s_coeff
@@ -298,6 +305,47 @@ def test_s_coeff_sweep_builds_each_product_stage_once(monkeypatch):
     assert len(set(chains)) == len(chains) == 11
     assert _kept_stages([(chain, _fold_prec()) for chain in chains]) == built
     assert mmv._r_value.cache_info().currsize
+
+
+@pytest.mark.parametrize("dps", [15, 40])
+def test_series_stage_is_the_sieve_rounded_once(dps):
+    # the innermost stage is sigma_{2k-1}(m) of the sieve, each rounded once at
+    # the working precision (sigma_11 is wider than the 53 bits of 15 digits
+    # from m = 25 on), grown in two steps as a fold grows
+    with mp.workdps(dps):
+        prec, rnd = mp._prec_rounding
+        for k in (2, 6):
+            clear_caches()
+            stage = integrals._stage(((integrals.PRODUCT, k),), prec)
+            stage.grow(9)
+            stage.grow(40)
+            sig = sigma_table(2 * k - 1, 40)
+            assert stage.n == 40
+            assert {m: tuple(z._mpc_ for z in p) for m, p in stage.fold.terms.items()} == {
+                m: ((from_man_exp(sig[m], 0, prec, rnd), fzero),) for m in range(1, 41)}
+    clear_caches()
+
+
+def test_no_engine_fold_has_a_frequency_0_term(monkeypatch):
+    # every fold `mul_qseries` multiplies is an inner stage, made of tail
+    # integrals, which reject frequency 0: the innermost series comes from
+    # the sieve, never as a product with the constant 1
+    inputs = []
+
+    def recording(g, coeffs, n_cut, n_lo=0):
+        inputs.append(min(g.terms, default=None))
+        return mul_qseries(g, coeffs, n_cut, n_lo)
+
+    clear_caches()
+    monkeypatch.setattr(integrals, "mul_qseries", recording)
+    for tau in FOLD_TAUS + [mpc("0.3", "0.1")]:
+        int_eval(FOLD_INDEX, tau, BUDGET)
+        int_eval(make_index([2, 3], [1, 2]), tau, BUDGET)
+    for word, alphas in zip(RISE_FALL[::2], RISE_FALL[1::2]):
+        integrals.word_eval(word, alphas, RISE_FALL_TAUS[0], BUDGET)
+    s_coeff(MonomialCoefficientRequest((2, 3), (1, 2)), budget=BUDGET)
+    clear_caches()
+    assert inputs and 0 not in inputs
 
 
 def test_fold_cache_keys_on_precision():
