@@ -1,95 +1,92 @@
-"""Exponential polynomials: closed-form carrier for iterated tail integrals.
+"""q-expansions: the integer row table of folds and L-series, and ExpPoly.
 
-An ExpPoly represents  f(t) = sum_n P_n(t) e^{2 pi i n t}  with nonnegative
-integer frequencies n and polynomial coefficients P_n over mpmath complex
-numbers.  The class is closed under addition, products (a power t^m is the
-frequency-0 term (0, ..., 0, 1)), and the tail integral
+Both families of the engine are q-expansions with divisor-sum numerators.  An
+iterated tail integral (a fold, `integrals`) and a multiple L-series
+(`lseries`) at tau are
 
-    g(t) = int_t^{i oo} f(s) s^{alpha-1} ds        (alpha >= 1),
+    (2 pi i)^{-h} sum_n q^n sum_d rho_{n,d} w^d,    q = e^{2 pi i tau},  w = 2 pi i tau,
 
-which exists termwise provided every contributing frequency is >= 1; a
-nonzero frequency-0 part makes the tail diverge and is rejected.
+with rational rho; an L-series has degree 0 only.  A chain of operations,
+innermost first, builds the rows rho and h:
 
-The elementary building block is
+* series, the innermost (PRODUCT, k): rho_{n,0} = sigma_{2k-1}(n), h = 0;
+* product (PRODUCT, k): each degree column convolved with sigma_{2k-1};
+* tail integral (TAIL, alpha), int_t^{i oo} f(s) s^{alpha-1} ds termwise: per
+  frequency n, from the top degree m down,
+  r_m = (kappa_m - (m+1) r_{m+1}) / n with kappa_m = rho_{n,m-alpha+1}; the new
+  rho is -r and h grows by alpha.  (R = sum_j (-1)^j Q^(j) / c^{j+1} solves
+  c R + R' = Q for c = 2 pi i n; Q has the coefficients
+  (2 pi i)^{m+1-h-alpha} kappa_m, and R has (2 pi i)^{m-h-alpha} r_m.)  A
+  nonzero frequency-0 part would diverge; no chain makes one;
+* L layer (LAYER, alpha): row n divided by n^alpha, h grows by alpha.
 
-    int_a^{i oo} e^{2 pi i n s} Q(s) ds = -e^{2 pi i n a} R(a),
-    R = sum_j (-1)^j Q^(j) / c^{j+1},
+`_Rows` keeps the rows of one chain in one ring, degree columns cols[d][n],
+and grows them in place: `Fraction`s for bits None, and for an int bits = B
+the fixed-point integers R = rho 2^B, each division a floor.  Row n needs
+the inner rows up to n only, so the rows up to N of a table grown further are
+those of a table grown to N.  `_rows` keeps one table per (chain, bits), a
+bounded `lru_cache`, whose inner table is the kept one of the chain's prefix:
+chains that share a prefix share its rows, and an evicted table lives on as
+the inner table of a kept one.
 
-with c = 2 pi i n, applied per frequency with Q(s) = P_n(s) s^{alpha-1}.  R is
-the polynomial solution of c R + R' = Q, so its coefficients follow from the
-top one down: r_D = q_D / c and r_m = (q_m - (m+1) r_{m+1}) / c.
+Certificate (`_majorants`).  A bound (P, c, h) states |x_{n,d}| <= c_d n^P for
+every n >= 1.  The majorant bounds rho: sigma_{2k-1}(n) <= sigma_majorant(k)
+n^{2k-1}; a product is one step of `eisenstein._product_majorant`; a tail
+step gives |r_m| <= n^{P-1} sum_{j >= m} (j!/m!) c_{j-alpha+1}, so
+c'_e = c_{e-alpha+1} + (e+1) c'_{e+1} from the top down and P drops by one
+(not below 0, as n >= 1); a layer lowers P by alpha.  The deficit
+d = rho 2^B - R of the fixed-point rows has a bound of the same form: the
+series and the products are exact, a product giving |d| <= sum sigma |d_in|,
+and every floor adds less than 1: |d_r(m)| <= (|d_kappa(m)| + (m+1)
+|d_r(m+1)|) / n + 1 in a tail step, |d| <= |d_in| / n^alpha + 1 in a layer.
+At tau a bound scales to (2 pi)^{-h} sum_d c_d (2 pi |tau|)^d, so a
+read of the rows up to N is within 2^-B N^{P+1} times the deficit's scale of
+the read of exact rows; `_fixed_bits` picks B from that.  The deficit's scale
+over that of the value's first term, or of its majorant, does not depend on
+tau, so B moves with tau only where eps, not the precision, sets it.
 
-The two steps of an iterated tail integral work on raw mpf parts (flat lists
-of real and imaginary parts, through `mpmath.libmp` at the context's precision
-and rounding), not on mpc objects:
+The read (`_Rows.read`) is one exact sum over the power chains of q and w
+(`_powers`): a dot per degree over the frequencies, one over the degrees, with
+w formed exactly from the block of tau and a mantissa of 2 pi (`_w`); then
+`_scaled` applies 2^-B, i^{-h} exactly and (2 pi)^{-h} at prec + GUARD_BITS
+bits, and rounds each part once.  The dot has one home, `_dot`: every product
+of complex block floats (a + ib) 2^e is exact, the sum is exact, and `_round`
+rounds each part once (the single-rounding dot of Ogita, Rump and Oishi, SIAM
+J. Sci. Comput. 2005).  A power chain multiplies exactly and cuts each power
+back to prec + GUARD_BITS bits, so z^j is within j 2^-(prec + 7.5) of the
+exact power, relatively, and does not depend on how far the chain runs: a
+read up to N gives the bits of a table grown to N.
 
-* `mul_qseries` multiplies by a q-series with integer coefficients (a cusp
-  series sum_n sigma(n) e^{2 pi i n t}) and truncates at n_cut.  It forms only
-  the frequency pairs n_lo < n1 + n2 <= n_cut, on Python integers: each part
-  of an output frequency is the exact convolution of the integer
-  coefficients (sigma wider than the precision included) with that part of
-  the input's coefficients, one integer dot per output part on one path
-  whatever the input's sparsity, summed exactly and rounded once, so no bit
-  depends on n_lo or n_cut.  The tests pin it bit for bit to that statement
-  summed in Fractions.
-* `ExpPoly.tail_integral` runs that recurrence, O(D) operations per frequency
-  of degree D, and returns -R.  c = i b is exactly imaginary, so a division by
-  c is two real divisions, (x + iy) / (ib) = (y - ix) / b, each rounded once;
-  the subtraction and the product (m+1) r_{m+1} round as mpc arithmetic rounds
-  them.  The tests pin it bit for bit to that statement on mpc values, and
-  within 2^(4-prec) of each frequency's largest coefficient to the sum over
-  derivatives at 30 more digits.
-
-`tail_integral` skips exact zeros (the parts below s^{alpha-1} after the
-shift, and the zero halves of exactly real or imaginary coefficients) where
-skipping changes no bit.
-
-Every q-expansion the engine reads at t is one exact dot of complex block
-floats (a + ib) 2^e, and the dot has one home, `_dot`, with `_round` to round
-its sum: `ExpPoly.__call__` for every kept fold of `integrals`, the
-fixed-point L tables of `lseries` for their integer rows, and the tail
-integral of `integrals` against its table of J_{n,e}.  For a fold the value
-at t is
-
-    sum_{n <= n_max} q^n sum_d c_{n,d} t^d,    q = e^{2 pi i t} at the working precision,
-
-with q^n and t^d from power chains on Python integers (`_powers`, and
-`_q_powers` for the chain of q that every read shares): block floats, each
-power the last times the base exactly, then cut back to prec + GUARD_BITS
-bits, round half up.  Every product c_{n,d} q^n t^d is exact, the real and
-the imaginary sum are exact, and each is rounded once (the single-rounding
-dot of Ogita, Rump and Oishi, SIAM J. Sci. Comput. 2005); as the sum is
-exact, its grouping (per degree, then over the degrees) moves no bit.  A
-cut moves a power by at most 2^-(prec + 7.5) of it, so the read is within
-sum_n sum_d |c_{n,d}| |q|^n |t|^d (n + d) 2^-(prec + 7) of the exact sum
-over that q, plus its one final rounding.  The tests pin `_dot` and the
-read bit for bit to those statements summed in Fractions.  A power depends
-only on its exponent, not on how far a chain runs, so a read with n_max
-gives the bits of `truncated(n_max)` whatever lies above n_max.
-
-Instances are treated as immutable: all operations return new values; only
-those kept q-expansions gain frequencies in place.
+ExpPoly is the public carrier f(t) = sum_n P_n(t) e^{2 pi i n t} with mpc
+polynomial coefficients: `integrals.int_exppoly` maps a fold's rows to it,
+`elem_exp_tail` integrates one term by `ExpPoly.tail_integral` (the
+recurrence above at c = 2 pi i n, in mpc arithmetic), and the tests use its
+algebra as an independent reference.  `ExpPoly.__call__` reads it as the row
+read does, with t in place of w.  Instances are immutable.
 """
 
 from __future__ import annotations
 
-from itertools import islice, zip_longest
-from operator import mul
+from fractions import Fraction
+from functools import lru_cache
+from itertools import islice, repeat, zip_longest
+from operator import floordiv, mul, truediv
 
 from mpmath import mp, mpc
-from mpmath.libmp import (
-    from_man_exp,
-    fzero,
-    mpc_expjpi,
-    mpc_mul_int,
-    mpf_div,
-    mpf_mul_int,
-    mpf_neg,
-    mpf_sub,
-)
+from mpmath.libmp import from_man_exp, fzero, mpc_expjpi, mpc_mul_int, mpf_pi, mpf_pow_int
+
+from .eisenstein import _product_majorant, sigma_majorant, sigma_table
 
 Poly = tuple  # coefficient tuple, index = power of t
-GUARD_BITS = 8  # bits the power chains of `ExpPoly.__call__` keep beyond the working precision
+GUARD_BITS = 8  # bits the power chains keep beyond the working precision
+PRODUCT, TAIL, LAYER = "product", "tail", "layer"
+# Every N below 64 takes the bits of 64 (`_fixed_bits`), so reads at moderate Im tau
+# (N <= 24 at Im tau >= 0.7 and eps 1e-30) share one table per chain and precision.
+_MIN_N_BITS = 6
+# B is the working precision plus a multiple of this (`_fixed_bits`): the bits a
+# chain needs above the precision differ between chains, and one step holds them
+# all on the benchmark's workloads, so that they share their inner tables.
+_BITS_STEP = 128
 
 
 def _ptrim(coeffs) -> Poly:
@@ -174,33 +171,27 @@ class ExpPoly:
         return ExpPoly({n: p for n, p in self.terms.items() if n <= n_cut})
 
     def tail_integral(self, alpha: int) -> "ExpPoly":
-        """g(t) = int_t^{i oo} f(s) s^{alpha-1} ds, termwise; rejects frequency 0."""
+        """g(t) = int_t^{i oo} f(s) s^{alpha-1} ds, termwise; rejects frequency 0.
+
+        Per frequency, r_m = (q_m - (m+1) r_{m+1}) / c from the top m down for
+        Q = P_n(s) s^{alpha-1} and c = 2 pi i n = i b, in mpc arithmetic: a
+        division by c is two real divisions, (x + iy) / (ib) = (y - ix) / b.
+        The integral's coefficients are -r."""
         if alpha < 1:
             raise ValueError("alpha must be >= 1")
         if 0 in self.terms:
             raise ValueError("nonzero frequency-0 part: tail integral diverges")
-        prec, rnd = mp._prec_rounding
         two_pi_i = 2 * mp.pi * mpc(0, 1)
-        out: dict[int, list] = {}
+        out = {}
         for n, p in self.terms.items():
-            b = (two_pi_i * n)._mpc_[1]  # c = 2 pi i n = i b, real part exactly 0
-            q = [fzero] * (2 * alpha - 2) + _flat(p)  # Q = P_n(s) s^{alpha-1}
-            acc = [fzero] * len(q)
-            x = y = None  # parts of (m+1) r_{m+1}; none above the top
-            for k in range(len(q) - 2, -1, -2):  # r_m from m = D down, k = 2m
-                wx, wy = q[k], q[k + 1]
-                if x is not None:  # w = q_m - (m+1) r_{m+1}, as mpc subtraction rounds it
-                    wx = mpf_neg(x) if wx == fzero else mpf_sub(wx, x, prec, rnd)
-                    wy = mpf_neg(y) if wy == fzero else mpf_sub(wy, y, prec, rnd)
-                # r_m = w / (i b) = (Im w - i Re w) / b; the integral's coefficient is -r_m
-                u = fzero if wy == fzero else mpf_div(wy, b, prec, rnd)
-                v = fzero if wx == fzero else mpf_div(wx, b, prec, rnd)
-                acc[k], acc[k + 1] = mpf_neg(u), v
-                m = k >> 1
-                x = fzero if u == fzero else mpf_mul_int(u, m, prec, rnd)
-                y = fzero if v == fzero else mpf_mul_int(mpf_neg(v), m, prec, rnd)
-            out[n] = acc
-        return _from_flat(out)
+            b = (two_pi_i * n).imag
+            q = [mpc(0)] * (alpha - 1) + list(p)
+            r = [None] * len(q)
+            for m in range(len(q) - 1, -1, -1):
+                w = q[m] if m == len(q) - 1 else q[m] - (m + 1) * r[m + 1]
+                r[m] = mpc(w.imag / b, -(w.real / b))
+            out[n] = tuple(-x for x in r)
+        return ExpPoly(out)
 
     def __call__(self, t, n_max: int | None = None) -> mpc:
         """Value at t: sum_{n <= n_max} q^n sum_d c_{n,d} t^d, q = e^{2 pi i t},
@@ -219,7 +210,7 @@ class ExpPoly:
         # shorter polynomial padded with zeros, then one over the degrees
         cols = zip_longest(*[p for _, p in terms], fillvalue=mp.make_mpc((fzero, fzero)))
         sums = [_dot([_block(c._mpc_) for c in col], qs) for col in cols]
-        return mp.make_mpc(_round(_dot(sums, _powers(t._mpc_, prec)), prec, rnd))
+        return mp.make_mpc(_round(_dot(sums, _powers(_block(t._mpc_), prec)), prec, rnd))
 
     def dump(self) -> str:
         """Debug format: one line per frequency, 'n; c0, c1, ...'."""
@@ -233,27 +224,153 @@ class ExpPoly:
         return f"ExpPoly(<{len(self.terms)} frequencies, max {self.max_freq()}>)"
 
 
-# The kernels work on flat lists of raw mpf parts, re and im of each coefficient
-# side by side.
+class _Rows:
+    """Rows 0..n of one chain in one ring, kept and grown (row 0 is 0): degree
+    columns cols[d][m] of exact `Fraction`s for bits None, and for an int bits
+    = B of the fixed-point integers of rho 2^B; see module docstring.  The op
+    (op, arg) is the chain's last, `inner` the table of its prefix (None for
+    the series), and the value carries (2 pi i)^{-h}."""
+
+    __slots__ = ("op", "arg", "inner", "bits", "h", "cols")
+
+    def __init__(self, op: str, arg: int, inner: "_Rows | None", bits: int | None):
+        self.op, self.arg, self.inner, self.bits = op, arg, inner, bits
+        self.h = 0 if inner is None else inner.h + (arg if op != PRODUCT else 0)
+        degrees = 1 if inner is None else len(inner.cols) + (arg - 1 if op == TAIL else 0)
+        zero = Fraction(0) if bits is None else 0
+        self.cols = [[zero] for _ in range(degrees)]
+
+    @property
+    def n(self) -> int:
+        return len(self.cols[0]) - 1
+
+    def grow(self, n: int) -> None:
+        """Extend the rows from the kept n to n, the inner table first."""
+        n0, cols = self.n, self.cols
+        if n <= n0:
+            return
+        new = range(n0 + 1, n + 1)
+        zero = cols[0][0]  # starts each sum, so that an empty one stays in the ring
+        if self.inner is None:
+            one = Fraction(1) if self.bits is None else 1 << self.bits
+            sig = sigma_table(2 * self.arg - 1, n)
+            cols[0].extend(sig[m] * one for m in new)
+            return
+        self.inner.grow(n)
+        inner, arg = self.inner.cols, self.arg
+        quo = truediv if self.bits is None else floordiv
+        if self.op == PRODUCT:  # exact: sum_u sigma(u) x(m - u), per degree column
+            sig = sigma_table(2 * arg - 1, n)
+            for col, src in zip(cols, inner):
+                col.extend(sum(map(mul, sig[1:m], src[m - 1:0:-1]), zero) for m in new)
+        elif self.op == LAYER:
+            cols[0].extend(quo(inner[0][m], m**arg) for m in new)
+        else:  # TAIL: r_j = (kappa_j - (j+1) r_{j+1}) / m from the top degree down
+            for m in new:
+                r = zero
+                for j in range(len(cols) - 1, -1, -1):
+                    kappa = inner[j - arg + 1][m] if j >= arg - 1 else zero
+                    r = quo(kappa - (j + 1) * r, m)
+                    cols[j].append(-r)
+
+    def read(self, tau: tuple, n: int) -> tuple:
+        """The raw mpc (2 pi i)^{-h} 2^{-B} sum_{m <= n} q^m sum_d R_{m,d} w^d of
+        a fixed-point table grown to n at the raw mpc tau, at the working
+        precision: one exact sum over the power chains of q and w, scaled and
+        rounded once (`_scaled`)."""
+        prec, rnd = mp._prec_rounding
+        q_pows = list(islice(_q_powers(tau, prec, rnd), 1, n + 1))
+        sums = [_dot(zip(islice(col, 1, n + 1), repeat(0), repeat(0)), q_pows) for col in self.cols]
+        if len(sums) > 1:  # an L-series has degree 0 only, and needs no w
+            sums = [_dot(sums, _powers(_w(tau, prec), prec))]
+        return _scaled(sums[0], self.h, self.bits, prec, rnd)
 
 
-def _flat(p: Poly) -> list:
-    return [x for z in p for x in z._mpc_]
+@lru_cache(maxsize=1024)
+def _rows(chain: tuple, bits: int | None) -> _Rows:
+    """The kept table of `chain` in the ring `bits` (None for exact rows); its
+    inner table is the kept one of the chain's prefix in the same ring."""
+    return _Rows(*chain[-1], _rows(chain[:-1], bits) if len(chain) > 1 else None, bits)
 
 
-def _from_flat(parts: dict[int, list]) -> ExpPoly:
-    """ExpPoly from flat part lists, trimmed as the constructor trims."""
-    make = mp.make_mpc
-    out = ExpPoly()
-    for n, flat in parts.items():
-        end = len(flat)
-        while end and flat[end - 1] == fzero and flat[end - 2] == fzero:
-            end -= 2
-        if end:
-            # from a list: a tuple built from a generator is allocated long and
-            # shrunk, so freed ones pile up in the per-size tuple free lists
-            out.terms[n] = tuple([make((flat[k], flat[k + 1])) for k in range(0, end, 2)])
-    return out
+def _integrated(c: tuple, alpha: int, one: int) -> tuple:
+    """c'_e = q_e + one + (e+1) c'_{e+1} from the top down, q = c shifted up by
+    alpha - 1 degrees: a tail step of a bound, `one` the floor's share."""
+    q = (0,) * (alpha - 1) + c
+    out = [q[-1] + one]
+    for e in range(len(q) - 2, -1, -1):
+        out.append(q[e] + one + (e + 1) * out[-1])
+    return tuple(reversed(out))
+
+
+@lru_cache(maxsize=1024)
+def _majorants(chain: tuple) -> tuple:
+    """(majorant, deficit) of the rows of `chain`, each a bound (P, c, h),
+    carried from its prefix's; see module docstring.  The deficit of exact
+    rows is (0, (0, ...), h), and a product keeps it so."""
+    op, arg = chain[-1]
+    if len(chain) == 1:
+        return (2 * arg - 1, (sigma_majorant(arg),), 0), (0, (Fraction(0),), 0)
+    (power, c, h), (d_power, d, _) = _majorants(chain[:-1])
+    if op == PRODUCT:
+        power, s = _product_majorant(arg, power)
+        if any(d):
+            d_power, t = _product_majorant(arg, d_power)
+            d = tuple(x * t for x in d)
+        return (power, tuple(x * s for x in c), h), (d_power, d, h)
+    if op == LAYER:
+        return ((max(power - arg, 0), c, h + arg),
+                (max(d_power - arg, 0), tuple(x + 1 for x in d), h + arg))
+    return ((max(power - 1, 0), _integrated(c, arg, 0), h + arg),
+            (max(d_power - 1, 0), _integrated(d, arg, 1), h + arg))
+
+
+def _log2_ceil(x: Fraction) -> int:
+    """An int >= log2 x for x > 0 (at most 2 above it)."""
+    return x.numerator.bit_length() - x.denominator.bit_length() + 1
+
+
+def _fixed_bits(power: int, n: int, spread: int, lead, eps) -> int:
+    """B for fixed-point rows read up to N = n at the working precision, whose
+    read moves by at most 2^(spread - B) lead n^{power+1}: (power, c, h) the
+    deficit bound, and lead the modulus of the value's first term (an
+    L-series) or of its majorant (a fold, whose first term has no known lower
+    bound), so that 2^spread bounds the deficit's scale over lead.
+
+    B makes that at most eps 2^-24 (certified; mp.mag(x) - 1 <= log2 |x| <
+    mp.mag(x)), and at most 2^-(prec + GUARD_BITS) lead, below the rounding
+    of the read.  n^{power+1} < 2^{(power+1) b} for b the bit length of n,
+    taken at least _MIN_N_BITS.  B is that rounded up to the working
+    precision plus a multiple of _BITS_STEP, so chains whose needs lie in one
+    step share it."""
+    spread += (power + 1) * max(n.bit_length(), _MIN_N_BITS)
+    need = spread + max(mp.prec + GUARD_BITS, mp.mag(lead) + 25 - mp.mag(eps)) - mp.prec
+    return mp.prec + -(-need // _BITS_STEP) * _BITS_STEP
+
+
+@lru_cache(maxsize=256)
+def _two_pi_power(h: int, prec: int) -> tuple:
+    """(m, x) with (2 pi)^{-h} = m 2^x rounded to prec + GUARD_BITS bits."""
+    _, m, x, _ = mpf_pow_int(mpf_pi(prec + 2 * GUARD_BITS), -h, prec + GUARD_BITS, "n")
+    return m, x - h  # pi^{-h} 2^{-h}
+
+
+def _scaled(z: tuple, h: int, bits: int, prec: int, rnd: str) -> tuple:
+    """The block z times (2 pi i)^{-h} 2^{-bits} as raw mpc parts, each rounded
+    once: i^{-h} exactly, (2 pi)^{-h} from `_two_pi_power`."""
+    a, b, e = z
+    for _ in range(h % 4):
+        a, b = b, -a  # times i^{-1}
+    m, x = _two_pi_power(h, prec)
+    return _round((a * m, b * m, e + x - bits), prec, rnd)
+
+
+def _w(tau: tuple, prec: int) -> tuple:
+    """w = 2 pi i tau for the raw mpc tau as an exact block: tau's block times
+    2 pi at prec + GUARD_BITS bits."""
+    a, b, e = _block(tau)
+    _, m, x, _ = mpf_pi(prec + GUARD_BITS)
+    return -b * m, a * m, e + x + 1
 
 
 def _block(z: tuple) -> tuple:
@@ -271,7 +388,7 @@ def _dot(zs, ws) -> tuple:
     """The exact sum_j z_j w_j of complex block floats (a, b, e), value
     (a + ib) 2^e, as one block: every product exact, the sum kept on the least
     exponent so far; (0, 0, 0) for no terms.  A real z (b = 0, as every row
-    of an L table) costs two products."""
+    of the table) costs two products."""
     re = im = 0
     e = None
     for (za, zb, ze), (wa, wb, we) in zip(zs, ws):
@@ -297,15 +414,15 @@ def _round(z: tuple, prec: int, rnd: str) -> tuple:
 
 
 def _powers(z: tuple, prec: int):
-    """z^0, z^1, ... of the raw mpc z as complex block floats (a, b, e), value
-    (a + ib) 2^e: z^{j+1} is z^j times z exactly, its mantissas then cut back
-    to prec + GUARD_BITS bits (the wider of a and b), round half up.
+    """z^0, z^1, ... of the block z = (a, b, e) as blocks: z^{j+1} is z^j times
+    z exactly, its mantissas then cut back to prec + GUARD_BITS bits (the
+    wider of a and b), round half up.
 
     Each cut moves each part by at most 2^-(prec + GUARD_BITS) |z^{j+1}|, so
     z^j is within j 2^-(prec + GUARD_BITS - 1/2) of the exact power of z,
     relatively, to first order, and z^j never depends on how far the chain is
     taken."""
-    a, b, e = _block(z)
+    a, b, e = z
     keep = prec + GUARD_BITS
     pa, pb, pe = 1, 0, 0
     while True:
@@ -320,41 +437,7 @@ def _powers(z: tuple, prec: int):
 def _q_powers(t: tuple, prec: int, rnd: str):
     """The power chain (`_powers`) of q = e^{2 pi i t} for the raw mpc t, q
     rounded as mp.expjpi(2 * t) rounds it at prec and rnd."""
-    return _powers(mpc_expjpi(mpc_mul_int(t, 2, prec, rnd), prec, rnd), prec)
-
-
-def mul_qseries(g: ExpPoly, coeffs, n_cut: int, n_lo: int = 0) -> ExpPoly:
-    """(sum_{1<=n<=n_cut} coeffs[n] e^{2 pi i n t}) * g at the frequencies n_lo < n <= n_cut.
-
-    `coeffs` holds Python integers (index 0 unused), e.g. a `sigma_table`.
-    Each part (re or im of a coefficient) of an output frequency n is the exact
-    convolution sum_{n1 + n2 = n} coeffs[n1] g_{n2}, rounded once: each part
-    position of g becomes a column of integers over n2 on that position's
-    least exponent, so every product and the sum are exact integers.  The
-    value does not depend on n_lo or n_cut beyond which frequencies it holds;
-    pairs outside (n_lo, n_cut] are never formed.
-    """
-    prec, rnd = mp._prec_rounding
-    src = [(n2, _flat(p)) for n2, p in g.terms.items() if n2 < n_cut]
-    size = max((len(flat) for _, flat in src), default=0)
-    a = coeffs[1:n_cut + 1]
-    out: dict[int, list] = {}
-    for k in range(size):
-        nonzero = [(n2, flat[k]) for n2, flat in src if k < len(flat) and flat[k][1]]
-        if not nonzero:
-            continue
-        e = min(x[2] for _, x in nonzero)
-        col = [0] * n_cut  # g_{n2} at position k is col[n2] 2^e exactly
-        for n2, (sign, man, x, _) in nonzero:
-            col[n2] = (-man if sign else man) << (x - e)
-        lo = min(n2 for n2, _ in nonzero)
-        stop = lo - 1 if lo else None
-        for n in range(max(n_lo, lo) + 1, n_cut + 1):
-            # coeffs[n1] col[n - n1] for n1 = 1 .. n - lo
-            acc = sum(map(mul, a[:n - lo], col[n - 1:stop:-1]))
-            if acc:
-                out.setdefault(n, [fzero] * size)[k] = from_man_exp(acc, e, prec, rnd)
-    return _from_flat(out)
+    return _powers(_block(mpc_expjpi(mpc_mul_int(t, 2, prec, rnd), prec, rnd)), prec)
 
 
 def elem_exp_tail(n: int, alpha: int, a) -> mpc:

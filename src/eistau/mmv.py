@@ -11,7 +11,7 @@ Every R word with exponents >= 1, const factors included, is the fold of
 gammainc sum for a single cusp factor with m <= 0.  The module keeps these
 values (`_r_value`, a bounded `lru_cache` keyed on the word, the budget and
 the working precision `mp.prec`), and assembles the formulas below from them.
-`word_eval` keeps the inner stages of a word's fold and forms its outermost
+`word_eval` keeps the inner rows of a word's fold and forms its outermost
 tail integral as one dot against a table of elementary tail integrals at i,
 shared by every R word at one precision: `_r_value` alone keeps an R word's
 value.  `t_cusp_reg` and `i_coeff` keep their values the same way

@@ -10,7 +10,7 @@ from eistau.algebra import make_index
 from eistau.cli import main
 from eistau.config import EngineConfig, TruncationBudget
 from eistau.eisenstein import CUSP
-from eistau.integrals import _chain, _stage, freq_cutoff, int_eval, int_exppoly
+from eistau.integrals import _chain, _cutoff_bits, int_eval, int_exppoly
 from eistau.report import VerificationReport, parse_complex
 
 
@@ -83,9 +83,9 @@ def test_eval_int_dump_certified_at_tau_off_axis(capsys):
     carrier = int_exppoly(idx, tau, budget)  # at the CLI's 40 digits
     assert "\n".join(dump) == carrier.dump()
     with mp.extradps(15):
-        stage = _stage(_chain(((CUSP, 3), (CUSP, 4)), (2, 3)), mp.prec)
-        n_cut = freq_cutoff(stage.majorant, stage.bound, tau, budget)
-        assert freq_cutoff(stage.majorant, stage.bound, mpc(0, 1), budget) == 14
+        chain = _chain(((CUSP, 3), (CUSP, 4)), (2, 3))
+        n_cut = _cutoff_bits(chain, tau, budget)[0]
+        assert _cutoff_bits(chain, mpc(0, 1), budget)[0] == 14
     assert int(dump[-1].split(";")[0]) == carrier.max_freq() == n_cut == 16
     ref = int_eval(idx, tau, TruncationBudget(budget.eps * 1e-10, budget.n_max))
     assert abs(carrier(tau) - ref) <= budget.eps

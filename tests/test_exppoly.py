@@ -11,11 +11,11 @@ from eistau.eisenstein import sigma_table
 from eistau.exppoly import (
     GUARD_BITS,
     ExpPoly,
+    _block,
     _dot,
     _powers,
     _round,
     elem_exp_tail,
-    mul_qseries,
 )
 
 I = mpc(0, 1)
@@ -165,101 +165,6 @@ def _mixed_exppoly() -> ExpPoly:
     })
 
 
-def _dyadic(x: tuple) -> Fraction:
-    """The raw mpf x as an exact Fraction."""
-    sign, man, exp, _ = x
-    v = Fraction(man) * Fraction(2) ** exp
-    return -v if sign else v
-
-
-def _mul_qseries_reference(g: ExpPoly, coeffs, n_cut: int, n_lo: int = 0) -> dict:
-    """Raw parts of each output frequency n_lo < n <= n_cut: per part, the
-    convolution sum_{n1 + n2 = n} coeffs[n1] g_{n2} summed in Fractions and
-    rounded once at the working precision, trimmed as ExpPoly trims."""
-    prec, rnd = mp._prec_rounding
-    out = {}
-    for n in range(n_lo + 1, n_cut + 1):
-        sums = []
-        for n2, p in g.terms.items():
-            if 1 <= n - n2 <= n_cut and coeffs[n - n2]:
-                flat = [x for z in p for x in z._mpc_]
-                sums += [Fraction(0)] * (len(flat) - len(sums))
-                for k, x in enumerate(flat):
-                    sums[k] += coeffs[n - n2] * _dyadic(x)
-        parts = [from_man_exp(c.numerator, 1 - c.denominator.bit_length(), prec, rnd)
-                 for c in sums]
-        poly = list(zip(parts[::2], parts[1::2]))
-        while poly and not (poly[-1][0][1] or poly[-1][1][1]):
-            poly.pop()
-        if poly:
-            out[n] = tuple(poly)
-    return out
-
-
-def _mul_qseries_cases(dps):
-    with mp.workdps(dps + 30):
-        wide = _mixed_exppoly()  # coefficients wider than the working precision
-    with mp.workdps(dps):
-        return [(sigma_table(2 * k - 1, n_cut), n_cut, g)
-                for k, n_cut, g in [(3, 17, cusp_exppoly(2, 17).tail_integral(2)),
-                                    (5, 9, _mixed_exppoly()),
-                                    (2, 4, _mixed_exppoly()),
-                                    (3, 7, wide)]]
-
-
-@pytest.mark.parametrize("dps", [40, 70])
-def test_mul_qseries_is_the_exact_convolution_rounded_once(dps):
-    with mp.workdps(dps):
-        for coeffs, n_cut, g in _mul_qseries_cases(dps):
-            got = _parts(mul_qseries(g, coeffs, n_cut))
-            assert got == _mul_qseries_reference(g, coeffs, n_cut)
-
-
-def test_mul_qseries_takes_wide_integer_coefficients_exactly():
-    # coefficients wider than the 53 bits of 15 digits enter the products
-    # unrounded: at frequency 3, (2^100 + 1) g_2 + 2^100 g_1 is exactly -1,
-    # where the coefficients rounded first would give 0
-    g = ExpPoly({1: (mpc(1),), 2: (mpc(-1), mpc(0, 3))})
-    with mp.workdps(15):
-        got = mul_qseries(g, [0, 2**100 + 1, 2**100, 0], 3)
-        assert got.terms[3] == (mpc(-1), mpc(0, 3 * (2**100 + 1)))
-        for coeffs in ([0, 2**100 + 1, 2**100, 0], [0, 3**90 + 1, 0, 7, 2**200 - 1, 5]):
-            n_cut = len(coeffs) - 1
-            assert _parts(mul_qseries(g, coeffs, n_cut)) == _mul_qseries_reference(g, coeffs, n_cut)
-
-
-@pytest.mark.parametrize("dps", [40, 70])
-def test_mul_qseries_lower_bound_is_the_slice_of_the_product(dps):
-    # every n_lo: the frequencies n_lo < n <= n_cut of the full product, bit
-    # for bit, and nothing at or below n_lo
-    cases = _mul_qseries_cases(dps)
-    cases.append(([0, 3**90 + 1, 0, 7, 2**200 - 1], 4, _mixed_exppoly()))
-    for coeffs, n_cut, g in cases:
-        with mp.workdps(15 if n_cut == 4 else dps):
-            full = _parts(mul_qseries(g, coeffs, n_cut))
-            assert full == _mul_qseries_reference(g, coeffs, n_cut)
-            for n_lo in range(n_cut + 1):
-                got = mul_qseries(g, coeffs, n_cut, n_lo)
-                assert _parts(got) == {n: p for n, p in full.items() if n > n_lo}
-
-
-def test_mul_qseries_sparse_and_dense_columns_agree():
-    # columns with one or a few nonzero entries (a frequency-0 input among
-    # them) and a dense one: each part is the exact convolution rounded once,
-    # at every n_lo
-    sparse = ExpPoly({3: (mpc("0.25", -3), mpc(0, "1e-9")), 11: (mpc("-1.5"),),
-                      12: (mpc(0), mpc(7, 2))})
-    cases = [(sigma_table(3, 30), 30, ExpPoly({0: (mpc(1),)})),
-             (sigma_table(5, 40), 40, sparse),
-             (sigma_table(9, 9), 9, _mixed_exppoly())]
-    for coeffs, n_cut, g in cases:
-        full = _parts(mul_qseries(g, coeffs, n_cut))
-        assert full == _mul_qseries_reference(g, coeffs, n_cut)
-        for n_lo in (1, 5, 12, n_cut - 1, n_cut):
-            got = mul_qseries(g, coeffs, n_cut, n_lo)
-            assert _parts(got) == {n: p for n, p in full.items() if n > n_lo}
-
-
 def _tail_integral_recurrence(f: ExpPoly, alpha: int) -> ExpPoly:
     """The recurrence on mpc values: R = sum_j (-1)^j Q^(j) / c^{j+1} solves
     cR + R' = Q, so r_D = q_D / c and r_m = (q_m - (m+1) r_{m+1}) / c from the
@@ -393,9 +298,9 @@ def _dot_fractions(f: ExpPoly, t, n_max=None) -> tuple:
     if not terms:
         return re, im
     q_pows = [_block_fraction(z) for z in
-              islice(_powers(mp.expjpi(2 * t)._mpc_, mp.prec), max(terms) + 1)]
+              islice(_powers(_block(mp.expjpi(2 * t)._mpc_), mp.prec), max(terms) + 1)]
     t_pows = [_block_fraction(z) for z in
-              islice(_powers(t._mpc_, mp.prec), max(len(p) for p in terms.values()))]
+              islice(_powers(_block(t._mpc_), mp.prec), max(len(p) for p in terms.values()))]
     for n, p in terms.items():
         qa, qb = q_pows[n]
         for c, (ta, tb) in zip(p, t_pows):
@@ -527,8 +432,8 @@ def test_powers_are_cut_back_to_the_guard_bits(dps):
         zs = [mpc(0, 1), mpc(1, 1), mpc(2, -3), mpc("0.3", "1.1"), mpc(40, "0.15"),
               mpc("1e-30", 1), mpc(-1, "1e-30"), mp.expjpi(2 * mpc("-0.45", "0.7"))]
         for z in zs:
-            pows = list(islice(_powers(z._mpc_, prec), 40))
-            assert pows[:7] == list(islice(_powers(z._mpc_, prec), 7))
+            pows = list(islice(_powers(_block(z._mpc_), prec), 40))
+            assert pows[:7] == list(islice(_powers(_block(z._mpc_), prec), 7))
             za, zb = _fraction(z.real), _fraction(z.imag)
             xa, xb = Fraction(1), Fraction(0)  # z^j exactly
             ra, rb = Fraction(1), Fraction(0)  # z^j by the reference chain

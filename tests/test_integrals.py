@@ -5,9 +5,8 @@ from math import factorial
 
 import pytest
 from mpmath import mp, mpc, mpf
-from mpmath.libmp import from_man_exp, fzero
 
-from eistau import clear_caches, integrals, mmv
+from eistau import clear_caches, exppoly, integrals, mmv
 from eistau.algebra import make_index
 from eistau.config import BudgetError, SingularParameterError, TruncationBudget
 from eistau.eisenstein import _constant_mpf as eis_constant_mpf
@@ -18,7 +17,7 @@ from eistau.eisenstein import (
     sigma_majorant,
     sigma_table,
 )
-from eistau.exppoly import ExpPoly, elem_exp_tail, mul_qseries
+from eistau.exppoly import ExpPoly, _majorants, _rows, elem_exp_tail
 from eistau.integrals import int_eval, int_exppoly, word_eval
 from eistau.lseries import l_eval
 from eistau.mmv import MonomialCoefficientRequest, r_iter, s_coeff
@@ -149,6 +148,17 @@ def test_general_tau_values_bit_identical():
     assert _mpc_digest(_int_and_l_values(_tau_cases(2222, 100, 0.5))) == PINNED_GENERAL_TAU_SHA256
 
 
+def _horner_read(rows, tau, n) -> tuple:
+    """The fixed-point rows up to n as mpc coefficients (2 pi i)^{d-h} R_{m,d} 2^-B,
+    each formed in mpc arithmetic, read at the raw tau by Horner in q on mpc
+    values: the reference for the exact dot of `exppoly._Rows.read`."""
+    two_pi_i = 2 * mp.pi * mpc(0, 1)
+    scale = [two_pi_i ** (d - rows.h) * mpf(2) ** -rows.bits for d in range(len(rows.cols))]
+    f = ExpPoly({m: tuple(mpf(col[m]) * s for col, s in zip(rows.cols, scale))
+                 for m in range(1, n + 1)})
+    return _call_mpc_horner(f, mp.make_mpc(tau))._mpc_
+
+
 def test_returned_values_equal_the_horner_read(monkeypatch):
     # the dot and Horner in q on mpc values differ only in their roundings at the
     # fold's precision, 15 digits (an L table's: 10) above the returned one
@@ -157,7 +167,7 @@ def test_returned_values_equal_the_horner_read(monkeypatch):
     got = _int_and_l_values(cases)
     clear_caches()
     with monkeypatch.context() as patch:
-        patch.setattr(ExpPoly, "__call__", _call_mpc_horner)
+        patch.setattr(exppoly._Rows, "read", _horner_read)
         ref = _int_and_l_values(cases)
     clear_caches()  # no Horner-read value stays in the value memos
     assert [v._mpc_ for v in got] == [v._mpc_ for v in ref]
@@ -182,31 +192,48 @@ def test_word_eval_rejects_malformed_word(case):
     with pytest.raises(ValueError) as info:
         word_eval(word, alphas, mpc(0, 1), BUDGET)
     assert info.type is error
-    assert integrals._stage.cache_info().misses == 0
+    assert _rows.cache_info().misses == 0
 
 
-# -- the stage table: one kept stage per (stage chain, precision), reused ------
+# -- the row table: one kept table per (chain, bits), reused -------------------
 
 
-def _fold_prec() -> int:
-    """The working precision of a fold at the current one (`extradps(15)`)."""
+def _fold_bits(chain, tau, einf=Fraction(1)) -> int:
+    """B of the fixed-point rows of a fold whose whole chain is `chain`, at tau
+    and the precision a fold runs at (`extradps(15)`)."""
     with mp.extradps(15):
-        return mp.prec
+        return integrals._cutoff_bits(chain, mpc(tau), BUDGET, einf)[1]
 
 
 def _kept_stages(keys) -> list:
-    """The kept stages at `keys`, distinct (chain, prec) pairs, asserting that
-    they are all the kept stages: the cache holds as many, and each is a hit."""
-    before = integrals._stage.cache_info()
-    stages = [integrals._stage(*key) for key in keys]
-    after = integrals._stage.cache_info()
+    """The kept tables at `keys`, distinct (chain, bits) pairs, asserting that
+    they are all the kept tables: the cache holds as many, and each is a hit."""
+    before = _rows.cache_info()
+    stages = [_rows(*key) for key in keys]
+    after = _rows.cache_info()
     assert after.hits - before.hits == len(keys) == before.currsize == after.currsize
     return stages
 
 
 def _chain_of(stage) -> tuple:
-    """The stage chain of a stage, read back through its inner stages."""
+    """The chain of a table, read back through its inner tables."""
     return () if stage is None else _chain_of(stage.inner) + ((stage.op, stage.arg),)
+
+
+def _counted_tables(monkeypatch) -> list:
+    """The list every table made from now on is appended to."""
+    built = []
+
+    class Counted(exppoly._Rows):
+        __slots__ = ()
+
+        def __init__(self, op, arg, inner, bits):
+            built.append(self)
+            super().__init__(op, arg, inner, bits)
+
+    monkeypatch.setattr(exppoly, "_Rows", Counted)
+    return built
+
 
 FOLD_INDEX = make_index([3, 2, 2], [2, 1, 3])
 FOLD_WORD = tuple(("cusp", k) for k in FOLD_INDEX.ks)
@@ -226,11 +253,12 @@ def test_fold_cache_values_bit_identical_to_cold(taus):
     warm = [int_eval(FOLD_INDEX, tau, BUDGET)._mpc_ for tau in taus]
     warm += [int_eval(FOLD_INDEX, tau, BUDGET)._mpc_ for tau in taus]
     assert warm == cold + cold
-    # every stage of the chain is kept, and only those, at the largest n_cut seen
-    stages = _kept_stages([(FOLD_CHAIN[:j], _fold_prec()) for j in range(1, len(FOLD_CHAIN) + 1)])
+    # every table of the chain is kept, and only those, at one B and at the
+    # largest n_cut seen
+    (bits,) = {_fold_bits(FOLD_CHAIN, tau) for tau in taus}
+    stages = _kept_stages([(FOLD_CHAIN[:j], bits) for j in range(1, len(FOLD_CHAIN) + 1)])
     with mp.extradps(15):  # the precision int_eval folds at
-        top = stages[-1]
-        n_cut = max(integrals.freq_cutoff(top.majorant, top.bound, tau, BUDGET) for tau in taus)
+        n_cut = max(integrals._cutoff_bits(FOLD_CHAIN, tau, BUDGET)[0] for tau in taus)
     assert [stage.n for stage in stages] == [n_cut] * len(FOLD_CHAIN)
 
 
@@ -253,91 +281,78 @@ def test_stages_grown_up_and_down_give_cold_bits():
     clear_caches()
     warm = [f(tau)._mpc_ for tau in RISE_FALL_TAUS for f in calls]
     assert warm == cold
-    assert integrals._stage.cache_info().currsize
+    assert _rows.cache_info().currsize
 
 
 def test_mmv_words_keep_inner_stages_never_their_last(monkeypatch):
-    # int_eval keeps every stage of its chain; a base-point word of mmv, whose
-    # value mmv memoizes, keeps the stages below its outermost tail integral
+    # int_eval keeps every table of its chain; a base-point word of mmv, whose
+    # value mmv memoizes, keeps the tables below its outermost tail integral
     clear_caches()
     int_eval(FOLD_INDEX, FOLD_TAUS[0], BUDGET)
-    _kept_stages([(FOLD_CHAIN[:j], _fold_prec()) for j in range(1, len(FOLD_CHAIN) + 1)])
+    bits = _fold_bits(FOLD_CHAIN, FOLD_TAUS[0])
+    _kept_stages([(FOLD_CHAIN[:j], bits) for j in range(1, len(FOLD_CHAIN) + 1)])
     clear_caches()
     words = []
 
     def recording(word, alphas, tau, budget):
-        words.append(integrals._chain(word, alphas))
+        chain = integrals._chain(word, alphas)
+        words.append((chain, _fold_bits(chain, tau, _einf_product(word))))
         return integrals.word_eval(word, alphas, tau, budget)
 
     monkeypatch.setattr(mmv, "word_eval", recording)
     r_iter([("const", 3), ("cusp", 2)], (2, 1), BUDGET)
     s_coeff(MonomialCoefficientRequest((2, 3), (1, 2)), budget=BUDGET)
     assert words and mmv._r_value.cache_info().currsize
-    # a word's own chain is kept only as the inner stage of a longer word
-    kept = {chain[:j] for chain in words for j in range(1, len(chain))}
-    _kept_stages([(chain, _fold_prec()) for chain in kept])
-    assert any(chain not in kept for chain in words)
+    # a word's own chain is kept only as the inner table of a longer word
+    kept = {(chain[:j], bits) for chain, bits in words for j in range(1, len(chain))}
+    _kept_stages(kept)
+    assert any(key not in kept for key in words)
 
 
 def test_s_coeff_sweep_builds_each_product_stage_once(monkeypatch):
     # R(E0_1, E0_2; a1, a2) and R(E0_1, E0_2; 2k1 - a1, 2k2 - a2) for every a1
     # share the product stage of (k2, a2, k1) and of (k2, 2k2 - a2, k1)
-    built = []
-
-    class Counted(integrals._Stage):
-        __slots__ = ()
-
-        def __init__(self, op, arg, inner):
-            built.append(self)
-            super().__init__(op, arg, inner)
-
+    built = _counted_tables(monkeypatch)
     clear_caches()
-    monkeypatch.setattr(integrals, "_Stage", Counted)
     for a1 in range(1, 6):
         s_coeff(MonomialCoefficientRequest((3, 2), (a1, 1)), budget=BUDGET)
     chains = [_chain_of(stage) for stage in built]
     products = {chain for chain in chains
                 if chain[-1][0] == integrals.PRODUCT and len(chain) > 1}
     assert products == {(("product", 2), ("tail", a2), ("product", 3)) for a2 in (1, 3)}
-    # each kept stage built once, with the two series, five tails over E0_3 and
-    # two over E0_2; no other stage is built: an R word's outermost tail
-    # integral is a dot against the J table, not a stage
+    # each kept table built once, with the two series, five tails over E0_3 and
+    # two over E0_2; no other table is built: an R word's outermost tail
+    # integral is a dot against the J' table, not a table
     assert len(set(chains)) == len(chains) == 11
-    assert _kept_stages([(chain, _fold_prec()) for chain in chains]) == built
+    assert _kept_stages([(chain, stage.bits) for chain, stage in zip(chains, built)]) == built
     assert mmv._r_value.cache_info().currsize
 
 
 @pytest.mark.parametrize("dps", [15, 40])
 def test_series_stage_is_the_sieve_rounded_once(dps):
-    # the innermost stage is sigma_{2k-1}(m) of the sieve, each rounded once at
-    # the working precision (sigma_11 is wider than the 53 bits of 15 digits
-    # from m = 25 on), grown in two steps as a fold grows
+    # the innermost table is sigma_{2k-1}(m) of the sieve times 2^B, exact
+    # integers where the mpc stages rounded each sigma once (sigma_11 is wider
+    # than the 53 bits of 15 digits from m = 25 on), and the sieve itself in
+    # the exact ring, grown in two steps as a fold grows
     with mp.workdps(dps):
-        prec, rnd = mp._prec_rounding
         for k in (2, 6):
             clear_caches()
-            stage = integrals._stage(((integrals.PRODUCT, k),), prec)
-            stage.grow(9)
-            stage.grow(40)
             sig = sigma_table(2 * k - 1, 40)
-            assert stage.n == 40
-            assert {m: tuple(z._mpc_ for z in p) for m, p in stage.fold.terms.items()} == {
-                m: ((from_man_exp(sig[m], 0, prec, rnd), fzero),) for m in range(1, 41)}
+            for bits, one in ((mp.prec + 128, 2 ** (mp.prec + 128)), (None, Fraction(1))):
+                table = _rows(((integrals.PRODUCT, k),), bits)
+                table.grow(9)
+                table.grow(40)
+                assert table.n == 40 and table.h == 0
+                assert table.cols == [[0] + [sig[m] * one for m in range(1, 41)]]
     clear_caches()
 
 
 def test_no_engine_fold_has_a_frequency_0_term(monkeypatch):
-    # every fold `mul_qseries` multiplies is an inner stage, made of tail
-    # integrals, which reject frequency 0: the innermost series comes from
-    # the sieve, never as a product with the constant 1
-    inputs = []
-
-    def recording(g, coeffs, n_cut, n_lo=0):
-        inputs.append(min(g.terms, default=None))
-        return mul_qseries(g, coeffs, n_cut, n_lo)
-
+    # every table a product multiplies is a tail integral, which has no
+    # frequency 0: the innermost series comes from the sieve, never as a
+    # product with the constant 1, and row 0 of every table stays 0
+    built = _counted_tables(monkeypatch)
     clear_caches()
-    monkeypatch.setattr(integrals, "mul_qseries", recording)
     for tau in FOLD_TAUS + [mpc("0.3", "0.1")]:
         int_eval(FOLD_INDEX, tau, BUDGET)
         int_eval(make_index([2, 3], [1, 2]), tau, BUDGET)
@@ -345,7 +360,9 @@ def test_no_engine_fold_has_a_frequency_0_term(monkeypatch):
         integrals.word_eval(word, alphas, RISE_FALL_TAUS[0], BUDGET)
     s_coeff(MonomialCoefficientRequest((2, 3), (1, 2)), budget=BUDGET)
     clear_caches()
-    assert inputs and 0 not in inputs
+    products = [t for t in built if t.op == integrals.PRODUCT and t.inner is not None]
+    assert products and all(t.inner.op == integrals.TAIL for t in products)
+    assert all(col[0] == 0 for t in built for col in t.cols)
 
 
 def test_fold_cache_keys_on_precision():
@@ -362,7 +379,8 @@ def test_fold_cache_keys_on_precision():
     keys = []
     for dps in (30, 50):
         with mp.workdps(dps):
-            keys += [(FOLD_CHAIN[:j], _fold_prec()) for j in range(1, len(FOLD_CHAIN) + 1)]
+            bits = _fold_bits(FOLD_CHAIN, tau)
+            keys += [(FOLD_CHAIN[:j], bits) for j in range(1, len(FOLD_CHAIN) + 1)]
     _kept_stages(keys)
 
 
@@ -394,21 +412,49 @@ def test_exppoly_call_n_max_is_truncated_value():
 DOT_TAUS = [mpc(0, 1), mpc("0.3", "0.8"), mpc("-0.45", "1.7")]
 
 
+def _j_errors(tau, n, e) -> dict:
+    """(n, e) -> |J - ref| / |ref| 2^prec for the rows 1..n, 0..e of the J'
+    table at tau and the working precision, scaled back by (2 pi i)^{-e-1},
+    against elem_exp_tail at 30 more digits."""
+    prec = mp.prec
+    table = integrals._tails(tau._mpc_, prec)
+    table.grow(n, e)
+    out = {}
+    with mp.extradps(30):
+        two_pi_i = 2 * mp.pi * mpc(0, 1)
+        for m, row in enumerate(table.rows[1:n + 1], 1):
+            for j, (a, b, x) in enumerate(row[:e + 1]):
+                got = mpc(mpf(a) * mpf(2) ** x, mpf(b) * mpf(2) ** x) / two_pi_i ** (j + 1)
+                ref = elem_exp_tail(m, j + 1, tau)
+                out[m, j] = abs(got - ref) / abs(ref) * mpf(2) ** prec
+    return out
+
+
 @pytest.mark.parametrize("dps", [30, 40, 50])
 def test_tail_table_rows_equal_elem_exp_tail(dps):
-    # J_{n,e}(tau) = int_tau^{i oo} e^{2 pi i n s} s^e ds = elem_exp_tail(n, e + 1, tau)
+    # (2 pi i)^{-e-1} J'_{n,e}(tau) = int_tau^{i oo} e^{2 pi i n s} s^e ds
+    # = elem_exp_tail(n, e + 1, tau)
     with mp.workdps(dps):
         for tau in DOT_TAUS:
             table = integrals._tails(tau._mpc_, mp.prec)
             table.grow(20, 12)
             table.grow(8, 16)  # grows the first rows in e only
             assert [len(row) for row in table.rows[1:]] == [17] * 8 + [13] * 12
-            for n, row in enumerate(table.rows[1:], 1):
-                for e, parts in enumerate(row):
-                    with mp.extradps(30):
-                        ref = elem_exp_tail(n, e + 1, tau)
-                    err = abs(mp.make_mpc(parts) - ref) / abs(ref)
-                    assert err <= mpf(2) ** (4 - mp.prec), (tau, n, e, err * 2**mp.prec)
+            errors = _j_errors(tau, 20, 16)  # grows the last rows in e
+            assert len(errors) == 20 * 17
+            assert max(errors.values()) <= 16, (tau, max(errors.items(), key=lambda x: x[1]))
+
+
+def test_tail_table_row_error_off_the_axis():
+    # n <= 25 and e <= 24 at 40 digits, in ulps of the table's precision: the J
+    # table's forward recurrence on mpc values, rounded at every step, lost up
+    # to 52.2 at 0.5 + 0.3i (row 3, e = 20) and 10.0 at i (row 25, e = 6);
+    # summed exactly as n^{e+1} J' over the power chains (q at 8 guard bits),
+    # with one floor per entry, the J' table loses at most 0.26 (row 3, e = 20)
+    # and 0.08 (row 25, e = 24), measured; asserted within twice the J table's
+    for tau, worst in ((mpc("0.5", "0.3"), 52.2), (mpc(0, 1), 10.0)):
+        errors = _j_errors(tau, 25, 24)
+        assert max(errors.values()) <= 2 * worst, (tau, max(errors.values()))
 
 
 def _dot_words(seed=2121):
@@ -423,16 +469,16 @@ def _dot_words(seed=2121):
 
 
 def _materialized_top(word, alphas, tau):
-    """word_eval with its outermost tail integral as a stage over the kept inner
-    stage, grown to n_cut and read by Horner on mpc values: the reference for
+    """word_eval with its outermost tail integral as a table over the kept inner
+    table, grown to n_cut and read by Horner on mpc values: the reference for
     the dot."""
     tau = mpc(tau)
     chain = integrals._chain(word, alphas)
     with mp.extradps(15):
-        top = integrals._Stage(*chain[-1], integrals._stage(chain[:-1], mp.prec))
-        n_cut = integrals.freq_cutoff(top.majorant, top.bound, tau, BUDGET, _einf_product(word))
+        n_cut, bits = integrals._cutoff_bits(chain, tau, BUDGET, _einf_product(word))
+        top = exppoly._Rows(*chain[-1], _rows(chain[:-1], bits), bits)
         top.grow(n_cut)
-        val = _call_mpc_horner(top.fold, tau, n_max=n_cut)
+        val = mp.make_mpc(_horner_read(top, tau._mpc_, n_cut))
         for kind, k in word:
             if kind == "const":
                 val = eis_constant_mpf(k) * val
@@ -454,25 +500,18 @@ def test_word_eval_dot_equals_materialized_top(dps):
 
 
 def test_word_eval_builds_no_stage_beyond_the_kept_ones(monkeypatch):
-    built = []
-
-    class Counted(integrals._Stage):
-        __slots__ = ()
-
-        def __init__(self, op, arg, inner):
-            built.append(self)
-            super().__init__(op, arg, inner)
-
+    built = _counted_tables(monkeypatch)
     clear_caches()
-    monkeypatch.setattr(integrals, "_Stage", Counted)
     for word, alphas in _dot_words():
         for tau in DOT_TAUS:
             word_eval(word, alphas, tau, BUDGET)
-    chains = {integrals._chain(word, alphas) for word, alphas in _dot_words()}
-    # kept, and built once each: the inner stages of each word, never a word's
+    keys = {(integrals._chain(word, alphas), _fold_bits(integrals._chain(word, alphas), tau,
+                                                         _einf_product(word)))
+            for word, alphas in _dot_words() for tau in DOT_TAUS}
+    # kept, and built once each: the inner tables of each word, never a word's
     # own chain unless it is the inner chain of another word
-    kept = {chain[:j] for chain in chains for j in range(1, len(chain))}
-    stages = _kept_stages([(chain, _fold_prec()) for chain in kept])
+    kept = {(chain[:j], bits) for chain, bits in keys for j in range(1, len(chain))}
+    stages = _kept_stages(kept)
     assert built and sorted(map(id, built)) == sorted(map(id, stages))
 
 
@@ -506,8 +545,8 @@ def _majorant_words(seed=2019):
 
 
 def _word_majorant(word, alphas):
-    """The top stage's majorant (P, c, h) with c times the word's |Einf| product."""
-    power, c, h = integrals._stage(integrals._chain(word, alphas), mp.prec).majorant
+    """The majorant (P, c, h) of the word's chain with c times its |Einf| product."""
+    power, c, h = _majorants(integrals._chain(word, alphas))[0]
     einf = _einf_product(word)
     return power, tuple(x * einf for x in c), h
 
@@ -519,15 +558,17 @@ def test_fold_majorant_dominates_realized_frequencies():
             u = 2 * mp.pi * abs(tau)
             scale = sum(mpf(x.numerator) / x.denominator * u**d for d, x in enumerate(c))
             scale /= (2 * mp.pi) ** h
-            stage = integrals._stage(integrals._chain(word, alphas), mp.prec)
+            chain = integrals._chain(word, alphas)
             einf = _einf_product(word)
-            n_cut = integrals.freq_cutoff(stage.majorant, stage.bound, tau, BUDGET, einf)
-            stage.grow(2 * n_cut)
-            fold = stage.fold
-            assert fold.max_freq() > n_cut
+            n_cut, bits = integrals._cutoff_bits(chain, tau, BUDGET, einf)
+            rows = _rows(chain, bits)
+            rows.grow(2 * n_cut)
+            assert rows.n > n_cut
             einf = mpf(einf.numerator) / einf.denominator
-            for n, poly in fold.terms.items():
-                realized = abs(mp.polyval(poly[::-1], tau)) * einf
+            w = 2 * mp.pi * mpc(0, 1) * tau
+            for n in range(1, rows.n + 1):
+                poly = [mpf(col[n]) * mpf(2) ** -rows.bits for col in rows.cols]
+                realized = abs(mp.polyval(poly[::-1], w)) / (2 * mp.pi) ** h * einf
                 assert realized <= scale * mpf(n) ** power, (word, alphas, tau, n)
 
 
@@ -585,8 +626,79 @@ def test_freq_cutoff_sharp_on_grid():
     for (ks, alphas), (certified, needed) in SHARPNESS_GRID.items():
         word = tuple(("cusp", k) for k in ks)
         with mp.extradps(15):
-            stage = integrals._stage(integrals._chain(word, alphas), mp.prec)
-            got = tuple(integrals.freq_cutoff(stage.majorant, stage.bound, mpc("0.3", y), BUDGET)
+            chain = integrals._chain(word, alphas)
+            got = tuple(integrals._cutoff_bits(chain, mpc("0.3", y), BUDGET)[0]
                         for y in ("0.7", "1", "2"))
         assert got == certified
         assert all(n <= 1.5 * m for n, m in zip(got, needed))
+
+
+# -- the fixed-point rows against the exact ones --------------------------------
+
+# every chain of PINNED_INDICES, the inner chain of r_iter's (const 3, cusp 2; 2, 1)
+# word (that of Int(2; 1) again), and Int(2, 2, 3; 1, 1, 2), whose rows go to N = 400
+CERTIFIED_CHAINS = [integrals._chain(tuple(("cusp", k) for k in ks), alphas)
+                    for ks, alphas in PINNED_INDICES]
+CERTIFIED_CHAINS.append(integrals._chain((("const", 3), ("cusp", 2)), (2, 1))[:-1])
+DEEP_CHAIN = integrals._chain((("cusp", 2), ("cusp", 2), ("cusp", 3)), (1, 1, 2))
+
+
+@pytest.mark.parametrize("chain,n", [(chain, 40) for chain in CERTIFIED_CHAINS]
+                         + [(DEEP_CHAIN, 400)])
+def test_fixed_point_rows_within_their_certified_deficit(chain, n):
+    # |rho 2^B - R| <= c_d n^P for the deficit bound (P, c, h) of every table of
+    # the chain, at every (n, d), rho from the exact ring; B is the engine's at
+    # tau = i and 40 digits
+    bits = _fold_bits(chain, mpc(0, 1))
+    fixed, exact = _rows(chain, bits), _rows(chain, None)
+    fixed.grow(n)
+    exact.grow(n)
+    realized = []
+    while fixed is not None:
+        power, c, _ = _majorants(_chain_of(fixed))[1]
+        assert len(fixed.cols) == len(exact.cols) == len(c)
+        for col, ref, bound in zip(fixed.cols, exact.cols, c):
+            for m in range(1, n + 1):
+                d = abs(ref[m] * 2**bits - col[m])
+                assert d <= bound * m**power, (_chain_of(fixed), m)
+                realized.append(d)
+        fixed, exact = fixed.inner, exact.inner
+    assert any(realized)  # the floors did round
+
+
+def _exppoly_fold(chain, n) -> ExpPoly:
+    """The fold of `chain` up to frequency n by ExpPoly's own algebra: the
+    sieve's series, `__mul__` truncated at n, and `tail_integral`."""
+    def series(k):
+        sig = sigma_table(2 * k - 1, n)
+        return ExpPoly.from_qseries({m: sig[m] for m in range(1, n + 1)})
+
+    fold = series(chain[0][1])
+    for op, arg in chain[1:]:
+        if op == integrals.PRODUCT:
+            fold = (series(arg) * fold).truncated(n)
+        else:
+            fold = fold.tail_integral(arg)
+    return fold
+
+
+@pytest.mark.parametrize("chain", CERTIFIED_CHAINS + [DEEP_CHAIN])
+def test_exact_rows_are_the_exppoly_fold(chain):
+    # c_{n,d} = (2 pi i)^{d-h} rho_{n,d} of the exact rows equals the mpc fold of
+    # the same chain at 30 more digits within 10^-(dps + 25) of each frequency's
+    # largest coefficient: a slip of sign or of a power of 2 pi i in the rows,
+    # which the rings share, shows here
+    n = 24
+    exact = _rows(chain, None)
+    exact.grow(n)
+    dps = mp.dps
+    with mp.workdps(dps + 30):
+        fold = _exppoly_fold(chain, n)
+        two_pi_i = 2 * mp.pi * mpc(0, 1)
+        assert set(fold.terms) == {m for m in range(1, n + 1) if any(col[m] for col in exact.cols)}
+        for m, poly in fold.terms.items():
+            rows = [two_pi_i ** (d - exact.h) * mpf(col[m].numerator) / col[m].denominator
+                    for d, col in enumerate(exact.cols)]
+            assert len(poly) == len(rows)
+            top = max(abs(c) for c in poly)
+            assert max(abs(a - b) for a, b in zip(poly, rows)) <= mpf(10) ** -(dps + 25) * top

@@ -11,12 +11,40 @@ from mpmath.libmp import from_man_exp
 
 from eistau.algebra import make_index
 from eistau.config import TruncationBudget
-from eistau import clear_caches, lseries
+from eistau import clear_caches, exppoly
 from eistau.eisenstein import convolution_majorant, divisor_sigma, sigma_majorant, sigma_table
-from eistau.exppoly import _powers
-from eistau.lseries import _bounds, _l_read, _table, l_coeffs_bruteforce, l_coeffs_dp, l_eval
+from eistau.exppoly import _block, _majorants, _powers, _rows, _two_pi_power
+from eistau.lseries import _chain, _l_read, l_coeffs_bruteforce, l_coeffs_dp, l_eval
 
 BUDGET = TruncationBudget(1e-30, 100_000)
+
+
+def _bounds(ks, alphas) -> tuple:
+    """(majorant, deficit) of the rows of (ks; alphas) as pairs (P, C): the
+    bounds of its chain (`exppoly._majorants`), degree 0 only."""
+    (power, (c,), _), (d_power, (d,), _) = _majorants(_chain(ks, alphas))
+    return (power, c), (d_power, d)
+
+
+def _table(ks, alphas, bits):
+    """The kept row table of (ks; alphas) in the ring bits: its chain's last, an L layer."""
+    return _rows(_chain(ks, alphas), bits)
+
+
+def _suffix(table):
+    """The table of the index's suffix after its first entry: below the layer
+    and the product of that entry (None at depth 1)."""
+    return table.inner.inner
+
+
+def _index_of(table) -> tuple:
+    """(ks, alphas) of an L table, read back through its inner tables."""
+    ks, alphas = [], []
+    while table is not None:
+        ks.append(table.inner.arg)
+        alphas.append(table.arg)
+        table = _suffix(table)
+    return ks, alphas
 
 
 def test_dp_depth1_examples():
@@ -172,7 +200,7 @@ def test_table_deficits_equal_the_index_loop():
 
 
 def _read(idx, tau, budget=BUDGET):
-    """(prefactor, fixed-point table, N) of l_eval's read at tau, at the
+    """(scale, fixed-point table, N) of l_eval's read at tau, at the
     precision l_eval reads at."""
     with mp.extradps(10):
         return _l_read(idx, mpc(tau), budget)
@@ -190,37 +218,32 @@ def test_l_eval_cutoff_certified_at_exact_im_tau():
 
 
 def test_l_coeffs_dp_grows_the_kept_table():
-    # l_eval grows fixed-point tables only, with the majorants of `_bounds`;
+    # l_eval grows fixed-point tables only, with the majorants of their chain;
     # l_coeffs_dp grows the kept exact table in place, with its suffix table,
-    # and leaves the fixed-point ones as they are
+    # and leaves the fixed-point ones as they are; each index entry is two
+    # tables, a product and an L layer
     idx = make_index([2, 3], [1, 2])
     clear_caches()
     l_eval(idx, mpc("0.1", "1.9"), BUDGET)
     _, fixed, n0 = _read(idx, mpc("0.1", "1.9"))
-    assert fixed.n == n0 < 30 and fixed.inner is _table((3,), (2,), fixed.bits)
-    assert _table.cache_info().currsize == 2  # the table and its suffix table, no exact one
+    assert fixed.n == n0 < 30 and _suffix(fixed) is _table((3,), (2,), fixed.bits)
+    assert _rows.cache_info().currsize == 4  # the table and its suffix's, no exact one
     coeffs = l_coeffs_dp(idx, n0).coeffs
     table = _table(idx.ks, idx.alphas, None)
-    rows = table.rows
-    assert table.n == n0 and table.inner is _table((3,), (2,), None)
-    assert _table.cache_info().currsize == 4
+    rows = table.cols[0]
+    assert table.n == n0 and _suffix(table) is _table((3,), (2,), None)
+    assert _rows.cache_info().currsize == 8
     assert l_coeffs_dp(idx, 30).coeffs[:n0] == coeffs
-    assert _table(idx.ks, idx.alphas, None) is table and table.rows is rows
-    assert table.n == 30 and table.inner.n == 30 and fixed.n == n0
-    assert _table.cache_info().currsize == 4
+    assert _table(idx.ks, idx.alphas, None) is table and table.cols[0] is rows
+    assert table.n == 30 and _suffix(table).n == 30 and fixed.n == n0
+    assert _rows.cache_info().currsize == 8
 
 
 def _deficits(table, n):
     """d(m) = c(m) 2^B - R(m) for m = 1..n of a fixed-point table, from the
     exact rows of the same index."""
-    ks, alphas = [], []
-    t = table
-    while t is not None:
-        ks.append(t.k)
-        alphas.append(t.alpha)
-        t = t.inner
-    exact = l_coeffs_dp(make_index(ks, alphas), n).coeffs
-    return [0] + [c * 2**table.bits - r for c, r in zip(exact, table.rows[1:n + 1])]
+    exact = l_coeffs_dp(make_index(*_index_of(table)), n).coeffs
+    return [0] + [c * 2**table.bits - r for c, r in zip(exact, table.cols[0][1:n + 1])]
 
 
 def test_l_table_grows_in_place_and_converts_once():
@@ -234,37 +257,42 @@ def test_l_table_grows_in_place_and_converts_once():
     clear_caches()
     l_eval(make_index([3, 2], [2, 2]), mpc("0.1", "1.9"), BUDGET)  # the suffix first
     l_eval(idx, mpc("0.1", "1.9"), BUDGET)
-    assert _table.cache_info().currsize == 3  # the table and its two suffix tables
+    assert _rows.cache_info().currsize == 6  # the table and its two suffix tables, two each
     _, table, n0 = _read(idx, mpc("0.1", "1.9"))
     keys = [(idx.ks[j:], idx.alphas[j:], table.bits) for j in range(3)]
     tables = [_table(*key) for key in keys]
-    assert _table.cache_info().currsize == 3  # each a hit
-    assert tables[0] is table and [t.inner for t in tables] == tables[1:] + [None]
-    kept = [list(t.rows) for t in tables]
+    assert _rows.cache_info().currsize == 6  # each a hit
+    assert tables[0] is table and [_suffix(t) for t in tables] == tables[1:] + [None]
+    kept = [list(t.cols[0]) for t in tables]
     tau = mpc("0.1", "0.7")
     l_eval(idx, tau, BUDGET)
     _, again, n1 = _read(idx, tau)
     assert again is table and n1 > n0 and all(t.n == n1 for t in tables)
-    assert all(t.rows[m] is old[m] for t, old in zip(tables, kept) for m in range(n0 + 1))
+    assert all(t.cols[0][m] is old[m] for t, old in zip(tables, kept) for m in range(n0 + 1))
     for (ks, alphas, _), t in zip(keys, tables):
         exact = l_coeffs_bruteforce(make_index(ks, alphas), t.n).coeffs
         power, c = _bounds(ks, alphas)[1]
         assert all(0 <= e * 2**t.bits - r <= c * m**power
-                   for m, (e, r) in enumerate(zip(exact, t.rows[1:]), 1))
+                   for m, (e, r) in enumerate(zip(exact, t.cols[0][1:]), 1))
     with mp.extradps(10):  # the precision l_eval reads at
         prec, rnd = mp._prec_rounding
-        q_pows = list(islice(_powers(mp.expjpi(2 * tau)._mpc_, prec), 1, n0 + 1))
-        sums = [sum(Fraction(r * q[j], 2**table.bits) * Fraction(2) ** q[2]
-                    for r, q in zip(table.rows[1:], q_pows))
+        q_pows = list(islice(_powers(_block(mp.expjpi(2 * tau)._mpc_), prec), 1, n0 + 1))
+        sums = [sum(Fraction(r * q[j]) * Fraction(2) ** q[2]
+                    for r, q in zip(table.cols[0][1:], q_pows))
                 for j in (0, 1)]
-        assert table.read(tau, n0)._mpc_ == tuple(
+        # times (2 pi i)^{-h} 2^-B: i^{-h} exactly, (2 pi)^{-h} = m 2^x at prec + 8 bits
+        for _ in range(table.h % 4):
+            sums = [sums[1], -sums[0]]
+        m, x = _two_pi_power(table.h, prec)
+        sums = [v * m * Fraction(2) ** (x - table.bits) for v in sums]
+        assert table.read(tau._mpc_, n0) == tuple(
             from_man_exp(v.numerator, 1 - v.denominator.bit_length(), prec, rnd) for v in sums)
     with mp.workdps(50):  # another precision reads a table of more bits
         l_eval(idx, mpc("0.1", "1.9"), BUDGET)
         _, wider, _ = _read(idx, mpc("0.1", "1.9"))
     assert wider.bits > table.bits and table.n == n1
     clear_caches()
-    assert _table.cache_info().currsize == 0
+    assert _rows.cache_info().currsize == 0
 
 
 SHARED_SUFFIX_INDICES = [((2,), (2,)), ((3, 2), (2, 2)), ((2, 3, 2), (1, 2, 2)),
@@ -278,17 +306,18 @@ def test_indices_at_one_precision_share_their_suffix_tables(monkeypatch, step):
     # indices included, has one fixed-point table; negative control: at a
     # step of 1 bit the needs differ, and shared suffixes are kept per B
     if step is not None:
-        monkeypatch.setattr(lseries, "_BITS_STEP", step)
+        monkeypatch.setattr(exppoly, "_BITS_STEP", step)
     tau = mpc("0.25", "0.9")
     clear_caches()
     for ks, alphas in SHARED_SUFFIX_INDICES:
         l_eval(make_index(ks, alphas), tau, BUDGET)
     bits = {_read(make_index(ks, alphas), tau)[1].bits for ks, alphas in SHARED_SUFFIX_INDICES}
-    chains = {(ks[j:], alphas[j:]) for ks, alphas in SHARED_SUFFIX_INDICES for j in range(len(ks))}
-    shared = _table.cache_info().currsize == len(chains)
+    chains = {_chain(ks, alphas)[:j] for ks, alphas in SHARED_SUFFIX_INDICES
+              for j in range(1, 2 * len(ks) + 1)}
+    shared = _rows.cache_info().currsize == len(chains)
     if step is None:
         with mp.extradps(10):
-            assert len(bits) == 1 and (bits.pop() - mp.prec) % lseries._BITS_STEP == 0
+            assert len(bits) == 1 and (bits.pop() - mp.prec) % exppoly._BITS_STEP == 0
         assert shared
     else:
         assert len(bits) > 2 and not shared
@@ -327,15 +356,15 @@ def _layer_excess(table, deficits):
     1).  The sum is 2^B c(m) - S(m) / m^alpha for the exact row c(m) and
     S(m) = sum_u sigma(u) R_inner(m-u) over the inner fixed-point rows."""
     n = len(deficits) - 1
-    sig = sigma_table(2 * table.k - 1, n)
+    sig = sigma_table(2 * table.inner.arg - 1, n)
     out = []
     for m in range(1, n + 1):
         share = 0
-        if table.inner is not None:
-            inner = table.inner.rows
-            exact = deficits[m] + table.rows[m]  # c(m) 2^B
+        if _suffix(table) is not None:
+            inner = _suffix(table).cols[0]
+            exact = deficits[m] + table.cols[0][m]  # c(m) 2^B
             share = exact - Fraction(sum(sig[u] * inner[m - u] for u in range(1, m)),
-                                     m**table.alpha)
+                                     m**table.arg)
         out.append(deficits[m] - share)
     return out
 
@@ -358,10 +387,10 @@ def test_fixed_point_rows_within_their_certified_deficit(ks, alphas):
         excess = _layer_excess(layer, dl)
         assert all(x < 1 for x in excess)
         assert any(x > 0 for x in excess)  # the 1 of each layer is needed
-        layer = layer.inner
-    low, m = min((d[j], j) for j in range(1, n + 1) if table.rows[j])
+        layer = _suffix(layer)
+    low, m = min((d[j], j) for j in range(1, n + 1) if table.cols[0][j])
     assert low < 1
-    raised = list(table.rows)
+    raised = list(table.cols[0])
     raised[m] += 1
     exact = l_coeffs_dp(make_index(ks, alphas), n).coeffs
     assert not all(0 <= e * 2**table.bits - r for e, r in zip(exact, raised[1:]))
@@ -383,19 +412,19 @@ def test_fixed_point_read_within_its_certified_term(ks, alphas, t, tau, eps):
     idx, budget = make_index(ks, alphas, t), TruncationBudget(eps, BUDGET.n_max)
     clear_caches()
     value = l_eval(idx, mpc(*tau), budget)
-    prefactor, table, n = _read(idx, mpc(*tau), budget)
+    scale, table, n = _read(idx, mpc(*tau), budget)
     power, c = _bounds(ks, alphas)[1]
     exact = l_coeffs_dp(idx, n).coeffs
     with mp.extradps(70):
         q = mp.expjpi(2 * mpc(*tau))
-        scale = mpf(2) ** -table.bits
-        fixed = mp.fsum(table.rows[m] * scale * q**m for m in range(1, n + 1))
+        unit = mpf(2) ** -table.bits
+        fixed = mp.fsum(table.cols[0][m] * unit * q**m for m in range(1, n + 1))
         ref = mp.fsum(mpf(e.numerator) / e.denominator * q**m for m, e in enumerate(exact, 1))
-        term = mp.fsum(c.numerator * m**power * scale / c.denominator * abs(q) ** m
+        term = mp.fsum(c.numerator * m**power * unit / c.denominator * abs(q) ** m
                        for m in range(1, n + 1))
         assert 0 < abs(fixed - ref) <= term
-        assert abs(prefactor) * term <= eps * mpf(2) ** -24
-        ref *= prefactor
+        assert scale * term <= eps * mpf(2) ** -24
+        ref *= (2 * mp.pi * mpc(0, 1)) ** -sum(alphas) * mpc(*tau) ** t
     assert abs(value - ref) <= max(eps, abs(ref) * 2 ** (4 - mp.prec))
 
 

@@ -373,12 +373,13 @@ def test_clear_caches_recomputes_bit_identical_values():
     def constants():
         return [eisenstein._constant_mpf(k) for k in (2, 3, 4)]
 
-    # the caches these values reach: every value cache, the fold stages and J
-    # tables, the L tables, the Eisenstein samples and constants
+    # the caches these values reach: every value cache, the row tables of folds
+    # and L-series with their bounds, the J' tables, the Eisenstein samples and
+    # constants
     reached = ("mmv._r_value", "mmv._t_cusp_reg", "mmv._i_coeff", "lseries._l_value",
-               "integrals._int_value", "integrals._stage", "integrals._tails",
-               "lseries._table", "lseries._small_im", "eisenstein._cusp_at",
-               "eisenstein._constant_at")
+               "integrals._int_value", "exppoly._rows", "exppoly._majorants",
+               "integrals._fold_bounds", "exppoly._two_pi_power", "integrals._tails",
+               "lseries._small_im", "eisenstein._cusp_at", "eisenstein._constant_at")
     caches = _engine_caches()
 
     def sizes():

@@ -13,10 +13,9 @@ from functools import lru_cache
 import pytest
 from mpmath import mp, mpc
 
-from eistau import clear_caches, eisenstein, integrals, lseries, mmv
+from eistau import clear_caches, eisenstein, exppoly, integrals, lseries, mmv
 from eistau.algebra import CompositeIndex, make_index
 from eistau.config import BudgetError, SingularParameterError, TruncationBudget
-from eistau.exppoly import ExpPoly
 from eistau.integrals import int_eval
 from eistau.lseries import l_eval
 from eistau.mmv import MonomialCoefficientRequest, i_coeff, t_cusp_reg
@@ -51,7 +50,7 @@ def reached(monkeypatch):
 
     for mod in (eisenstein, integrals, lseries, mmv):
         monkeypatch.setattr(mod, "tail_start", spy("tail_start", mod.tail_start))
-    monkeypatch.setattr(ExpPoly, "__call__", spy("ExpPoly.__call__", ExpPoly.__call__))
+    monkeypatch.setattr(exppoly._Rows, "read", spy("_Rows.read", exppoly._Rows.read))
     monkeypatch.setattr(mmv, "_r", spy("_r", mmv._r))
     return calls
 
@@ -126,9 +125,11 @@ def test_keys_are_normalized_to_tuples():
 
 @pytest.fixture
 def two_entry_caches(monkeypatch):
-    """The stage and L-table caches and the five value caches cut to two entries."""
-    caches = []
-    for fn in (integrals._stage, lseries._table, *VALUE_CACHES.values()):
+    """The row-table cache and the five value caches cut to two entries."""
+    caches = [lru_cache(maxsize=2)(exppoly._rows.__wrapped__)]
+    for mod in (exppoly, integrals, lseries):  # every binding of the table factory
+        monkeypatch.setattr(mod, "_rows", caches[0])
+    for fn in VALUE_CACHES.values():
         caches.append(lru_cache(maxsize=2)(fn.__wrapped__))
         monkeypatch.setattr(sys.modules[fn.__module__], fn.__name__, caches[-1])
     clear_caches()
@@ -136,7 +137,7 @@ def two_entry_caches(monkeypatch):
 
 
 def test_evicted_entries_recompute_the_same_bits(two_entry_caches):
-    # an evicted stage or table lives on inside the outer one that holds it, a
+    # an evicted table lives on inside the outer one that holds it, a
     # rebuilt one has the same bits by the truncation prefix, and an evicted
     # value is recomputed from either
     from test_integrals import test_fold_values_bit_identical
