@@ -123,6 +123,7 @@ def convolution_majorant(a: int, b: int) -> Fraction:
     return beta + Fraction(a**a * b**b, (a + b) ** (a + b))
 
 
+@lru_cache(maxsize=1024)
 def _product_majorant(k: int, power: int) -> tuple[int, Fraction]:
     """(P + 2k, s) for one sigma-product step: |f_n| <= C n^P for all n >= 1 gives
     |sum_{n1+n2=n} sigma_{2k-1}(n1) f_{n2}| <= s C n^{P+2k}, with
@@ -130,25 +131,33 @@ def _product_majorant(k: int, power: int) -> tuple[int, Fraction]:
     return power + 2 * k, sigma_majorant(k) * convolution_majorant(2 * k - 1, power)
 
 
-def tail_start(power: int, y, eps, n_max: int) -> int:
-    """An N certified to satisfy sum_{n > N} n^power x^n < eps for x = e^{-2 pi y}, y > 0.
+@lru_cache(maxsize=64)
+def _eps_logs(eps) -> tuple[float, int]:
+    """(log eps, mp.mag(eps)) for a budget's eps > 0, the one place either is
+    taken: the log in doubles, in mpf at a fixed 64 bits below 1e-300."""
+    eps_f = float(eps)
+    with mp.workprec(64):
+        return (log(eps_f) if eps_f > 1e-300 else float(mp.log(eps))), mp.mag(eps)
+
+
+def tail_start(power: int, y, log_eps: float, n_max: int) -> int:
+    """An N certified to satisfy sum_{n > N} n^power x^n < e^log_eps for x = e^{-2 pi y}, y > 0.
 
     Bound: once rho = ((N+2)/(N+1))^power * x < 1 the terms decay at least
     geometrically past N, so the tail is at most t(N+1) / (1 - rho).
 
     The step loop starts past the peak of n^power x^n and runs in double
-    precision with ln x = -2 pi y.  N is accepted when log rho < -1e-6 and the
-    log tail is below log eps by the margin 1e-6 (1 + |log eps|).  The doubles
-    certify the bound: the rounding error of the log tail, that of float(y)
-    and float(eps) included, is about 1e-12 at n <= n_max, six orders below
-    the margin, and an n that the margin leaves undecided steps on.  Only
-    eps <= 1e-300 needs an mpf, for its log.
+    precision with ln x = -2 pi y, on the log of the bound (`_eps_logs` for a
+    budget's eps).  N is accepted when log rho < -1e-6 and the log tail is
+    below log_eps by the margin 1e-6 (1 + |log eps|).  The doubles certify the
+    bound: the rounding error of the log tail, that of float(y) included, is
+    about 1e-12 at n <= n_max, and that of a caller's log_eps is bounded
+    (`exppoly.LOG_ULPS`; 4.9e-11 at Int(2;400)), over four orders below the
+    margin, and an n that the margin leaves undecided steps on.
     """
     lnx = -2 * pi * float(y)
     if not lnx < 0:
         raise ValueError("y must be positive")
-    eps_f = float(eps)
-    log_eps = log(eps_f) if eps_f > 1e-300 else float(mp.log(eps))
     cut = log_eps - 1e-6 * (1 + abs(log_eps))
     n = max(1, ceil(power / -lnx))
     while n <= n_max:
@@ -157,7 +166,7 @@ def tail_start(power: int, y, eps, n_max: int) -> int:
             return n
         n += 1 + n // 16
     raise BudgetError(
-        f"truncation index cap {n_max} reached before certified tail < {eps_f}; "
+        f"truncation index cap {n_max} reached before certified tail < e^{log_eps:.6g}; "
         "Im tau is too small for this budget"
     )
 
@@ -191,7 +200,7 @@ def _cusp_at(k: int, tau: tuple, budget: TruncationBudget, prec: int) -> tuple:
     """
     with mp.extradps(10):
         tau = mp.make_mpc(tau)
-        n_trunc = tail_start(2 * k, tau.imag, budget.eps, budget.n_max)
+        n_trunc = tail_start(2 * k, tau.imag, _eps_logs(budget.eps)[0], budget.n_max)
         sig = sigma_table(2 * k - 1, n_trunc)
         q = mp.expjpi(2 * tau)._mpc_
         wprec, rnd = mp._prec_rounding

@@ -43,7 +43,9 @@ At tau a bound scales to (2 pi)^{-h} sum_d c_d (2 pi |tau|)^d, so a
 read of the rows up to N is within 2^-B N^{P+1} times the deficit's scale of
 the read of exact rows; `_fixed_bits` picks B from that.  The deficit's scale
 over that of the value's first term, or of its majorant, does not depend on
-tau, so B moves with tau only where eps, not the precision, sets it.
+tau, so B moves with tau only where eps, not the precision, sets it.  The
+cutoffs are sized on logs in doubles, from `_certificate`, kept per chain:
+math.log takes the bounds' ints at any size, so no chain overflows.
 
 The read (`_Rows.read`) is one exact sum over the power chains of q and w
 (`_powers`): a dot per degree over the frequencies, one over the degrees, with
@@ -67,15 +69,18 @@ read does, with t in place of w.  Instances are immutable.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import islice, repeat, zip_longest
+from math import floor, hypot, inf, ldexp, log, pi, prod
 from operator import floordiv, mul, truediv
 
 from mpmath import mp, mpc
-from mpmath.libmp import from_man_exp, fzero, mpc_expjpi, mpc_mul_int, mpf_pi, mpf_pow_int
+from mpmath.libmp import (from_man_exp, fzero, mpc_abs, mpc_expjpi, mpc_mul_int, mpf_pi, mpf_pow_int,
+                          to_float)
 
-from .eisenstein import _product_majorant, sigma_majorant, sigma_table
+from .eisenstein import _eps_logs, _product_majorant, sigma_majorant, sigma_table
 
 Poly = tuple  # coefficient tuple, index = power of t
 GUARD_BITS = 8  # bits the power chains keep beyond the working precision
@@ -87,6 +92,10 @@ _MIN_N_BITS = 6
 # chain needs above the precision differ between chains, and one step holds them
 # all on the benchmark's workloads, so that they share their inner tables.
 _BITS_STEP = 128
+LOG_2, LOG_2PI = log(2), log(2 * pi)
+# A log of the cutoffs in doubles is within LOG_ULPS (1 + m) of the exact one, m
+# the sum of the moduli of the logs it is made of: 64 ulps, over 3 times its rounding.
+LOG_ULPS = 2.0**-47
 
 
 def _ptrim(coeffs) -> Poly:
@@ -325,26 +334,68 @@ def _majorants(chain: tuple) -> tuple:
             (max(d_power - 1, 0), _integrated(d, arg, 1), h + arg))
 
 
+_Cert = namedtuple("_Cert", "power d_power h logs size spread log_c log_inv_first")
+
+
+@lru_cache(maxsize=1024)
+def _certificate(chain: tuple) -> _Cert:
+    """The certificate record of a fold or L chain, in doubles from the exact
+    `_majorants` (P, c, h) and (P', d, h): logs l_d = log p - log q - h log
+    2 pi for c_d = p/q, each within 2^-50 (1 + size) of the exact log, size =
+    max_d (|log p| + |log q|) + h log 2 pi (+ log 1/c(r)), and 2^spread >= the
+    deficit's scale over the lead (`_fixed_bits`).  A fold's lead is its
+    majorant: spread bounds d_d / c_d.  An L chain's (last op a layer) is its
+    first term, whose row 1/c(r) = prod_i (i + 1)^alpha_i over its layers
+    innermost out (every part 1): spread bounds d / c(r), and the record
+    keeps log c and log 1/c(r)."""
+    (power, c, h), (d_power, d, _) = _majorants(chain)
+    parts = [(log(x.numerator), log(x.denominator)) for x in c]
+    logs = tuple(p - q - h * LOG_2PI for p, q in parts)
+    size = max(abs(p) + abs(q) for p, q in parts) + h * LOG_2PI
+    if chain[-1][0] != LAYER:
+        spread = max(_log2_ceil(x / y) for x, y in zip(d, c))
+        return _Cert(power, d_power, h, logs, size, spread, None, None)
+    inv_first = prod((i + 1) ** alpha for i, (_, alpha) in enumerate(chain[1::2]))
+    ((p, q),) = parts
+    return _Cert(power, d_power, h, logs, size + log(inv_first), _log2_ceil(d[0] * inv_first),
+                 p - q, log(inv_first))
+
+
+def _log_abs(z: mpc) -> float:
+    """log |z| in doubles, within 2^-53 (5 + 3 |log |z||) of the exact log;
+    outside the double range, from the exponent of |z| at 53 bits."""
+    x = hypot(*map(to_float, z._mpc_))
+    if 0 < x < inf:
+        return log(x)
+    _, man, exp, bits = mpc_abs(z._mpc_, 53)
+    return log(ldexp(man, -bits)) + (exp + bits) * LOG_2
+
+
 def _log2_ceil(x: Fraction) -> int:
     """An int >= log2 x for x > 0 (at most 2 above it)."""
     return x.numerator.bit_length() - x.denominator.bit_length() + 1
 
 
-def _fixed_bits(power: int, n: int, spread: int, lead, eps) -> int:
+def _fixed_bits(power: int, n: int, spread: int, log_lead: float, eps) -> int:
     """B for fixed-point rows read up to N = n at the working precision, whose
     read moves by at most 2^(spread - B) lead n^{power+1}: (power, c, h) the
     deficit bound, and lead the modulus of the value's first term (an
     L-series) or of its majorant (a fold, whose first term has no known lower
-    bound), so that 2^spread bounds the deficit's scale over lead.
+    bound), so that 2^spread bounds the deficit's scale over lead, and
+    log_lead an upper bound on log lead.
 
-    B makes that at most eps 2^-24 (certified; mp.mag(x) - 1 <= log2 |x| <
-    mp.mag(x)), and at most 2^-(prec + GUARD_BITS) lead, below the rounding
-    of the read.  n^{power+1} < 2^{(power+1) b} for b the bit length of n,
-    taken at least _MIN_N_BITS.  B is that rounded up to the working
-    precision plus a multiple of _BITS_STEP, so chains whose needs lie in one
-    step share it."""
+    B makes that at most eps 2^-24 (certified: lead < 2^mag and eps >= 2^(m-1),
+    m of `_eps_logs`), and at most 2^-(prec + GUARD_BITS) lead, below the
+    rounding of the read.  The log2 step: mag - 1 is the floor of y = (log_lead
+    + 2^-50 |log_lead|) / log 2 in doubles, whose roundings move y by less than
+    the 2^-50 |log_lead| added, so y >= log2 lead, and mag = mp.mag(lead) unless
+    an integer lies between them.  n^{power+1} < 2^{(power+1) b} for b the bit
+    length of n, taken at least _MIN_N_BITS.  B is that rounded up to the
+    working precision plus a multiple of _BITS_STEP, so chains whose needs lie
+    in one step share it."""
+    mag = floor((log_lead + 2**-50 * abs(log_lead)) / LOG_2) + 1
     spread += (power + 1) * max(n.bit_length(), _MIN_N_BITS)
-    need = spread + max(mp.prec + GUARD_BITS, mp.mag(lead) + 25 - mp.mag(eps)) - mp.prec
+    need = spread + max(mp.prec + GUARD_BITS, mag + 25 - _eps_logs(eps)[1]) - mp.prec
     return mp.prec + -(-need // _BITS_STEP) * _BITS_STEP
 
 

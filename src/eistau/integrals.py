@@ -25,11 +25,12 @@ its frequencies > n_cut dropped, and the truncation error is the sum of those
 terms at tau.  The majorant of the chain (`exppoly._majorants`) bounds them:
 |rho_{n,d}| <= c_d n^P, so each dropped term is at most
 C n^P e^{-2 pi n Im tau} with C = (2 pi)^{-h} sum_d c_d (2 pi |tau|)^d, times
-|Einf_k| per const factor.  n_cut is an N that `tail_start` certifies to keep
-the sum over n > N below eps/2 (`freq_cutoff`).  B comes from the deficit
-bound of the chain (`exppoly._fixed_bits`), so the fixed-point rows move the
-value by at most eps 2^-24, and the read rounds once at the fold's precision,
-15 digits above the returned one.
+|Einf_k| per const factor.  n_cut is an N that `tail_start` certifies to
+keep the sum over n > N below eps/2 (`freq_cutoff`), on log C in doubles
+(`_log_majorant`).  B comes from the deficit bound of the chain
+(`exppoly._fixed_bits`), so the fixed-point rows move the value by at most
+eps 2^-24, and the read rounds once at the fold's precision, 15 digits above
+the returned one.
 
 Truncation prefix: the rows do not depend on tau, only n_cut does, and a row n
 is built from rows up to n only.  So a chain's rows are kept per (chain, B)
@@ -57,22 +58,26 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import prod
+from math import exp, log, prod
 
-from mpmath import mp, mpc, mpf
+from mpmath import mp, mpc
 
 from .algebra import CompositeIndex
 from .config import DEFAULT_BUDGET, SingularParameterError, TruncationBudget
-from .eisenstein import CONST, CUSP, _as_mpf, _constant_mpf, eis_constant, tail_start
+from .eisenstein import CONST, CUSP, _constant_mpf, _eps_logs, eis_constant, tail_start
 from .exppoly import (
     GUARD_BITS,
+    LOG_2,
+    LOG_2PI,
+    LOG_ULPS,
     PRODUCT,
     TAIL,
     ExpPoly,
+    _Cert,
+    _certificate,
     _dot,
     _fixed_bits,
-    _log2_ceil,
-    _majorants,
+    _log_abs,
     _powers,
     _q_powers,
     _rows,
@@ -95,46 +100,46 @@ def _chain(word, alphas) -> tuple:
     return chain
 
 
-@lru_cache(maxsize=1024)
-def _fold_bounds(chain: tuple, prec: int) -> tuple:
-    """(coefficients, spread) of the fold of `chain`: c_d (2 pi)^{-h} of its
-    majorant (P, c, h) (`exppoly._majorants`) as mpf at precision prec =
-    mp.prec, highest d first, and an int spread with 2^spread >= d_d / c_d at
-    every degree for its deficit bound (P', d, h)."""
-    (_, c, h), (_, d, _) = _majorants(chain)
-    return (tuple(_as_mpf(x) / (2 * mp.pi) ** h for x in reversed(c)),
-            max(_log2_ceil(x / y) for x, y in zip(d, c)))
-
-
-def freq_cutoff(power: int, scale, tau: mpc, budget: TruncationBudget) -> int:
+def freq_cutoff(power: int, log_scale: float, tau: mpc, budget: TruncationBudget) -> int:
     """Certified frequency cutoff at tau of a fold whose frequency-n term is
-    at most scale n^power e^{-2 pi n Im tau} in modulus (`_cutoff_bits`).
+    at most e^log_scale n^power e^{-2 pi n Im tau} in modulus (`_cutoff_bits`):
+    the N of `tail_start` that keeps the sum of the terms over n > N, the
+    truncation error, below eps/2.  The rest of the error is stated: the
+    fixed-point rows move the value by at most eps 2^-24 (`exppoly._fixed_bits`),
+    and the read is one exact dot rounded once at the fold's precision."""
+    return tail_start(power, tau.imag, _eps_logs(budget.eps)[0] - LOG_2 - log_scale, budget.n_max)
 
-    The truncated fold is the exact fold with its frequencies > n_cut dropped,
-    so the truncation error is the sum of those terms over n > n_cut; n_cut
-    keeps it below eps/2.  The rest of the error is stated, not left to
-    chance: the fixed-point rows move the value by at most eps 2^-24 (the
-    deficit bound, `exppoly._fixed_bits`), and the read is one exact dot over
-    power chains, each power within j 2^-(prec + 7.5) of its exact value
-    relatively, rounded once at the fold's precision, 15 digits above the
-    returned one.
-    """
-    return tail_start(power, tau.imag, mpf(budget.eps) / (2 * scale), budget.n_max)
+
+def _log_majorant(cert: _Cert, tau: mpc, einf: Fraction) -> tuple:
+    """(log (einf C), an upper bound on it) in doubles, for the majorant C of
+    the certificate record `cert` and einf = p/q: m + log sum_d e^(a_d - m)
+    over a_d = l_d + d x, x = log(2 pi |tau|), m the largest a_d (Blanchard,
+    Higham and Higham, IMA J. Numer. Anal. 41, 2021), plus log p - log q.
+    The bound adds beta = LOG_ULPS (1 + size + D (1 + |x|) + |log p| + |log q|
+    + |log C|), D the top degree: to first order the roundings sum to less
+    than 2^-53 (8 (1 + size) + 23 D (1 + |x|) + 5 (|log p| + |log q|) +
+    2 |log C|), and a term that the double exp drops is below 2^-1074."""
+    x = LOG_2PI + _log_abs(tau)
+    terms = [ell + d * x for d, ell in enumerate(cert.logs)]
+    top = max(terms)
+    log_c = top + log(sum(exp(a - top) for a in terms))
+    size = cert.size + (len(terms) - 1) * (1 + abs(x))
+    if einf != 1:
+        p, q = log(einf.numerator), log(einf.denominator)
+        log_c, size = log_c + p - q, size + abs(p) + abs(q)
+    return log_c, log_c + LOG_ULPS * (1 + size + abs(log_c))
 
 
 def _cutoff_bits(chain: tuple, tau: mpc, budget: TruncationBudget, einf=Fraction(1)) -> tuple:
     """(n_cut, B) at tau of the fold of `chain`, for a word whose const
-    factors multiply its value by einf in modulus: `freq_cutoff` for the
-    chain's majorant (P, c, h), a term at most einf C n^P e^{-2 pi n Im tau}
-    with C = (2 pi)^{-h} sum_d c_d (2 pi |tau|)^d, and B from its deficit
-    bound (`exppoly._fixed_bits`), within 2^spread of the majorant."""
-    coeffs, spread = _fold_bounds(chain, mp.prec)
-    scale = mp.polyval(coeffs, 2 * mp.pi * abs(tau))
-    if einf != 1:
-        scale *= _as_mpf(einf)
-    (power, _, _), (d_power, _, _) = _majorants(chain)
-    n_cut = freq_cutoff(power, scale, tau, budget)
-    return n_cut, _fixed_bits(d_power, n_cut, spread, scale, budget.eps)
+    factors multiply its value by einf in modulus: `freq_cutoff` for a term
+    at most einf C n^P e^{-2 pi n Im tau} on log (einf C) as it is, inside the
+    margin of `tail_start`, and B from the deficit bound on its upper bound
+    (`_log_majorant`, `exppoly._certificate`, `exppoly._fixed_bits`)."""
+    cert = _certificate(chain)
+    log_c, upper = _log_majorant(cert, tau, einf)
+    n_cut = freq_cutoff(cert.power, log_c, tau, budget)
+    return n_cut, _fixed_bits(cert.d_power, n_cut, cert.spread, upper, budget.eps)
 
 
 def _quo(z: tuple, d: int, keep: int) -> tuple:

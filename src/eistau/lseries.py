@@ -35,14 +35,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import prod
+from math import exp, log1p
 
 from mpmath import mp, mpc, mpf
 
 from .algebra import CompositeIndex
 from .config import DEFAULT_BUDGET, TruncationBudget
-from .eisenstein import _as_mpf, sigma_table, tail_start
-from .exppoly import LAYER, PRODUCT, _fixed_bits, _log2_ceil, _majorants, _rows
+from .eisenstein import _eps_logs, sigma_table, tail_start
+from .exppoly import LAYER, LOG_2PI, LOG_ULPS, PRODUCT, _certificate, _fixed_bits, _log_abs, _rows
 
 BRUTEFORCE_MAX_DEPTH = 4
 BRUTEFORCE_MAX_N = 200
@@ -136,22 +136,28 @@ def _small_im(prec: int) -> mpf:
 
 
 def _l_read(index: CompositeIndex, tau: mpc, budget: TruncationBudget) -> tuple:
-    """(scale, table, N) of the series at tau and the working precision:
-    scale = |(2 pi i)^{-h} tau^t|, N certified by tail_start at Im tau for the
-    majorant c(m) <= C m^P, and the kept fixed-point table for `_fixed_bits`,
-    grown to N.  The lead, scale c(r) |q|^r, is the first term: c(r) =
-    1 / prod_j (r - j + 1)^{alpha_j} is the first nonzero row (every part 1)."""
+    """(log scale, table, N) of the series at tau and the working precision,
+    in doubles from the chain's certificate record (`exppoly._certificate`):
+    log scale = t log |tau| - h log 2 pi, N by tail_start at Im tau for the
+    majorant c m^P and the bound eps / ((1 + scale) c), and the kept table
+    for `_fixed_bits`, grown to N.  The lead, scale c(r) |q|^r, is the first
+    term: log lead = log scale - log 1/c(r) is within beta = LOG_ULPS (1 +
+    size + |t| (1 + |log |tau||) + |log lead|) (its roundings sum to less
+    than 2^-53 (1 + 4 size + 6 |t| (1 + |log |tau||) + |log lead|)), and B
+    takes it plus beta; N takes its log bound as it is."""
     chain = _chain(index.ks, index.alphas)
-    (power, (c,), h), (d_power, (d,), _) = _majorants(chain)
-    scale = (2 * mp.pi) ** -h
-    if index.t:
-        scale *= abs(tau) ** index.t
-    n = tail_start(power, tau.imag, mpf(budget.eps) / ((1 + scale) * _as_mpf(c)), budget.n_max)
-    lead = prod((index.depth - j) ** a for j, a in enumerate(index.alphas))  # 1 / c(r)
-    bits = _fixed_bits(d_power, n, _log2_ceil(d * lead), scale / lead, budget.eps)
+    power, d_power, h, _, size, spread, log_c, log_inv_first = _certificate(chain)
+    log_tau = _log_abs(tau) if index.t else 0.0
+    log_scale = index.t * log_tau - h * LOG_2PI
+    log_one_plus = max(log_scale, 0.0) + log1p(exp(-abs(log_scale)))  # log(1 + scale)
+    log_eps = _eps_logs(budget.eps)[0] - log_one_plus - log_c
+    n = tail_start(power, tau.imag, log_eps, budget.n_max)
+    log_lead = log_scale - log_inv_first
+    size += abs(index.t) * (1 + abs(log_tau)) + abs(log_lead)
+    bits = _fixed_bits(d_power, n, spread, log_lead + LOG_ULPS * (1 + size), budget.eps)
     table = _rows(chain, bits)
     table.grow(n)
-    return scale, table, n
+    return log_scale, table, n
 
 
 def l_eval(index: CompositeIndex, tau, budget: TruncationBudget = DEFAULT_BUDGET) -> mpc:
@@ -161,7 +167,8 @@ def l_eval(index: CompositeIndex, tau, budget: TruncationBudget = DEFAULT_BUDGET
     rows m <= N against the power chain of q, summed exactly, scaled by
     (2 pi i)^{-h} and rounded once, then multiplied by tau^t.  The truncation
     tail of the value is below eps s / (1 + s) e^-mu, s the prefactor's
-    modulus and mu >= 1e-6 tail_start's margin in the log, which leaves more
+    modulus and mu what the rounding of `_l_read`'s logs in doubles (about
+    1e-12 at most) leaves of tail_start's margin 1e-6 in the log, so more
     than 9e-7 eps for the deficit term of at most eps 2^-24 (6e-8 eps).  q^m
     does not depend on how far the chain runs, so a table grown further for
     a lower Im tau gives the bits of one grown to N.  A value is kept per

@@ -67,14 +67,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, log
 
 from mpmath import mp, mpc, mpf
 
 from .algebra import CompositeIndex
 from .config import DEFAULT_BUDGET, SingularParameterError, TruncationBudget
 from .eisenstein import CONST, CUSP, _as_mpf, bernoulli, sigma_majorant, sigma_table, tail_start
-from .eisenstein import _constant_mpf as _einf
+from .eisenstein import _constant_mpf as _einf, _eps_logs
 # int_eval is unused here, but bench/test_bench.py checks that the benchmark's
 # tracer restores this binding.
 from .integrals import int_eval, word_eval  # noqa: F401
@@ -131,7 +131,7 @@ def _r_value(word: tuple, alphas: tuple, budget: TruncationBudget, prec: int) ->
     ((_, k),), (alpha,) = word, alphas
     with mp.extradps(10):
         power, c = _gammainc_majorant(k)
-        n_trunc = tail_start(power, 1, mpf(budget.eps) / c, budget.n_max)
+        n_trunc = tail_start(power, 1, _eps_logs(budget.eps)[0] - log(c), budget.n_max)
         sig = sigma_table(2 * k - 1, n_trunc)
         acc = mpc(0)
         for n in range(1, n_trunc + 1):

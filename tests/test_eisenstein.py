@@ -9,6 +9,7 @@ from mpmath import mp, mpc, mpf
 
 from eistau.config import BudgetError, TruncationBudget
 from eistau.eisenstein import (
+    _eps_logs,
     bernoulli,
     divisor_sigma,
     eis_constant,
@@ -164,7 +165,7 @@ def _mpc_loop_cusp(k, tau, budget):
     """The cusp part as the mpc loop `_cusp_at` replaced: its reference, bit for bit."""
     tau = mpc(tau)
     with mp.extradps(10):
-        n_trunc = tail_start(2 * k, tau.imag, budget.eps, budget.n_max)
+        n_trunc = tail_start(2 * k, tau.imag, _eps_logs(budget.eps)[0], budget.n_max)
         sig = sigma_table(2 * k - 1, n_trunc)
         q = mp.expjpi(2 * tau)
         qn = mpc(1)
@@ -221,7 +222,7 @@ def test_tail_start_certificate():
     # the certified N really bounds the tail (checked against a long direct sum)
     x = mp.exp(-2 * mp.pi)
     for power in (4, 10):
-        n0 = tail_start(power, 1, mpf("1e-25"), 10_000)
+        n0 = tail_start(power, 1, _eps_logs(mpf("1e-25"))[0], 10_000)
         tail = sum(mpf(n) ** power * x**n for n in range(n0 + 1, n0 + 400))
         assert tail < mpf("1e-25")
 
@@ -259,7 +260,7 @@ def _same_outcome(power, y, eps):
     """tail_start on y against the mpf reference loop on x = e^{-2 pi y}; True if both raise."""
     got = want = BudgetError
     try:
-        got = tail_start(power, y, eps, 500)
+        got = tail_start(power, y, _eps_logs(eps)[0], 500)
     except BudgetError:
         pass
     try:
@@ -294,7 +295,7 @@ def test_tail_start_certified_near_integer_ratio():
         y = power / (2 * mp.pi * m * (1 + mpf(delta)))
         eps = mpf(10) ** -rng.randint(10, 60)
         try:
-            n = tail_start(power, y, eps, 500)
+            n = tail_start(power, y, _eps_logs(eps)[0], 500)
         except BudgetError:
             continue
         x = mp.exp(-2 * mp.pi * y)
@@ -311,9 +312,9 @@ def test_eis_cusp_eval_cutoff_at_exact_im_tau(monkeypatch):
 
     seen = []
 
-    def spy(power, y, eps, n_max):
+    def spy(power, y, log_eps, n_max):
         seen.append(y)
-        return tail_start(power, y, eps, n_max)
+        return tail_start(power, y, log_eps, n_max)
 
     monkeypatch.setattr(eisenstein, "tail_start", spy)
     eisenstein._cusp_at.cache_clear()  # a remembered sum calls no tail_start

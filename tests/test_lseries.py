@@ -200,7 +200,7 @@ def test_table_deficits_equal_the_index_loop():
 
 
 def _read(idx, tau, budget=BUDGET):
-    """(scale, fixed-point table, N) of l_eval's read at tau, at the
+    """(log scale, fixed-point table, N) of l_eval's read at tau, at the
     precision l_eval reads at."""
     with mp.extradps(10):
         return _l_read(idx, mpc(tau), budget)
@@ -412,7 +412,8 @@ def test_fixed_point_read_within_its_certified_term(ks, alphas, t, tau, eps):
     idx, budget = make_index(ks, alphas, t), TruncationBudget(eps, BUDGET.n_max)
     clear_caches()
     value = l_eval(idx, mpc(*tau), budget)
-    scale, table, n = _read(idx, mpc(*tau), budget)
+    _, table, n = _read(idx, mpc(*tau), budget)
+    scale = (2 * mp.pi) ** -sum(alphas) * abs(mpc(*tau)) ** t
     power, c = _bounds(ks, alphas)[1]
     exact = l_coeffs_dp(idx, n).coeffs
     with mp.extradps(70):

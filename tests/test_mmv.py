@@ -374,12 +374,14 @@ def test_clear_caches_recomputes_bit_identical_values():
         return [eisenstein._constant_mpf(k) for k in (2, 3, 4)]
 
     # the caches these values reach: every value cache, the row tables of folds
-    # and L-series with their bounds, the J' tables, the Eisenstein samples and
-    # constants
+    # and L-series with their bounds and certificate records, the J' tables, the
+    # Eisenstein samples and constants, the logs of a budget's eps and the
+    # product majorants
     reached = ("mmv._r_value", "mmv._t_cusp_reg", "mmv._i_coeff", "lseries._l_value",
                "integrals._int_value", "exppoly._rows", "exppoly._majorants",
-               "integrals._fold_bounds", "exppoly._two_pi_power", "integrals._tails",
-               "lseries._small_im", "eisenstein._cusp_at", "eisenstein._constant_at")
+               "exppoly._certificate", "exppoly._two_pi_power", "integrals._tails",
+               "lseries._small_im", "eisenstein._cusp_at", "eisenstein._constant_at",
+               "eisenstein._eps_logs", "eisenstein._product_majorant")
     caches = _engine_caches()
 
     def sizes():
