@@ -44,27 +44,43 @@ read of the rows up to N is within 2^-B N^{P+1} times the deficit's scale of
 the read of exact rows; `_fixed_bits` picks B from that.  The deficit's scale
 over that of the value's first term, or of its majorant, does not depend on
 tau, so B moves with tau only where eps, not the precision, sets it.  The
-cutoffs are sized on logs in doubles, from `_certificate`, kept per chain:
-math.log takes the bounds' ints at any size, so no chain overflows.
+cutoffs are sized on logs in doubles, from `_certificate`, kept per chain,
+and `_log_majorant` or `_log_lead` at tau: math.log takes the bounds' ints
+at any size, so no chain overflows.
 
 The read (`_Rows.read`) is one exact sum over the power chains of q and w
-(`_powers`): a dot per degree over the frequencies, one over the degrees, with
-w formed exactly from the block of tau and a mantissa of 2 pi (`_w`); then
-`_scaled` applies 2^-B, i^{-h} exactly and (2 pi)^{-h} at prec + GUARD_BITS
-bits, and rounds each part once.  The dot has one home, `_dot`: every product
-of complex block floats (a + ib) 2^e is exact, the sum is exact, and `_round`
-rounds each part once (the single-rounding dot of Ogita, Rump and Oishi, SIAM
-J. Sci. Comput. 2005).  A power chain multiplies exactly and cuts each power
-back to prec + GUARD_BITS bits, so z^j is within j 2^-(prec + 7.5) of the
-exact power, relatively, and does not depend on how far the chain runs: a
-read up to N gives the bits of a table grown to N.
+(`_powers`): a dot per degree over the frequencies, one over the degrees
+(`_read_dot`), with w formed exactly from the block of tau and a mantissa of
+2 pi (`_w`); then `_scaled` applies 2^-B, i^{-h} exactly and (2 pi)^{-h} at
+prec + GUARD_BITS bits, and rounds each part once.  The dot has one home,
+`_dot`: every product of complex block floats (a + ib) 2^e is exact, the sum
+is exact, and `_round` rounds each part once (the single-rounding dot of
+Ogita, Rump and Oishi, SIAM J. Sci. Comput. 2005).  A power chain multiplies
+exactly and cuts each power back to prec + GUARD_BITS bits, so z^j is within
+j 2^-(prec + 7.5) of the exact power, relatively, and does not depend on how
+far the chain runs: a read up to N gives the bits of a table grown to N.
+
+The tail read (`_Rows.tail_read`) integrates a table's q-expansion g once
+more without growing a table for it, as one exact dot rounded once:
+
+    int_tau^{i oo} g(s) s^{alpha-1} ds
+        = (2 pi i)^{-h-alpha} 2^-B sum_{n <= N} sum_m R_{n,m} J'_{n,m+alpha-1}(tau),
+    J'_{n,e}(tau) = (2 pi i)^{e+1} int_tau^{i oo} e^{2 pi i n s} s^e ds.
+
+J' is kept per tau and working precision and grown in place (`_tails`), so
+at tau = i every R word of `mmv` at one precision reads one table.  By parts,
+K_{n,e} = n^{e+1} J'_{n,e} = -(n^e q^n w^e + e K_{n,e-1}), summed exactly over
+the power chains of q (at prec + GUARD_BITS bits) and of w, and each J' is K /
+n^{e+1} floored to prec + GUARD_BITS bits (`_quo`): no pi enters the
+recurrence, and no rounding accumulates along it.
 
 ExpPoly is the public carrier f(t) = sum_n P_n(t) e^{2 pi i n t} with mpc
-polynomial coefficients: `integrals.int_exppoly` maps a fold's rows to it,
-`elem_exp_tail` integrates one term by `ExpPoly.tail_integral` (the
-recurrence above at c = 2 pi i n, in mpc arithmetic), and the tests use its
-algebra as an independent reference.  `ExpPoly.__call__` reads it as the row
-read does, with t in place of w.  Instances are immutable.
+polynomial coefficients: `_Rows.carrier` maps a fold's rows to it (for
+`integrals.int_exppoly`), `elem_exp_tail` integrates one term by
+`ExpPoly.tail_integral` (the recurrence above at c = 2 pi i n, in mpc
+arithmetic), and the tests use its algebra as an independent reference.
+`ExpPoly.__call__` reads it as the row read does (`_read_dot`), with t in
+place of w.  Instances are immutable.
 """
 
 from __future__ import annotations
@@ -73,11 +89,11 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import islice, repeat, zip_longest
-from math import floor, hypot, inf, ldexp, log, pi, prod
+from math import exp, floor, hypot, inf, ldexp, log, pi, prod
 from operator import floordiv, mul, truediv
 
 from mpmath import mp, mpc
-from mpmath.libmp import (from_man_exp, fzero, mpc_abs, mpc_expjpi, mpc_mul_int, mpf_pi, mpf_pow_int,
+from mpmath.libmp import (from_man_exp, mpc_abs, mpc_expjpi, mpc_mul_int, mpf_pi, mpf_pow_int,
                           to_float)
 
 from .eisenstein import _eps_logs, _product_majorant, sigma_majorant, sigma_table
@@ -204,10 +220,9 @@ class ExpPoly:
 
     def __call__(self, t, n_max: int | None = None) -> mpc:
         """Value at t: sum_{n <= n_max} q^n sum_d c_{n,d} t^d, q = e^{2 pi i t},
-        over the power chains of q and t (`_powers`), as one exact sum (a `_dot`
-        per degree, then one over the degrees) whose real and imaginary parts
-        are each rounded once; with n_max, of `self.truncated(n_max)`, bit for
-        bit."""
+        over the power chains of q and t, as one exact sum (`_read_dot`) whose
+        real and imaginary parts are each rounded once; with n_max, of
+        `self.truncated(n_max)`, bit for bit."""
         t = mpc(t)
         terms = [(n, p) for n, p in self.terms.items() if n_max is None or n <= n_max]
         if not terms:
@@ -215,11 +230,9 @@ class ExpPoly:
         prec, rnd = mp._prec_rounding
         q_pows = list(islice(_q_powers(t._mpc_, prec, rnd), max(n for n, _ in terms) + 1))
         qs = [q_pows[n] for n, _ in terms]
-        # sum_d t^d sum_n c_{n,d} q^n: a dot per degree over the frequencies, a
-        # shorter polynomial padded with zeros, then one over the degrees
-        cols = zip_longest(*[p for _, p in terms], fillvalue=mp.make_mpc((fzero, fzero)))
-        sums = [_dot([_block(c._mpc_) for c in col], qs) for col in cols]
-        return mp.make_mpc(_round(_dot(sums, _powers(_block(t._mpc_), prec)), prec, rnd))
+        # degree columns of blocks, a shorter polynomial padded with zero blocks
+        cols = zip_longest(*[[_block(c._mpc_) for c in p] for _, p in terms], fillvalue=(0, 0, 0))
+        return mp.make_mpc(_round(_read_dot(cols, qs, _block(t._mpc_), prec), prec, rnd))
 
     def dump(self) -> str:
         """Debug format: one line per frequency, 'n; c0, c1, ...'."""
@@ -282,17 +295,42 @@ class _Rows:
                     r = quo(kappa - (j + 1) * r, m)
                     cols[j].append(-r)
 
+    def coeffs(self, n: int) -> tuple:
+        """rho_{1..n,0} of a table grown to n: an L-series's c(1..n)."""
+        return tuple(self.cols[0][1:n + 1])
+
     def read(self, tau: tuple, n: int) -> tuple:
         """The raw mpc (2 pi i)^{-h} 2^{-B} sum_{m <= n} q^m sum_d R_{m,d} w^d of
         a fixed-point table grown to n at the raw mpc tau, at the working
-        precision: one exact sum over the power chains of q and w, scaled and
-        rounded once (`_scaled`)."""
+        precision: one exact sum over the power chains of q and w
+        (`_read_dot`), scaled and rounded once (`_scaled`)."""
         prec, rnd = mp._prec_rounding
         q_pows = list(islice(_q_powers(tau, prec, rnd), 1, n + 1))
-        sums = [_dot(zip(islice(col, 1, n + 1), repeat(0), repeat(0)), q_pows) for col in self.cols]
-        if len(sums) > 1:  # an L-series has degree 0 only, and needs no w
-            sums = [_dot(sums, _powers(_w(tau, prec), prec))]
-        return _scaled(sums[0], self.h, self.bits, prec, rnd)
+        cols = (zip(islice(col, 1, n + 1), repeat(0), repeat(0)) for col in self.cols)
+        return _scaled(_read_dot(cols, q_pows, _w(tau, prec), prec), self.h, self.bits, prec, rnd)
+
+    def tail_read(self, alpha: int, tau: tuple, n: int) -> tuple:
+        """The raw mpc int_tau^{i oo} g(s) s^{alpha-1} ds at the raw mpc tau and
+        the working precision, g the q-expansion of a fixed-point table grown
+        to n: one exact dot against the J' table (`_tails`), scaled and
+        rounded once (`_scaled`); see module docstring."""
+        prec, rnd = mp._prec_rounding
+        table, cols = _tails(tau, prec), self.cols
+        table.grow(n, len(cols) + alpha - 2)
+        js = table.rows
+        zs = ((col[m], 0, 0) for col in cols for m in range(1, n + 1))
+        ws = (js[m][d + alpha - 1] for d in range(len(cols)) for m in range(1, n + 1))
+        return _scaled(_dot(zs, ws), self.h + alpha, self.bits, prec, rnd)
+
+    def carrier(self, n: int) -> ExpPoly:
+        """The ExpPoly of a fixed-point table grown to n, frequencies 1..n:
+        c_{m,d} = (2 pi i)^{d-h} R_{m,d} 2^-B, each part rounded once at the
+        working precision (`_scaled`)."""
+        prec, rnd = mp._prec_rounding
+        h, bits = self.h, self.bits
+        return ExpPoly({m: tuple(mp.make_mpc(_scaled((col[m], 0, 0), h - d, bits, prec, rnd))
+                                 for d, col in enumerate(self.cols))
+                        for m in range(1, n + 1)})
 
 
 @lru_cache(maxsize=1024)
@@ -359,6 +397,39 @@ def _certificate(chain: tuple) -> _Cert:
     ((p, q),) = parts
     return _Cert(power, d_power, h, logs, size + log(inv_first), _log2_ceil(d[0] * inv_first),
                  p - q, log(inv_first))
+
+
+def _log_majorant(cert: _Cert, tau: mpc, einf: Fraction) -> tuple:
+    """(log (einf C), an upper bound on it) in doubles, for the majorant C of
+    the fold's certificate record `cert` at tau and einf = p/q: m + log sum_d
+    e^(a_d - m) over a_d = l_d + d x, x = log(2 pi |tau|), m the largest a_d
+    (Blanchard, Higham and Higham, IMA J. Numer. Anal. 41, 2021), plus log p -
+    log q.  The bound adds beta = LOG_ULPS (1 + size + D (1 + |x|) + |log p| +
+    |log q| + |log C|), D the top degree: to first order the roundings sum to
+    less than 2^-53 (8 (1 + size) + 23 D (1 + |x|) + 5 (|log p| + |log q|) +
+    2 |log C|), and a term that the double exp drops is below 2^-1074."""
+    x = LOG_2PI + _log_abs(tau)
+    terms = [ell + d * x for d, ell in enumerate(cert.logs)]
+    top = max(terms)
+    log_c = top + log(sum(exp(a - top) for a in terms))
+    size = cert.size + (len(terms) - 1) * (1 + abs(x))
+    if einf != 1:
+        p, q = log(einf.numerator), log(einf.denominator)
+        log_c, size = log_c + p - q, size + abs(p) + abs(q)
+    return log_c, log_c + LOG_ULPS * (1 + size + abs(log_c))
+
+
+def _log_lead(cert: _Cert, t: int, tau: mpc) -> tuple:
+    """(log scale, an upper bound on log lead) in doubles at tau for the L chain
+    of the record `cert` times tau^t: scale = |tau|^t (2 pi)^-h, and lead =
+    scale c(r) the first term's modulus over |q|^r.  The bound adds beta =
+    LOG_ULPS (1 + size + |t| (1 + |log |tau||) + |log lead|) to log lead: its
+    roundings sum to less than 2^-53 (1 + 4 size + 6 |t| (1 + |log |tau||) + |log lead|)."""
+    log_tau = _log_abs(tau) if t else 0.0
+    log_scale = t * log_tau - cert.h * LOG_2PI
+    log_lead = log_scale - cert.log_inv_first
+    size = cert.size + (abs(t) * (1 + abs(log_tau)) + abs(log_lead))
+    return log_scale, log_lead + LOG_ULPS * (1 + size)
 
 
 def _log_abs(z: mpc) -> float:
@@ -435,6 +506,15 @@ def _block(z: tuple) -> tuple:
     return (-xm if xs else xm) << (xe - e), (-ym if ys else ym) << (ye - e), e
 
 
+def _read_dot(cols, qs: list, w: tuple, prec: int) -> tuple:
+    """sum_d w^d sum_j z_{d,j} q_j as one exact block, for the degree columns
+    `cols` of blocks z_{d,j} and the blocks qs: a `_dot` per degree over the
+    frequencies, then one over the degrees against the power chain of the
+    block w (`_powers`); a single column (an L-series) needs no w."""
+    sums = [_dot(col, qs) for col in cols]
+    return _dot(sums, _powers(w, prec)) if len(sums) > 1 else sums[0]
+
+
 def _dot(zs, ws) -> tuple:
     """The exact sum_j z_j w_j of complex block floats (a, b, e), value
     (a + ib) 2^e, as one block: every product exact, the sum kept on the least
@@ -489,6 +569,52 @@ def _q_powers(t: tuple, prec: int, rnd: str):
     """The power chain (`_powers`) of q = e^{2 pi i t} for the raw mpc t, q
     rounded as mp.expjpi(2 * t) rounds it at prec and rnd."""
     return _powers(_block(mpc_expjpi(mpc_mul_int(t, 2, prec, rnd), prec, rnd)), prec)
+
+
+def _quo(z: tuple, d: int, keep: int) -> tuple:
+    """The block z divided by the int d > 0, floored to keep bits at least."""
+    a, b, e = z
+    s = max(keep + d.bit_length() - max(a.bit_length(), b.bit_length()), 0)
+    return (a << s) // d, (b << s) // d, e - s
+
+
+class _Tails:
+    """J'_{n,e}(tau) = (2 pi i)^{e+1} int_tau^{i oo} e^{2 pi i n s} s^e ds at one
+    tau and working precision, as blocks rows[n][e] for 1 <= n < len(rows),
+    grown in place; see module docstring."""
+
+    __slots__ = ("q_chain", "w_chain", "q_pows", "w_pows", "rows", "ks")
+
+    def __init__(self, tau: tuple, prec: int):
+        self.q_chain = _q_powers(tau, prec + GUARD_BITS, mp._prec_rounding[1])
+        self.w_chain = _powers(_w(tau, prec), prec)
+        self.q_pows, self.w_pows = [next(self.q_chain)], [next(self.w_chain)]
+        self.rows, self.ks = [None], [None]
+
+    def grow(self, n: int, e: int) -> None:
+        """Rows 1..n, each with J'_{m,0..e} at least."""
+        keep = mp.prec + GUARD_BITS
+        q_pows, w_pows, rows, ks = self.q_pows, self.w_pows, self.rows, self.ks
+        while len(w_pows) <= e:
+            w_pows.append(next(self.w_chain))
+        while len(rows) <= n:
+            q_pows.append(next(self.q_chain))
+            rows.append([])
+            ks.append(None)
+        for m in range(1, n + 1):
+            row, k = rows[m], ks[m]
+            for j in range(len(row), e + 1):
+                qw = _dot((q_pows[m],), (w_pows[j],))
+                k = _dot(((-m**j, 0, 0), (-j, 0, 0)), (qw, k)) if j else (-qw[0], -qw[1], qw[2])
+                row.append(_quo(k, m ** (j + 1), keep))
+            ks[m] = k
+
+
+@lru_cache(maxsize=8)
+def _tails(tau: tuple, prec: int) -> _Tails:
+    """The J' table at tau (raw parts) and working precision prec, shared by
+    every tail read there and grown in place."""
+    return _Tails(tau, prec)
 
 
 def elem_exp_tail(n: int, alpha: int, a) -> mpc:

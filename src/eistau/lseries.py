@@ -19,7 +19,8 @@ whose deficit has the bound of `exppoly._majorants`.  `l_eval` reads the
 fixed-point rows up to its N as the table reads every q-expansion, one exact
 dot rounded once (`exppoly._Rows.read`), with B chosen by `exppoly._fixed_bits`
 so that the deficit moves the value by at most eps 2^-24, inside the
-truncation budget, and below the rounding at the working precision.  B is
+truncation budget, and below the rounding at the working precision.  The
+rows, their reads and the rounding budget of the logs are `exppoly`'s.  B is
 rounded up to a coarse grid above the working precision, so the indices read
 at one precision share a B and with it the tables of their common suffixes.
 Tables are kept and extended when a call needs more rows, so no row is
@@ -42,7 +43,7 @@ from mpmath import mp, mpc, mpf
 from .algebra import CompositeIndex
 from .config import DEFAULT_BUDGET, TruncationBudget
 from .eisenstein import _eps_logs, sigma_table, tail_start
-from .exppoly import LAYER, LOG_2PI, LOG_ULPS, PRODUCT, _certificate, _fixed_bits, _log_abs, _rows
+from .exppoly import LAYER, PRODUCT, _certificate, _fixed_bits, _log_lead, _rows
 
 BRUTEFORCE_MAX_DEPTH = 4
 BRUTEFORCE_MAX_N = 200
@@ -89,7 +90,7 @@ def l_coeffs_dp(index: CompositeIndex, n: int) -> LCoefficients:
         raise ValueError("n must be >= 1")
     table = _rows(_chain(index.ks, index.alphas), None)
     table.grow(n)
-    return LCoefficients(index, tuple(table.cols[0][1:n + 1]))
+    return LCoefficients(index, table.coeffs(n))
 
 
 def _chain(ks: tuple[int, ...], alphas: tuple[int, ...]) -> tuple:
@@ -136,44 +137,32 @@ def _small_im(prec: int) -> mpf:
 
 
 def _l_read(index: CompositeIndex, tau: mpc, budget: TruncationBudget) -> tuple:
-    """(log scale, table, N) of the series at tau and the working precision,
-    in doubles from the chain's certificate record (`exppoly._certificate`):
-    log scale = t log |tau| - h log 2 pi, N by tail_start at Im tau for the
+    """(table, N) of the series at tau and the working precision, in doubles
+    (`exppoly._certificate`, `_log_lead`): N by tail_start at Im tau for the
     majorant c m^P and the bound eps / ((1 + scale) c), and the kept table
-    for `_fixed_bits`, grown to N.  The lead, scale c(r) |q|^r, is the first
-    term: log lead = log scale - log 1/c(r) is within beta = LOG_ULPS (1 +
-    size + |t| (1 + |log |tau||) + |log lead|) (its roundings sum to less
-    than 2^-53 (1 + 4 size + 6 |t| (1 + |log |tau||) + |log lead|)), and B
-    takes it plus beta; N takes its log bound as it is."""
+    for `_fixed_bits` on the upper bound of log lead, grown to N."""
     chain = _chain(index.ks, index.alphas)
-    power, d_power, h, _, size, spread, log_c, log_inv_first = _certificate(chain)
-    log_tau = _log_abs(tau) if index.t else 0.0
-    log_scale = index.t * log_tau - h * LOG_2PI
+    cert = _certificate(chain)
+    log_scale, upper = _log_lead(cert, index.t, tau)
     log_one_plus = max(log_scale, 0.0) + log1p(exp(-abs(log_scale)))  # log(1 + scale)
-    log_eps = _eps_logs(budget.eps)[0] - log_one_plus - log_c
-    n = tail_start(power, tau.imag, log_eps, budget.n_max)
-    log_lead = log_scale - log_inv_first
-    size += abs(index.t) * (1 + abs(log_tau)) + abs(log_lead)
-    bits = _fixed_bits(d_power, n, spread, log_lead + LOG_ULPS * (1 + size), budget.eps)
-    table = _rows(chain, bits)
+    log_eps = _eps_logs(budget.eps)[0] - log_one_plus - cert.log_c
+    n = tail_start(cert.power, tau.imag, log_eps, budget.n_max)
+    table = _rows(chain, _fixed_bits(cert.d_power, n, cert.spread, upper, budget.eps))
     table.grow(n)
-    return log_scale, table, n
+    return table, n
 
 
 def l_eval(index: CompositeIndex, tau, budget: TruncationBudget = DEFAULT_BUDGET) -> mpc:
     """Series value at tau with certified truncation; depth 0 returns 1.
 
-    The fixed-point table of `_l_read` is read by `exppoly._Rows.read`: the
-    rows m <= N against the power chain of q, summed exactly, scaled by
-    (2 pi i)^{-h} and rounded once, then multiplied by tau^t.  The truncation
-    tail of the value is below eps s / (1 + s) e^-mu, s the prefactor's
-    modulus and mu what the rounding of `_l_read`'s logs in doubles (about
-    1e-12 at most) leaves of tail_start's margin 1e-6 in the log, so more
-    than 9e-7 eps for the deficit term of at most eps 2^-24 (6e-8 eps).  q^m
-    does not depend on how far the chain runs, so a table grown further for
-    a lower Im tau gives the bits of one grown to N.  A value is kept per
-    (index, tau, budget, mp.prec) by `_l_value`; the checks and the warning
-    come first on every call."""
+    The fixed-point table of `_l_read` is read up to N by `exppoly._Rows.read`,
+    then multiplied by tau^t.  The truncation tail of the value is below eps
+    s / (1 + s) e^-mu, s the prefactor's modulus and mu what the rounding of
+    `_l_read`'s logs in doubles (about 1e-12 at most) leaves of tail_start's
+    margin 1e-6 in the log, so more than 9e-7 eps for the deficit term of at
+    most eps 2^-24 (6e-8 eps).  A value is kept per (index, tau, budget,
+    mp.prec) by `_l_value`; the checks and the warning come first on every
+    call."""
     if index.depth == 0:
         return mpc(1)
     tau = mpc(tau)
@@ -192,7 +181,7 @@ def l_eval(index: CompositeIndex, tau, budget: TruncationBudget = DEFAULT_BUDGET
 def _l_value(index: CompositeIndex, tau: tuple, budget: TruncationBudget, prec: int) -> mpc:
     """The series value at tau (raw parts) at the working precision prec = mp.prec."""
     with mp.extradps(10):
-        _, table, n = _l_read(index, mp.make_mpc(tau), budget)
+        table, n = _l_read(index, mp.make_mpc(tau), budget)
         val = mp.make_mpc(table.read(tau, n))
         if index.t:
             val *= mp.make_mpc(tau) ** index.t

@@ -11,11 +11,12 @@ Every R word with exponents >= 1, const factors included, is the fold of
 gammainc sum for a single cusp factor with m <= 0.  The module keeps these
 values (`_r_value`, a bounded `lru_cache` keyed on the word, the budget and
 the working precision `mp.prec`), and assembles the formulas below from them.
-`word_eval` keeps the inner rows of a word's fold and forms its outermost
-tail integral as one dot against a table of elementary tail integrals at i,
-shared by every R word at one precision: `_r_value` alone keeps an R word's
-value.  `t_cusp_reg` and `i_coeff` keep their values the same way
-(`_t_cusp_reg`, `_i_coeff`), after their checks.
+`word_eval` keeps the inner rows of a word's fold and reads its outermost
+tail integral off them against the table of elementary tail integrals at i
+that `exppoly` keeps (`exppoly._Rows.tail_read`), shared by every R word at
+one precision: `_r_value` alone keeps an R word's value.  `t_cusp_reg` and
+`i_coeff` keep their values the same way (`_t_cusp_reg`, `_i_coeff`), after
+their checks.
 
 Closed forms and regularized values (every formula below is pinned by the
 verification suites; "regularized" means the analytic extension fixed by
@@ -75,6 +76,7 @@ from .algebra import CompositeIndex
 from .config import DEFAULT_BUDGET, SingularParameterError, TruncationBudget
 from .eisenstein import CONST, CUSP, _as_mpf, bernoulli, sigma_majorant, sigma_table, tail_start
 from .eisenstein import _constant_mpf as _einf, _eps_logs
+from .exppoly import LOG_2PI
 # int_eval is unused here, but bench/test_bench.py checks that the benchmark's
 # tracer restores this binding.
 from .integrals import int_eval, word_eval  # noqa: F401
@@ -106,10 +108,11 @@ def t_const_const(k1: int, k2: int, b1: int, b2: int) -> mpc:
     return _einf(k1) * _einf(k2) * _ipow(b1 + b2) / (b1 * (b1 + b2))
 
 
-def _gammainc_majorant(k: int) -> tuple[int, mpf]:
-    """(P, C) with |sigma_{2k-1}(n) (i / 2 pi n)^alpha Gamma(alpha, 2 pi n)| <= C n^P e^{-2 pi n}
-    for alpha <= 1, where Gamma(alpha, x) <= x^{alpha-1} e^{-x}; sigma by sigma_majorant(k)."""
-    return 2 * k - 2, _as_mpf(sigma_majorant(k)) / (2 * mp.pi)
+def _gammainc_majorant(k: int) -> tuple[int, float]:
+    """(P, log C) with |sigma_{2k-1}(n) (i / 2 pi n)^alpha Gamma(alpha, 2 pi n)|
+    <= C n^P e^{-2 pi n} for alpha <= 1, where Gamma(alpha, x) <= x^{alpha-1}
+    e^{-x}; C = sigma_majorant(k) / 2 pi, its log in doubles."""
+    return 2 * k - 2, log(sigma_majorant(k)) - LOG_2PI
 
 
 def _r(word: tuple, alphas: tuple, budget: TruncationBudget) -> mpc:
@@ -130,8 +133,8 @@ def _r_value(word: tuple, alphas: tuple, budget: TruncationBudget, prec: int) ->
     # sum_n sigma(n) (i / 2 pi n)^alpha Gamma(alpha, 2 pi n)
     ((_, k),), (alpha,) = word, alphas
     with mp.extradps(10):
-        power, c = _gammainc_majorant(k)
-        n_trunc = tail_start(power, 1, _eps_logs(budget.eps)[0] - log(c), budget.n_max)
+        power, log_c = _gammainc_majorant(k)
+        n_trunc = tail_start(power, 1, _eps_logs(budget.eps)[0] - log_c, budget.n_max)
         sig = sigma_table(2 * k - 1, n_trunc)
         acc = mpc(0)
         for n in range(1, n_trunc + 1):
@@ -247,7 +250,7 @@ class MonomialCoefficientRequest:
 def _as_request(ks, alphas) -> MonomialCoefficientRequest:
     if isinstance(ks, MonomialCoefficientRequest):
         return ks
-    return MonomialCoefficientRequest(tuple(int(k) for k in ks), tuple(int(a) for a in alphas))
+    return MonomialCoefficientRequest(ks, alphas)
 
 
 def i_coeff(ks, alphas=None, budget: TruncationBudget = DEFAULT_BUDGET) -> mpc:

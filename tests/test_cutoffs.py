@@ -2,8 +2,8 @@
 
 Every fold and L-series takes its frequency cutoff N and its fixed-point bits
 B from the certificate record of its chain and a few logs in doubles
-(`exppoly._certificate`, `integrals._log_majorant`, `lseries._l_read`).  The
-reference here is the sizing that ran in mpf before: the fold majorant's
+(`exppoly._certificate`, `_log_majorant`, `_log_lead`).  The reference here
+is the sizing that ran in mpf before: the fold majorant's
 coefficients c_d (2 pi)^-h as mpf, summed by mp.polyval at 2 pi |tau|, the
 L prefactor (2 pi)^-h |tau|^t, each tail bound divided in mpf, and B from
 mp.mag of the lead.  Both must give the same (N, B) on a seeded grid, and the
@@ -30,9 +30,10 @@ from eistau.exppoly import (
     LOG_ULPS,
     _certificate,
     _log2_ceil,
+    _log_majorant,
     _majorants,
 )
-from eistau.integrals import _chain, _cutoff_bits, _log_majorant
+from eistau.integrals import _chain, _cutoff_bits
 
 SETTINGS = [(dps, eps) for dps in (15, 40, 80) for eps in (1e-10, 1e-30, 1e-60)]
 
@@ -90,7 +91,7 @@ class _Sized:
 
 
 def _l_sized(index, tau, budget) -> tuple:
-    _, table, n = lseries._l_read(index, tau, budget)
+    table, n = lseries._l_read(index, tau, budget)
     return n, table.bits
 
 
@@ -222,7 +223,7 @@ def test_cutoffs_past_the_double_range(ks, alphas):
             assert mp.log(_ref_scale(chain, tau)) > log(sys.float_info.max)
             assert _cutoff_bits(chain, tau, budget) == _ref_fold(chain, tau, budget)
         with mp.extradps(10):
-            _, table, n = lseries._l_read(index, tau, budget)
+            table, n = lseries._l_read(index, tau, budget)
             assert (n, table.bits) == _ref_l(index, tau, budget)
 
 
@@ -235,6 +236,6 @@ def test_cutoffs_at_re_tau_past_the_double_range():
         with mp.extradps(15):
             assert _cutoff_bits(chain, tau, budget) == _ref_fold(chain, tau, budget)
         with mp.extradps(10):
-            _, table, n = lseries._l_read(index, tau, budget)
+            table, n = lseries._l_read(index, tau, budget)
             assert (n, table.bits) == _ref_l(index, tau, budget)
         assert mp.isfinite(abs(int_eval(make_index([2], [1]), tau, budget)))

@@ -1,3 +1,5 @@
+import ast
+import pathlib
 import random
 from fractions import Fraction
 from itertools import islice
@@ -7,6 +9,7 @@ import pytest
 from mpmath import mp, mpc, mpf
 from mpmath.libmp import from_man_exp
 
+from eistau import integrals, lseries
 from eistau.eisenstein import sigma_table
 from eistau.exppoly import (
     GUARD_BITS,
@@ -449,3 +452,34 @@ def test_powers_are_cut_back_to_the_guard_bits(dps):
                 assert err2 <= bound2 * (xa**2 + xb**2)
                 xa, xb = xa * za - xb * zb, xa * zb + xb * za
                 ra, rb = _cut_reference(ra * za - rb * zb, ra * zb + rb * za, keep)
+
+
+# -- one home for the row format: only exppoly reads a chain's rows -------------
+
+# exppoly's private formats: the block float and its dot, the power chains, the
+# row table and its certificate record, the guard bits and the rounding budget
+# of the cutoff logs
+ROW_FORMAT = {"_dot", "_block", "_round", "_powers", "_q_powers", "_w", "_scaled",
+              "_two_pi_power", "_Rows", "_Cert", "GUARD_BITS", "LOG_ULPS", "_log_abs"}
+ROW_ATTRS = {"cols", "bits", "h"}  # the layout of a `_Rows` table
+
+
+def _row_format_uses(source: str) -> list:
+    """The names of ROW_FORMAT that `source` imports and the ROW_ATTRS
+    attributes it reads, in the order the AST walk meets them."""
+    uses = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            uses += [alias.name for alias in node.names if alias.name in ROW_FORMAT]
+        elif isinstance(node, ast.Attribute) and node.attr in ROW_FORMAT | ROW_ATTRS:
+            uses.append(node.attr)
+    return uses
+
+
+@pytest.mark.parametrize("module", [integrals, lseries])
+def test_only_exppoly_knows_the_row_format(module):
+    source = pathlib.Path(module.__file__).read_text()
+    assert _row_format_uses(source) == []
+    # planted controls: an import of the dot, and a read of a table's columns
+    assert _row_format_uses(source + "\nfrom .exppoly import _dot\n") == ["_dot"]
+    assert _row_format_uses(source + "\ndef f(table):\n    return table.cols[0]\n") == ["cols"]

@@ -409,7 +409,8 @@ def test_exppoly_call_n_max_is_truncated_value():
 
 # -- word_eval's outermost tail integral: one dot against the J table ----------
 
-DOT_TAUS = [mpc(0, 1), mpc("0.3", "0.8"), mpc("-0.45", "1.7")]
+DOT_TAUS = [mpc(0, 1), mpc("0.3", "0.8"), mpc("-0.45", "1.7"), mpc("0.5", "0.3"),
+            mpc(-40, "0.9"), mpc("12.25", "0.4")]
 
 
 def _j_errors(tau, n, e) -> dict:
@@ -417,7 +418,7 @@ def _j_errors(tau, n, e) -> dict:
     table at tau and the working precision, scaled back by (2 pi i)^{-e-1},
     against elem_exp_tail at 30 more digits."""
     prec = mp.prec
-    table = integrals._tails(tau._mpc_, prec)
+    table = exppoly._tails(tau._mpc_, prec)
     table.grow(n, e)
     out = {}
     with mp.extradps(30):
@@ -436,7 +437,7 @@ def test_tail_table_rows_equal_elem_exp_tail(dps):
     # = elem_exp_tail(n, e + 1, tau)
     with mp.workdps(dps):
         for tau in DOT_TAUS:
-            table = integrals._tails(tau._mpc_, mp.prec)
+            table = exppoly._tails(tau._mpc_, mp.prec)
             table.grow(20, 12)
             table.grow(8, 16)  # grows the first rows in e only
             assert [len(row) for row in table.rows[1:]] == [17] * 8 + [13] * 12

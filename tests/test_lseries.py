@@ -200,7 +200,7 @@ def test_table_deficits_equal_the_index_loop():
 
 
 def _read(idx, tau, budget=BUDGET):
-    """(log scale, fixed-point table, N) of l_eval's read at tau, at the
+    """(fixed-point table, N) of l_eval's read at tau, at the
     precision l_eval reads at."""
     with mp.extradps(10):
         return _l_read(idx, mpc(tau), budget)
@@ -213,7 +213,7 @@ def test_l_eval_cutoff_certified_at_exact_im_tau():
     for tau, n in ((mpc("0.3", "0.74"), 18), (mpc("0.3", "1.1"), 12)):
         clear_caches()
         l_eval(idx, tau, BUDGET)
-        _, table, n_read = _read(idx, tau)
+        table, n_read = _read(idx, tau)
         assert n_read == n and table.n == n
 
 
@@ -225,7 +225,7 @@ def test_l_coeffs_dp_grows_the_kept_table():
     idx = make_index([2, 3], [1, 2])
     clear_caches()
     l_eval(idx, mpc("0.1", "1.9"), BUDGET)
-    _, fixed, n0 = _read(idx, mpc("0.1", "1.9"))
+    fixed, n0 = _read(idx, mpc("0.1", "1.9"))
     assert fixed.n == n0 < 30 and _suffix(fixed) is _table((3,), (2,), fixed.bits)
     assert _rows.cache_info().currsize == 4  # the table and its suffix's, no exact one
     coeffs = l_coeffs_dp(idx, n0).coeffs
@@ -258,7 +258,7 @@ def test_l_table_grows_in_place_and_converts_once():
     l_eval(make_index([3, 2], [2, 2]), mpc("0.1", "1.9"), BUDGET)  # the suffix first
     l_eval(idx, mpc("0.1", "1.9"), BUDGET)
     assert _rows.cache_info().currsize == 6  # the table and its two suffix tables, two each
-    _, table, n0 = _read(idx, mpc("0.1", "1.9"))
+    table, n0 = _read(idx, mpc("0.1", "1.9"))
     keys = [(idx.ks[j:], idx.alphas[j:], table.bits) for j in range(3)]
     tables = [_table(*key) for key in keys]
     assert _rows.cache_info().currsize == 6  # each a hit
@@ -266,7 +266,7 @@ def test_l_table_grows_in_place_and_converts_once():
     kept = [list(t.cols[0]) for t in tables]
     tau = mpc("0.1", "0.7")
     l_eval(idx, tau, BUDGET)
-    _, again, n1 = _read(idx, tau)
+    again, n1 = _read(idx, tau)
     assert again is table and n1 > n0 and all(t.n == n1 for t in tables)
     assert all(t.cols[0][m] is old[m] for t, old in zip(tables, kept) for m in range(n0 + 1))
     for (ks, alphas, _), t in zip(keys, tables):
@@ -289,7 +289,7 @@ def test_l_table_grows_in_place_and_converts_once():
             from_man_exp(v.numerator, 1 - v.denominator.bit_length(), prec, rnd) for v in sums)
     with mp.workdps(50):  # another precision reads a table of more bits
         l_eval(idx, mpc("0.1", "1.9"), BUDGET)
-        _, wider, _ = _read(idx, mpc("0.1", "1.9"))
+        wider, _ = _read(idx, mpc("0.1", "1.9"))
     assert wider.bits > table.bits and table.n == n1
     clear_caches()
     assert _rows.cache_info().currsize == 0
@@ -311,7 +311,7 @@ def test_indices_at_one_precision_share_their_suffix_tables(monkeypatch, step):
     clear_caches()
     for ks, alphas in SHARED_SUFFIX_INDICES:
         l_eval(make_index(ks, alphas), tau, BUDGET)
-    bits = {_read(make_index(ks, alphas), tau)[1].bits for ks, alphas in SHARED_SUFFIX_INDICES}
+    bits = {_read(make_index(ks, alphas), tau)[0].bits for ks, alphas in SHARED_SUFFIX_INDICES}
     chains = {_chain(ks, alphas)[:j] for ks, alphas in SHARED_SUFFIX_INDICES
               for j in range(1, 2 * len(ks) + 1)}
     shared = _rows.cache_info().currsize == len(chains)
@@ -332,11 +332,11 @@ def test_l_table_read_below_its_kept_n_gives_cold_bits():
     for tau in taus:
         clear_caches()
         cold.append(l_eval(idx, tau, BUDGET)._mpc_)
-    n_last = _read(idx, taus[-1])[2]
+    n_last = _read(idx, taus[-1])[1]
     clear_caches()
     assert [l_eval(idx, tau, BUDGET)._mpc_ for tau in taus] == cold
-    table = _read(idx, taus[-1])[1]
-    assert table is _read(idx, taus[0])[1] and table.n > n_last
+    table = _read(idx, taus[-1])[0]
+    assert table is _read(idx, taus[0])[0] and table.n > n_last
 
 
 def _seeded_indices(seed, depths):
@@ -412,7 +412,7 @@ def test_fixed_point_read_within_its_certified_term(ks, alphas, t, tau, eps):
     idx, budget = make_index(ks, alphas, t), TruncationBudget(eps, BUDGET.n_max)
     clear_caches()
     value = l_eval(idx, mpc(*tau), budget)
-    _, table, n = _read(idx, mpc(*tau), budget)
+    table, n = _read(idx, mpc(*tau), budget)
     scale = (2 * mp.pi) ** -sum(alphas) * abs(mpc(*tau)) ** t
     power, c = _bounds(ks, alphas)[1]
     exact = l_coeffs_dp(idx, n).coeffs

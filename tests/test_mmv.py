@@ -379,7 +379,7 @@ def test_clear_caches_recomputes_bit_identical_values():
     # product majorants
     reached = ("mmv._r_value", "mmv._t_cusp_reg", "mmv._i_coeff", "lseries._l_value",
                "integrals._int_value", "exppoly._rows", "exppoly._majorants",
-               "exppoly._certificate", "exppoly._two_pi_power", "integrals._tails",
+               "exppoly._certificate", "exppoly._two_pi_power", "exppoly._tails",
                "lseries._small_im", "eisenstein._cusp_at", "eisenstein._constant_at",
                "eisenstein._eps_logs", "eisenstein._product_majorant")
     caches = _engine_caches()
@@ -475,8 +475,53 @@ def test_gammainc_majorant_dominates_terms():
         g = [(2 * mp.pi * n) ** -alpha * mp.gammainc(alpha, 2 * mp.pi * n) * mp.exp(2 * mp.pi * n)
              for n in range(1, 201)]
         for k in range(2, 8):
-            power, c = _gammainc_majorant(k)
+            power, log_c = _gammainc_majorant(k)
+            c = mp.exp(log_c)
             sig = sigma_table(2 * k - 1, 200)
             worst = max(worst, max(sig[n] * g[n - 1] / (c * mpf(n) ** power)
                                    for n in range(1, 201)))
     assert worst <= 1, worst
+
+
+
+# n_trunc of the gammainc sum as sized in mpf before: C = sigma_majorant(k) / 2 pi
+# as an mpf at 10 digits above the working precision, its log taken by math.log
+GAMMAINC_EPS = [10.0**-e for e in range(10, 120, 10)]
+GAMMAINC_DPS = (15, 30, 50, 70, 100, 120)
+
+
+def _mpf_n_trunc(k, budget):
+    from math import log
+
+    from eistau.eisenstein import _as_mpf, _eps_logs, sigma_majorant, tail_start
+
+    with mp.extradps(10):
+        c = _as_mpf(sigma_majorant(k)) / (2 * mp.pi)
+        return tail_start(2 * k - 2, 1, _eps_logs(budget.eps)[0] - log(c), budget.n_max)
+
+
+class _Sized(Exception):
+    """Carries the N of a stand-in tail_start out of `_r_value`, before its sum."""
+
+
+def test_gammainc_cutoff_in_doubles_equals_the_mpf_sizing(monkeypatch):
+    # the n_trunc that _r_value sizes on log C in doubles is the mpf sizing's,
+    # for k 2-15, 11 values of eps and 15-120 digits: 924 cases
+    from eistau import mmv
+    from eistau.eisenstein import CUSP, tail_start
+
+    def sized(*args):
+        raise _Sized(tail_start(*args))
+
+    monkeypatch.setattr(mmv, "tail_start", sized)
+    got, want = [], []
+    for dps in GAMMAINC_DPS:
+        with mp.workdps(dps):
+            for eps in GAMMAINC_EPS:
+                budget = TruncationBudget(eps, 200_000)
+                for k in range(2, 16):
+                    with pytest.raises(_Sized) as n_trunc:
+                        mmv._r_value(((CUSP, k),), (0,), budget, mp.prec)
+                    got.append(n_trunc.value.args[0])
+                    want.append(_mpf_n_trunc(k, budget))
+    assert len(got) == 924 and got == want
