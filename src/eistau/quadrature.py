@@ -14,20 +14,26 @@ integrated with Fejér's first rule, for n = 8, 24, 72, ...: the n-node set is
 a subset of the 3n-node set, so each level reuses the samples of the last.
 The 3n value is accepted once it agrees with the n value to tol/(4 panels);
 past 648 nodes the kernel raises `BudgetError`.  The nodes are interior, so a
-path that starts at 0 is never evaluated there.  At depth 2 the inner
-integral from every outer node to the top of its panel comes from the same
-samples, through the Chebyshev coefficients of the interpolant (spectral
-integration), and panels are processed from the top of the path down so the
-inner integral above a panel is a running sum.
+path that starts at 0 is never evaluated there.  A vertical path is cut at
+0.5, 1, 2, 4, 8 and 16 above its start, so on a span up to 32 no panel is more
+than twice as wide as the one below it; every panel of oracle-cross's
+`quad_vertical` checks passes by 72 nodes.  At depth 2 the inner integral
+from every outer node to the top of its panel comes from the same samples,
+through the Chebyshev coefficients of the interpolant (spectral integration),
+and panels are processed from the top of the path down so the inner integral
+above a panel is a running sum.
 
 The O(n^2) sums (the Fejér weights, and the cosine transform and the
-antiderivative sum of the spectral integration) run through one exact-integer
-dot (`_dots`): each vector becomes Python ints on one shared exponent, the
-least of its nonzero parts, the products are summed exactly and the sum is
-rounded once at `mp._prec_rounding`.  That is the correctly rounded dot
+antiderivative sum of the spectral integration) are exact integer sums: each
+vector becomes Python ints on one shared exponent, the least of its nonzero
+parts (`_parts`), the products are summed exactly and the sum is rounded once
+at `mp._prec_rounding` (`_rounded`).  That is the correctly rounded dot
 product; `mp.fdot` gives the same bits whenever its `mpf_sum` keeps every
 term, i.e. unless terms lie more than 2^(2 mp.prec) apart.  The rule keeps
-cos(m pi / 2n) and 1 - cos(m pi / 2n) in that integer form.
+the table cos(m pi / 2n), 0 <= m < 4n, in that integer form.  It computes the
+entries m <= n and mirrors the rest, so the table is exactly symmetric and
+the two spectral sums fold over the node pairs j, n-1-j with half the
+multiplies.  The 1 of the antiderivative's 1 - T_k(x) is the table's cos 0.
 
 Near the origin the cusp part is evaluated through the weight-2k inversion
 E(tau) = tau^{-2k} E(-1/tau), which keeps the series argument high on the
@@ -55,6 +61,23 @@ def _ints(parts) -> tuple[list[int], int]:
     return [((-m if s else m) << (x - e)) if m else 0 for s, m, x, _ in parts], e
 
 
+def _parts(vals) -> tuple:
+    """The real parts of vals (mpf or mpc), and the imaginary ones if any val is
+    complex, each as `_ints` (ints, exponent)."""
+    if any(hasattr(v, "_mpc_") for v in vals):
+        raw = [v._mpc_ if hasattr(v, "_mpc_") else (v._mpf_, fzero) for v in vals]
+        return _ints([r for r, _ in raw]), _ints([i for _, i in raw])
+    return (_ints([v._mpf_ for v in vals]),)
+
+
+def _rounded(sums):
+    """The mpf (one part) or mpc (two) of exact sums [(int, exponent), ...], each
+    rounded once at `mp._prec_rounding`."""
+    prec, rnd = mp._prec_rounding
+    parts = [from_man_exp(m, e, prec, rnd) for m, e in sums]
+    return mp.make_mpc(tuple(parts)) if len(parts) == 2 else mp.make_mpf(parts[0])
+
+
 def _dots(vals, rows, exponent: int) -> list:
     """[sum_i vals_i row_i 2^exponent for each int row], each correctly rounded once.
 
@@ -63,42 +86,38 @@ def _dots(vals, rows, exponent: int) -> list:
     bit `mp.fdot`, unless its `mpf_sum` drops a term more than 2^(2 mp.prec)
     from the rest.
     """
-    if any(hasattr(v, "_mpc_") for v in vals):
-        raw = [v._mpc_ if hasattr(v, "_mpc_") else (v._mpf_, fzero) for v in vals]
-        parts = (_ints([r for r, _ in raw]), _ints([i for _, i in raw]))
-    else:
-        parts = (_ints([v._mpf_ for v in vals]),)
-    prec, rnd = mp._prec_rounding
-    out = []
-    for row in rows:
-        sums = [from_man_exp(sum(map(int.__mul__, a, row)), e + exponent, prec, rnd)
-                for a, e in parts]
-        out.append(mp.make_mpc(tuple(sums)) if len(sums) == 2 else mp.make_mpf(sums[0]))
-    return out
+    parts = _parts(vals)
+    return [_rounded([(sum(map(int.__mul__, a, row)), e + exponent) for a, e in parts])
+            for row in rows]
 
 
 @lru_cache(maxsize=64)
-def _rule(n: int, prec: int) -> tuple[list, list, tuple, tuple]:
+def _rule(n: int, prec: int) -> tuple[list, list, tuple]:
     """First-kind Chebyshev nodes x_j = cos((2j+1) pi / 2n) and Fejér weights at
-    the working precision prec = mp.prec, and cos(m pi / 2n) and
-    1 - cos(m pi / 2n) for 0 <= m < 4n as (ints, exponent) from `_ints`.
+    the working precision prec = mp.prec, and the table cos(m pi / 2n) for
+    0 <= m < 4n as (ints, exponent) from `_ints`; n is even.
 
-    The angle is the rational (2j+1)/(2n) rounded once, so x_j of the n-node
-    rule equals x_{3j+1} of the 3n-node rule bit for bit.  The weight
+    Only cos(m pi / 2n) for 0 <= m <= n is computed, from the rational m/(2n)
+    rounded once; the rest of the table is mirrored through cos(pi - t) = -cos t
+    and cos(2 pi - t) = cos t.  So cos[(2nk - m) % 4n] == (-1)^k cos[m] bit for
+    bit, the nodes are exactly odd (x_{n-1-j} = -x_j), and x_j of the n-node
+    rule equals x_{3j+1} of the 3n-node rule bit for bit (the same rational,
+    mirrored the same way).  The weight
     w_j = (1 - 2 sum_k cos(2k (2j+1) pi / 2n) / (4k^2 - 1)) 2/n rounds its sum
     once (`_dots`), so it equals the `mp.fdot` form bit for bit: for n <= 648
     the nonzero terms lie between 2^-28 and 1, far within 2^(2 mp.prec).
     """
     m4 = 4 * n
-    cos_tab = [mp.cospi(mpf(m) / (2 * n)) for m in range(m4)]
+    quarter = [mp.cospi(mpf(m) / (2 * n)) for m in range(n + 1)]
+    half = quarter + [-c for c in quarter[n - 1::-1]]  # 0 <= m <= 2n
+    cos_tab = half + half[2 * n - 1:0:-1]
     nodes = [cos_tab[2 * j + 1] for j in range(n)]
     cos, ec = _ints([c._mpf_ for c in cos_tab])
     recip = [mpf(1) / (4 * k * k - 1) for k in range(1, n // 2 + 1)]
     sums = _dots(recip, ([cos[(2 * k * (2 * j + 1)) % m4] for k in range(1, n // 2 + 1)]
-                         for j in range((n + 1) // 2)), ec)
+                         for j in range(n // 2)), ec)
     first = [(1 - 2 * s) * 2 / n for s in sums]
-    weights = first + first[: n // 2][::-1]  # w_j = w_{n-1-j}
-    return nodes, weights, (cos, ec), _ints([(1 - c)._mpf_ for c in cos_tab])
+    return nodes, first + first[::-1], (cos, ec)  # w_j = w_{n-1-j}
 
 
 def _antiderivative(vals, rule) -> list:
@@ -107,20 +126,41 @@ def _antiderivative(vals, rule) -> list:
     With the interpolant sum_k c_k T_k, its antiderivative has coefficients
     C_k = (c_{k-1} - c_{k+1}) / (2k) (c_0 doubled at k = 1), and
     int_x^1 = sum_k C_k (1 - T_k(x)); T_k(x_j) = cos(k (2j+1) pi / 2n).  Both
-    sums over n terms are rounded once (`_dots`), so the result equals the
-    `mp.fdot` form bit for bit unless the terms of one sum lie more than
-    2^(2 mp.prec) apart.  rule must be `_rule(n, mp.prec)`.
+    O(n^2) sums are folded over the node pairs j, n-1-j, where the mirrored
+    table gives T_k(x_{n-1-j}) = (-1)^k T_k(x_j) bit for bit:
+    c_k sums (v_j + v_{n-1-j}) (k even) or (v_j - v_{n-1-j}) (k odd) over
+    j < n/2, and the pair of results is sum_k C_k - E_j -+ O_j, with E_j and
+    O_j the sums of C_k T_k(x_j) over even and odd k.  Every sum is exact in
+    integers and rounded once, so the result equals the `mp.fdot` forms over
+    the mirrored table (the second as fdot(C + C, [1]*n + [-T_k(x_j)])) bit for
+    bit unless the terms of one sum lie more than 2^(2 mp.prec) apart.
+    rule must be `_rule(n, mp.prec)`.
     """
     n = len(vals)
-    m4 = 4 * n
-    (cos, ec), (one_minus, eo) = rule[2], rule[3]
-    c = [s * 2 / n for s in _dots(vals, ([cos[(k * (2 * j + 1)) % m4] for j in range(n)]
-                                         for k in range(n)), ec)]
+    m4, h = 4 * n, n // 2
+    cos, ec = rule[2]
+    folds = []  # per part: (v_j + v_{n-1-j}, v_j - v_{n-1-j}) for j < n/2, and the exponent
+    for a, e in _parts(vals):
+        top, bottom = a[:h], a[:h - 1:-1]
+        folds.append(((list(map(int.__add__, top, bottom)), list(map(int.__sub__, top, bottom))), e))
+    c = []
+    for k in range(n):
+        row = [cos[(k * (2 * j + 1)) % m4] for j in range(h)]
+        c.append(_rounded([(sum(map(int.__mul__, f[k % 2], row)), e + ec) for f, e in folds])
+                 * 2 / n)
     c[0] /= 2
     c += [0, 0]
     big_c = [(2 * c[0] - c[2]) / 2] + [(c[k - 1] - c[k + 1]) / (2 * k) for k in range(2, n + 1)]
-    return _dots(big_c, ([one_minus[(k * (2 * j + 1)) % m4] for k in range(1, n + 1)]
-                         for j in range(n)), eo)
+    # per part: C_k for odd k, for even k, and sum_k C_k times cos[0] (1 on the table's exponent)
+    parts = [(a[0::2], a[1::2], sum(a) * cos[0], e + ec) for a, e in _parts(big_c)]
+    low, high = [], []
+    for j in range(h):
+        row = [cos[(k * (2 * j + 1)) % m4] for k in range(1, n + 1)]
+        sums = [(total - sum(map(int.__mul__, even, row[1::2])),
+                 sum(map(int.__mul__, odd, row[0::2])), e) for odd, even, total, e in parts]
+        low.append(_rounded([(s - o, e) for s, o, e in sums]))
+        high.append(_rounded([(s + o, e) for s, o, e in sums]))
+    return low + high[::-1]  # nodes j < n/2, then n/2 <= n-1-j < n
 
 
 def _panel(sample, reduce, lo, hi, tol) -> tuple:
@@ -329,10 +369,10 @@ def eis_cusp_near_zero(k: int, tau, budget: TruncationBudget = DEFAULT_BUDGET) -
     return tau ** (-2 * k) * eis_eval(k, -1 / tau, budget) - _constant_mpf(k)
 
 
-# Panel offsets above the start of a vertical path, graded geometrically toward
-# the start where the integrand is largest; and panel ends on (0, i], graded
-# toward the origin.
-_PATH_PANELS = (0.5, 1.0, 2.0, 4.0)
+# Panel offsets above the start of a vertical path, graded geometrically from the
+# start, where the integrand is largest: on a span up to 32 no panel is more than
+# twice as wide as the one below it.  Panel ends on (0, i], graded toward the origin.
+_PATH_PANELS = (0.5, 1.0, 2.0, 4.0, 8.0, 16.0)
 _T_PANELS = ("0", "1e-4", "1e-2", "0.1", "0.3", "0.6", "1")
 
 

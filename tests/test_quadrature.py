@@ -111,14 +111,15 @@ def test_quad_T_cusp_builds_each_constant_term_once_per_precision(monkeypatch):
 
 
 def test_depth2_oracle_sums_each_node_once():
-    # both factors of (2,2;1,1) are the weight-4 cusp part at the same node
+    # both factors of (2,2;1,1) are the weight-4 cusp part at the same node; the path
+    # spans 8.5 above 2i: five panels up to 8 pass at 72 nodes, the top one [8, 8.5] at 24
     from eistau.eisenstein import _cusp_at
 
     _cusp_at.cache_clear()
     quad_vertical([("cusp", 2), ("cusp", 2)], (1, 1), default_path(mpc(0, 2), 1e-26, 2),
                   tol=1e-22)
     info = _cusp_at.cache_info()
-    assert (info.misses, info.hits) == (360, 360)
+    assert (info.misses, info.hits) == (384, 384)
 
 
 def test_quad_T_cusp_reuses_the_samples_of_a_smaller_power():
@@ -151,8 +152,29 @@ def test_rule_exact_on_polynomials_below_n(n):
 
 
 def test_rule_nodes_nest_under_tripling():
-    small, big = _rule(8, mp.prec)[0], _rule(24, mp.prec)[0]
-    assert small == big[1::3]
+    for n in (8, 24, 72):  # 8 -> 24 -> 72 -> 216
+        small, big = _rule(n, mp.prec)[0], _rule(3 * n, mp.prec)[0]
+        assert small == big[1::3], n
+
+
+@pytest.mark.parametrize("prec", [53, 136, 200])
+@pytest.mark.parametrize("n", [8, 24, 72, 216, 648])
+def test_rule_table_is_mirrored_exactly(n, prec):
+    # cos[(2nk - m) % 4n] == (-1)^k cos[m] bit for bit, which the folded sums of
+    # _antiderivative rely on.  Each entry is +-cospi of m/(2n) or of its mirror, the
+    # argument and the cosine each rounded once: within (pi/2 + 1/2) 2^-prec of cos(m pi / 2n)
+    mp.prec = prec
+    nodes, _, (cos, ec) = _rule(n, mp.prec)
+    m4 = 4 * n
+    for m in range(m4):
+        assert cos[(2 * n - m) % m4] == -cos[m], m
+        assert cos[-m % m4] == cos[m], m
+    assert all(nodes[n - 1 - j] == -x for j, x in enumerate(nodes))
+    assert nodes == [mp.ldexp(cos[2 * j + 1], ec) for j in range(n)]
+    table = [mp.ldexp(c, ec) for c in cos]
+    with mp.extraprec(64):
+        bound = (mp.pi / 2 + mpf(1) / 2) * mpf(2) ** -prec
+        assert all(abs(t - mp.cospi(mpf(m) / (2 * n))) <= bound for m, t in enumerate(table))
 
 
 def test_antiderivative_of_exponential_matches_closed_form():
@@ -169,7 +191,10 @@ def test_antiderivative_of_exponential_matches_closed_form():
 
 
 def _fdot_cos_tab(n):
-    return [mp.cospi(mpf(m) / (2 * n)) for m in range(4 * n)]
+    """cos(m pi / 2n) for 0 <= m < 4n: computed for m <= n, mirrored beyond."""
+    quarter = [mp.cospi(mpf(m) / (2 * n)) for m in range(n + 1)]
+    half = [quarter[m] if m <= n else -quarter[2 * n - m] for m in range(2 * n + 1)]
+    return [half[m] if m <= 2 * n else half[4 * n - m] for m in range(4 * n)]
 
 
 def _fdot_weights(n):
@@ -193,7 +218,8 @@ def _fdot_antiderivative(vals, n):
     c[0] /= 2
     c += [0, 0]
     big_c = [(2 * c[0] - c[2]) / 2] + [(c[k - 1] - c[k + 1]) / (2 * k) for k in range(2, n + 1)]
-    return [mp.fdot(big_c, [1 - cos_tab[(k * (2 * j + 1)) % m4] for k in range(1, n + 1)])
+    return [mp.fdot(big_c + big_c, [1] * n + [-cos_tab[(k * (2 * j + 1)) % m4]
+                                              for k in range(1, n + 1)])
             for j in range(n)]
 
 
@@ -311,3 +337,41 @@ def test_clear_caches_empties_rule_cache():
     assert quadrature._rule.cache_info().currsize
     eistau.clear_caches()
     assert quadrature._rule.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("digits", [40, 50])
+def test_oracle_cross_paths_need_no_rule_above_72_nodes(monkeypatch, digits):
+    # the vertical paths are graded geometrically, so no panel climbs past 72 nodes:
+    # the quad_vertical cases (depth 1, depth 2, riter) and the T cases of oracle-cross
+    # on the full grid.  elemtail's quad_segment panels are not graded this way.
+    from eistau import verify
+    from eistau.config import EngineConfig
+
+    sizes, calls, active = [], [], []
+    rule = quadrature._rule
+
+    def spy_rule(n, prec):
+        if active:
+            sizes.append(n)
+        return rule(n, prec)
+
+    def watched(name):
+        oracle = getattr(verify, name)
+
+        def run(*args, **kwargs):
+            calls.append(name)
+            active.append(name)
+            try:
+                return oracle(*args, **kwargs)
+            finally:
+                active.pop()
+
+        monkeypatch.setattr(verify, name, run)
+
+    monkeypatch.setattr(quadrature, "_rule", spy_rule)
+    for name in ("quad_vertical", "quad_T_cusp", "quad_T_cusp_const"):
+        watched(name)
+    report = verify.run_suite("oracle-cross", "full", EngineConfig(digits=digits))
+    assert report.summary["failed"] == 0
+    assert sorted(calls) == ["quad_T_cusp"] * 4 + ["quad_T_cusp_const"] * 2 + ["quad_vertical"] * 6
+    assert sizes and max(sizes) <= 72, sorted(set(sizes))

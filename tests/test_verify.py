@@ -37,8 +37,8 @@ FULL_REPORT_SHA256 = {
 }
 
 # sha256 of run_suite("oracle-cross", grid).to_json() with the Chebyshev panel oracles.
-ORACLE_CROSS_SMALL_SHA256 = "54bd1e266c09a13f79346300588b516888d410535d44e09afb4c475baca9752e"
-ORACLE_CROSS_FULL_SHA256 = "f31ebe0020e705278579d373ae5c348b07000085790eed7a7c5d576d217b551b"
+ORACLE_CROSS_SMALL_SHA256 = "8b4288fba405eb57bc086a90b65df45f38c56801a78338e88227f2b28156da53"
+ORACLE_CROSS_FULL_SHA256 = "b561220799d123e657c1e7ab7ed6eb27a9683c505bb3d67e2f48be242564dd2e"
 
 
 def test_closed_suite_small_reports_byte_identical():
