@@ -72,15 +72,18 @@ at tau = i every R word of `mmv` at one precision reads one table.  By parts,
 K_{n,e} = n^{e+1} J'_{n,e} = -(n^e q^n w^e + e K_{n,e-1}), summed exactly over
 the power chains of q (at prec + GUARD_BITS bits) and of w, and each J' is K /
 n^{e+1} floored to prec + GUARD_BITS bits (`_quo`): no pi enters the
-recurrence, and no rounding accumulates along it.
+recurrence, and no rounding accumulates along it.  The elementary tail
+integral `elem_exp_tail` is one entry of the same table, scaled and rounded
+once: the engine has one evaluator of int_tau^{i oo} e^{2 pi i n s} s^e ds.
 
 ExpPoly is the public carrier f(t) = sum_n P_n(t) e^{2 pi i n t} with mpc
 polynomial coefficients: `_Rows.carrier` maps a fold's rows to it (for
-`integrals.int_exppoly`), `elem_exp_tail` integrates one term by
-`ExpPoly.tail_integral` (the recurrence above at c = 2 pi i n, in mpc
-arithmetic), and the tests use its algebra as an independent reference.
-`ExpPoly.__call__` reads it as the row read does (`_read_dot`), with t in
-place of w.  Instances are immutable.
+`integrals.int_exppoly` and `eistau eval-int --dump-exppoly`).  Its algebra
+(`__add__`, `scale`, `__mul__`, `truncated`, and `tail_integral`, the
+recurrence above at c = 2 pi i n in mpc arithmetic) is the tests' independent
+reference; no engine value passes through it.  `ExpPoly.__call__` reads it as
+the row read does (`_read_dot`), with t in place of w.  Instances are
+immutable.
 """
 
 from __future__ import annotations
@@ -218,20 +221,20 @@ class ExpPoly:
             out[n] = tuple(-x for x in r)
         return ExpPoly(out)
 
-    def __call__(self, t, n_max: int | None = None) -> mpc:
-        """Value at t: sum_{n <= n_max} q^n sum_d c_{n,d} t^d, q = e^{2 pi i t},
-        over the power chains of q and t, as one exact sum (`_read_dot`) whose
-        real and imaginary parts are each rounded once; with n_max, of
-        `self.truncated(n_max)`, bit for bit."""
+    def __call__(self, t) -> mpc:
+        """Value at t: sum_n q^n sum_d c_{n,d} t^d, q = e^{2 pi i t}, over the
+        power chains of q and t, as one exact sum (`_read_dot`) whose real and
+        imaginary parts are each rounded once.  A partial sum up to frequency n
+        is `self.truncated(n)(t)`."""
         t = mpc(t)
-        terms = [(n, p) for n, p in self.terms.items() if n_max is None or n <= n_max]
-        if not terms:
+        if not self.terms:
             return mpc(0)
         prec, rnd = mp._prec_rounding
-        q_pows = list(islice(_q_powers(t._mpc_, prec, rnd), max(n for n, _ in terms) + 1))
-        qs = [q_pows[n] for n, _ in terms]
+        q_pows = list(islice(_q_powers(t._mpc_, prec, rnd), self.max_freq() + 1))
+        qs = [q_pows[n] for n in self.terms]
         # degree columns of blocks, a shorter polynomial padded with zero blocks
-        cols = zip_longest(*[[_block(c._mpc_) for c in p] for _, p in terms], fillvalue=(0, 0, 0))
+        cols = zip_longest(*[[_block(c._mpc_) for c in p] for p in self.terms.values()],
+                           fillvalue=(0, 0, 0))
         return mp.make_mpc(_round(_read_dot(cols, qs, _block(t._mpc_), prec), prec, rnd))
 
     def dump(self) -> str:
@@ -618,8 +621,9 @@ def _tails(tau: tuple, prec: int) -> _Tails:
 
 
 def elem_exp_tail(n: int, alpha: int, a) -> mpc:
-    """int_a^{i oo} e^{2 pi i n t} t^{alpha-1} dt for n, alpha >= 1, by
-    `ExpPoly.tail_integral` of the single term e^{2 pi i n t}, evaluated at a.
+    """int_a^{i oo} e^{2 pi i n t} t^{alpha-1} dt for n, alpha >= 1 and Im a > 0:
+    (2 pi i)^{-alpha} J'_{n,alpha-1}(a), one entry of the J' table at a and the
+    working precision (`_tails`), scaled and rounded once (`_scaled`).
 
     Equals -e^{2 pi i n a} sum_{j=0}^{alpha-1} (-1)^j [(alpha-1)!/(alpha-1-j)!]
     a^{alpha-1-j} / (2 pi i n)^{j+1}.
@@ -629,4 +633,7 @@ def elem_exp_tail(n: int, alpha: int, a) -> mpc:
     a = mpc(a)
     if not a.imag > 0:
         raise ValueError("Im a must be positive")
-    return ExpPoly.from_qseries({n: 1}).tail_integral(alpha)(a)
+    prec, rnd = mp._prec_rounding
+    table = _tails(a._mpc_, prec)
+    table.grow(n, alpha - 1)
+    return mp.make_mpc(_scaled(table.rows[n][alpha - 1], alpha, 0, prec, rnd))

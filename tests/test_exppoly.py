@@ -3,13 +3,14 @@ import pathlib
 import random
 from fractions import Fraction
 from itertools import islice
-from math import floor
+from math import floor, perm
 
 import pytest
 from mpmath import mp, mpc, mpf
 from mpmath.libmp import from_man_exp
 
-from eistau import integrals, lseries
+from eistau import clear_caches, integrals, lseries, make_index
+from eistau.cli import main
 from eistau.eisenstein import sigma_table
 from eistau.exppoly import (
     GUARD_BITS,
@@ -20,6 +21,10 @@ from eistau.exppoly import (
     _round,
     elem_exp_tail,
 )
+from eistau.integrals import int_eval
+from eistau.lseries import l_eval
+from eistau.mmv import int0_reg, r_iter, s_coeff
+from eistau.verify import SUITES, run_suite
 
 I = mpc(0, 1)
 
@@ -50,6 +55,32 @@ def test_elem_exp_tail_rejects():
         elem_exp_tail(1, 0, I)
     with pytest.raises(ValueError):
         elem_exp_tail(1, 1, mpc(0, -1))
+
+
+def _elem_exp_tail_closed_form(n: int, alpha: int, a) -> mpc:
+    """-e^{2 pi i n a} sum_j (-1)^j [(alpha-1)!/(alpha-1-j)!] a^{alpha-1-j} / (2 pi i n)^{j+1}."""
+    c = 2 * mp.pi * I * n
+    return -mp.expjpi(2 * n * a) * sum((-1) ** j * perm(alpha - 1, j) * a ** (alpha - 1 - j)
+                                       / c ** (j + 1) for j in range(alpha))
+
+
+@pytest.mark.parametrize("dps", [20, 40, 60])
+def test_elem_exp_tail_within_an_ulp_of_closed_form(dps):
+    # one entry of the J' table, scaled and rounded once, is within 2^-prec of
+    # the closed form at 30 more digits, relatively (measured worst: 0.99, at
+    # tau = i, n = 1, alpha = 4 and 40 digits; ExpPoly.tail_integral of the one
+    # term, evaluated at tau, lost up to 8.1)
+    with mp.workdps(dps):
+        taus = [I, mpc("0.3", "0.8"), mpc("-0.45", "1.7")]
+        ulp = mpf(2) ** -mp.prec
+    for tau in taus:
+        for n in (1, 2, 5, 13):
+            for alpha in (1, 2, 4, 9):
+                with mp.workdps(dps):
+                    got = elem_exp_tail(n, alpha, tau)
+                with mp.workdps(dps + 30):
+                    ref = _elem_exp_tail_closed_form(n, alpha, tau)
+                    assert abs(got - ref) <= ulp * abs(ref), (tau, n, alpha)
 
 
 def test_from_qseries_eval():
@@ -239,17 +270,16 @@ def _call_reference(f: ExpPoly, t, n_max=None) -> mpc:
 
 @pytest.mark.parametrize("dps", [40, 70])
 def test_call_horner_matches_per_frequency_sum(dps):
-    # gaps in frequency (3-4, 7-9), a constant term, n_max inside the gaps; the
-    # per-frequency sum at 30 more digits, within Horner's error bound
+    # gaps in frequency (3-4, 7-9), a constant term, partial sums cut inside the
+    # gaps; the per-frequency sum at 30 more digits, within Horner's error bound
     # (2 top + 2 deg + 8) 2^-prec sum_n |q|^n sum_j |c_nj| |t|^j, kept for the dot
     # read (measured worst |error| / (2^-prec sum ...): 2.5 by Horner, 0.94 by the dot)
     with mp.workdps(dps):
         f = _mixed_exppoly() + ExpPoly({0: (mpc("0.25"),), 10: (mpc(1), mpc(0, -2))})
         for tau in (mpc(40, "0.15"), mpc(-40, "0.15"), mpc("0.3", "1.1")):
             for n_max in (None, 8, 6, 4, 1):
-                got = f(tau, n_max)
-                sub = f.truncated(10 if n_max is None else n_max)
-                assert got._mpc_ == sub(tau)._mpc_
+                sub = f if n_max is None else f.truncated(n_max)
+                got = sub(tau)
                 top = sub.max_freq()
                 deg = max(len(p) for p in sub.terms.values()) - 1
                 size = sum(abs(mp.expjpi(2 * tau)) ** n * sum(abs(c) * abs(tau) ** j
@@ -260,12 +290,12 @@ def test_call_horner_matches_per_frequency_sum(dps):
                     assert abs(got - _call_reference(f, tau, n_max)) <= bound
 
 
-def _call_mpc_horner(f: ExpPoly, t, n_max=None) -> mpc:
-    """Horner in q on mpc values, from the highest frequency <= n_max down."""
+def _call_mpc_horner(f: ExpPoly, t) -> mpc:
+    """Horner in q on mpc values, from the highest frequency down."""
     t = mpc(t)
-    top = max((n for n in f.terms if n_max is None or n <= n_max), default=None)
-    if top is None:
+    if f.is_zero():
         return mpc(0)
+    top = f.max_freq()
     q = mp.expjpi(2 * t)
     acc = _peval(f.terms[top], t)
     for n in range(top - 1, -1, -1):
@@ -324,8 +354,8 @@ def _call_dot_reference(f: ExpPoly, t, n_max=None) -> mpc:
 @pytest.mark.parametrize("dps", [40, 70])
 def test_call_is_the_exact_dot_rounded_once(dps):
     # t = i is exactly imaginary and q exactly real at i and at +-40 + 0.15i, so
-    # half the products are exact zeros; 0.3 + 1.1i has none; n_max inside the
-    # gaps (3-4, 7-9); wide coefficients enter the dot unrounded
+    # half the products are exact zeros; 0.3 + 1.1i has none; partial sums cut
+    # inside the gaps (3-4, 7-9); wide coefficients enter the dot unrounded
     with mp.workdps(dps + 30):
         wide = _mixed_exppoly()
     with mp.workdps(dps):
@@ -334,7 +364,8 @@ def test_call_is_the_exact_dot_rounded_once(dps):
         for f in fs:
             for tau in (mpc(0, 1), mpc(40, "0.15"), mpc(-40, "0.15"), mpc("0.3", "1.1")):
                 for n_max in (None, 8, 6, 4, 1, 0):
-                    assert f(tau, n_max)._mpc_ == _call_dot_reference(f, tau, n_max)._mpc_
+                    sub = f if n_max is None else f.truncated(n_max)
+                    assert sub(tau)._mpc_ == _call_dot_reference(f, tau, n_max)._mpc_
 
 
 @pytest.mark.parametrize("dps", [40, 70])
@@ -350,14 +381,15 @@ def test_call_within_its_own_bound(dps):
         for tau in (mpc(0, 1), mpc(40, "0.15"), mpc(-40, "0.15"), mpc("0.3", "1.1")):
             q = mp.expjpi(2 * tau)
             for n_max in (None, 8, 6, 4, 1):
-                got = f(tau, n_max)
+                sub = f if n_max is None else f.truncated(n_max)
+                got = sub(tau)
                 exact = _dot_fractions(f, tau, n_max)
-                sub = f.truncated(10 if n_max is None else n_max).terms
+                terms = sub.terms.items()
                 size = sum(abs(q) ** n * abs(c) * abs(tau) ** d * (n + d)
-                           for n, p in sub.items() for d, c in enumerate(p))
+                           for n, p in terms for d, c in enumerate(p))
                 ulp = mpf(2) ** -mp.prec
                 with mp.workdps(dps + 30):
-                    ref = sum((c * q**n * tau**d for n, p in sub.items() for d, c in enumerate(p)),
+                    ref = sum((c * q**n * tau**d for n, p in terms for d, c in enumerate(p)),
                               mpc(0))
                     dot = mpc(*(mpf(x.numerator) / x.denominator for x in exact))
                     assert abs(dot - ref) <= size * ulp / 2**7
@@ -483,3 +515,39 @@ def test_only_exppoly_knows_the_row_format(module):
     # planted controls: an import of the dot, and a read of a table's columns
     assert _row_format_uses(source + "\nfrom .exppoly import _dot\n") == ["_dot"]
     assert _row_format_uses(source + "\ndef f(table):\n    return table.cols[0]\n") == ["cols"]
+
+
+# -- ExpPoly is a carrier and a reference: no engine value passes its algebra ---
+
+# the arithmetic and evaluation of ExpPoly; the constructor builds the carrier
+# that int_exppoly returns, and dump prints it
+EXPPOLY_ALGEBRA = ("tail_integral", "__mul__", "__add__", "scale", "truncated", "__call__")
+
+
+def test_no_engine_path_calls_the_exppoly_algebra(monkeypatch, capsys):
+    # every suite's small grid, the public evaluators from cold caches and the
+    # CLI's carrier dump: none of them calls a method of EXPPOLY_ALGEBRA, so that
+    # algebra can leave src/eistau once nothing outside the tests wraps it
+    calls = []
+    for name in EXPPOLY_ALGEBRA:
+        def spy(self, *args, _name=name, _method=getattr(ExpPoly, name)):
+            calls.append(_name)
+            return _method(self, *args)
+        monkeypatch.setattr(ExpPoly, name, spy)
+    clear_caches()
+    for suite in SUITES:
+        run_suite(suite, "small")
+    tau = mpc("0.3", "0.8")
+    int_eval(make_index([2, 3], [1, 2]), tau)
+    l_eval(make_index([2, 3], [1, 2]), tau)
+    r_iter([("cusp", 2), ("cusp", 3)], (1, 2))
+    s_coeff([2, 3], [1, 2])
+    int0_reg(make_index([2, 3], [1, 2]))
+    elem_exp_tail(2, 3, tau)
+    assert main(["eval-int", "--index", "I{ks=[2,3];alphas=[1,2];taupow=0}", "--tau", "0.3+0.8i",
+                 "--dump-exppoly"]) == 0
+    dump = capsys.readouterr().out.splitlines()[2:]
+    assert dump[0].startswith("2; ")  # the carrier, from its lowest frequency up
+    assert calls == []
+    ExpPoly.from_qseries({1: 1}).truncated(0)  # planted control: the spies record
+    assert calls == ["truncated"]

@@ -17,7 +17,7 @@ from eistau.eisenstein import (
     sigma_majorant,
     sigma_table,
 )
-from eistau.exppoly import ExpPoly, _majorants, _rows, elem_exp_tail
+from eistau.exppoly import ExpPoly, _majorants, _rows
 from eistau.integrals import int_eval, int_exppoly, word_eval
 from eistau.lseries import l_eval
 from eistau.mmv import MonomialCoefficientRequest, r_iter, s_coeff
@@ -399,14 +399,6 @@ def test_int_exppoly_dump_unchanged_by_fold_cache():
     assert hashlib.sha256(warm.encode()).hexdigest() == EXPPOLY_DUMP_SHA256
 
 
-def test_exppoly_call_n_max_is_truncated_value():
-    g = int_exppoly(make_index([2, 3], [1, 2]), mpc(0, "0.8"), BUDGET)
-    t = mpc("0.3", "1.1")
-    for n_max in (0, 1, 5, g.max_freq() - 1, g.max_freq(), g.max_freq() + 3):
-        assert g(t, n_max=n_max)._mpc_ == g.truncated(n_max)(t)._mpc_
-    assert g(t, n_max=None)._mpc_ == g(t)._mpc_
-
-
 # -- word_eval's outermost tail integral: one dot against the J table ----------
 
 DOT_TAUS = [mpc(0, 1), mpc("0.3", "0.8"), mpc("-0.45", "1.7"), mpc("0.5", "0.3"),
@@ -416,7 +408,8 @@ DOT_TAUS = [mpc(0, 1), mpc("0.3", "0.8"), mpc("-0.45", "1.7"), mpc("0.5", "0.3")
 def _j_errors(tau, n, e) -> dict:
     """(n, e) -> |J - ref| / |ref| 2^prec for the rows 1..n, 0..e of the J'
     table at tau and the working precision, scaled back by (2 pi i)^{-e-1},
-    against elem_exp_tail at 30 more digits."""
+    against ExpPoly's tail integral of e^{2 pi i m s} at 30 more digits: the mpc
+    recurrence, apart from the table that elem_exp_tail reads."""
     prec = mp.prec
     table = exppoly._tails(tau._mpc_, prec)
     table.grow(n, e)
@@ -426,15 +419,15 @@ def _j_errors(tau, n, e) -> dict:
         for m, row in enumerate(table.rows[1:n + 1], 1):
             for j, (a, b, x) in enumerate(row[:e + 1]):
                 got = mpc(mpf(a) * mpf(2) ** x, mpf(b) * mpf(2) ** x) / two_pi_i ** (j + 1)
-                ref = elem_exp_tail(m, j + 1, tau)
+                ref = ExpPoly.from_qseries({m: 1}).tail_integral(j + 1)(tau)
                 out[m, j] = abs(got - ref) / abs(ref) * mpf(2) ** prec
     return out
 
 
 @pytest.mark.parametrize("dps", [30, 40, 50])
 def test_tail_table_rows_equal_elem_exp_tail(dps):
-    # (2 pi i)^{-e-1} J'_{n,e}(tau) = int_tau^{i oo} e^{2 pi i n s} s^e ds
-    # = elem_exp_tail(n, e + 1, tau)
+    # (2 pi i)^{-e-1} J'_{n,e}(tau) = int_tau^{i oo} e^{2 pi i n s} s^e ds, the
+    # value of elem_exp_tail(n, e + 1, tau), against ExpPoly's tail integral
     with mp.workdps(dps):
         for tau in DOT_TAUS:
             table = exppoly._tails(tau._mpc_, mp.prec)

@@ -36,9 +36,10 @@ FULL_REPORT_SHA256 = {
     "firstdiff": "e3e5af68f7edd7f2df10f4247a1782577ec1bd9f922f6c5a918b2f5d631013ad",
 }
 
-# sha256 of run_suite("oracle-cross", grid).to_json() with the Chebyshev panel oracles.
-ORACLE_CROSS_SMALL_SHA256 = "8b4288fba405eb57bc086a90b65df45f38c56801a78338e88227f2b28156da53"
-ORACLE_CROSS_FULL_SHA256 = "b561220799d123e657c1e7ab7ed6eb27a9683c505bb3d67e2f48be242564dd2e"
+# sha256 of run_suite("oracle-cross", grid).to_json() with the Chebyshev panel oracles
+# and elem_exp_tail read from the J' table.
+ORACLE_CROSS_SMALL_SHA256 = "57642b3a9afae251fd0285ea7f5e2fbbca24dca506a4ce8dcf9c1c812af27e0d"
+ORACLE_CROSS_FULL_SHA256 = "b7ab3a4460d430db5d2111c50533396e1d0b8df13427bd5f0d6502decb4bb022"
 
 
 def test_closed_suite_small_reports_byte_identical():
