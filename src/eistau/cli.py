@@ -4,10 +4,15 @@ Subcommands: eval-l, eval-int, convert, stuffle, verify, selftest.  The
 numeric settings (--digits, --eps, --nmax) of eval-l, eval-int and verify live
 in one config record that is echoed into every report, so any case can be
 rerun exactly; selftest takes --digits alone, and convert and stuffle, which
-are exact, take none.  A ValueError or BudgetError of eval-l, eval-int,
-convert or stuffle is bad input: it prints "eistau: error: <message>" and
-exits 2.  In verify and selftest an exception is an engine fault and keeps its
-traceback.
+are exact, take none.  Bad settings, and a ValueError or BudgetError of
+eval-l, eval-int, convert or stuffle, are bad input: they print "eistau:
+error: <message>" and exit 2, before any case runs.  In verify and selftest an
+exception inside a suite is an engine fault and keeps its traceback.
+
+eval-int --dump-exppoly also prints the fixed-point rows of the integral,
+without tau^taupow: 'h = H, B = B', then 'm; R_{m,0}, R_{m,1}, ...' of ints
+for m = 1..n_cut; the integral is (2 pi i)^{-h} 2^{-B} sum_m q^m sum_d R_{m,d}
+(2 pi i tau)^d, and B grows with --digits.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from mpmath import mp
 from .algebra import LSERIES, TAU_INTEGRAL, parse_generator
 from .config import DEFAULT_DIGITS, DEFAULT_EPS, DEFAULT_NMAX, BudgetError, EngineConfig, configure
 from .eisenstein import precision_selftest
-from .integrals import int_eval, int_exppoly
+from .integrals import int_dump, int_eval
 from .lseries import l_coeffs_dp, l_eval
 from .report import emit, format_complex, parse_complex
 from .rewrite import int_to_l, l_to_int, stuffle_product
@@ -57,7 +62,8 @@ def _parse_args(argv):
     p.add_argument("--index", required=True, help='e.g. "I{ks=[2];alphas=[1];taupow=0}"')
     p.add_argument("--tau", required=True)
     p.add_argument("--dump-exppoly", action="store_true",
-                   help="print the closed-form carrier, one 'n; c0, c1, ...' line per frequency")
+                   help="also print the rows read, without tau^taupow: 'h = H, B = B', then "
+                        "'m; R_{m,0}, R_{m,1}, ...' of ints per frequency m; B grows with --digits")
     _add_engine_args(p)
 
     p = sub.add_parser("convert", help="rewrite a generator in the other family")
@@ -77,6 +83,7 @@ def _parse_args(argv):
 
     p = sub.add_parser("selftest", help="precision self-test and quick identity checks")
     _add_digits_arg(p)
+    p.set_defaults(eps=DEFAULT_EPS, nmax=DEFAULT_NMAX)
 
     return ap.parse_args(argv)
 
@@ -88,8 +95,7 @@ def _bound(x: float) -> str:
     return f"{float(s) + step if float(s) < x else float(s):.3g}"
 
 
-def _cmd_eval_l(args) -> int:
-    config = _config(args)
+def _cmd_eval_l(args, config: EngineConfig) -> int:
     gen = parse_generator(args.index)
     if gen.kind != LSERIES:
         raise ValueError("eval-l expects an L-series generator")
@@ -107,8 +113,7 @@ def _cmd_eval_l(args) -> int:
     return 0
 
 
-def _cmd_eval_int(args) -> int:
-    config = _config(args)
+def _cmd_eval_int(args, config: EngineConfig) -> int:
     gen = parse_generator(args.index)
     if gen.kind != TAU_INTEGRAL:
         raise ValueError("eval-int expects a tau-integral generator")
@@ -118,26 +123,25 @@ def _cmd_eval_int(args) -> int:
     # int_eval is certified to eps, so tau^t int_eval is to |tau|^t eps
     print(f"tail_bound <= {_bound(config.eps * float(abs(tau)) ** gen.power)}")
     if args.dump_exppoly:
-        print(int_exppoly(gen.index(), tau, config.budget()).dump())
+        print(int_dump(gen.index(), tau, config.budget()))
     return 0
 
 
-def _cmd_convert(args) -> int:
+def _cmd_convert(args, config: None) -> int:
     gen = parse_generator(args.index)
     out = int_to_l(gen) if args.dir == "int2l" else l_to_int(gen)
     print(str(out))
     return 0
 
 
-def _cmd_stuffle(args) -> int:
+def _cmd_stuffle(args, config: None) -> int:
     left = parse_generator(args.left)
     right = parse_generator(args.right)
     print(str(stuffle_product(left, right)))
     return 0
 
 
-def _cmd_verify(args) -> int:
-    config = _config(args)
+def _cmd_verify(args, config: EngineConfig) -> int:
     report = run_suite(args.suite, args.grid, config)
     if args.out:
         emit(report, args.format, args.out)
@@ -152,8 +156,7 @@ def _cmd_verify(args) -> int:
     return 0 if report.failed == 0 else 1
 
 
-def _cmd_selftest(args) -> int:
-    config = configure(EngineConfig(digits=args.digits))
+def _cmd_selftest(args, config: EngineConfig) -> int:
     resid = precision_selftest()
     print(f"weight-6 vanishing at i: |value| = {mp.nstr(resid, 8)} (pass)")
     report = run_suite("roundtrip", "small", config)
@@ -174,13 +177,14 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     args = _parse_args(argv if argv is not None else sys.argv[1:])
-    if args.command in ("verify", "selftest"):
-        return _COMMANDS[args.command](args)
     try:
-        return _COMMANDS[args.command](args)
+        config = _config(args) if "digits" in args else None
+        if args.command not in ("verify", "selftest"):
+            return _COMMANDS[args.command](args, config)
     except (ValueError, BudgetError) as exc:
         print(f"eistau: error: {exc}", file=sys.stderr)
         return 2
+    return _COMMANDS[args.command](args, config)  # an exception in a suite keeps its traceback
 
 
 if __name__ == "__main__":

@@ -41,11 +41,16 @@ class TruncationBudget:
 
 @dataclass(frozen=True)
 class EngineConfig:
-    """Settings echoed into every verification report; see `configure`."""
+    """Settings echoed into every verification report, checked here; see `configure`."""
 
     digits: int = DEFAULT_DIGITS
     eps: float = DEFAULT_EPS
     n_max: int = DEFAULT_NMAX
+
+    def __post_init__(self):
+        if self.digits < 15:
+            raise ValueError("working precision below 15 digits is not supported")
+        self.budget()  # checks eps and n_max
 
     def budget(self) -> TruncationBudget:
         return TruncationBudget(self.eps, self.n_max)
@@ -53,8 +58,6 @@ class EngineConfig:
 
 def configure(config: EngineConfig) -> EngineConfig:
     """Set the global working precision to ``config.digits`` and return the config."""
-    if config.digits < 15:
-        raise ValueError("working precision below 15 digits is not supported")
     mp.dps = config.digits
     return config
 

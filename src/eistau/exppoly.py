@@ -76,14 +76,15 @@ recurrence, and no rounding accumulates along it.  The elementary tail
 integral `elem_exp_tail` is one entry of the same table, scaled and rounded
 once: the engine has one evaluator of int_tau^{i oo} e^{2 pi i n s} s^e ds.
 
-ExpPoly is the public carrier f(t) = sum_n P_n(t) e^{2 pi i n t} with mpc
-polynomial coefficients: `_Rows.carrier` maps a fold's rows to it (for
-`integrals.int_exppoly` and `eistau eval-int --dump-exppoly`).  Its algebra
-(`__add__`, `scale`, `__mul__`, `truncated`, and `tail_integral`, the
-recurrence above at c = 2 pi i n in mpc arithmetic) is the tests' independent
-reference; no engine value passes through it.  `ExpPoly.__call__` reads it as
-the row read does (`_read_dot`), with t in place of w.  Instances are
-immutable.
+A fixed-point table prints as text, its h, B and int rows (`_Rows.dump`, for
+`eistau eval-int --dump-exppoly`): it keeps all that the read uses.
+
+ExpPoly, f(t) = sum_n P_n(t) e^{2 pi i n t} with mpc polynomial coefficients,
+is the tests' independent reference, public for the benchmark's tracer; no
+engine path builds one.  Its algebra (`__add__`, `scale`, `__mul__`,
+`truncated`, and `tail_integral`, the recurrence above at c = 2 pi i n in mpc
+arithmetic) checks the rows, and `ExpPoly.__call__` reads it as the row read
+does (`_read_dot`), with t in place of w.  Instances are immutable.
 """
 
 from __future__ import annotations
@@ -237,14 +238,6 @@ class ExpPoly:
                            fillvalue=(0, 0, 0))
         return mp.make_mpc(_round(_read_dot(cols, qs, _block(t._mpc_), prec), prec, rnd))
 
-    def dump(self) -> str:
-        """Debug format: one line per frequency, 'n; c0, c1, ...'."""
-        lines = []
-        for n in sorted(self.terms):
-            cs = ", ".join(mp.nstr(c, mp.dps) for c in self.terms[n])
-            lines.append(f"{n}; {cs}")
-        return "\n".join(lines)
-
     def __repr__(self):
         return f"ExpPoly(<{len(self.terms)} frequencies, max {self.max_freq()}>)"
 
@@ -254,7 +247,8 @@ class _Rows:
     columns cols[d][m] of exact `Fraction`s for bits None, and for an int bits
     = B of the fixed-point integers of rho 2^B; see module docstring.  The op
     (op, arg) is the chain's last, `inner` the table of its prefix (None for
-    the series), and the value carries (2 pi i)^{-h}."""
+    the series), and the value carries (2 pi i)^{-h}.  A fixed-point table is
+    read at tau (`read`), integrated once more (`tail_read`) or printed (`dump`)."""
 
     __slots__ = ("op", "arg", "inner", "bits", "h", "cols")
 
@@ -325,15 +319,12 @@ class _Rows:
         ws = (js[m][d + alpha - 1] for d in range(len(cols)) for m in range(1, n + 1))
         return _scaled(_dot(zs, ws), self.h + alpha, self.bits, prec, rnd)
 
-    def carrier(self, n: int) -> ExpPoly:
-        """The ExpPoly of a fixed-point table grown to n, frequencies 1..n:
-        c_{m,d} = (2 pi i)^{d-h} R_{m,d} 2^-B, each part rounded once at the
-        working precision (`_scaled`)."""
-        prec, rnd = mp._prec_rounding
-        h, bits = self.h, self.bits
-        return ExpPoly({m: tuple(mp.make_mpc(_scaled((col[m], 0, 0), h - d, bits, prec, rnd))
-                                 for d, col in enumerate(self.cols))
-                        for m in range(1, n + 1)})
+    def dump(self, n: int) -> str:
+        """A fixed-point table grown to n as text, lossless: 'h = H, B = B', then
+        'm; R_{m,0}, R_{m,1}, ...' for m in 1..n, zero rows included."""
+        lines = [f"h = {self.h}, B = {self.bits}"]
+        lines += [f"{m}; " + ", ".join(str(col[m]) for col in self.cols) for m in range(1, n + 1)]
+        return "\n".join(lines)
 
 
 @lru_cache(maxsize=1024)

@@ -35,9 +35,9 @@ the returned one.
 Truncation prefix: the rows do not depend on tau, only n_cut does, and a row n
 is built from rows up to n only.  So a chain's rows are kept per (chain, B)
 (`exppoly._rows`) and grown in place, and words that share inner integrals
-share those rows.  `int_eval` and `int_exppoly` grow the rows of their whole
-chain to n_cut and read them at tau up to n_cut (`_top`), and `int_eval`
-keeps each value it returns (`_int_value`).
+share those rows.  `int_eval` grows the rows of its whole chain to n_cut and
+reads them at tau up to n_cut (`_top`), and keeps each value it returns
+(`_int_value`); `int_dump` prints the same rows, with h and B, as ints.
 
 `word_eval`'s callers are the base-point words of `mmv`, which keeps their
 values, so the rows of a word's own chain would be read once.  It grows the
@@ -58,7 +58,7 @@ from mpmath import mp, mpc
 from .algebra import CompositeIndex
 from .config import DEFAULT_BUDGET, SingularParameterError, TruncationBudget
 from .eisenstein import CONST, CUSP, _constant_mpf, _eps_logs, eis_constant, tail_start
-from .exppoly import LOG_2, PRODUCT, TAIL, ExpPoly, _certificate, _fixed_bits, _log_majorant, _rows
+from .exppoly import LOG_2, PRODUCT, TAIL, _certificate, _fixed_bits, _log_majorant, _rows
 
 MAX_DEPTH = 6
 
@@ -176,13 +176,14 @@ def int_eval(index: CompositeIndex, tau, budget: TruncationBudget = DEFAULT_BUDG
     return _int_value(word, tuple(index.alphas), mpc(tau)._mpc_, budget, mp.prec)
 
 
-def int_exppoly(index: CompositeIndex, tau, budget: TruncationBudget = DEFAULT_BUDGET) -> ExpPoly:
-    """The ExpPoly representing the iterated integral, with n_cut certified at
-    tau, from the kept rows of its fold (`exppoly._Rows.carrier`), each part
-    rounded once at the fold's precision.  Raises ValueError for t != 0."""
+def int_dump(index: CompositeIndex, tau, budget: TruncationBudget = DEFAULT_BUDGET) -> str:
+    """The kept fixed-point rows that `int_eval` reads at tau, grown to n_cut,
+    as text (`exppoly._Rows.dump`); depth 0 gives 'h = 0, B = 0' and '0; 1'.
+    Raises ValueError for t != 0."""
     word = _cusp_word(index)
     if not word:
-        return ExpPoly.from_qseries({0: 1})
+        return "h = 0, B = 0\n0; 1"
+    tau = mpc(tau)  # at the working precision, as int_eval takes it
     with mp.extradps(15):
-        rows, n_cut = _top(word, index.alphas, mpc(tau), budget)
-        return rows.carrier(n_cut)
+        rows, n_cut = _top(word, index.alphas, tau, budget)
+    return rows.dump(n_cut)

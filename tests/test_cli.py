@@ -10,8 +10,9 @@ from eistau.algebra import make_index
 from eistau.cli import main
 from eistau.config import EngineConfig, TruncationBudget
 from eistau.eisenstein import CUSP
-from eistau.integrals import _chain, _cutoff_bits, int_eval, int_exppoly
+from eistau.integrals import _chain, _cutoff_bits, int_dump, int_eval
 from eistau.report import VerificationReport, parse_complex
+from test_integrals import read_dump
 
 
 def test_selftest(capsys):
@@ -65,13 +66,16 @@ def test_eval_int_dump(capsys):
         ]
     )
     assert code == 0
-    out = capsys.readouterr().out
-    assert "value =" in out
-    assert "1; " in out  # carrier has a frequency-1 line
+    value, bound, header, *rows = capsys.readouterr().out.splitlines()
+    assert value.startswith("value =")
+    with mp.extradps(15):  # the precision the fold is sized and read at
+        n_cut, bits = _cutoff_bits(_chain(((CUSP, 2),), (1,)), mpc(0, 2), EngineConfig().budget())
+    assert header == f"h = 1, B = {bits}" == "h = 1, B = 314"  # 55 digits: 186 bits, plus 128
+    assert [row.split("; ")[0] for row in rows] == [str(m) for m in range(1, n_cut + 1)]
 
 
 def test_eval_int_dump_certified_at_tau_off_axis(capsys):
-    # the carrier's n_cut is certified at tau itself: 16 at 40+i, where i*Im tau gives 14
+    # the dump's n_cut is certified at tau itself: 16 at 40+i, where i*Im tau gives 14
     idx, tau = make_index([3, 4], [2, 3]), mpc(40, 1)
     argv = ["eval-int", "--index", "I{ks=[3,4];alphas=[2,3];taupow=0}", "--tau", "40+1i",
             "--dump-exppoly"]
@@ -80,15 +84,15 @@ def test_eval_int_dump_certified_at_tau_off_axis(capsys):
     assert out.err == ""
     dump = out.out.splitlines()[2:]
     budget = EngineConfig().budget()
-    carrier = int_exppoly(idx, tau, budget)  # at the CLI's 40 digits
-    assert "\n".join(dump) == carrier.dump()
+    assert "\n".join(dump) == int_dump(idx, tau, budget)  # at the CLI's 40 digits
     with mp.extradps(15):
         chain = _chain(((CUSP, 3), (CUSP, 4)), (2, 3))
         n_cut = _cutoff_bits(chain, tau, budget)[0]
         assert _cutoff_bits(chain, mpc(0, 1), budget)[0] == 14
-    assert int(dump[-1].split(";")[0]) == carrier.max_freq() == n_cut == 16
+    assert int(dump[-1].split(";")[0]) == len(dump) - 1 == n_cut == 16
     ref = int_eval(idx, tau, TruncationBudget(budget.eps * 1e-10, budget.n_max))
-    assert abs(carrier(tau) - ref) <= budget.eps
+    with mp.extradps(20):  # the rows read at 20 more digits
+        assert abs(read_dump("\n".join(dump), tau) - ref) <= budget.eps
 
 
 def test_eval_int_bound_covers_tau_power(capsys):
@@ -214,3 +218,23 @@ def test_bad_input_prints_one_error_line_and_exits_2(case, capsys):
     assert out.out == ""
     assert out.err.startswith("eistau: error: ") and message in out.err
     assert out.err.count("\n") == 1
+
+
+# bad settings to verify and selftest: one error line and exit 2, before any case runs
+BAD_SETTINGS = {
+    "verify-roundtrip": (["verify", "--suite", "roundtrip", "--eps", "-1", "--nmax", "0"],
+                         "eps must be positive"),
+    "verify-fund": (["verify", "--suite", "fund", "--nmax", "0"], "n_max must be >= 1"),
+    "selftest-digits": (["selftest", "--digits", "10"],
+                        "working precision below 15 digits is not supported"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_SETTINGS)
+def test_bad_settings_exit_2_before_any_case(case, monkeypatch, capsys):
+    argv, message = BAD_SETTINGS[case]
+    monkeypatch.setattr(verify_mod, "_SUITE_FUNCS", {})  # a case that ran would raise
+    assert main(argv) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"eistau: error: {message}\n"

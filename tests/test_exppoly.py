@@ -156,13 +156,6 @@ def test_truncated_drops_high_frequencies():
     assert a.truncated(0).is_zero()
 
 
-def test_dump_format():
-    a = ExpPoly({2: (mpc(1), mpc(0, -1))})
-    line = a.dump()
-    assert line.startswith("2; ")
-    assert line.count("\n") == 0
-
-
 # -- the fold kernel is bit-identical to the mpc-level formulas --------------------
 
 
@@ -517,23 +510,29 @@ def test_only_exppoly_knows_the_row_format(module):
     assert _row_format_uses(source + "\ndef f(table):\n    return table.cols[0]\n") == ["cols"]
 
 
-# -- ExpPoly is a carrier and a reference: no engine value passes its algebra ---
+# -- ExpPoly is the tests' reference: no engine path builds or calls one -------
 
-# the arithmetic and evaluation of ExpPoly; the constructor builds the carrier
-# that int_exppoly returns, and dump prints it
-EXPPOLY_ALGEBRA = ("tail_integral", "__mul__", "__add__", "scale", "truncated", "__call__")
+# the arithmetic, evaluation and constructors of ExpPoly
+EXPPOLY_ALGEBRA = ("tail_integral", "__mul__", "__add__", "scale", "truncated", "__call__",
+                   "__init__")
 
 
 def test_no_engine_path_calls_the_exppoly_algebra(monkeypatch, capsys):
     # every suite's small grid, the public evaluators from cold caches and the
-    # CLI's carrier dump: none of them calls a method of EXPPOLY_ALGEBRA, so that
-    # algebra can leave src/eistau once nothing outside the tests wraps it
+    # CLI's row dump: none of them builds an ExpPoly or calls a method of
+    # EXPPOLY_ALGEBRA, so the class can leave src/eistau once nothing outside
+    # the tests wraps it
     calls = []
     for name in EXPPOLY_ALGEBRA:
         def spy(self, *args, _name=name, _method=getattr(ExpPoly, name)):
             calls.append(_name)
             return _method(self, *args)
         monkeypatch.setattr(ExpPoly, name, spy)
+
+    def from_qseries(cls, *args, _method=ExpPoly.from_qseries):
+        calls.append("from_qseries")
+        return _method(*args)
+    monkeypatch.setattr(ExpPoly, "from_qseries", classmethod(from_qseries))
     clear_caches()
     for suite in SUITES:
         run_suite(suite, "small")
@@ -547,7 +546,33 @@ def test_no_engine_path_calls_the_exppoly_algebra(monkeypatch, capsys):
     assert main(["eval-int", "--index", "I{ks=[2,3];alphas=[1,2];taupow=0}", "--tau", "0.3+0.8i",
                  "--dump-exppoly"]) == 0
     dump = capsys.readouterr().out.splitlines()[2:]
-    assert dump[0].startswith("2; ")  # the carrier, from its lowest frequency up
+    assert dump[:2] == ["h = 3, B = 314", "1; 0, 0"]  # the rows, from frequency 1 up
     assert calls == []
     ExpPoly.from_qseries({1: 1}).truncated(0)  # planted control: the spies record
-    assert calls == ["truncated"]
+    assert calls == ["from_qseries", "__init__", "truncated", "__init__"]
+
+
+def _names(source: str) -> set:
+    """Every identifier that `source` names, imports, reads as an attribute or defines."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+    return names
+
+
+def test_only_exppoly_and_the_package_name_exppoly():
+    # the class is defined in exppoly and exported by the package; no engine module uses it
+    package = pathlib.Path(integrals.__file__).parent
+    sources = {path.name: path.read_text() for path in package.glob("*.py")}
+    assert sorted(name for name, source in sources.items() if "ExpPoly" in _names(source)) == [
+        "__init__.py", "exppoly.py"]
+    # planted controls: an import of the class, and a read of it off its module
+    assert "ExpPoly" in _names(sources["integrals.py"] + "\nfrom .exppoly import ExpPoly\n")
+    assert "ExpPoly" in _names(sources["cli.py"] + "\ndef f():\n    return exppoly.ExpPoly()\n")

@@ -18,7 +18,7 @@ from eistau.eisenstein import (
     sigma_table,
 )
 from eistau.exppoly import ExpPoly, _majorants, _rows
-from eistau.integrals import int_eval, int_exppoly, word_eval
+from eistau.integrals import int_dump, int_eval, word_eval
 from eistau.lseries import l_eval
 from eistau.mmv import MonomialCoefficientRequest, r_iter, s_coeff
 from test_exppoly import _call_mpc_horner
@@ -48,9 +48,9 @@ def test_int_eval_rejects_tau_power():
         int_eval(make_index([2], [1], 2), mpc(0, 1), BUDGET)
 
 
-def test_int_exppoly_rejects_tau_power():
+def test_int_dump_rejects_tau_power():
     with pytest.raises(ValueError, match="t = 1"):
-        int_exppoly(make_index([2, 3], [1, 2], 1), mpc(0, 1), BUDGET)
+        int_dump(make_index([2, 3], [1, 2], 1), mpc(0, 1), BUDGET)
 
 
 def test_budget_exhaustion_for_tiny_im():
@@ -73,11 +73,33 @@ def test_derivative_contract(ks, alphas):
     assert abs(lhs - rhs) <= mpf("1e-8") * max(abs(lhs), abs(rhs))
 
 
+def _parse_dump(text: str) -> tuple:
+    """(h, B, {m: (R_{m,0}, R_{m,1}, ...)}) of a row dump (`int_dump`)."""
+    head, *lines = text.splitlines()
+    h, bits = (int(part.split(" = ")[1]) for part in head.split(", "))
+    rows = dict(line.split("; ") for line in lines)
+    return h, bits, {int(m): tuple(map(int, row.split(", "))) for m, row in rows.items()}
+
+
+def read_dump(text: str, tau) -> mpc:
+    """The value (2 pi i)^{-h} 2^{-B} sum_m q^m sum_d R_{m,d} w^d of a row dump at
+    tau, summed in mpc arithmetic at the working precision."""
+    h, bits, rows = _parse_dump(text)
+    q, w = mp.expjpi(2 * tau), 2 * mp.pi * mpc(0, 1) * tau
+    total = mp.fsum(r * q**m * w**d for m, row in rows.items() for d, r in enumerate(row))
+    return (2 * mp.pi * mpc(0, 1)) ** -h * total * mpf(2) ** -bits
+
+
 def test_exppoly_form_matches_eval():
-    idx = make_index([2, 2], [1, 2])
-    tau = mpc(0, "1.5")
-    g = int_exppoly(idx, tau, BUDGET)
-    assert abs(g(tau) - int_eval(idx, tau, BUDGET)) < mpf("1e-28")
+    # the rows that --dump-exppoly prints, read at 20 more digits, give int_eval's value
+    for ks, alphas, tau in (((), (), mpc(0, 1)),
+                            ((2, 2), (1, 2), mpc(0, "1.5")),
+                            ((3, 2, 4), (2, 1, 3), mpc("-0.45", "0.3")),
+                            ((3, 4), (2, 3), mpc(40, 1))):
+        idx = make_index(ks, alphas)
+        text = int_dump(idx, tau, BUDGET)
+        with mp.extradps(20):
+            assert abs(read_dump(text, tau) - int_eval(idx, tau, BUDGET)) <= BUDGET.eps, ks
 
 
 def test_shuffle_depth1_squares():
@@ -384,19 +406,36 @@ def test_fold_cache_keys_on_precision():
     _kept_stages(keys)
 
 
-# sha256 of int_exppoly([3, 2]; [2, 1]) at tau = 1.3i and 40 digits, .dump()
+# sha256 of int_dump([3, 2]; [2, 1]) at tau = 1.3i and 40 digits
+INT_DUMP_SHA256 = "a4cbe8fa9601265bb6865767b034aad61d8321099eeb4ac76572da1aea4c0987"
+# sha256 of the retired carrier dump of the same fold, the mpc coefficients
+# (2 pi i)^{d-h} R_{m,d} 2^-B, one line 'm; c_0, c_1, ...' per nonzero frequency
 EXPPOLY_DUMP_SHA256 = "0975ebc9e04540f76a32109bd52e5d586a46e83fab1b3f55a63157852da9b1b8"
 
 
-def test_int_exppoly_dump_unchanged_by_fold_cache():
+def test_int_dump_unchanged_by_fold_cache():
     idx = make_index([3, 2], [2, 1])
     clear_caches()
-    cold = int_exppoly(idx, mpc(0, "1.3"), BUDGET).dump()
+    cold = int_dump(idx, mpc(0, "1.3"), BUDGET)
     for _ in range(2):  # keeps the fold at the larger n_cut of Im tau = 0.7
         int_eval(idx, mpc(0, "0.7"), BUDGET)
-    warm = int_exppoly(idx, mpc(0, "1.3"), BUDGET).dump()
+    warm = int_dump(idx, mpc(0, "1.3"), BUDGET)
     assert warm == cold
-    assert hashlib.sha256(warm.encode()).hexdigest() == EXPPOLY_DUMP_SHA256
+    assert hashlib.sha256(warm.encode()).hexdigest() == INT_DUMP_SHA256
+
+
+def test_int_dump_rebuilds_the_retired_carrier_dump():
+    # each coefficient scaled and rounded once at the fold's precision, as the
+    # carrier was (`exppoly._scaled`), its zeros trimmed by ExpPoly, and printed
+    # at 40 digits: the row dump loses nothing that the carrier showed
+    h, bits, rows = _parse_dump(int_dump(make_index([3, 2], [2, 1]), mpc(0, "1.3"), BUDGET))
+    with mp.extradps(15):
+        prec, rnd = mp._prec_rounding
+        carrier = ExpPoly({m: tuple(mp.make_mpc(exppoly._scaled((r, 0, 0), h - d, bits, prec, rnd))
+                                    for d, r in enumerate(row)) for m, row in rows.items()})
+    text = "\n".join(f"{m}; " + ", ".join(mp.nstr(c, mp.dps) for c in carrier.terms[m])
+                     for m in sorted(carrier.terms))
+    assert hashlib.sha256(text.encode()).hexdigest() == EXPPOLY_DUMP_SHA256
 
 
 # -- word_eval's outermost tail integral: one dot against the J table ----------

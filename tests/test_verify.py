@@ -72,6 +72,15 @@ def test_run_suite_leaves_caller_precision():
     assert mp.dps == 20
 
 
+def test_bad_settings_raise_before_any_case_runs():
+    # the settings are checked where they are made, so no suite echoes bad ones
+    for settings, message in (({"eps": -1.0, "n_max": 0}, "eps must be positive"),
+                              ({"n_max": 0}, "n_max must be >= 1"),
+                              ({"digits": 14}, "below 15 digits is not supported")):
+        with pytest.raises(ValueError, match=message):
+            run_suite("roundtrip", "small", EngineConfig(**settings))
+
+
 def test_oracle_cross_report_independent_of_caches_and_caller_precision():
     texts = []
     for dps, clear in ((20, True), (50, False), (50, True)):
