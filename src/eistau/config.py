@@ -9,6 +9,7 @@ configured precision.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import inf
 
 from mpmath import mp
 
@@ -33,8 +34,8 @@ class TruncationBudget:
     n_max: int = DEFAULT_NMAX
 
     def __post_init__(self):
-        if not self.eps > 0:
-            raise ValueError("eps must be positive")
+        if not 0 < self.eps < inf:
+            raise ValueError("eps must be positive and finite")
         if self.n_max < 1:
             raise ValueError("n_max must be >= 1")
 

@@ -31,6 +31,16 @@ suites; every formula below is checked against direct evaluation):
 
 The two conversions are mutually inverse on formal sums (exactly, over Q),
 and depend only on the exponent data, never on the weights.
+
+Both maps run through one shape-level core, `_convert_shape`: it takes
+(alphas, power, integer numerator) triples over a caller's denominator and
+returns the image on the same form over that denominator times its own D.
+`_convert` groups its generators by ks and calls it once per group.  A round
+trip is composed once per exponent shape, there and back from
+((alphas, 0, 1),), and kept; `round_trips` builds that image at the
+generator's ks and tau-power.  This is exact: the table entries never read
+ks, and the tau-power only shifts each output's power by the input's, so the
+image of tau^t G is the image at t = 0 with every power raised by t.
 """
 
 from __future__ import annotations
@@ -38,7 +48,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import comb, factorial, lcm
+from math import comb, factorial, gcd, lcm
 
 from mpmath import mpc
 
@@ -132,35 +142,58 @@ _DIRECTIONS = {
 }
 
 
+def _convert_shape(shape, direction: str):
+    """(D, image): one conversion map on ((alphas, power, numerator), ...) over a
+    caller's denominator, the image on the same form over that denominator times D.
+
+    D is the lcm of the table denominators of the shape's exponents; the image
+    keeps no zero numerator.
+    """
+    *_, table = _DIRECTIONS[direction]
+    rows = []
+    common = 1
+    for alphas, power, num in shape:
+        if not alphas:
+            raise ValueError("depth must be >= 1")
+        denom, entries = table(alphas)
+        rows.append((power, num, denom, entries))
+        common = lcm(common, denom)
+    acc: dict[tuple, int] = {}
+    for power, num, denom, entries in rows:
+        scale = num * (common // denom)
+        for new_alphas, shift, c in entries:
+            key = (new_alphas, power + shift)
+            acc[key] = acc.get(key, 0) + scale * c
+    return common, tuple((al, p, v) for (al, p), v in acc.items() if v)
+
+
+def _generators(kind: str, ks, image, denom: int, power: int = 0) -> dict[Generator, Fraction]:
+    """The generators of an image of `_convert_shape` at weights ks, each power
+    raised by `power`, with their coefficients numerator / denom.  Each is built
+    directly: table exponents are >= 1 and ks comes from a validated generator."""
+    return {Generator(kind, ks, al, power + p): Fraction(v, denom) for al, p, v in image}
+
+
 def _convert(pairs, direction: str) -> FormalSum:
     """Apply one conversion map to (generator, rational coefficient) pairs.
 
-    Works per exponent shape on the direction's integer table, over the common
-    denominator of all terms; the weights ks ride through unchanged.  Each
-    output generator is built directly: table exponents are >= 1 and ks comes
-    from a validated generator.
+    Groups the pairs by ks, which the maps carry through unchanged, puts each
+    group's coefficients on integer numerators over their common denominator,
+    and runs the group through `_convert_shape`, which also rejects depth 0.
     """
-    in_kind, out_kind, kind_msg, table = _DIRECTIONS[direction]
-    terms = []
-    common = 1
+    in_kind, out_kind, kind_msg, _ = _DIRECTIONS[direction]
+    groups: dict[tuple, list] = {}
     for g, c in pairs:
         if g.kind != in_kind:
             raise ValueError(kind_msg)
-        if g.depth < 1:
-            raise ValueError("depth must be >= 1")
-        denom, entries = table(g.alphas)
-        terms.append((g, c, denom, entries))
-        common = lcm(common, c.denominator * denom)
-    acc: dict[tuple, int] = {}
-    for g, c, denom, entries in terms:
-        scale = c.numerator * (common // (c.denominator * denom))
-        ks, power = g.ks, g.power
-        for new_alphas, shift, num in entries:
-            key = (ks, new_alphas, power + shift)
-            acc[key] = acc.get(key, 0) + scale * num
-    return FormalSum._from_nonzero(
-        {Generator(out_kind, ks, al, p): Fraction(v, common) for (ks, al, p), v in acc.items() if v}
-    )
+        groups.setdefault(g.ks, []).append((g.alphas, g.power, c))
+    terms: dict[Generator, Fraction] = {}
+    for ks, group in groups.items():
+        den = lcm(*(c.denominator for _, _, c in group))
+        shape = tuple((al, p, c.numerator * (den // c.denominator)) for al, p, c in group)
+        denom, image = _convert_shape(shape, direction)
+        terms.update(_generators(out_kind, ks, image, den * denom))
+    return FormalSum._from_nonzero(terms)
 
 
 def int_to_l(gen: Generator) -> FormalSum:
@@ -223,10 +256,32 @@ def stuffle_product(g1: Generator, g2: Generator) -> FormalSum:
     )
 
 
+@lru_cache(maxsize=1024)
+def _round_trip(kind: str, alphas: tuple[int, ...]):
+    """(D, image): a generator of this kind and exponents, at power 0, converted
+    to the other family and back on the integer core, in lowest terms."""
+    there, back = ("int2l", "l2int") if kind == TAU_INTEGRAL else ("l2int", "int2l")
+    d_there, image = _convert_shape(((alphas, 0, 1),), there)
+    d_back, image = _convert_shape(image, back)
+    denom = d_there * d_back
+    div = gcd(denom, *(v for _, _, v in image))
+    return denom // div, tuple((al, p, v // div) for al, p, v in image)
+
+
+def _round_trip_sum(gen: Generator) -> FormalSum:
+    """The round trip of `gen` as a formal sum, from its exponent shape's kept image."""
+    denom, image = _round_trip(gen.kind, gen.alphas)
+    return FormalSum._from_nonzero(_generators(gen.kind, gen.ks, image, denom, gen.power))
+
+
 def round_trips(gen: Generator) -> bool:
-    """Whether converting `gen` to the other family and back gives `gen`, exactly."""
-    there, back = ("int2l", "l2int") if gen.kind == TAU_INTEGRAL else ("l2int", "int2l")
-    return convert_sum(_convert(((gen, 1),), there), back) == FormalSum.single(gen)
+    """Whether converting `gen` to the other family and back gives `gen`, exactly.
+
+    The composition runs once per (kind, alphas) on the integer core and is
+    kept; it is exact for every ks and tau-power (module docstring).  No
+    generator of the other family is built.
+    """
+    return _round_trip_sum(gen) == FormalSum.single(gen)
 
 
 def numeric_value(fs: FormalSum, tau, budget: TruncationBudget = DEFAULT_BUDGET) -> mpc:

@@ -220,11 +220,22 @@ def test_bad_input_prints_one_error_line_and_exits_2(case, capsys):
     assert out.err.count("\n") == 1
 
 
-# bad settings to verify and selftest: one error line and exit 2, before any case runs
+# bad settings to a command that takes them: one error line and exit 2, before any case runs
 BAD_SETTINGS = {
     "verify-roundtrip": (["verify", "--suite", "roundtrip", "--eps", "-1", "--nmax", "0"],
-                         "eps must be positive"),
+                         "eps must be positive and finite"),
     "verify-fund": (["verify", "--suite", "fund", "--nmax", "0"], "n_max must be >= 1"),
+    # an infinite or nan eps is no budget: "1e400" parses to inf
+    "verify-roundtrip-eps-inf": (["verify", "--suite", "roundtrip", "--eps", "inf"],
+                                 "eps must be positive and finite"),
+    "verify-fund-eps-inf": (["verify", "--suite", "fund", "--eps", "inf"],
+                            "eps must be positive and finite"),
+    "verify-eps-1e400": (["verify", "--suite", "roundtrip", "--eps", "1e400"],
+                         "eps must be positive and finite"),
+    "eval-int-eps-inf": (["eval-int", "--index", "I{ks=[2];alphas=[1];taupow=0}", "--tau", "0+1i",
+                          "--eps", "inf"], "eps must be positive and finite"),
+    "eval-l-eps-nan": (["eval-l", "--index", "L{ks=[2];alphas=[1];t=0}", "--tau", "0+1i",
+                        "--eps", "nan"], "eps must be positive and finite"),
     "selftest-digits": (["selftest", "--digits", "10"],
                         "working precision below 15 digits is not supported"),
 }

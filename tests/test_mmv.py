@@ -416,7 +416,7 @@ def test_clear_caches_empties_rewrite_tables_and_converts_equal():
         return to_l, back, pattern, rewrite.l_to_int(lseries_gen([2, 2], [4, 2], 2))
 
     before = converted()
-    tables = (rewrite._int_to_l_table, rewrite._l_to_int_table)
+    tables = (rewrite._int_to_l_table, rewrite._l_to_int_table, rewrite._round_trip)
     assert all(t.cache_info().currsize for t in tables)
     clear_caches()
     assert not any(t.cache_info().currsize for t in tables)
@@ -451,6 +451,7 @@ def test_every_cache_is_bounded_and_cleared():
     quad_segment(lambda t: t, mpc(0), mpc(1))
     rewrite.l_to_int(lseries_gen([2, 2], [2, 3], 1))
     rewrite.int_to_l(tau_integral_gen([2, 3], [3, 1], 1))
+    rewrite.round_trips(tau_integral_gen([3, 2], [1, 2], 2))
     caches = _engine_caches()
     for name, cache in caches.items():
         info = cache.cache_info()

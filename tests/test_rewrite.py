@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mpc, mpf
 
-from eistau.algebra import FormalSum, lseries_gen, tau_integral_gen
+from eistau import clear_caches, rewrite, verify
+from eistau.algebra import TAU_INTEGRAL, FormalSum, Generator, lseries_gen, tau_integral_gen
 from eistau.config import TruncationBudget
 from eistau.integrals import int_eval
 from eistau.lseries import l_eval
@@ -125,6 +126,159 @@ def test_round_trip_generators(pairs, t):
     assert round_trips(lseries_gen(ks, alphas, t))
 
 
+def _round_trip_grid():
+    """Both kinds of every roundtrip-suite generator on the full grid, the depth-3
+    shapes at the mixed weights (3,2,4), and depth 4 with alpha <= 2, all at t <= 2."""
+    shapes = list(verify._roundtrip_cases("full"))
+    shapes += [((3, 2, 4), alphas, t) for alphas in product(range(1, 5), repeat=3)
+               for t in range(3)]
+    shapes += [((2, 3, 2, 4), alphas, t) for alphas in product((1, 2), repeat=4)
+               for t in range(3)]
+    return [make(ks, alphas, t) for ks, alphas, t in shapes
+            for make in (tau_integral_gen, lseries_gen)]
+
+
+def _literal_round_trip(g):
+    """The round trip through the intermediate formal sum, the one round_trips skips."""
+    there, back = ("int2l", "l2int") if g.kind == TAU_INTEGRAL else ("l2int", "int2l")
+    return convert_sum(rewrite._convert(((g, 1),), there), back)
+
+
+def test_round_trip_image_equals_the_literal_composition():
+    clear_caches()
+    for g in _round_trip_grid():
+        image = rewrite._round_trip_sum(g)
+        assert image == _literal_round_trip(g) == FormalSum.single(g), g
+        assert all(type(c) is Fraction for c in image.terms.values())
+        assert round_trips(g)
+
+
+def _int_to_l_entries(alphas, ratio):
+    """The integral -> series table from the module docstring, each factorial
+    ratio (A - 1)! / (A - i)! taken from ratio(A, i)."""
+    out = []
+
+    def rec(j, carry, ivec, coeff):
+        if j < 0:
+            out.append((tuple(ivec), carry, coeff))
+            return
+        a = alphas[j] + carry
+        for i in range(1, a + 1):
+            rec(j - 1, a - i, [i] + ivec, coeff * (-1) ** i * ratio(a, i))
+
+    rec(len(alphas) - 1, 0, [], 1)
+    return 1, tuple(out)
+
+
+def _l_to_int_entries(alphas, sign):
+    """The series -> integral table from the module docstring, each binomial
+    C(alpha - 1, i) carrying the sign sign(alpha, i)."""
+    out = []
+
+    def rec(j, i_next, rev, coeff):
+        if j < 0:
+            out.append((tuple(reversed(rev)), i_next, coeff))
+            return
+        a = alphas[j]
+        for i in range(a):
+            rec(j - 1, i, rev + [a - i + i_next], coeff * comb(a - 1, i) * sign(a, i))
+
+    rec(len(alphas) - 1, 0, [], (-1) ** sum(alphas))
+    return prod(factorial(a - 1) for a in alphas), tuple(out)
+
+
+def _ratio(a, i):
+    return factorial(a - 1) // factorial(a - i)
+
+
+def _sign(a, i):
+    return (-1) ** i
+
+
+def _planted_ratio(a, i):
+    return _ratio(a, i) + ((a, i) == (3, 2))
+
+
+def _planted_sign(a, i):
+    return -_sign(a, i) if (a, i) == (3, 1) else _sign(a, i)
+
+
+def _generators_without_offset(kind, ks, image, denom, power=0):
+    return {Generator(kind, ks, al, p): Fraction(v, denom) for al, p, v in image}
+
+
+def test_reference_tables_equal_the_engine_tables():
+    # the planted controls below change one factor of these copies
+    for g in _round_trip_grid():
+        assert _int_to_l_entries(g.alphas, _ratio) == rewrite._int_to_l_table(g.alphas)
+        assert _l_to_int_entries(g.alphas, _sign) == rewrite._l_to_int_table(g.alphas)
+
+
+# a planted defect of one table: the direction it breaks, and the broken table
+PLANTED_TABLES = {
+    "factorial-ratio": ("int2l", lambda alphas: _int_to_l_entries(alphas, _planted_ratio)),
+    "binomial-sign": ("l2int", lambda alphas: _l_to_int_entries(alphas, _planted_sign)),
+}
+
+
+@pytest.mark.parametrize("plant", PLANTED_TABLES)
+def test_planted_table_defects_fail_the_round_trip(plant, monkeypatch):
+    direction, table = PLANTED_TABLES[plant]
+    monkeypatch.setitem(rewrite._DIRECTIONS, direction, rewrite._DIRECTIONS[direction][:3] + (table,))
+    clear_caches()
+    try:
+        failed = []
+        for g in _round_trip_grid():
+            literal = _literal_round_trip(g)
+            assert rewrite._round_trip_sum(g) == literal, g
+            assert round_trips(g) == (literal == FormalSum.single(g)), g
+            if literal != FormalSum.single(g):
+                failed.append(g)
+        assert failed
+    finally:
+        monkeypatch.undo()
+        clear_caches()  # no planted image stays kept
+    assert all(round_trips(g) for g in failed)
+
+
+def test_dropped_power_offset_fails_the_round_trip(monkeypatch):
+    # the literal path builds every power itself and stays exact; the image that
+    # round_trips builds at the generator's power is off from it where t > 0
+    monkeypatch.setattr(rewrite, "_generators", _generators_without_offset)
+    clear_caches()
+    for g in _round_trip_grid():
+        literal = _literal_round_trip(g)
+        assert literal == FormalSum.single(g)
+        assert round_trips(g) == (rewrite._round_trip_sum(g) == literal) == (g.power == 0), g
+
+
+def test_round_trips_builds_no_intermediate_sum(monkeypatch):
+    # only the image and FormalSum.single(gen) are built, and no generator of
+    # the other family: the composition runs on the integer core
+    built_sums, built_kinds = [], []
+    init = FormalSum.__init__
+
+    def counting_init(self, terms=None):
+        built_sums.append(terms)
+        init(self, terms)
+
+    def counting_generator(kind, *args):
+        built_kinds.append(kind)
+        return Generator(kind, *args)
+
+    monkeypatch.setattr(FormalSum, "__init__", counting_init)
+    monkeypatch.setattr(rewrite, "Generator", counting_generator)
+    gens = [tau_integral_gen([2, 3, 2], [3, 1, 4], 2), lseries_gen([3, 2], [4, 2], 1)]
+    for cold in (True, False):
+        if cold:
+            clear_caches()
+        for g in gens:
+            built_sums.clear()
+            built_kinds.clear()
+            assert round_trips(g)
+            assert len(built_sums) == 2 and built_kinds == [g.kind]
+
+
 def _reference_int_to_l(g):
     """Integral -> series, term by term from the module docstring's formula."""
     out = []
@@ -209,6 +363,8 @@ def test_conversions_reject_wrong_kind_and_depth_zero():
                 conv(bad)
             with pytest.raises(ValueError):
                 convert_sum(FormalSum.single(bad), direction)
+        with pytest.raises(ValueError, match="depth must be >= 1"):
+            round_trips(unit)
     with pytest.raises(ValueError, match="int_to_l expects a tau-integral generator"):
         int_to_l(lseries_gen([2], [1], 0))
     with pytest.raises(ValueError, match="l_to_int expects an L-series generator"):

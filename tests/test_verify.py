@@ -74,7 +74,9 @@ def test_run_suite_leaves_caller_precision():
 
 def test_bad_settings_raise_before_any_case_runs():
     # the settings are checked where they are made, so no suite echoes bad ones
-    for settings, message in (({"eps": -1.0, "n_max": 0}, "eps must be positive"),
+    for settings, message in (({"eps": -1.0, "n_max": 0}, "eps must be positive and finite"),
+                              ({"eps": float("inf")}, "eps must be positive and finite"),
+                              ({"eps": float("nan")}, "eps must be positive and finite"),
                               ({"n_max": 0}, "n_max must be >= 1"),
                               ({"digits": 14}, "below 15 digits is not supported")):
         with pytest.raises(ValueError, match=message):
